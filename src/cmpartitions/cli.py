@@ -19,7 +19,8 @@ import mpmath
 from mpmath import mpc, mpf
 
 from . import modpoly, recognize, resolvent
-from .errors import NotNearIntegral, PrecisionExhausted
+from .errors import (CMPartitionsError, NearSingularity, NotNearIntegral,
+                     PrecisionExhausted)
 from .evaluate import (eval_A, eval_B, eval_C, eval_form, eval_j, eval_P,
                        partition_form)
 from .precision import PrecisionConfig, run_adaptive
@@ -383,7 +384,9 @@ def _masser_rows(n: int, cfg: PrecisionConfig):
     classes = modpoly.hnf_classes(24 * n - 1)
     rows = []
     digits = max(20, int(cfg.working_bits * 0.30103))
-    for form in enumerate_qn(n):
+    # Masser's formula needs a fixing class of determinant 24n - 1, which
+    # only primitive forms (discriminant exactly 1 - 24n) have
+    for form in [f for f in enumerate_qn(n) if f.content() == 1]:
         alpha = cm_point(form, cfg)
         data = modpoly.taylor_coeffs(alpha, classes, cfg)
         from_taylor = data.masser_c()
@@ -603,9 +606,12 @@ def main(argv=None) -> int:
     except NotNearIntegral as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
-    except (_UsageError, ValueError) as exc:
+    except (_UsageError, ValueError, NearSingularity) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except CMPartitionsError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION_FAILED
 
 
 def console_main() -> None:

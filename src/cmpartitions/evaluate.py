@@ -3,12 +3,15 @@ weight -2 / weight 0 pair (F, P) with its A + B*C split, at arbitrary points
 of the upper half-plane.
 
 Every point evaluation routes through reduction into the standard fundamental
-domain, where the q-series converge geometrically; values are transported
-back along the exact word of T/S moves, accumulating the automorphy factor
-(including the quasimodular E2 shift and the eta multiplier) step by step.
-Derivatives are analytic, via theta(E2) = (E2^2 - E4)/12 and
-theta(log eta) = E2/24 - numerical differentiation is demoted to a test
-oracle.
+domain, where one sparse kernel gives eta, E2, E4 and E6 together: a single
+exponential r = exp(pi i w) = q^(1/2), one table of its powers at the
+pentagonal and theta exponents, eta and E2 from the pentagonal sum (E2 via
+theta(log eta) = E2/24) and E4, E6 from the theta constants.  Values are
+transported back along the exact word of T/S moves, accumulating the
+automorphy factor (including the quasimodular E2 shift and the eta
+multiplier) step by step.  Derivatives are analytic, via
+theta(E2) = (E2^2 - E4)/12 and theta(log eta) = E2/24 - numerical
+differentiation is demoted to a test oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ from mpmath import mpc, mpf
 
 from .errors import NearSingularity, NotUpperHalfPlane
 from .precision import PrecisionConfig
-from .series import FP_E2_COMBINATION, FP_ETA_FACTORS, FP_PREFACTOR
+from .quadforms import _mat_mul
+from .series import (FP_E2_COMBINATION, FP_ETA_FACTORS, FP_PREFACTOR,
+                     _pentagonal_exponents)
 
 
 @dataclass(frozen=True)
@@ -58,12 +63,6 @@ def partition_form() -> FormDescriptor:
 
 
 _S = (0, -1, 1, 0)
-
-
-def _mat_mul(m1, m2):
-    a, b, c, d = m1
-    e, f, g, h = m2
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
 def _walk(z: mpc):
@@ -127,86 +126,61 @@ def _ipow(x: mpc, n: int) -> mpc:
     return result
 
 
-_sigma_cache: dict[tuple[int, int], list[int]] = {}
+def _power_table(x: mpc, exponents) -> dict:
+    """{e: x^e} over a sparse set of exponents, walked in ascending order.
+
+    Consecutive gaps are short (~sqrt of the largest exponent), so a small
+    table of x^gap makes each listed power one product rather than an
+    independent exponentiation.
+    """
+    exps = sorted(set(exponents))
+    max_gap = max((b - a for a, b in zip([0] + exps, exps)), default=0)
+    gap_pow = [mpc(1), x]
+    while len(gap_pow) <= max_gap:
+        gap_pow.append(gap_pow[-1] * x)
+    powers = {}
+    acc = mpc(1)
+    prev = 0
+    for e in exps:
+        acc = acc * gap_pow[e - prev]
+        powers[e] = acc
+        prev = e
+    return powers
 
 
-def _eisenstein_coeffs(k: int, n: int) -> list[int]:
-    n = ((n // 64) + 1) * 64  # bucket so the cache is reused across calls
-    key = (k, n)
-    cached = _sigma_cache.get(key)
-    if cached is None:
-        power, mult = {2: (1, -24), 4: (3, 240), 6: (5, -504)}[k]
-        sig = [0] * n
-        for d in range(1, n):
-            dk = d ** power
-            for m in range(d, n, d):
-                sig[m] += dk
-        cached = [1] + [mult * s for s in sig[1:]]
-        _sigma_cache[key] = cached
-    return cached
+def _reduced_basics(w: mpc, bits: int) -> dict:
+    """eta, E2, E4 and E6 at a fundamental-domain point from one exponential.
 
+    With r = exp(pi i w) = q^(1/2) and the pentagonal sum P = sum s q^e:
 
-def _horner(coeffs, n: int, q: mpc) -> mpc:
-    acc = mpc(coeffs[n - 1])
-    for i in range(n - 2, -1, -1):
-        acc = acc * q
-        if coeffs[i]:
-            acc += coeffs[i]
-    return acc
+        eta = q^(1/24) P,   E2 = 1 + 24 (sum s e q^e) / P,
+        E4 = (th2^8 + th3^8 + th4^8) / 2,
+        E6 = (th2^4 + th3^4) (th3^4 + th4^4) (th4^4 - th2^4) / 2,
 
-
-def _eta_reduced(w: mpc, bits: int) -> mpc:
-    """eta at a fundamental-domain point via the pentagonal product.
-
-    Pentagonal exponents are sparse (~sqrt(n) of them), and consecutive gaps
-    are at most ~2 sqrt(n), so powers of q come from a small gap table rather
-    than independent exponentiations.
+    where th3, th4 = sum (+-1)^m r^(m^2) and th2^4 = 16 r (sum r^(m(m+1)))^4.
+    Every power of r comes from one sparse table; each sum has O(sqrt n) terms.
     """
     n = _nterms(bits, mpmath.im(w))
-    q24 = mpmath.exp(mpmath.pi * mpc(0, 2) * w / 24)
-    q = _ipow(q24, 24)
-    terms = []  # (exponent, sign), ascending
-    k = 1
-    while True:
-        e1 = k * (3 * k - 1) // 2
-        if e1 >= n:
-            break
-        s = -1 if k % 2 else 1
-        terms.append((e1, s))
-        e2 = k * (3 * k + 1) // 2
-        if e2 < n:
-            terms.append((e2, s))
-        k += 1
-    max_gap = max((e - p for (p, _), (e, _) in zip([(0, 1)] + terms, terms)),
-                  default=0)
-    gap_pow = [mpc(1), q]
-    while len(gap_pow) <= max_gap:
-        gap_pow.append(gap_pow[-1] * q)
-    total = mpc(1)
-    power = mpc(1)
-    prev = 0
-    for e, s in terms:
-        power = power * gap_pow[e - prev]
-        prev = e
-        total += s * power
-    return q24 * total
-
-
-def _pentagonal_terms(n: int, stretch: int = 1):
-    """(exponent, sign) pairs of the Euler product in q^stretch, below n."""
-    terms = []
-    k = 1
-    while True:
-        e1 = stretch * (k * (3 * k - 1) // 2)
-        if e1 >= n:
-            break
-        s = -1 if k % 2 else 1
-        terms.append((e1, s))
-        e2 = stretch * (k * (3 * k + 1) // 2)
-        if e2 < n:
-            terms.append((e2, s))
-        k += 1
-    return terms
+    q24 = mpmath.exp(mpmath.pi * mpc(0, 1) * w / 12)
+    r = _ipow(q24, 12)
+    pent = list(_pentagonal_exponents(n))
+    roots = range(1, _math.isqrt(2 * n - 1) + 1)  # r^(m^2) below r^(2n) = q^n
+    oblongs = [m * (m + 1) for m in roots if m * (m + 1) < 2 * n]
+    power = _power_table(r, [2 * e for e, _ in pent] + [m * m for m in roots] + oblongs)
+    qe = [power[2 * e] for e, _ in pent]
+    p = 1 + mpmath.fdot([s for _, s in pent], qe)
+    theta_p = mpmath.fdot([s * e for e, s in pent], qe)
+    even = mpmath.fsum(power[m * m] for m in roots if m % 2 == 0)
+    odd = mpmath.fsum(power[m * m] for m in roots if m % 2)
+    th3, th4 = 1 + 2 * (even + odd), 1 + 2 * (even - odd)
+    th2_4 = 16 * r * _ipow(1 + mpmath.fsum(power[e] for e in oblongs), 4)
+    th3_4, th4_4 = _ipow(th3, 4), _ipow(th4, 4)
+    return {
+        "eta": q24 * p,
+        "e2": 1 + 24 * theta_p / p,
+        "e4": (th2_4 * th2_4 + th3_4 * th3_4 + th4_4 * th4_4) / 2,
+        "e6": (th2_4 + th3_4) * (th3_4 + th4_4) * (th4_4 - th2_4) / 2,
+    }
 
 
 def _j_reduced(w: mpc, bits: int) -> mpc:
@@ -216,31 +190,16 @@ def _j_reduced(w: mpc, bits: int) -> mpc:
 
     The fractional eta prefactors collapse to one factor of q, so a single
     exponential and two sparse pentagonal sums (sharing one table of q
-    powers) give j; this is the cheap route at very high precision, where
-    the dense Eisenstein series would dominate.
+    powers) give j; at very high precision this takes fewer products than
+    E4^3 / Delta from the theta constants.
     """
     n = _nterms(bits, mpmath.im(w))
     q = mpmath.exp(mpmath.pi * mpc(0, 2) * w)
-    t1 = _pentagonal_terms(n)
-    t2 = _pentagonal_terms(n, stretch=2)
-    exps = sorted({e for e, _ in t1} | {e for e, _ in t2})
-    max_gap = max((b - a for a, b in zip([0] + exps, exps)), default=0)
-    gap_pow = [mpc(1), q]
-    while len(gap_pow) <= max_gap:
-        gap_pow.append(gap_pow[-1] * q)
-    powers = {}
-    acc = mpc(1)
-    prev = 0
-    for e in exps:
-        acc = acc * gap_pow[e - prev]
-        powers[e] = acc
-        prev = e
-    p1 = mpc(1)
-    for e, s in t1:
-        p1 += powers[e] if s > 0 else -powers[e]
-    p2 = mpc(1)
-    for e, s in t2:
-        p2 += powers[e] if s > 0 else -powers[e]
+    t1 = list(_pentagonal_exponents(n))
+    t2 = [(2 * e, s) for e, s in _pentagonal_exponents((n + 1) // 2)]
+    power = _power_table(q, [e for e, _ in t1 + t2])
+    p1 = 1 + mpmath.fdot([s for _, s in t1], [power[e] for e, _ in t1])
+    p2 = 1 + mpmath.fdot([s for _, s in t2], [power[e] for e, _ in t2])
     u = 4096 * q * _ipow(p2 / p1, 24)
     return _ipow(u + 16, 3) / u
 
@@ -252,82 +211,60 @@ def _j_from_eta(z: mpc, bits: int) -> mpc:
     return _j_reduced(w, bits)
 
 
-def _eis_reduced(k: int, w: mpc, bits: int) -> mpc:
-    n = _nterms(bits, mpmath.im(w))
-    return _horner(_eisenstein_coeffs(k, n), n, mpmath.exp(mpmath.pi * mpc(0, 2) * w))
-
-
-def _basics(z: mpc, bits: int, want: frozenset) -> dict:
-    """Values of the requested basic forms at z, by reduction and transport."""
+def _basics(z: mpc, bits: int) -> dict:
+    """eta, E2, E4 and E6 at z, by reduction and transport."""
     if not mpmath.im(z) > 0:
         raise NotUpperHalfPlane(f"Im(z) = {mpmath.im(z)} is not positive")
     w, steps = _walk(mpc(z))
-    vals = {}
-    if "eta" in want:
-        vals["eta"] = _eta_reduced(w, bits)
-    for name, k in (("e2", 2), ("e4", 4), ("e6", 6)):
-        if name in want:
-            vals[name] = _eis_reduced(k, w, bits)
+    vals = _reduced_basics(w, bits)
     pi = +mpmath.pi
-    for kind, param, z_before in reversed(steps):
+    for kind, param, zb in reversed(steps):
         if kind == "T":
-            if "eta" in vals:
-                vals["eta"] *= mpmath.exp(mpc(0, -1) * pi * param / 12)
+            vals["eta"] *= mpmath.exp(mpc(0, -1) * pi * param / 12)
         else:
-            zb = z_before
-            if "eta" in vals:
-                vals["eta"] /= mpmath.sqrt(mpc(0, -1) * zb)
+            vals["eta"] /= mpmath.sqrt(mpc(0, -1) * zb)
             zb2 = zb * zb
-            if "e2" in vals:
-                vals["e2"] = (vals["e2"] + 6j * zb / pi) / zb2
-            if "e4" in vals:
-                vals["e4"] /= zb2 * zb2
-            if "e6" in vals:
-                vals["e6"] /= zb2 * zb2 * zb2
+            vals["e2"] = (vals["e2"] + 6j * zb / pi) / zb2
+            vals["e4"] /= zb2 * zb2
+            vals["e6"] /= zb2 * zb2 * zb2
     return vals
+
+
+def _j_of(v: dict) -> mpc:
+    """j = E4^3 / Delta from the basics at one point."""
+    return _ipow(v["e4"], 3) / _ipow(v["eta"], 24)
 
 
 def eval_eta(z: mpc, cfg: PrecisionConfig) -> mpc:
     with mpmath.workprec(cfg.eval_bits):
-        return _basics(z, cfg.eval_bits, frozenset(("eta",)))["eta"]
+        return _basics(z, cfg.eval_bits)["eta"]
 
 
 def eval_eisenstein(k: int, z: mpc, cfg: PrecisionConfig) -> mpc:
     if k not in (2, 4, 6):
         raise ValueError(f"unsupported Eisenstein weight {k}")
     with mpmath.workprec(cfg.eval_bits):
-        name = f"e{k}"
-        return _basics(z, cfg.eval_bits, frozenset((name,)))[name]
-
-
-def eval_delta(z: mpc, cfg: PrecisionConfig) -> mpc:
-    with mpmath.workprec(cfg.eval_bits):
-        return _ipow(_basics(z, cfg.eval_bits, frozenset(("eta",)))["eta"], 24)
+        return _basics(z, cfg.eval_bits)[f"e{k}"]
 
 
 def eval_j(z: mpc, cfg: PrecisionConfig) -> mpc:
     with mpmath.workprec(cfg.eval_bits):
-        v = _basics(z, cfg.eval_bits, frozenset(("eta", "e4")))
-        return _ipow(v["e4"], 3) / _ipow(v["eta"], 24)
+        return _j_of(_basics(z, cfg.eval_bits))
 
 
 def eval_theta_j(z: mpc, cfg: PrecisionConfig) -> mpc:
     """theta applied to j, analytically: -E4^2 E6 / Delta."""
     with mpmath.workprec(cfg.eval_bits):
-        v = _basics(z, cfg.eval_bits, frozenset(("eta", "e4", "e6")))
+        v = _basics(z, cfg.eval_bits)
         return -(v["e4"] * v["e4"]) * v["e6"] / _ipow(v["eta"], 24)
 
 
 def _form_and_theta(desc: FormDescriptor, z: mpc, bits: int):
-    """(F(z), thetaF(z)) from per-multiple basics, exactly by the chain rule:
-    theta f(dz) = d * (theta f)(dz), theta E2 = (E2^2 - E4)/12,
-    theta log eta = E2/24."""
-    needed: dict[int, set] = {}
-    for d, _ in desc.e2_terms:
-        needed.setdefault(d, set()).update(("e2", "e4"))
-    for d, _ in desc.eta_factors:
-        needed.setdefault(d, set()).update(("eta", "e2"))
-    at = {d: _basics(d * z, bits, frozenset(w)) for d, w in needed.items()}
+    """(F(z), thetaF(z), basics at z) from per-multiple basics, exactly by
+    the chain rule: theta f(dz) = d * (theta f)(dz),
+    theta E2 = (E2^2 - E4)/12, theta log eta = E2/24."""
+    multiples = {1} | {d for d, _ in desc.e2_terms + desc.eta_factors}
+    at = {d: _basics(d * z, bits) for d in multiples}
     num = mpc(0)
     theta_num = mpc(0)
     for d, c in desc.e2_terms:
@@ -343,7 +280,7 @@ def _form_and_theta(desc: FormDescriptor, z: mpc, bits: int):
     pre = mpc(desc.prefactor.numerator) / desc.prefactor.denominator
     f = pre * num / den
     theta_f = pre * (theta_num - num * theta_log_den) / den
-    return f, theta_f
+    return f, theta_f, at[1]
 
 
 def eval_form(desc: FormDescriptor, z: mpc, cfg: PrecisionConfig) -> mpc:
@@ -359,45 +296,47 @@ def eval_theta_form(desc: FormDescriptor, z: mpc, cfg: PrecisionConfig) -> mpc:
 def eval_P(desc: FormDescriptor, z: mpc, cfg: PrecisionConfig) -> mpc:
     """The weight-0 completion -thetaF - F/(2 pi Im z)."""
     with mpmath.workprec(cfg.eval_bits):
-        f, theta_f = _form_and_theta(desc, z, cfg.eval_bits)
+        f, theta_f, _ = _form_and_theta(desc, z, cfg.eval_bits)
         return -theta_f - f / (2 * mpmath.pi * mpmath.im(z))
 
 
-def _singularity_guard(cfg: PrecisionConfig, **values):
+def _guarded_j(v: dict, cfg: PrecisionConfig) -> mpc:
+    """j from the basics at a point, refused within 2^(-working_bits/4) of a
+    zero of j, j - 1728, E4 or E6, where A, B and C have poles."""
+    jval = _j_of(v)
     threshold = mpf(2) ** (-(cfg.working_bits // 4))
-    for name, v in values.items():
-        if abs(v) < threshold:
-            raise NearSingularity(f"|{name}| = {mpmath.nstr(abs(v), 5)} below guard")
+    for name, x in (("j", jval), ("j_1728", jval - 1728), ("e4", v["e4"]), ("e6", v["e6"])):
+        if abs(x) < threshold:
+            raise NearSingularity(f"|{name}| = {mpmath.nstr(abs(x), 5)} below guard")
+    return jval
 
 
-def _abc_pieces(desc: FormDescriptor, z: mpc, cfg: PrecisionConfig, bits: int):
-    f, theta_f = _form_and_theta(desc, z, bits)
-    v = _basics(z, bits, frozenset(("eta", "e2", "e4", "e6")))
-    jval = _ipow(v["e4"], 3) / _ipow(v["eta"], 24)
-    _singularity_guard(cfg, j=jval, j_1728=jval - 1728, e4=v["e4"], e6=v["e6"])
-    return f, theta_f, v, jval
+def _a_b_j(desc: FormDescriptor, z: mpc, cfg: PrecisionConfig):
+    """(A, B, j) at z, with A = -thetaF - F E2/6 + F E6 (7j - 6912)/(6 E4 (j - 1728))
+    and B = F E6 j / E4."""
+    f, theta_f, v = _form_and_theta(desc, z, cfg.eval_bits)
+    jval = _guarded_j(v, cfg)
+    a = (-theta_f - f * v["e2"] / 6
+         + f * v["e6"] * (7 * jval - 6912) / (6 * v["e4"] * (jval - 1728)))
+    return a, f * v["e6"] * jval / v["e4"], jval
 
 
 def eval_A(desc: FormDescriptor, z: mpc, cfg: PrecisionConfig) -> mpc:
     with mpmath.workprec(cfg.eval_bits):
-        f, theta_f, v, jval = _abc_pieces(desc, z, cfg, cfg.eval_bits)
-        return (-theta_f - f * v["e2"] / 6
-                + f * v["e6"] * (7 * jval - 6912) / (6 * v["e4"] * (jval - 1728)))
+        return _a_b_j(desc, z, cfg)[0]
 
 
 def eval_B(desc: FormDescriptor, z: mpc, cfg: PrecisionConfig) -> mpc:
     with mpmath.workprec(cfg.eval_bits):
-        f, _, v, jval = _abc_pieces(desc, z, cfg, cfg.eval_bits)
-        return f * v["e6"] * jval / v["e4"]
+        return _a_b_j(desc, z, cfg)[1]
 
 
 def eval_C(z: mpc, cfg: PrecisionConfig) -> mpc:
     """E4/(6 E6 j) * (E2 - 3/(pi y)) - (7j - 6912)/(6 j (j - 1728)); level-1
     invariant, so the value at a CM point only depends on its class."""
     with mpmath.workprec(cfg.eval_bits):
-        v = _basics(z, cfg.eval_bits, frozenset(("eta", "e2", "e4", "e6")))
-        jval = _ipow(v["e4"], 3) / _ipow(v["eta"], 24)
-        _singularity_guard(cfg, j=jval, j_1728=jval - 1728, e4=v["e4"], e6=v["e6"])
+        v = _basics(z, cfg.eval_bits)
+        jval = _guarded_j(v, cfg)
         e2star = v["e2"] - 3 / (mpmath.pi * mpmath.im(mpc(z)))
         return (v["e4"] * e2star / (6 * v["e6"] * jval)
                 - (7 * jval - 6912) / (6 * jval * (jval - 1728)))
@@ -406,9 +345,7 @@ def eval_C(z: mpc, cfg: PrecisionConfig) -> mpc:
 def eval_Aprime(desc: FormDescriptor, z: mpc, cfg: PrecisionConfig) -> mpc:
     """A * j * (j - 1728), regular at CM points of the discriminants in use."""
     with mpmath.workprec(cfg.eval_bits):
-        f, theta_f, v, jval = _abc_pieces(desc, z, cfg, cfg.eval_bits)
-        a = (-theta_f - f * v["e2"] / 6
-             + f * v["e6"] * (7 * jval - 6912) / (6 * v["e4"] * (jval - 1728)))
+        a, _, jval = _a_b_j(desc, z, cfg)
         return a * jval * (jval - 1728)
 
 

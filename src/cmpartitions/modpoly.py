@@ -185,8 +185,8 @@ def beta_product(alpha: CMPoint, classes, cfg: PrecisionConfig) -> mpc:
     """prod over non-fixing classes of (j(alpha) - j(class * alpha)).
 
     j is evaluated along the eta-only route here: the norm products for
-    n = 3 already need >30000 working bits, where the dense Eisenstein series
-    would dominate the runtime.
+    n = 3 already need >30000 working bits, where E4^3 / Delta from the
+    theta constants would take more products per point.
     """
     fix = fixing_class(alpha, classes)
     with mpmath.workprec(cfg.eval_bits):
@@ -330,8 +330,8 @@ def _lstsq(rows, rhs, bits: int):
 
 
 def beta_norm(n: int, cfg: PrecisionConfig | None = None):
-    """Product of beta over all class representatives for n, rounded to an
-    integer, with the coprime-to-6 flag.
+    """Product of beta over the primitive class representatives for n,
+    rounded to an integer, with the coprime-to-6 flag.
 
     These integers are enormous (about 9000 digits at n = 3), so a cheap
     low-precision probe first measures the magnitude; the ladder then runs
@@ -340,7 +340,8 @@ def beta_norm(n: int, cfg: PrecisionConfig | None = None):
     """
     if cfg is None:
         cfg = PrecisionConfig()
-    forms = enumerate_qn(n)
+    # only primitive forms have a fixing class of determinant 24n - 1
+    forms = [f for f in enumerate_qn(n) if f.content() == 1]
     classes = hnf_classes(24 * n - 1)
 
     def product_at(bits):

@@ -153,7 +153,9 @@ def enumerate_qn(n: int) -> list[QuadForm]:
 
     All candidates with a <= 4|D| are enumerated (b scanned over one full
     translation period per a), bucketed by exact equivalence and the member
-    with smallest (a, |b|, b < 0) kept.  Imprimitive candidates are excluded.
+    with smallest (a, |b|, b < 0) kept.  Imprimitive forms are included: the
+    trace formula for p(n) runs over every form of discriminant 1 - 24n, and
+    they occur only when 24n - 1 is not squarefree (first at n = 24).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -167,9 +169,7 @@ def enumerate_qn(n: int) -> list[QuadForm]:
         while b <= a:
             num = b * b - d
             if num % (4 * a) == 0:
-                form = QuadForm(a, b, num // (4 * a))
-                if form.content() == 1:
-                    candidates.append(form)
+                candidates.append(QuadForm(a, b, num // (4 * a)))
             b += 12
     candidates.sort(key=lambda f: (f.a, abs(f.b), -f.b))
     # bucket by the full-group reduced form first: cheap complete invariant,

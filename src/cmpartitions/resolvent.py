@@ -201,10 +201,12 @@ APRIME_COEFFS = _aprime_coefficients()
 B_COEFFS = _b_coefficients()
 
 _TABLES = {"aprime": APRIME_COEFFS, "b": B_COEFFS}
-_EVALUATORS = {
-    "aprime": lambda desc, z, cfg: eval_Aprime(desc, z, cfg),
-    "b": lambda desc, z, cfg: eval_B(desc, z, cfg),
-}
+
+
+def _evaluate(key: str, desc, z: mpc, cfg: PrecisionConfig) -> mpc:
+    """A' or B at z.  The evaluator is looked up when called, so a rebinding
+    of this module's ``eval_Aprime`` or ``eval_B`` attribute takes effect."""
+    return (eval_Aprime if key == "aprime" else eval_B)(desc, z, cfg)
 
 
 def _which(name: str) -> str:
@@ -265,13 +267,12 @@ def psi_from_cosets(which: str, z: mpc, cfg: PrecisionConfig,
     key = _which(which)
     if desc is None:
         desc = partition_form()
-    evaluator = _EVALUATORS[key]
     with mpmath.workprec(cfg.eval_bits):
         z = mpc(z)
         values = []
         for a, b, c, d in coset_reps():
             w = (a * z + b) / (c * z + d)
-            values.append(evaluator(desc, w, cfg))
+            values.append(_evaluate(key, desc, w, cfg))
     return list(reversed(orbit_product(values, 1)))
 
 
@@ -312,7 +313,7 @@ def psi_root_check(which: str, alpha: CMPoint, cfg: PrecisionConfig,
         desc = partition_form()
     with mpmath.workprec(cfg.eval_bits):
         jval = eval_j(alpha.embed, cfg)
-        gval = _EVALUATORS[key](desc, alpha.embed, cfg)
+        gval = _evaluate(key, desc, alpha.embed, cfg)
         coeffs = psi_tabulated(which, jval)
         total = mpc(0)
         largest = mpf(1)

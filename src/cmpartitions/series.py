@@ -269,23 +269,30 @@ def eisenstein_series(k: int, order: int) -> FormalSeries:
     return FormalSeries(0, coeffs, order)
 
 
+def _pentagonal_exponents(order: int):
+    """(exponent, sign) of the nonconstant terms of prod_{n>=1} (1 - q^n)
+    below ``order``, ascending: by the pentagonal number theorem they sit at
+    k(3k - 1)/2 and k(3k + 1)/2 with sign (-1)^k."""
+    k = 1
+    while True:
+        e1 = k * (3 * k - 1) // 2
+        if e1 >= order:
+            return
+        s = -1 if k % 2 else 1
+        yield e1, s
+        e2 = k * (3 * k + 1) // 2
+        if e2 < order:
+            yield e2, s
+        k += 1
+
+
 def euler_product_series(order: int) -> FormalSeries:
     """prod_{n>=1} (1 - q^n) by the pentagonal number theorem."""
     coeffs = [0] * max(order, 1)
     if order > 0:
         coeffs[0] = 1
-    k = 1
-    while True:
-        e1 = k * (3 * k - 1) // 2
-        e2 = k * (3 * k + 1) // 2
-        if e1 >= order and e2 >= order:
-            break
-        s = -1 if k % 2 else 1
-        if e1 < order:
-            coeffs[e1] = s
-        if e2 < order:
-            coeffs[e2] = s
-        k += 1
+    for e, s in _pentagonal_exponents(order):
+        coeffs[e] = s
     return FormalSeries(0, coeffs, order)
 
 

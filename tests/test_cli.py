@@ -51,6 +51,13 @@ class TestBasicCommands:
                              "--no-cache")
         assert code == 4
 
+    def test_eval_near_singularity_exit(self, capsys):
+        # C has a pole at i, where j = 1728 and E6 = 0
+        code, _, err = run_cli(capsys, "eval", "--what", "C", "--z", "0,1",
+                               "--no-cache")
+        assert code == 4
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_hypothesis(self, capsys):
         code, out, _ = run_cli(capsys, "hypothesis", "--order", "60",
                                "--no-cache", "--json")
