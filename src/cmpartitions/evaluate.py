@@ -5,7 +5,7 @@ of the upper half-plane.
 Every point evaluation routes through reduction into the standard fundamental
 domain, where one sparse kernel gives eta, E2, E4 and E6 together: a single
 exponential r = exp(pi i w) = q^(1/2), one table of its powers at the
-pentagonal and theta exponents, eta and E2 from the pentagonal sum (E2 via
+pentagonal and theta exponents (on fixed-point Python ints), eta and E2 from the pentagonal sum (E2 via
 theta(log eta) = E2/24) and E4, E6 from the theta constants.  Values are
 transported back along the exact word of T/S moves, accumulating the
 automorphy factor (including the quasimodular E2 shift and the eta
@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mpc, mpf
+from mpmath.libmp import from_man_exp, to_fixed
 
 from .errors import NearSingularity, NotUpperHalfPlane
 from .precision import PrecisionConfig
@@ -126,8 +127,45 @@ def _ipow(x: mpc, n: int) -> mpc:
     return result
 
 
-def _power_table(x: mpc, exponents) -> dict:
-    """{e: x^e} over a sparse set of exponents, walked in ascending order.
+# Guard bits of the fixed-point kernels below; the budget is in
+# _reduced_basics.
+_GUARD = 32
+
+
+def _fixed(z: mpc, prec: int) -> tuple[int, int]:
+    """(re, im) of z as Python ints scaled by 2^prec, truncated."""
+    return to_fixed(z._mpc_[0], prec), to_fixed(z._mpc_[1], prec)
+
+
+def _to_mpc(z: tuple[int, int], prec: int, bits: int) -> mpc:
+    """A fixed-point complex scaled by 2^prec, rounded to a bits-bit mpc."""
+    return mpmath.mp.make_mpc((from_man_exp(z[0], -prec, bits, "n"),
+                               from_man_exp(z[1], -prec, bits, "n")))
+
+
+def _cmul(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
+    """Product of two fixed-point complex numbers from three integer products
+    (Gauss), truncated back to scale 2^prec."""
+    k1 = b[0] * (a[0] + a[1])
+    k2 = a[0] * (b[1] - b[0])
+    k3 = a[1] * (b[0] + b[1])
+    return (k1 - k3) >> prec, (k1 + k2) >> prec
+
+
+def _fourth(a: tuple[int, int], prec: int) -> tuple[int, int]:
+    """a^4 in fixed point, by two squarings."""
+    a2 = _cmul(a, a, prec)
+    return _cmul(a2, a2, prec)
+
+
+def _csum(terms) -> tuple[int, int]:
+    """sum(c * z) over (integer weight c, fixed-point complex z) pairs."""
+    terms = list(terms)
+    return sum(c * z[0] for c, z in terms), sum(c * z[1] for c, z in terms)
+
+
+def _power_table(x: tuple[int, int], exponents, prec: int) -> dict:
+    """{e: x^e} in fixed point over a sparse set of exponents, ascending.
 
     Consecutive gaps are short (~sqrt of the largest exponent), so a small
     table of x^gap makes each listed power one product rather than an
@@ -135,14 +173,15 @@ def _power_table(x: mpc, exponents) -> dict:
     """
     exps = sorted(set(exponents))
     max_gap = max((b - a for a, b in zip([0] + exps, exps)), default=0)
-    gap_pow = [mpc(1), x]
+    one = (1 << prec, 0)
+    gap_pow = [one, x]
     while len(gap_pow) <= max_gap:
-        gap_pow.append(gap_pow[-1] * x)
+        gap_pow.append(_cmul(gap_pow[-1], x, prec))
     powers = {}
-    acc = mpc(1)
+    acc = one
     prev = 0
     for e in exps:
-        acc = acc * gap_pow[e - prev]
+        acc = _cmul(acc, gap_pow[e - prev], prec)
         powers[e] = acc
         prev = e
     return powers
@@ -159,27 +198,50 @@ def _reduced_basics(w: mpc, bits: int) -> dict:
 
     where th3, th4 = sum (+-1)^m r^(m^2) and th2^4 = 16 r (sum r^(m(m+1)))^4.
     Every power of r comes from one sparse table; each sum has O(sqrt n) terms.
+
+    The table, the sums, the theta fourth powers and E4, E6 run on Python
+    ints scaled by 2^prec, prec = bits + _GUARD; q^(1/24) comes from
+    mpmath, and only eta = q^(1/24) P and the quotient E2 are formed in mpc.
+
+    Error budget.  On the fundamental domain |r| <= exp(-pi sqrt(3)/2)
+    ~ 0.066 and |q^(1/24)| < 0.8, so every factor has modulus below 1: a
+    product adds its own truncation (under 2 ulp = 2^(-prec+1)) to the
+    errors of its factors without magnifying them.  Each table entry and
+    each unweighted sum is therefore off by less than
+    (#products) * 2^(-prec+2), with under 400 products for bits < 2^15.
+    The weights e of sum s e q^e raise that sum's bound to
+    (sum e) * 2^(-prec+2) < 2^(-prec+20), and the fourth powers, E4 and E6
+    (all of modulus below 3) magnify the errors of the theta sums by less
+    than 2^6.  After the factor 24 of E2, 32 guard bits keep eta, E2, E4
+    and E6 within 2^(-bits-8) of exact for bits < 2^15.
     """
     n = _nterms(bits, mpmath.im(w))
-    q24 = mpmath.exp(mpmath.pi * mpc(0, 1) * w / 12)
-    r = _ipow(q24, 12)
+    prec = bits + _GUARD
+    with mpmath.workprec(prec):
+        q24 = mpmath.exp(mpmath.pi * mpc(0, 1) * w / 12)
+    x4 = _fourth(_fixed(q24, prec), prec)
+    r = _cmul(_cmul(x4, x4, prec), x4, prec)
     pent = list(_pentagonal_exponents(n))
     roots = range(1, _math.isqrt(2 * n - 1) + 1)  # r^(m^2) below r^(2n) = q^n
     oblongs = [m * (m + 1) for m in roots if m * (m + 1) < 2 * n]
-    power = _power_table(r, [2 * e for e, _ in pent] + [m * m for m in roots] + oblongs)
-    qe = [power[2 * e] for e, _ in pent]
-    p = 1 + mpmath.fdot([s for _, s in pent], qe)
-    theta_p = mpmath.fdot([s * e for e, s in pent], qe)
-    even = mpmath.fsum(power[m * m] for m in roots if m % 2 == 0)
-    odd = mpmath.fsum(power[m * m] for m in roots if m % 2)
-    th3, th4 = 1 + 2 * (even + odd), 1 + 2 * (even - odd)
-    th2_4 = 16 * r * _ipow(1 + mpmath.fsum(power[e] for e in oblongs), 4)
-    th3_4, th4_4 = _ipow(th3, 4), _ipow(th4, 4)
+    power = _power_table(r, [2 * e for e, _ in pent] + [m * m for m in roots] + oblongs,
+                         prec)
+    one = [(1, (1 << prec, 0))]
+    p = _csum(one + [(s, power[2 * e]) for e, s in pent])
+    theta_p = _csum((s * e, power[2 * e]) for e, s in pent)
+    th3_4 = _fourth(_csum(one + [(2, power[m * m]) for m in roots]), prec)
+    th4_4 = _fourth(_csum(one + [(2 - 4 * (m % 2), power[m * m]) for m in roots]), prec)
+    th2_4 = _cmul((16 * r[0], 16 * r[1]),
+                  _fourth(_csum(one + [(1, power[e]) for e in oblongs]), prec), prec)
+    e4 = _csum((1, _cmul(t, t, prec)) for t in (th2_4, th3_4, th4_4))
+    e6 = _cmul(_cmul(_csum([(1, th2_4), (1, th3_4)]), _csum([(1, th3_4), (1, th4_4)]), prec),
+               _csum([(1, th4_4), (-1, th2_4)]), prec)
+    p = _to_mpc(p, prec, bits)
     return {
         "eta": q24 * p,
-        "e2": 1 + 24 * theta_p / p,
-        "e4": (th2_4 * th2_4 + th3_4 * th3_4 + th4_4 * th4_4) / 2,
-        "e6": (th2_4 + th3_4) * (th3_4 + th4_4) * (th4_4 - th2_4) / 2,
+        "e2": 1 + 24 * _to_mpc(theta_p, prec, bits) / p,
+        "e4": _to_mpc(e4, prec + 1, bits),  # scale 2^(prec+1): the halving
+        "e6": _to_mpc(e6, prec + 1, bits),
     }
 
 
@@ -191,17 +253,24 @@ def _j_reduced(w: mpc, bits: int) -> mpc:
     The fractional eta prefactors collapse to one factor of q, so a single
     exponential and two sparse pentagonal sums (sharing one table of q
     powers) give j; at very high precision this takes fewer products than
-    E4^3 / Delta from the theta constants.
+    E4^3 / Delta from the theta constants.  The table and both sums run in
+    fixed point under the budget of _reduced_basics (|q| < 0.005 here).  u
+    and j are formed in mpc at the guarded precision too: the 24th power
+    and, near rho, the cancellation in u + 16 would otherwise cost up to
+    10 bits of the ambient precision.
     """
     n = _nterms(bits, mpmath.im(w))
-    q = mpmath.exp(mpmath.pi * mpc(0, 2) * w)
+    prec = bits + _GUARD
     t1 = list(_pentagonal_exponents(n))
     t2 = [(2 * e, s) for e, s in _pentagonal_exponents((n + 1) // 2)]
-    power = _power_table(q, [e for e, _ in t1 + t2])
-    p1 = 1 + mpmath.fdot([s for _, s in t1], [power[e] for e, _ in t1])
-    p2 = 1 + mpmath.fdot([s for _, s in t2], [power[e] for e, _ in t2])
-    u = 4096 * q * _ipow(p2 / p1, 24)
-    return _ipow(u + 16, 3) / u
+    one = [(1, (1 << prec, 0))]
+    with mpmath.workprec(prec):
+        q = mpmath.exp(mpmath.pi * mpc(0, 2) * w)
+        power = _power_table(_fixed(q, prec), [e for e, _ in t1 + t2], prec)
+        p1 = _to_mpc(_csum(one + [(s, power[e]) for e, s in t1]), prec, prec)
+        p2 = _to_mpc(_csum(one + [(s, power[e]) for e, s in t2]), prec, prec)
+        u = 4096 * q * _ipow(p2 / p1, 24)
+        return _ipow(u + 16, 3) / u
 
 
 def _j_from_eta(z: mpc, bits: int) -> mpc:
@@ -218,15 +287,19 @@ def _basics(z: mpc, bits: int) -> dict:
     w, steps = _walk(mpc(z))
     vals = _reduced_basics(w, bits)
     pi = +mpmath.pi
+    shift = 0
     for kind, param, zb in reversed(steps):
         if kind == "T":
-            vals["eta"] *= mpmath.exp(mpc(0, -1) * pi * param / 12)
+            shift += param
         else:
             vals["eta"] /= mpmath.sqrt(mpc(0, -1) * zb)
             zb2 = zb * zb
             vals["e2"] = (vals["e2"] + 6j * zb / pi) / zb2
             vals["e4"] /= zb2 * zb2
             vals["e6"] /= zb2 * zb2 * zb2
+    # eta(z + m) = exp(pi i m / 12) eta(z), so the T moves multiply eta by
+    # one 24th root of unity in all
+    vals["eta"] *= mpmath.expjpi(mpf(-shift % 24) / 12)
     return vals
 
 

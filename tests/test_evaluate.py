@@ -5,7 +5,8 @@ import pytest
 from mpmath import mpc, mpf
 
 from cmpartitions.errors import NearSingularity, NotUpperHalfPlane
-from cmpartitions.evaluate import (al_deviation, atkin_lehner_check, eval_A,
+from cmpartitions.evaluate import (_j_reduced, _nterms, _reduced_basics,
+                                   al_deviation, atkin_lehner_check, eval_A,
                                    eval_Aprime, eval_B, eval_C,
                                    eval_eisenstein, eval_eta, eval_form,
                                    eval_j, eval_P, eval_theta_form,
@@ -179,6 +180,40 @@ class TestJ:
                   / (2 * h * 2j * mpmath.pi))
             analytic = eval_theta_j(z, cfg512)
             assert abs(fd - analytic) / (1 + abs(analytic)) < mpf(10) ** -25
+
+
+# fundamental-domain points next to rho, at i and at Im w = 3
+KERNEL_POINTS = [("-0.49", "0.876"), ("0", "1"), ("0.25", "3")]
+
+
+class TestFixedPointKernels:
+    """The integer kernels against oracles that share no code with them, to
+    2^-(bits-8) relative; E2, E4 and E6 to 2^-(bits-8) absolute where they
+    are below 1, since E6(i) = 0."""
+
+    @pytest.mark.parametrize("bits", [544, 3600])
+    def test_j_against_kleinj(self, bits):
+        for x, y in KERNEL_POINTS:
+            with mpmath.workprec(bits):
+                w = mpc(mpf(x), mpf(y))
+                value = _j_reduced(w, bits)
+            with mpmath.workprec(bits + 64):
+                ref = 1728 * mpmath.kleinj(w)
+                assert abs(value - ref) < mpf(2) ** (8 - bits) * abs(ref), (x, y)
+
+    @pytest.mark.parametrize("bits", [256, 1024, 4096])
+    def test_basics_against_divisor_sums(self, bits):
+        for x, y in KERNEL_POINTS:
+            with mpmath.workprec(bits):
+                w = mpc(mpf(x), mpf(y))
+                value = _reduced_basics(w, bits)
+            n = _nterms(bits + 64, mpmath.im(w))
+            with mpmath.workprec(bits + 64):
+                q = mpmath.exp(2j * mpmath.pi * w)
+                for k in (2, 4, 6):
+                    ref = mpmath.polyval(eisenstein_series(k, n).coeffs[::-1], q)
+                    err = abs(value[f"e{k}"] - ref)
+                    assert err < mpf(2) ** (8 - bits) * max(1, abs(ref)), (k, x, y)
 
 
 class TestFormAndP:

@@ -92,6 +92,14 @@ class TestComputePn:
             assert record.d == 1 - 24 * n
             assert len(record.scaled_poly) == len(record.forms) + 1
 
+    def test_property_seeded_sample_31_to_60(self, cfg256):
+        # six n in 31..60 drawn with a fixed seed, so every run checks the
+        # same ones: 38, 40, 47, 48, 51 and 56
+        sample = sorted(random.Random(2011).sample(range(31, 61), 6))
+        assert sample == [38, 40, 47, 48, 51, 56]
+        for n in sample:
+            assert compute_pn(n, cfg256).pn == pentagonal_pn(n), n
+
     def test_rejects_zero(self, cfg256):
         with pytest.raises(ValueError):
             compute_pn(0, cfg256)
