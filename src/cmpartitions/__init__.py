@@ -10,18 +10,17 @@ j and of the singular-moduli products behind them.
 
 from .errors import (CMPartitionsError, FractionalPower,
                      MultipleFixingClasses, NearSingularity, NoFixingClass,
-                     NotNearIntegral, NotUpperHalfPlane, NumericOverflow,
-                     PrecisionExhausted, ZeroLeadingCoefficient)
-from .evaluate import (ALCheck, FormDescriptor, ReductionWord,
-                       atkin_lehner_check, eval_A, eval_Aprime, eval_B,
-                       eval_C, eval_eisenstein, eval_eta, eval_form, eval_j,
-                       eval_P, eval_theta_form, eval_theta_j, partition_form,
-                       reduce_to_fundamental)
+                     NotNearIntegral, NotUpperHalfPlane, PrecisionExhausted,
+                     ZeroLeadingCoefficient)
+from .evaluate import (ALCheck, FormDescriptor, atkin_lehner_check, eval_A,
+                       eval_Aprime, eval_B, eval_C, eval_eisenstein, eval_eta,
+                       eval_form, eval_j, eval_P, eval_theta_form,
+                       eval_theta_j, partition_form)
 from .modpoly import (MatrixClass, TaylorData, beta_norm, beta_product,
                       class_count, fixing_class, hnf_classes,
                       is_special_candidate, masser_c, taylor_coeffs,
                       taylor_fd_fit)
-from .precision import PrecisionConfig, complex_exp, principal_sqrt, run_adaptive
+from .precision import PrecisionConfig, run_adaptive
 from .quadforms import (CMPoint, QuadFieldElem, QuadForm, cm_point,
                         enumerate_qn, gamma0_equivalent, reduced_forms)
 from .recognize import (OrbitRecord, compute_pn, j_norm, norm_6unit_check,

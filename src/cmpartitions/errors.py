@@ -9,10 +9,6 @@ class PrecisionExhausted(CMPartitionsError):
     """The adaptive precision ladder hit max_bits without two runs agreeing."""
 
 
-class NumericOverflow(CMPartitionsError, ArithmeticError):
-    """An operation produced a non-finite (inf/nan) component."""
-
-
 class ZeroLeadingCoefficient(CMPartitionsError, ZeroDivisionError):
     """Inversion of a formal series whose leading coefficient vanishes."""
 

@@ -2,16 +2,16 @@
 weight -2 / weight 0 pair (F, P) with its A + B*C split, at arbitrary points
 of the upper half-plane.
 
-Every point evaluation routes through reduction into the standard fundamental
-domain, where one sparse kernel gives eta, E2, E4 and E6 together: a single
-exponential r = exp(pi i w) = q^(1/2), one table of its powers at the
-pentagonal and theta exponents (on fixed-point Python ints), eta and E2 from the pentagonal sum (E2 via
-theta(log eta) = E2/24) and E4, E6 from the theta constants.  Values are
-transported back along the exact word of T/S moves, accumulating the
-automorphy factor (including the quasimodular E2 shift and the eta
-multiplier) step by step.  Derivatives are analytic, via
-theta(E2) = (E2^2 - E4)/12 and theta(log eta) = E2/24 - numerical
-differentiation is demoted to a test oracle.
+Every point evaluation routes through one reduction (_reduce) into the
+standard fundamental domain, where one sparse kernel gives eta, E2, E4 and E6
+together: a single exponential r = exp(pi i w) = q^(1/2), one table of its
+powers at the pentagonal and theta exponents (on fixed-point Python ints), eta
+and E2 from the pentagonal sum (E2 via theta(log eta) = E2/24) and E4, E6
+from the theta constants.  Values are transported back in one step by the
+reducing matrix: the automorphy factor cz + d, the quasimodular E2 shift and
+the eta multiplier from Rademacher's Dedekind-sum formula.  Derivatives are
+analytic, via theta(E2) = (E2^2 - E4)/12 and theta(log eta) = E2/24 -
+numerical differentiation is demoted to a test oracle.
 """
 
 from __future__ import annotations
@@ -26,20 +26,8 @@ from mpmath.libmp import from_man_exp, to_fixed
 
 from .errors import NearSingularity, NotUpperHalfPlane
 from .precision import PrecisionConfig
-from .quadforms import _mat_mul
 from .series import (FP_E2_COMBINATION, FP_ETA_FACTORS, FP_PREFACTOR,
                      _pentagonal_exponents)
-
-
-@dataclass(frozen=True)
-class ReductionWord:
-    """Word in T, S carrying a point into the standard fundamental domain."""
-
-    matrix: tuple[int, int, int, int]
-    word: tuple[tuple, ...]
-
-    def __len__(self):
-        return len(self.word)
 
 
 @dataclass(frozen=True)
@@ -63,46 +51,44 @@ def partition_form() -> FormDescriptor:
     )
 
 
-_S = (0, -1, 1, 0)
-
-
-def _walk(z: mpc):
+def _reduce(z: mpc):
     """Reduce z into the fundamental domain under the ambient precision.
 
-    Returns (z_reduced, steps) where each step is ('T', m, z_before) meaning
-    z -> z + m, or ('S', None, z_before) meaning z -> -1/z.
+    Returns (w, (a, b, c, d)) with w = (a z + b)/(c z + d), normalised so
+    that c > 0, or c = 0 and d > 0.  This is the one place that rejects a
+    point that is not finite with Im z > 0.
     """
-    steps = []
+    z = mpc(z)
+    if not (mpmath.isfinite(z.real) and mpmath.isfinite(z.imag) and z.imag > 0):
+        raise NotUpperHalfPlane(f"z = {mpmath.nstr(z, 10)} is not a finite point "
+                                "of the upper half-plane")
+    a, b, c, d = 1, 0, 0, 1
     for _ in range(100000):
-        k = int(mpmath.nint(mpmath.re(z)))
+        k = int(mpmath.nint(z.real))
         if k != 0:
-            steps.append(("T", -k, z))
             z = z - k
+            a, b = a - k * c, b - k * d
         if abs(z) < 1:
-            steps.append(("S", None, z))
             z = -1 / z
+            a, b, c, d = -c, -d, a, b
         else:
-            return z, steps
+            if c < 0 or (c == 0 and d < 0):
+                a, b, c, d = -a, -b, -c, -d
+            return z, (a, b, c, d)
     raise RuntimeError("fundamental domain reduction did not terminate")
 
 
-def reduce_to_fundamental(z: mpc, cfg: PrecisionConfig):
-    """Reduce z to the standard fundamental domain; returns (z_red, word)."""
-    z = mpc(z)
-    if not mpmath.im(z) > 0:
-        raise NotUpperHalfPlane(f"Im(z) = {mpmath.im(z)} is not positive")
-    with mpmath.workprec(cfg.eval_bits):
-        z_red, steps = _walk(z)
-    matrix = (1, 0, 0, 1)
-    word = []
-    for kind, param, _ in steps:
-        if kind == "T":
-            matrix = _mat_mul((1, param, 0, 1), matrix)
-            word.append(("T", param))
-        else:
-            matrix = _mat_mul(_S, matrix)
-            word.append(("S",))
-    return z_red, ReductionWord(matrix=matrix, word=tuple(word))
+def _dedekind_sum(h: int, k: int) -> Fraction:
+    """s(h, k) for k > 0 and gcd(h, k) = 1, by reciprocity:
+    s(h, k) + s(k, h) = (h/k + k/h + 1/(hk))/12 - 1/4."""
+    total = Fraction(0)
+    sign = 1
+    h %= k
+    while h:
+        total += sign * (Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4))
+        sign = -sign
+        h, k = k % h, h
+    return total
 
 
 def _nterms(bits: int, im_w) -> int:
@@ -276,30 +262,31 @@ def _j_reduced(w: mpc, bits: int) -> mpc:
 def _j_from_eta(z: mpc, bits: int) -> mpc:
     """j anywhere on the upper half-plane along the eta-only route (j is
     invariant under the full modular group, so no transport is needed)."""
-    w, _ = _walk(mpc(z))
-    return _j_reduced(w, bits)
+    return _j_reduced(_reduce(z)[0], bits)
 
 
 def _basics(z: mpc, bits: int) -> dict:
-    """eta, E2, E4 and E6 at z, by reduction and transport."""
-    if not mpmath.im(z) > 0:
-        raise NotUpperHalfPlane(f"Im(z) = {mpmath.im(z)} is not positive")
-    w, steps = _walk(mpc(z))
+    """eta, E2, E4 and E6 at z, carried back from w = g z, g = (a, b, c, d),
+    by the automorphy factors of g alone:
+
+        E4(z) = E4(w)/(cz + d)^4,   E6(z) = E6(w)/(cz + d)^6,
+        E2(z) = (E2(w) + 6ic(cz + d)/pi)/(cz + d)^2,
+        eta(z) = exp(-pi i k/12) eta(w)/sqrt(-i(cz + d)),
+
+    with Rademacher's integer k = (a + d)/c - 12 s(d, c).  A translation
+    (c = 0) has k = b and leaves all but the root of unity out.
+    """
+    w, (a, b, c, d) = _reduce(z)
     vals = _reduced_basics(w, bits)
-    pi = +mpmath.pi
-    shift = 0
-    for kind, param, zb in reversed(steps):
-        if kind == "T":
-            shift += param
-        else:
-            vals["eta"] /= mpmath.sqrt(mpc(0, -1) * zb)
-            zb2 = zb * zb
-            vals["e2"] = (vals["e2"] + 6j * zb / pi) / zb2
-            vals["e4"] /= zb2 * zb2
-            vals["e6"] /= zb2 * zb2 * zb2
-    # eta(z + m) = exp(pi i m / 12) eta(z), so the T moves multiply eta by
-    # one 24th root of unity in all
-    vals["eta"] *= mpmath.expjpi(mpf(-shift % 24) / 12)
+    k = int(Fraction(a + d, c) - 12 * _dedekind_sum(d, c)) if c else b
+    vals["eta"] *= mpmath.expjpi(mpf(-k % 24) / 12)
+    if c:
+        cz_d = c * mpc(z) + d
+        cz_d2 = cz_d * cz_d
+        vals["eta"] /= mpmath.sqrt(mpc(0, -1) * cz_d)
+        vals["e2"] = (vals["e2"] + 6j * c * cz_d / mpmath.pi) / cz_d2
+        vals["e4"] /= cz_d2 * cz_d2
+        vals["e6"] /= cz_d2 * cz_d2 * cz_d2
     return vals
 
 

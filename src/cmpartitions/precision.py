@@ -1,4 +1,4 @@
-"""Adaptive-precision complex arithmetic contract on top of mpmath.
+"""Precision settings and the adaptive agreement ladder on top of mpmath.
 
 All numerical modules run at an explicit binary precision taken from a
 PrecisionConfig.  Correctness does not rest on per-operation error bounds but
@@ -14,7 +14,7 @@ from typing import Callable
 import mpmath
 from mpmath import mpc, mpf
 
-from .errors import NumericOverflow, PrecisionExhausted
+from .errors import PrecisionExhausted
 
 DEFAULT_WORKING_BITS = 256
 DEFAULT_MAX_BITS = 8192
@@ -54,26 +54,6 @@ class PrecisionConfig:
         """Copy of this config at a different working precision (same tolerance)."""
         return PrecisionConfig(working_bits, max(self.max_bits, working_bits),
                                self.guard_bits, self.abs_tol)
-
-
-def ensure_finite(z: mpc) -> mpc:
-    if not (mpmath.isfinite(mpmath.re(z)) and mpmath.isfinite(mpmath.im(z))):
-        raise NumericOverflow(f"non-finite value {z}")
-    return z
-
-
-def complex_exp(z: mpc, cfg: PrecisionConfig) -> mpc:
-    """exp(z) at working precision; raises NumericOverflow on inf/nan."""
-    ensure_finite(mpc(z))
-    with mpmath.workprec(cfg.eval_bits):
-        return ensure_finite(mpmath.exp(mpc(z)))
-
-
-def principal_sqrt(z: mpc, cfg: PrecisionConfig) -> mpc:
-    """Principal square root: Re >= 0, with Im >= 0 on the negative real axis."""
-    ensure_finite(mpc(z))
-    with mpmath.workprec(cfg.eval_bits):
-        return ensure_finite(mpmath.sqrt(mpc(z)))
 
 
 def deviation(a, b, bits: int = 256) -> mpf:

@@ -251,14 +251,6 @@ def _coset_key(mat, level: int):
     return min(keys)
 
 
-def coset_inequivalent(m1, m2, level: int = 6) -> bool:
-    """Exact test: lower-left entry of m1 * m2^-1 nonzero mod level."""
-    a1, b1, c1, d1 = m1
-    a2, b2, c2, d2 = m2
-    lower_left = c1 * d2 - d1 * c2
-    return lower_left % level != 0
-
-
 def psi_from_cosets(which: str, z: mpc, cfg: PrecisionConfig,
                     desc=None) -> list:
     """Coefficients (ascending, monic degree 12) of prod(X - g(gamma z)) over

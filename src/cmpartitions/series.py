@@ -238,9 +238,6 @@ class EtaQuotientDescriptor:
     def weight_shift_numerator(self) -> int:
         return sum(d * e for d, e in self.factors)
 
-    def weight(self) -> Fraction:
-        return Fraction(sum(e for _, e in self.factors), 2)
-
 
 def _divisor_power_sums(k: int, n: int) -> list[int]:
     """sigma_k(m) for m = 0..n (index 0 unused) via a divisor sieve."""

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from cmpartitions import cli
 
 
@@ -46,10 +48,12 @@ class TestBasicCommands:
         doc = json.loads(out)
         assert doc["value"][0].startswith("1728.0")
 
-    def test_eval_bad_point(self, capsys):
-        code, _, _ = run_cli(capsys, "eval", "--what", "j", "--z", "nonsense",
-                             "--no-cache")
+    @pytest.mark.parametrize("z", ["nonsense", "0.2,inf", "inf,1", "nan,1"])
+    def test_eval_bad_point(self, capsys, z):
+        code, _, err = run_cli(capsys, "eval", "--what", "j", "--z", z,
+                               "--no-cache")
         assert code == 4
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_eval_near_singularity_exit(self, capsys):
         # C has a pole at i, where j = 1728 and E6 = 0

@@ -5,13 +5,12 @@ import pytest
 from mpmath import mpc, mpf
 
 from cmpartitions.errors import NearSingularity, NotUpperHalfPlane
-from cmpartitions.evaluate import (_j_reduced, _nterms, _reduced_basics,
-                                   al_deviation, atkin_lehner_check, eval_A,
-                                   eval_Aprime, eval_B, eval_C,
-                                   eval_eisenstein, eval_eta, eval_form,
-                                   eval_j, eval_P, eval_theta_form,
-                                   eval_theta_j, partition_form,
-                                   reduce_to_fundamental)
+from cmpartitions.evaluate import (_j_reduced, _nterms, _reduce,
+                                   _reduced_basics, al_deviation,
+                                   atkin_lehner_check, eval_A, eval_Aprime,
+                                   eval_B, eval_C, eval_eisenstein, eval_eta,
+                                   eval_form, eval_j, eval_P, eval_theta_form,
+                                   eval_theta_j, partition_form)
 from cmpartitions.precision import PrecisionConfig
 from cmpartitions.quadforms import cm_point, enumerate_qn
 from cmpartitions.series import eisenstein_series, fp_series
@@ -49,27 +48,30 @@ def random_gamma0_matrices(rng, count, level=6):
 
 class TestReduction:
     def test_fixed_point(self, cfg256):
-        z_red, word = reduce_to_fundamental(mpc(0, 1), cfg256)
-        assert word.matrix == (1, 0, 0, 1)
+        with mpmath.workprec(cfg256.eval_bits):
+            z_red, matrix = _reduce(mpc(0, 1))
+        assert matrix == (1, 0, 0, 1)
         assert z_red == mpc(0, 1)
 
     def test_translation(self, cfg256):
-        z_red, word = reduce_to_fundamental(mpc(5, 1), cfg256)
-        assert word.matrix == (1, -5, 0, 1)
+        with mpmath.workprec(cfg256.eval_bits):
+            z_red, matrix = _reduce(mpc(5, 1))
+        assert matrix == (1, -5, 0, 1)
         assert abs(z_red - mpc(0, 1)) < mpf(2) ** -250
 
     def test_deep_point(self, cfg256):
         with mpmath.workprec(cfg256.eval_bits):
             z = mpc(mpf("0.1"), mpf("0.01"))
-            z_red, word = reduce_to_fundamental(z, cfg256)
+            z_red, matrix = _reduce(z)
             assert mpmath.im(z_red) >= mpmath.sqrt(3) / 2 - mpf(2) ** -20
-            a, b, c, d = word.matrix
+            a, b, c, d = matrix
             assert a * d - b * c == 1
-            assert abs(apply_moebius(word.matrix, z) - z_red) < mpf(2) ** -240
+            assert c > 0 or (c == 0 and d > 0)
+            assert abs(apply_moebius(matrix, z) - z_red) < mpf(2) ** -240
 
-    def test_rejects_lower_half(self, cfg256):
+    def test_rejects_lower_half(self):
         with pytest.raises(NotUpperHalfPlane):
-            reduce_to_fundamental(mpc(0, -1), cfg256)
+            _reduce(mpc(0, -1))
 
 
 class TestEta:
@@ -101,6 +103,23 @@ class TestEta:
                 lhs = eval_eta(-1 / z, cfg256)
                 rhs = mpmath.sqrt(mpc(0, -1) * z) * eval_eta(z, cfg256)
                 assert abs(lhs - rhs) < bound
+
+    @pytest.mark.parametrize("im_z", ["0.1", "0.01", "0.002"])
+    def test_multiplier_against_unreduced_sum(self, cfg256, im_z):
+        # Reducing these points takes matrices with c up to 3, 10 and 19, so
+        # eval_eta leans on the Dedekind-sum multiplier; the oracle is the
+        # pentagonal sum q^(1/24) sum (-1)^m q^(m(3m-1)/2) at z itself
+        bits = cfg256.working_bits
+        terms = int(((bits + 80) / (4 * float(im_z))) ** 0.5) + 2
+        rng = random.Random(4)
+        for _ in range(10):
+            with mpmath.workprec(bits + 64):
+                z = mpc(mpf(rng.uniform(-0.5, 0.5)), mpf(im_z))
+                q = mpmath.exp(2j * mpmath.pi * z)
+                oracle = mpmath.exp(2j * mpmath.pi * z / 24) * sum(
+                    (-1) ** m * q ** (m * (3 * m - 1) // 2) for m in range(-terms, terms + 1))
+            value = eval_eta(z, cfg256)
+            assert abs(value - oracle) < mpf(2) ** -(bits - 8) * abs(oracle)
 
 
 class TestEisenstein:

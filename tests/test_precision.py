@@ -1,24 +1,9 @@
-import random
-
 import mpmath
 import pytest
 from mpmath import mpc, mpf
 
 from cmpartitions.errors import PrecisionExhausted
-from cmpartitions.precision import (PrecisionConfig, complex_exp, deviation,
-                                    principal_sqrt, run_adaptive)
-
-
-def taylor_exp_oracle(z, bits, terms=400):
-    """Independent exp: plain term-by-term Taylor summation."""
-    with mpmath.workprec(bits):
-        z = mpc(z)
-        total = mpc(1)
-        term = mpc(1)
-        for k in range(1, terms):
-            term = term * z / k
-            total += term
-        return total
+from cmpartitions.precision import PrecisionConfig, deviation, run_adaptive
 
 
 def machin_pi(bits):
@@ -57,61 +42,6 @@ class TestConfig:
             PrecisionConfig(working_bits=0)
 
 
-class TestComplexExp:
-    def test_identity(self, cfg256):
-        assert complex_exp(mpc(0), cfg256) == 1
-
-    def test_euler(self, cfg256):
-        with mpmath.workprec(cfg256.eval_bits):
-            value = complex_exp(mpc(0, mpmath.pi), cfg256)
-            assert abs(value + 1) < mpf(2) ** (-cfg256.working_bits + cfg256.guard_bits)
-
-    def test_against_taylor_oracle(self, cfg512):
-        # exp(2 pi i * i) = e^(-2 pi), checked against the summed series
-        with mpmath.workprec(cfg512.eval_bits):
-            z = mpc(0, 2) * mpmath.pi * mpc(0, 1)
-            value = complex_exp(z, cfg512)
-            oracle = taylor_exp_oracle(z, 640)
-            assert abs(value - oracle) < mpf(10) ** -30
-            assert abs(value - mpf("0.00186744273170798881443")) < mpf(10) ** -20
-
-    def test_product_inverse_property(self, cfg256):
-        rng = random.Random(42)
-        bound = mpf(2) ** (-cfg256.working_bits + cfg256.guard_bits + 4)
-        with mpmath.workprec(cfg256.eval_bits):
-            for _ in range(1000):
-                z = mpc(rng.uniform(-10, 10), rng.uniform(-10, 10))
-                if abs(z) > 10:
-                    continue
-                prod = complex_exp(z, cfg256) * complex_exp(-z, cfg256)
-                assert abs(prod - 1) < bound
-
-
-class TestPrincipalSqrt:
-    def test_one(self, cfg256):
-        assert principal_sqrt(mpc(1), cfg256) == 1
-
-    def test_branch(self, cfg256):
-        with mpmath.workprec(cfg256.eval_bits):
-            value = principal_sqrt(mpc(-1), cfg256)
-            assert abs(value - mpc(0, 1)) < mpf(2) ** -200
-
-    def test_two_i(self, cfg256):
-        with mpmath.workprec(cfg256.eval_bits):
-            value = principal_sqrt(mpc(0, 2), cfg256)
-            assert abs(value - mpc(1, 1)) < mpf(2) ** -200
-
-    def test_square_property(self, cfg256):
-        rng = random.Random(3)
-        bound = mpf(2) ** (-cfg256.working_bits + cfg256.guard_bits + 4)
-        with mpmath.workprec(cfg256.eval_bits):
-            for _ in range(200):
-                z = mpc(rng.uniform(-10, 10), rng.uniform(-10, 10))
-                w = principal_sqrt(z, cfg256)
-                assert mpmath.re(w) >= 0
-                assert abs(w * w - z) < bound * (1 + abs(z))
-
-
 class TestRunAdaptive:
     def test_pi_against_machin(self):
         cfg = PrecisionConfig(64, 1024)
@@ -125,7 +55,7 @@ class TestRunAdaptive:
         assert abs(value - machin_pi(256)) < mpf(10) ** -19
 
     def test_constant_achieves_initial(self, cfg256):
-        value, achieved = run_adaptive(lambda bits: complex_exp(mpc(0), cfg256), cfg256)
+        value, achieved = run_adaptive(lambda bits: mpc(1), cfg256)
         assert value == 1
         assert achieved == cfg256.working_bits
 
