@@ -31,6 +31,8 @@ sys.set_int_max_str_digits(2_000_000)
 
 CACHE_VERSION = 1
 CACHE_ENV_VAR = "SM_CACHE_PATH"
+_RECORD_KEYS = ("n", "discriminant", "forms", "p_values", "scaled_poly", "pn",
+                "residual", "achieved_bits", "sharpness_divisor", "working_bits")
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 2
@@ -55,12 +57,19 @@ def _positive_int(text: str) -> int:
 
 
 def _parse_tol(text: str) -> mpf:
-    """Tolerance as a decimal ('1e-15') or power of two ('2^-160')."""
+    """Tolerance as a decimal ('1e-15') or power of two ('2^-160'): finite
+    and not negative, since no residual can meet a negative or NaN tolerance
+    and every residual meets an infinite one."""
     with mpmath.workprec(128):
         if "^" in text:
             base, _, exp = text.partition("^")
-            return mpf(base.strip()) ** int(exp)
-        return mpf(text)
+            value = mpf(base.strip()) ** int(exp)
+        else:
+            value = mpf(text)
+    if not mpmath.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"{text} is not a finite, non-negative tolerance")
+    return value
 
 
 def _parse_point(text: str) -> mpc:
@@ -185,7 +194,9 @@ def _load_cache(path: str):
             data = json.load(handle)
         if not isinstance(data, dict) or data.get("version") != CACHE_VERSION:
             return empty, f"cache version mismatch in {path}; ignoring"
-        if not isinstance(data.get("entries"), list):
+        entries = data.get("entries")
+        if not isinstance(entries, list) or not all(
+                isinstance(e, dict) and set(_RECORD_KEYS) <= e.keys() for e in entries):
             return empty, f"malformed cache in {path}; ignoring"
         return data, None
     except (OSError, json.JSONDecodeError) as exc:
@@ -358,17 +369,14 @@ def _cmd_verify_appendix(args) -> int:
         points = [args.z]
     else:
         points = _random_points(args.seed, args.trials)
-    per_poly = {}
+    per_poly = {"aprime": [], "b": []}
     worst = mpf(0)
-    for which in ("aprime", "b"):
-        rows = []
-        for z in points:
-            devs = resolvent.tabulated_deviations(which, z, cfg)
+    for z in points:
+        for which, devs in resolvent.tabulated_deviations(z, cfg).items():
             worst = max(worst, max(devs))
-            rows.append({"z": _cnstr(z, 20),
-                         "max_deviation": _nstr(max(devs), 20),
-                         "per_coefficient": [_nstr(d, 10) for d in devs]})
-        per_poly[which] = rows
+            per_poly[which].append({"z": _cnstr(z, 20),
+                                    "max_deviation": _nstr(max(devs), 20),
+                                    "per_coefficient": [_nstr(d, 10) for d in devs]})
     passed = bool(worst < tol)
     doc = {"check": "tabulated resolvents", "seed": args.seed,
            "points": len(points), "per_polynomial": per_poly,
@@ -478,14 +486,10 @@ def _per_n_block(params) -> dict:
                            for r in rows]
         roots = []
         for form in enumerate_qn(n):
-            alpha = cm_point(form, cfg)
-            roots.append({
-                "form": [form.a, form.b, form.c],
-                "aprime_residual": _nstr(
-                    resolvent.psi_root_check("aprime", alpha, cfg), 20),
-                "b_residual": _nstr(
-                    resolvent.psi_root_check("b", alpha, cfg), 20),
-            })
+            residuals = resolvent.psi_root_check(cm_point(form, cfg), cfg)
+            roots.append({"form": [form.a, form.b, form.c],
+                          "aprime_residual": _nstr(residuals["aprime"], 20),
+                          "b_residual": _nstr(residuals["b"], 20)})
         block["resolvent_roots"] = roots
     return block
 
@@ -535,10 +539,7 @@ def _cmd_report(args) -> int:
                         cached_entries=cached_entries)
     if not args.no_cache:
         for block in doc["per_n"]:
-            entry = {k: block[k] for k in
-                     ("n", "discriminant", "forms", "p_values", "scaled_poly",
-                      "pn", "residual", "achieved_bits", "sharpness_divisor",
-                      "working_bits")}
+            entry = {k: block[k] for k in _RECORD_KEYS}
             _cache_store(cache, entry)
         if warning is None:
             _save_cache(cache, path)

@@ -37,8 +37,6 @@ class FormDescriptor:
     e2_terms: tuple[tuple[int, Fraction], ...]
     eta_factors: tuple[tuple[int, int], ...]
     prefactor: Fraction
-    level: int
-    weight: int = -2
 
 
 def partition_form() -> FormDescriptor:
@@ -47,7 +45,6 @@ def partition_form() -> FormDescriptor:
         e2_terms=tuple((d, Fraction(c)) for d, c in FP_E2_COMBINATION),
         eta_factors=FP_ETA_FACTORS,
         prefactor=FP_PREFACTOR,
-        level=6,
     )
 
 
@@ -402,11 +399,16 @@ def eval_C(z: mpc, cfg: PrecisionConfig) -> mpc:
                 - (7 * jval - 6912) / (6 * jval * (jval - 1728)))
 
 
+def _aprime_b_j(desc: FormDescriptor, z: mpc, cfg: PrecisionConfig):
+    """(A', B, j) at z from one evaluation, with A' = A * j * (j - 1728)
+    regular at CM points of the discriminants in use."""
+    a, b, jval = _a_b_j(desc, z, cfg)
+    return a * jval * (jval - 1728), b, jval
+
+
 def eval_Aprime(desc: FormDescriptor, z: mpc, cfg: PrecisionConfig) -> mpc:
-    """A * j * (j - 1728), regular at CM points of the discriminants in use."""
     with mpmath.workprec(cfg.eval_bits):
-        a, _, jval = _a_b_j(desc, z, cfg)
-        return a * jval * (jval - 1728)
+        return _aprime_b_j(desc, z, cfg)[0]
 
 
 ATKIN_LEHNER_MATRICES = {2: (2, -1, 6, -2), 3: (3, 1, 6, 3), 6: (0, -1, 6, 0)}

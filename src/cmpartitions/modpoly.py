@@ -169,16 +169,11 @@ def fixing_class(alpha: CMPoint, classes: list[MatrixClass]) -> MatrixClass:
     return rep
 
 
-def _orbit_j_values(alpha: CMPoint, classes, cfg: PrecisionConfig):
-    """(fixing class, j(alpha), theta_j-style data) for every class: exact
-    image points are embedded at working precision before evaluating j."""
-    fix = fixing_class(alpha, classes)
-    j0 = eval_j(alpha.embed, cfg)
-    images = {}
-    for cl in classes:
-        point = cl.apply_exact(alpha.exact).embed(cfg)
-        images[cl] = point
-    return fix, j0, images
+def _images(alpha: CMPoint, classes, cfg: PrecisionConfig):
+    """(fixing class, {class: class * alpha}) for every class: exact image
+    points embedded at working precision."""
+    return fixing_class(alpha, classes), {
+        cl: cl.apply_exact(alpha.exact).embed(cfg) for cl in classes}
 
 
 def beta_product(alpha: CMPoint, classes, cfg: PrecisionConfig) -> mpc:
@@ -188,15 +183,13 @@ def beta_product(alpha: CMPoint, classes, cfg: PrecisionConfig) -> mpc:
     n = 3 already need >30000 working bits, where E4^3 / Delta from the
     theta constants would take more products per point.
     """
-    fix = fixing_class(alpha, classes)
+    fix, images = _images(alpha, classes, cfg)
     with mpmath.workprec(cfg.eval_bits):
         j0 = _j_from_eta(alpha.embed, cfg.eval_bits)
         prod = mpc(1)
-        for cl in classes:
-            if cl == fix:
-                continue
-            point = cl.apply_exact(alpha.exact).embed(cfg)
-            prod *= j0 - _j_from_eta(point, cfg.eval_bits)
+        for cl, point in images.items():
+            if cl != fix:
+                prod *= j0 - _j_from_eta(point, cfg.eval_bits)
     return prod
 
 
@@ -232,7 +225,8 @@ def taylor_coeffs(alpha: CMPoint, classes, cfg: PrecisionConfig) -> TaylorData:
     """
     if len(classes) < 2:
         raise ValueError("need a non-trivial class list (determinant > 1)")
-    fix, j0, images = _orbit_j_values(alpha, classes, cfg)
+    fix, images = _images(alpha, classes, cfg)
+    j0 = eval_j(alpha.embed, cfg)
     bits = cfg.eval_bits
     with mpmath.workprec(bits):
         two_pi_i = 2j * mpmath.pi
@@ -274,7 +268,7 @@ def taylor_fd_fit(alpha: CMPoint, classes, cfg: PrecisionConfig,
     coefficients.  Nothing is shared with the analytic chain-rule path, so
     agreement between the two is meaningful.
     """
-    fix, j0, images = _orbit_j_values(alpha, classes, cfg)
+    j0 = eval_j(alpha.embed, cfg)
     bits = cfg.eval_bits
     with mpmath.workprec(bits):
         delta = mpf(delta_rel) * abs(j0)

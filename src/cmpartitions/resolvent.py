@@ -14,7 +14,7 @@ from __future__ import annotations
 import mpmath
 from mpmath import mpc, mpf
 
-from .evaluate import eval_Aprime, eval_B, eval_j, partition_form
+from .evaluate import _aprime_b_j, eval_j, partition_form
 from .precision import PrecisionConfig
 from .quadforms import CMPoint
 from .recognize import _carried_bits, orbit_product
@@ -200,23 +200,6 @@ def _b_coefficients() -> tuple[JPoly, ...]:
 APRIME_COEFFS = _aprime_coefficients()
 B_COEFFS = _b_coefficients()
 
-_TABLES = {"aprime": APRIME_COEFFS, "b": B_COEFFS}
-
-
-def _evaluate(key: str, desc, z: mpc, cfg: PrecisionConfig) -> mpc:
-    """A' or B at z.  The evaluator is looked up when called, so a rebinding
-    of this module's ``eval_Aprime`` or ``eval_B`` attribute takes effect."""
-    return (eval_Aprime if key == "aprime" else eval_B)(desc, z, cfg)
-
-
-def _which(name: str) -> str:
-    key = name.strip().lower().replace("'", "prime")
-    if key in ("aprime", "a_prime"):
-        return "aprime"
-    if key == "b":
-        return "b"
-    raise ValueError(f"unknown resolvent {name!r} (expected A' or B)")
-
 
 def coset_reps(level: int = 6):
     """A complete system of 12 coset representatives of the level-6 group in
@@ -251,68 +234,67 @@ def _coset_key(mat, level: int):
     return min(keys)
 
 
-def psi_from_cosets(which: str, z: mpc, cfg: PrecisionConfig,
-                    desc=None) -> list:
+def psi_from_cosets(z: mpc, cfg: PrecisionConfig) -> dict:
     """Coefficients (ascending, monic degree 12) of prod(X - g(gamma z)) over
-    the coset representatives; g is level-6 invariant so each factor depends
-    only on the coset."""
-    key = _which(which)
-    if desc is None:
-        desc = partition_form()
+    the coset representatives, for g = A' and g = B, keyed "aprime" and "b".
+    Each g is level-6 invariant so each factor depends only on the coset;
+    one evaluation per coset image gives both values."""
+    desc = partition_form()
     with mpmath.workprec(cfg.eval_bits):
         z = mpc(z)
-        values = []
-        for a, b, c, d in coset_reps():
-            w = (a * z + b) / (c * z + d)
-            values.append(_evaluate(key, desc, w, cfg))
-    return list(reversed(orbit_product(values, 1)))
+        values = [_aprime_b_j(desc, (a * z + b) / (c * z + d), cfg)
+                  for a, b, c, d in coset_reps()]
+    return {key: list(reversed(orbit_product([v[i] for v in values], 1)))
+            for i, key in enumerate(("aprime", "b"))}
 
 
-def psi_tabulated(which: str, j_value) -> list:
-    """The tabulated coefficients evaluated at a j-value (ascending, with the
-    monic leading 1)."""
-    table = _TABLES[_which(which)]
+def psi_tabulated(j_value) -> dict:
+    """The tabulated coefficients of both resolvents evaluated at a j-value
+    (ascending, with the monic leading 1), keyed "aprime" and "b"."""
     with mpmath.workprec(_carried_bits([j_value]) + 32):
-        out = [poly(mpc(j_value)) for poly in table]
-    out.append(mpc(1))
-    return out
+        j_value = mpc(j_value)
+        return {"aprime": [poly(j_value) for poly in APRIME_COEFFS] + [mpc(1)],
+                "b": [poly(j_value) for poly in B_COEFFS] + [mpc(1)]}
 
 
-def tabulated_deviations(which: str, z: mpc, cfg: PrecisionConfig,
-                         desc=None) -> list:
+def tabulated_deviations(z: mpc, cfg: PrecisionConfig) -> dict:
     """Normalized per-coefficient deviations (ascending) between the
-    numerically expanded resolvent and the tabulated polynomials at j(z)."""
-    numeric = psi_from_cosets(which, z, cfg, desc)
+    numerically expanded resolvents and the tabulated polynomials at j(z),
+    keyed "aprime" and "b"."""
+    numeric = psi_from_cosets(z, cfg)
     with mpmath.workprec(cfg.eval_bits):
-        tabulated = psi_tabulated(which, eval_j(z, cfg))
-        return [abs(num - tab) / (1 + abs(tab))
-                for num, tab in zip(numeric, tabulated)]
+        tabulated = psi_tabulated(eval_j(z, cfg))
+        return {key: [abs(num - tab) / (1 + abs(tab))
+                      for num, tab in zip(numeric[key], tabulated[key])]
+                for key in numeric}
 
 
-def verify_tabulated(which: str, z: mpc, cfg: PrecisionConfig,
-                     desc=None) -> mpf:
-    """Max normalized deviation between the numerically expanded resolvent
-    and the tabulated polynomials specialized at j(z)."""
-    return max(tabulated_deviations(which, z, cfg, desc))
+def verify_tabulated(z: mpc, cfg: PrecisionConfig) -> mpf:
+    """Max normalized deviation, over both resolvents, between the
+    numerically expanded resolvent and the tabulated polynomials specialized
+    at j(z)."""
+    return max(max(devs) for devs in tabulated_deviations(z, cfg).values())
 
 
-def psi_root_check(which: str, alpha: CMPoint, cfg: PrecisionConfig,
-                   desc=None) -> mpf:
-    """Residual of g(alpha) against its own tabulated resolvent at j(alpha):
-    the numerical witness that the value is an algebraic integer."""
-    key = _which(which)
-    if desc is None:
-        desc = partition_form()
+def _root_residual(coeffs: list, g: mpc) -> mpf:
+    """|sum c_k g^k| relative to its largest term (and at least 1)."""
+    total = mpc(0)
+    largest = mpf(1)
+    power = mpc(1)
+    for c in coeffs:
+        term = c * power
+        total += term
+        largest = max(largest, abs(term))
+        power *= g
+    return abs(total) / largest
+
+
+def psi_root_check(alpha: CMPoint, cfg: PrecisionConfig) -> dict:
+    """Residuals of A'(alpha) and B(alpha) against their own tabulated
+    resolvents at j(alpha), keyed "aprime" and "b": the numerical witness
+    that both values are algebraic integers."""
     with mpmath.workprec(cfg.eval_bits):
-        jval = eval_j(alpha.embed, cfg)
-        gval = _evaluate(key, desc, alpha.embed, cfg)
-        coeffs = psi_tabulated(which, jval)
-        total = mpc(0)
-        largest = mpf(1)
-        power = mpc(1)
-        for c in coeffs:
-            term = c * power
-            total += term
-            largest = max(largest, abs(term))
-            power *= gval
-        return abs(total) / largest
+        aprime, bval, jval = _aprime_b_j(partition_form(), alpha.embed, cfg)
+        tables = psi_tabulated(jval)
+        return {"aprime": _root_residual(tables["aprime"], aprime),
+                "b": _root_residual(tables["b"], bval)}

@@ -118,15 +118,13 @@ def test_criterion_6_resolvent_tables():
     t0 = time.time()
     worst = mpf(0)
     for z in seeded_points(11, 25):
-        for which in ("aprime", "b"):
-            worst = max(worst, verify_tabulated(which, z, RIG512))
+        worst = max(worst, verify_tabulated(z, RIG512))
     assert worst < mpf(10) ** -30
     root_worst = mpf(0)
     for n in (1, 2, 3):
         for form in enumerate_qn(n):
             alpha = cm_point(form, RIG512)
-            for which in ("aprime", "b"):
-                root_worst = max(root_worst, psi_root_check(which, alpha, RIG512))
+            root_worst = max(root_worst, *psi_root_check(alpha, RIG512).values())
     assert root_worst < mpf(10) ** -25
     _report(f"criterion 6 (tabulated resolvents at 25 points; roots "
             f"{mpmath.nstr(root_worst, 4)})", worst, 180, t0)

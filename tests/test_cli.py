@@ -77,6 +77,15 @@ class TestBasicCommands:
         assert series["start_exp"] == -1
         assert series["coeffs"][:3] == ["1", "-10", "-29"]
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf"])
+    def test_tol_must_be_finite_non_negative(self, capsys, tol):
+        code, out, err = run_cli(capsys, "verify-decomp", "--trials", "1",
+                                 "--n-max", "1", f"--tol={tol}", "--no-cache")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "tolerance" in err
+
     def test_precision_exhausted_exit(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--what", "j",
                                "--z", "0.21,1.3", "--tol", "0",
@@ -114,8 +123,9 @@ class TestVerification:
         assert code == 0
         doc = json.loads(out)
         assert doc["pass"] is True
-        row = doc["per_polynomial"]["b"][0]
-        assert len(row["per_coefficient"]) == 13
+        for which in ("aprime", "b"):
+            row = doc["per_polynomial"][which][0]
+            assert len(row["per_coefficient"]) == 13
 
     def test_masser_n1(self, capsys):
         code, out, _ = run_cli(capsys, "masser", "--n", "1",
@@ -155,14 +165,24 @@ class TestCache:
         assert out.strip() == "1"  # not the poisoned value
         assert "version mismatch" in err
 
-    def test_malformed_bypassed(self, capsys, tmp_path):
+    @pytest.mark.parametrize("content,warning", [
+        ("{ not json", "unreadable"),
+        ('{"version": 1, "entries": [1]}', "malformed"),
+        ('{"version": 1, "entries": [{"n": 1, "working_bits": 256}]}', "malformed"),
+    ], ids=["not_json", "entry_not_dict", "entry_without_pn"])
+    def test_malformed_bypassed(self, capsys, tmp_path, content, warning):
         path = tmp_path / "cache.json"
-        path.write_text("{ not json")
+        path.write_text(content)
         code, out, err = run_cli(capsys, "pn", "--n", "1",
                                  "--cache-path", str(path))
         assert code == 0
         assert out.strip() == "1"
-        assert "unreadable" in err
+        assert warning in err
+        code, out, err = run_cli(capsys, "cache", "show",
+                                 "--cache-path", str(path))
+        assert code == 0
+        assert out.strip() == f"cache at {path}: 0 entries"
+        assert warning in err
 
     def test_higher_precision_shadows(self, capsys, tmp_path):
         path = str(tmp_path / "cache.json")

@@ -4,7 +4,9 @@ import mpmath
 import pytest
 from mpmath import mpc, mpf
 
+from cmpartitions.evaluate import eval_Aprime, eval_B, partition_form
 from cmpartitions.quadforms import cm_point, enumerate_qn
+from cmpartitions.recognize import orbit_product
 from cmpartitions.resolvent import (APRIME_COEFFS, B_COEFFS, JPoly,
                                     _aprime_coefficients, _b_coefficients,
                                     coset_reps, psi_from_cosets,
@@ -85,18 +87,18 @@ class TestCosets:
 
 class TestPsiNumeric:
     def test_monic(self, cfg256):
-        coeffs = psi_from_cosets("b", mpc(mpf(1) / 3, mpf(2)), cfg256)
-        assert len(coeffs) == 13
-        assert abs(coeffs[12] - 1) == 0
+        for coeffs in psi_from_cosets(mpc(mpf(1) / 3, mpf(2)), cfg256).values():
+            assert len(coeffs) == 13
+            assert abs(coeffs[12] - 1) == 0
 
-    def test_representative_independence(self, cfg256):
+    @pytest.mark.parametrize("which,evaluator",
+                             [("aprime", eval_Aprime), ("b", eval_B)],
+                             ids=["aprime", "b"])
+    def test_representative_independence(self, cfg256, which, evaluator):
         # replacing each representative by a level-6 left translate leaves
         # the coefficients unchanged
-        from cmpartitions.evaluate import eval_B, partition_form
-        from cmpartitions.recognize import orbit_product
-
         z = mpc(mpf(1) / 5, mpf("1.7"))
-        base = psi_from_cosets("b", z, cfg256)
+        base = psi_from_cosets(z, cfg256)[which]
         gamma = (5, -1, 6, -1)  # determinant 1, lower-left = 6
         desc = partition_form()
         with mpmath.workprec(cfg256.eval_bits):
@@ -106,7 +108,7 @@ class TestPsiNumeric:
                 moved = (e * a + f * c, e * b + f * d, g * a + h * c, g * b + h * d)
                 ma, mb, mc, md = moved
                 w = (ma * z + mb) / (mc * z + md)
-                values.append(eval_B(desc, w, cfg256))
+                values.append(evaluator(desc, w, cfg256))
             other = list(reversed(orbit_product(values, 1)))
         for lhs, rhs in zip(base, other):
             assert abs(lhs - rhs) < mpf(2) ** -180 * (1 + abs(rhs))
@@ -115,9 +117,9 @@ class TestPsiNumeric:
         # z -> z + 1 and z -> -1/z leave every coefficient unchanged
         z = mpc(mpf("0.23"), mpf("1.4"))
         with mpmath.workprec(cfg256.eval_bits):
-            base = psi_from_cosets("aprime", z, cfg256)
-            shifted = psi_from_cosets("aprime", z + 1, cfg256)
-            inverted = psi_from_cosets("aprime", -1 / z, cfg256)
+            base = psi_from_cosets(z, cfg256)["aprime"]
+            shifted = psi_from_cosets(z + 1, cfg256)["aprime"]
+            inverted = psi_from_cosets(-1 / z, cfg256)["aprime"]
         for b, s, i in zip(base, shifted, inverted):
             assert abs(b - s) < mpf(2) ** -170 * (1 + abs(b))
             assert abs(b - i) < mpf(2) ** -170 * (1 + abs(b))
@@ -126,7 +128,7 @@ class TestPsiNumeric:
         from cmpartitions.evaluate import eval_j
         z = mpc(mpf(1) / 2, mpf(2))
         with mpmath.workprec(cfg512.eval_bits):
-            numeric = psi_from_cosets("b", z, cfg512)
+            numeric = psi_from_cosets(z, cfg512)["b"]
             jval = eval_j(z, cfg512)
             expected = B_COEFFS[11](jval)
             assert abs(numeric[11] - expected) / (1 + abs(expected)) < mpf("1e-100")
@@ -135,29 +137,23 @@ class TestPsiNumeric:
 class TestVerifyTabulated:
     def test_at_half_plus_2i(self, cfg512):
         z = mpc(mpf(1) / 2, mpf(2))
-        for which in ("aprime", "b"):
-            assert verify_tabulated(which, z, cfg512) < mpf("1e-30")
+        assert verify_tabulated(z, cfg512) < mpf("1e-30")
 
     def test_at_second_point(self, cfg512):
         z = mpc(mpf("0.1"), mpf("1.7"))
-        for which in ("aprime", "b"):
-            assert verify_tabulated(which, z, cfg512) < mpf("1e-30")
-
-    def test_unknown_polynomial(self, cfg256):
-        with pytest.raises(ValueError):
-            verify_tabulated("q", mpc(0, 1), cfg256)
+        assert verify_tabulated(z, cfg512) < mpf("1e-30")
 
 
 class TestRootCheck:
     def test_n1_points(self, cfg512):
         for form in enumerate_qn(1):
             alpha = cm_point(form, cfg512)
-            assert psi_root_check("b", alpha, cfg512) < mpf("1e-25")
-            assert psi_root_check("aprime", alpha, cfg512) < mpf("1e-25")
+            residuals = psi_root_check(alpha, cfg512)
+            assert residuals["b"] < mpf("1e-25")
+            assert residuals["aprime"] < mpf("1e-25")
 
     def test_n2_n3_points(self, cfg512):
         for n in (2, 3):
             for form in enumerate_qn(n):
                 alpha = cm_point(form, cfg512)
-                for which in ("aprime", "b"):
-                    assert psi_root_check(which, alpha, cfg512) < mpf("1e-25")
+                assert max(psi_root_check(alpha, cfg512).values()) < mpf("1e-25")
