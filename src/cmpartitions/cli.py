@@ -31,8 +31,10 @@ sys.set_int_max_str_digits(2_000_000)
 
 CACHE_VERSION = 1
 CACHE_ENV_VAR = "SM_CACHE_PATH"
-_RECORD_KEYS = ("n", "discriminant", "forms", "p_values", "scaled_poly", "pn",
-                "residual", "achieved_bits", "sharpness_divisor", "working_bits")
+_RECORD_TYPES = {"n": int, "discriminant": int, "forms": list, "p_values": list,
+                 "scaled_poly": list, "pn": str, "residual": str,
+                 "achieved_bits": int, "sharpness_divisor": int,
+                 "working_bits": int}
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 2
@@ -183,6 +185,13 @@ def _cache_path(args) -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "cmpartitions.json")
 
 
+def _is_record(entry) -> bool:
+    """Whether a cache entry carries every record field with its exact JSON
+    type (so a bool is not taken for an int)."""
+    return isinstance(entry, dict) and all(
+        type(entry.get(k)) is t for k, t in _RECORD_TYPES.items())
+
+
 def _load_cache(path: str):
     """(cache dict, warning or None); a broken or mismatched file is bypassed,
     never migrated."""
@@ -195,8 +204,7 @@ def _load_cache(path: str):
         if not isinstance(data, dict) or data.get("version") != CACHE_VERSION:
             return empty, f"cache version mismatch in {path}; ignoring"
         entries = data.get("entries")
-        if not isinstance(entries, list) or not all(
-                isinstance(e, dict) and set(_RECORD_KEYS) <= e.keys() for e in entries):
+        if not isinstance(entries, list) or not all(map(_is_record, entries)):
             return empty, f"malformed cache in {path}; ignoring"
         return data, None
     except (OSError, json.JSONDecodeError) as exc:
@@ -539,7 +547,7 @@ def _cmd_report(args) -> int:
                         cached_entries=cached_entries)
     if not args.no_cache:
         for block in doc["per_n"]:
-            entry = {k: block[k] for k in _RECORD_KEYS}
+            entry = {k: block[k] for k in _RECORD_TYPES}
             _cache_store(cache, entry)
         if warning is None:
             _save_cache(cache, path)

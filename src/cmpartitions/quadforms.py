@@ -184,6 +184,34 @@ def enumerate_qn(n: int) -> list[QuadForm]:
     return sorted(reps, key=lambda f: (f.a, abs(f.b), -f.b))
 
 
+def conjugate_partners(forms) -> list[int]:
+    """Index of each form's partner: the level-6 class of [6c, b, a/6].
+
+    [a, b, c] -> [6c, b, a/6] is complex conjugation followed by the
+    Atkin-Lehner involution W6 on CM points (alpha -> 1/(6 conj alpha)), and
+    it keeps 6 | a and b = 1 (mod 12).  The image is reduced once and tested
+    for level-6 equivalence only against the forms with the same reduced
+    form.  Raises ValueError unless every form has exactly one partner and
+    the map is an involution.
+    """
+    by_reduced: dict[QuadForm, list[int]] = {}
+    for i, form in enumerate(forms):
+        by_reduced.setdefault(reduce_with_matrix(form)[0], []).append(i)
+    partners = []
+    for form in forms:
+        if form.a % 6:
+            raise ValueError(f"form {form} has 6 not dividing a")
+        image = QuadForm(6 * form.c, form.b, form.a // 6)
+        found = [i for i in by_reduced.get(reduce_with_matrix(image)[0], [])
+                 if gamma0_equivalent(forms[i], image)]
+        if len(found) != 1:
+            raise ValueError(f"form {form} has {len(found)} partners, not one")
+        partners.append(found[0])
+    if any(partners[k] != i for i, k in enumerate(partners)):
+        raise ValueError("the partner map is not an involution")
+    return partners
+
+
 @dataclass(frozen=True)
 class QuadFieldElem:
     """Exact element x + y*sqrt(d) of an imaginary quadratic field (d < 0)."""

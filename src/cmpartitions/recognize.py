@@ -17,7 +17,7 @@ from mpmath import mpc, mpf
 from .errors import NotNearIntegral
 from .evaluate import eval_P, eval_j, partition_form
 from .precision import PrecisionConfig, run_adaptive
-from .quadforms import QuadForm, cm_point, enumerate_qn
+from .quadforms import QuadForm, cm_point, conjugate_partners, enumerate_qn
 
 
 def _carried_bits(values) -> int:
@@ -155,6 +155,12 @@ def compute_pn(n: int, cfg: PrecisionConfig | None = None) -> OrbitRecord:
 
     The per-point values, their sum and the scaled orbit polynomial must all
     stabilize across a precision doubling before anything is rounded.
+
+    P is evaluated once per conjugate pair of CM points.  The partner of
+    [a, b, c] is the class of [6c, b, a/6] (``conjugate_partners``), whose CM
+    point is 1/(6 conj alpha): complex conjugation followed by W6.  P has real
+    Fourier coefficients and W6 sign +1, so the partner's value is exactly
+    conj P(alpha), taken at the rung's precision.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -162,11 +168,18 @@ def compute_pn(n: int, cfg: PrecisionConfig | None = None) -> OrbitRecord:
         cfg = PrecisionConfig()
     desc = partition_form()
     forms = enumerate_qn(n)
+    partners = conjugate_partners(forms)
     scale = 24 * n - 1
 
     def task(bits):
         sub = cfg.with_bits(bits)
-        ps = [eval_P(desc, cm_point(f, sub).embed, sub) for f in forms]
+        ps = []
+        for i, (f, k) in enumerate(zip(forms, partners)):
+            if k < i:
+                with mpmath.workprec(sub.eval_bits):
+                    ps.append(mpmath.conj(ps[k]))
+            else:
+                ps.append(eval_P(desc, cm_point(f, sub).embed, sub))
         poly = orbit_product(ps, scale)
         with mpmath.workprec(sub.eval_bits):
             total = mpmath.fsum(ps)

@@ -196,9 +196,6 @@ class FormalSeries:
                             [(self.start + i) * c for i, c in enumerate(self.coeffs)],
                             self.order)
 
-    def all_integral(self, through: int | None = None) -> bool:
-        return self.first_nonintegral(through) is None
-
     def first_nonintegral(self, through: int | None = None):
         """Smallest exponent < through (default: order) with a non-integer coefficient."""
         top = self.order if through is None else min(through, self.order)
@@ -213,10 +210,6 @@ class FormalSeries:
     def to_json_dict(self) -> dict:
         return {"start_exp": self.start, "order": self.order,
                 "coeffs": [str(Fraction(c)) for c in self.coeffs]}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FormalSeries":
-        return cls(d["start_exp"], [Fraction(s) for s in d["coeffs"]], d["order"])
 
     def __repr__(self):
         shown = ", ".join(f"q^{self.start + i}: {c}" for i, c in enumerate(self.coeffs[:4]))

@@ -169,7 +169,13 @@ class TestCache:
         ("{ not json", "unreadable"),
         ('{"version": 1, "entries": [1]}', "malformed"),
         ('{"version": 1, "entries": [{"n": 1, "working_bits": 256}]}', "malformed"),
-    ], ids=["not_json", "entry_not_dict", "entry_without_pn"])
+        # every key present, but working_bits is not an int (and pn is wrong)
+        (json.dumps({"version": 1, "entries": [{
+            "n": 1, "discriminant": -23, "forms": [], "p_values": [],
+            "scaled_poly": [], "pn": "7", "residual": "0", "achieved_bits": 256,
+            "sharpness_divisor": 23, "working_bits": "high"}]}), "malformed"),
+    ], ids=["not_json", "entry_not_dict", "entry_without_pn",
+            "working_bits_not_int"])
     def test_malformed_bypassed(self, capsys, tmp_path, content, warning):
         path = tmp_path / "cache.json"
         path.write_text(content)

@@ -4,9 +4,10 @@ import mpmath
 import pytest
 from mpmath import mpc, mpf
 
-from cmpartitions.quadforms import (QuadForm, cm_point, enumerate_qn,
-                                    gamma0_equivalent, reduce_with_matrix,
-                                    reduced_forms, transporter)
+from cmpartitions.quadforms import (QuadForm, cm_point, conjugate_partners,
+                                    enumerate_qn, gamma0_equivalent,
+                                    reduce_with_matrix, reduced_forms,
+                                    transporter)
 
 
 def brute_force_reduced(d):
@@ -153,6 +154,32 @@ class TestEnumerateQn:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             enumerate_qn(0)
+
+
+class TestConjugatePartners:
+    def test_n1(self):
+        # (6, 1, 1) is its own partner; (12, -11, 3) <-> (18, -11, 2)
+        assert conjugate_partners(enumerate_qn(1)) == [0, 2, 1]
+
+    def test_involution_with_one_partner_each_through_60(self):
+        # checked against every representative, not only the helper's bucket
+        for n in range(1, 61):
+            forms = enumerate_qn(n)
+            partners = conjugate_partners(forms)
+            assert [partners[k] for k in partners] == list(range(len(forms))), n
+            for form, k in zip(forms, partners):
+                image = QuadForm(6 * form.c, form.b, form.a // 6)
+                found = [i for i, rep in enumerate(forms)
+                         if gamma0_equivalent(rep, image)]
+                assert found == [k], (n, form)
+
+    def test_missing_partner_raises(self):
+        with pytest.raises(ValueError):
+            conjugate_partners(enumerate_qn(1)[:2])
+
+    def test_a_not_divisible_by_6_raises(self):
+        with pytest.raises(ValueError):
+            conjugate_partners([QuadForm(1, 1, 6)])
 
 
 class TestCMPoint:

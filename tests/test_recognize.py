@@ -6,7 +6,7 @@ from mpmath import mpc, mpf
 
 from cmpartitions.errors import NotNearIntegral
 from cmpartitions.evaluate import eval_P, partition_form
-from cmpartitions.quadforms import cm_point, enumerate_qn
+from cmpartitions.quadforms import cm_point, conjugate_partners, enumerate_qn
 from cmpartitions.recognize import (compute_pn, j_norm, norm_6unit_check,
                                     orbit_product, pentagonal_pn,
                                     round_to_integers, sharpness_divisor)
@@ -103,6 +103,20 @@ class TestComputePn:
     def test_rejects_zero(self, cfg256):
         with pytest.raises(ValueError):
             compute_pn(0, cfg256)
+
+    def test_partner_values_are_conjugate(self, cfg256):
+        # compute_pn evaluates one form per pair and conjugates; here both
+        # partners are evaluated at their own CM points
+        sample = sorted(random.Random(2011).sample(range(1, 61), 6))
+        assert sample == [16, 20, 34, 35, 41, 52]
+        desc = partition_form()
+        tol = mpf(2) ** -200
+        for n in (1, 24, 47, *sample):
+            forms = enumerate_qn(n)
+            ps = [eval_P(desc, cm_point(f, cfg256).embed, cfg256) for f in forms]
+            with mpmath.workprec(cfg256.eval_bits):
+                for i, k in enumerate(conjugate_partners(forms)):
+                    assert abs(ps[k] - mpmath.conj(ps[i])) < tol, (n, forms[i])
 
     def test_trace_imaginary_part_vanishes(self, cfg256):
         # individual values form conjugate pairs with large imaginary parts;
