@@ -30,24 +30,6 @@ from .series import (FP_E2_COMBINATION, FP_ETA_FACTORS, FP_PREFACTOR,
                      _pentagonal_exponents)
 
 
-@dataclass(frozen=True)
-class FormDescriptor:
-    """prefactor * sum(c_d E2(d z)) / prod(eta(d z)^e_d), weight -2 shape."""
-
-    e2_terms: tuple[tuple[int, Fraction], ...]
-    eta_factors: tuple[tuple[int, int], ...]
-    prefactor: Fraction
-
-
-def partition_form() -> FormDescriptor:
-    """The level-6 weight -2 form whose CM values encode partition numbers."""
-    return FormDescriptor(
-        e2_terms=tuple((d, Fraction(c)) for d, c in FP_E2_COMBINATION),
-        eta_factors=FP_ETA_FACTORS,
-        prefactor=FP_PREFACTOR,
-    )
-
-
 def _reduce(z: mpc):
     """Reduce z into the fundamental domain under the ambient precision.
 
@@ -309,52 +291,60 @@ def eval_j(z: mpc, cfg: PrecisionConfig) -> mpc:
         return _j_of(_basics(z, cfg.eval_bits))
 
 
-def eval_theta_j(z: mpc, cfg: PrecisionConfig) -> mpc:
-    """theta applied to j, analytically: -E4^2 E6 / Delta."""
+def _j_and_theta_j(z: mpc, cfg: PrecisionConfig):
+    """(j, theta j) at z from one evaluation, theta j = -E4^2 E6 / Delta."""
     with mpmath.workprec(cfg.eval_bits):
         v = _basics(z, cfg.eval_bits)
-        return -(v["e4"] * v["e4"]) * v["e6"] / _ipow(v["eta"], 24)
+        return _j_of(v), -(v["e4"] * v["e4"]) * v["e6"] / _ipow(v["eta"], 24)
 
 
-def _form_and_theta(desc: FormDescriptor, z: mpc, bits: int):
-    """(F(z), thetaF(z), basics at z) from per-multiple basics, exactly by
-    the chain rule: theta f(dz) = d * (theta f)(dz),
-    theta E2 = (E2^2 - E4)/12, theta log eta = E2/24."""
-    multiples = {1} | {d for d, _ in desc.e2_terms + desc.eta_factors}
-    at = {d: _basics(d * z, bits) for d in multiples}
+def eval_theta_j(z: mpc, cfg: PrecisionConfig) -> mpc:
+    """theta applied to j, analytically."""
+    return _j_and_theta_j(z, cfg)[1]
+
+
+def _form_and_theta(z: mpc, bits: int):
+    """(F(z), thetaF(z), basics at z) for the form F of series.fp_series,
+    from the basics at z, 2z, 3z and 6z, exactly by the chain rule:
+    theta f(dz) = d * (theta f)(dz), theta E2 = (E2^2 - E4)/12,
+    theta log eta = E2/24."""
+    at = {d: _basics(d * z, bits) for d, _ in FP_ETA_FACTORS}
     num = mpc(0)
     theta_num = mpc(0)
-    for d, c in desc.e2_terms:
-        cc = mpc(c.numerator) / c.denominator
+    for d, c in FP_E2_COMBINATION:
         e2d, e4d = at[d]["e2"], at[d]["e4"]
-        num += cc * e2d
-        theta_num += cc * d * (e2d * e2d - e4d) / 12
+        num += c * e2d
+        theta_num += c * d * (e2d * e2d - e4d) / 12
     den = mpc(1)
     theta_log_den = mpc(0)
-    for d, e in desc.eta_factors:
-        den *= _ipow(at[d]["eta"], e) if e >= 0 else 1 / _ipow(at[d]["eta"], -e)
-        theta_log_den += mpf(e) * d * at[d]["e2"] / 24
-    pre = mpc(desc.prefactor.numerator) / desc.prefactor.denominator
+    for d, e in FP_ETA_FACTORS:
+        den *= _ipow(at[d]["eta"], e)
+        theta_log_den += e * d * at[d]["e2"] / 24
+    pre = mpf(FP_PREFACTOR.numerator) / FP_PREFACTOR.denominator
     f = pre * num / den
     theta_f = pre * (theta_num - num * theta_log_den) / den
     return f, theta_f, at[1]
 
 
-def eval_form(desc: FormDescriptor, z: mpc, cfg: PrecisionConfig) -> mpc:
+def eval_form(z: mpc, cfg: PrecisionConfig) -> mpc:
     with mpmath.workprec(cfg.eval_bits):
-        return _form_and_theta(desc, z, cfg.eval_bits)[0]
+        return _form_and_theta(z, cfg.eval_bits)[0]
 
 
-def eval_theta_form(desc: FormDescriptor, z: mpc, cfg: PrecisionConfig) -> mpc:
+def eval_theta_form(z: mpc, cfg: PrecisionConfig) -> mpc:
     with mpmath.workprec(cfg.eval_bits):
-        return _form_and_theta(desc, z, cfg.eval_bits)[1]
+        return _form_and_theta(z, cfg.eval_bits)[1]
 
 
-def eval_P(desc: FormDescriptor, z: mpc, cfg: PrecisionConfig) -> mpc:
-    """The weight-0 completion -thetaF - F/(2 pi Im z)."""
+def _p_of(f: mpc, theta_f: mpc, z: mpc) -> mpc:
+    """The weight-0 completion P = -thetaF - F/(2 pi Im z)."""
+    return -theta_f - f / (2 * mpmath.pi * mpmath.im(z))
+
+
+def eval_P(z: mpc, cfg: PrecisionConfig) -> mpc:
     with mpmath.workprec(cfg.eval_bits):
-        f, theta_f, _ = _form_and_theta(desc, z, cfg.eval_bits)
-        return -theta_f - f / (2 * mpmath.pi * mpmath.im(z))
+        f, theta_f, _ = _form_and_theta(z, cfg.eval_bits)
+        return _p_of(f, theta_f, z)
 
 
 def _guarded_j(v: dict, cfg: PrecisionConfig) -> mpc:
@@ -368,47 +358,52 @@ def _guarded_j(v: dict, cfg: PrecisionConfig) -> mpc:
     return jval
 
 
-def _a_b_j(desc: FormDescriptor, z: mpc, cfg: PrecisionConfig):
-    """(A, B, j) at z, with A = -thetaF - F E2/6 + F E6 (7j - 6912)/(6 E4 (j - 1728))
-    and B = F E6 j / E4."""
-    f, theta_f, v = _form_and_theta(desc, z, cfg.eval_bits)
+def _c_of(v: dict, jval: mpc, z: mpc) -> mpc:
+    """C = E4/(6 E6 j) * (E2 - 3/(pi y)) - (7j - 6912)/(6 j (j - 1728)) from
+    the basics and j at z."""
+    e2star = v["e2"] - 3 / (mpmath.pi * mpmath.im(mpc(z)))
+    return (v["e4"] * e2star / (6 * v["e6"] * jval)
+            - (7 * jval - 6912) / (6 * jval * (jval - 1728)))
+
+
+def _values(z: mpc, cfg: PrecisionConfig) -> dict:
+    """P, A, B, C, A' and j at z from one evaluation, keyed "p", "a", "b",
+    "c", "aprime" and "j", under the ambient precision, with
+
+        A = -thetaF - F E2/6 + F E6 (7j - 6912)/(6 E4 (j - 1728)),
+        B = F E6 j / E4,   A' = A j (j - 1728),
+
+    so that P = A + B C, and A' is regular at CM points of the
+    discriminants in use."""
+    f, theta_f, v = _form_and_theta(z, cfg.eval_bits)
     jval = _guarded_j(v, cfg)
     a = (-theta_f - f * v["e2"] / 6
          + f * v["e6"] * (7 * jval - 6912) / (6 * v["e4"] * (jval - 1728)))
-    return a, f * v["e6"] * jval / v["e4"], jval
+    return {"p": _p_of(f, theta_f, z), "a": a, "b": f * v["e6"] * jval / v["e4"],
+            "c": _c_of(v, jval, z), "aprime": a * jval * (jval - 1728), "j": jval}
 
 
-def eval_A(desc: FormDescriptor, z: mpc, cfg: PrecisionConfig) -> mpc:
+def eval_A(z: mpc, cfg: PrecisionConfig) -> mpc:
     with mpmath.workprec(cfg.eval_bits):
-        return _a_b_j(desc, z, cfg)[0]
+        return _values(z, cfg)["a"]
 
 
-def eval_B(desc: FormDescriptor, z: mpc, cfg: PrecisionConfig) -> mpc:
+def eval_B(z: mpc, cfg: PrecisionConfig) -> mpc:
     with mpmath.workprec(cfg.eval_bits):
-        return _a_b_j(desc, z, cfg)[1]
+        return _values(z, cfg)["b"]
 
 
 def eval_C(z: mpc, cfg: PrecisionConfig) -> mpc:
-    """E4/(6 E6 j) * (E2 - 3/(pi y)) - (7j - 6912)/(6 j (j - 1728)); level-1
-    invariant, so the value at a CM point only depends on its class."""
+    """C from the basics at z alone; level-1 invariant, so the value at a CM
+    point only depends on its class."""
     with mpmath.workprec(cfg.eval_bits):
         v = _basics(z, cfg.eval_bits)
-        jval = _guarded_j(v, cfg)
-        e2star = v["e2"] - 3 / (mpmath.pi * mpmath.im(mpc(z)))
-        return (v["e4"] * e2star / (6 * v["e6"] * jval)
-                - (7 * jval - 6912) / (6 * jval * (jval - 1728)))
+        return _c_of(v, _guarded_j(v, cfg), z)
 
 
-def _aprime_b_j(desc: FormDescriptor, z: mpc, cfg: PrecisionConfig):
-    """(A', B, j) at z from one evaluation, with A' = A * j * (j - 1728)
-    regular at CM points of the discriminants in use."""
-    a, b, jval = _a_b_j(desc, z, cfg)
-    return a * jval * (jval - 1728), b, jval
-
-
-def eval_Aprime(desc: FormDescriptor, z: mpc, cfg: PrecisionConfig) -> mpc:
+def eval_Aprime(z: mpc, cfg: PrecisionConfig) -> mpc:
     with mpmath.workprec(cfg.eval_bits):
-        return _aprime_b_j(desc, z, cfg)[0]
+        return _values(z, cfg)["aprime"]
 
 
 ATKIN_LEHNER_MATRICES = {2: (2, -1, 6, -2), 3: (3, 1, 6, 3), 6: (0, -1, 6, 0)}
@@ -438,8 +433,7 @@ def al_deviation(fn, d: int, z: mpc, cfg: PrecisionConfig) -> ALCheck:
     return ALCheck(deviation=dev_minus, sign=-1)
 
 
-def atkin_lehner_check(desc: FormDescriptor, d: int, z: mpc,
-                       cfg: PrecisionConfig) -> ALCheck:
+def atkin_lehner_check(d: int, z: mpc, cfg: PrecisionConfig) -> ALCheck:
     if d not in ATKIN_LEHNER_MATRICES:
         raise ValueError(f"d = {d} is not an exact divisor of level 6")
-    return al_deviation(lambda w: eval_form(desc, w, cfg), d, z, cfg)
+    return al_deviation(lambda w: eval_form(w, cfg), d, z, cfg)

@@ -18,7 +18,7 @@ import mpmath
 from mpmath import mpc, mpf
 
 from .errors import MultipleFixingClasses, NearSingularity, NoFixingClass
-from .evaluate import _j_from_eta, eval_j, eval_theta_j
+from .evaluate import _j_and_theta_j, _j_from_eta, eval_j, eval_theta_j
 from .precision import PrecisionConfig, run_adaptive
 from .quadforms import CMPoint, QuadFieldElem, cm_point, enumerate_qn
 from .recognize import _carried_bits, norm_6unit_check
@@ -226,28 +226,26 @@ def taylor_coeffs(alpha: CMPoint, classes, cfg: PrecisionConfig) -> TaylorData:
     if len(classes) < 2:
         raise ValueError("need a non-trivial class list (determinant > 1)")
     fix, images = _images(alpha, classes, cfg)
-    j0 = eval_j(alpha.embed, cfg)
-    bits = cfg.eval_bits
-    with mpmath.workprec(bits):
+    j0, theta_j0 = _j_and_theta_j(alpha.embed, cfg)
+    with mpmath.workprec(cfg.eval_bits):
         two_pi_i = 2j * mpmath.pi
-        jprime_alpha = two_pi_i * eval_theta_j(alpha.embed, cfg)
+        jprime_alpha = two_pi_i * theta_j0
         if abs(jprime_alpha) < mpf(2) ** (-(cfg.working_bits // 4)):
             raise NearSingularity("j'(alpha) too small for Taylor data")
         beta = mpc(1)
         inv_sum = mpc(0)
         deriv_sum = mpc(0)
         for cl in classes:
+            jk, theta_jk = _j_and_theta_j(images[cl], cfg)
+            fk_prime = (two_pi_i * theta_jk * cl.p) / cl.s
             if cl == fix:
+                ffix_prime = fk_prime
                 continue
-            jk = eval_j(images[cl], cfg)
-            fk_prime = (two_pi_i * eval_theta_j(images[cl], cfg)
-                        * cl.p) / cl.s
             diff = j0 - jk
             beta *= diff
             inv_sum += 1 / diff
             deriv_sum += fk_prime / diff
         beta02 = beta * inv_sum
-        ffix_prime = (two_pi_i * eval_theta_j(images[fix], cfg) * fix.p) / fix.s
         beta11 = -(ffix_prime * beta02 + beta * deriv_sum) / jprime_alpha
     return TaylorData(j0=j0, beta=beta, beta02=beta02, beta11=beta11, beta20=beta02)
 

@@ -15,7 +15,7 @@ import mpmath
 from mpmath import mpc, mpf
 
 from .errors import NotNearIntegral
-from .evaluate import eval_P, eval_j, partition_form
+from .evaluate import eval_P, eval_j
 from .precision import PrecisionConfig, run_adaptive
 from .quadforms import QuadForm, cm_point, conjugate_partners, enumerate_qn
 
@@ -166,7 +166,6 @@ def compute_pn(n: int, cfg: PrecisionConfig | None = None) -> OrbitRecord:
         raise ValueError("n must be >= 1")
     if cfg is None:
         cfg = PrecisionConfig()
-    desc = partition_form()
     forms = enumerate_qn(n)
     partners = conjugate_partners(forms)
     scale = 24 * n - 1
@@ -179,7 +178,7 @@ def compute_pn(n: int, cfg: PrecisionConfig | None = None) -> OrbitRecord:
                 with mpmath.workprec(sub.eval_bits):
                     ps.append(mpmath.conj(ps[k]))
             else:
-                ps.append(eval_P(desc, cm_point(f, sub).embed, sub))
+                ps.append(eval_P(cm_point(f, sub).embed, sub))
         poly = orbit_product(ps, scale)
         with mpmath.workprec(sub.eval_bits):
             total = mpmath.fsum(ps)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import mpmath
 from mpmath import mpc, mpf
 
-from .evaluate import _aprime_b_j, eval_j, partition_form
+from .evaluate import _values
 from .precision import PrecisionConfig
 from .quadforms import CMPoint
 from .recognize import _carried_bits, orbit_product
@@ -234,18 +234,23 @@ def _coset_key(mat, level: int):
     return min(keys)
 
 
+def _psi_and_j(z: mpc, cfg: PrecisionConfig):
+    """(psi_from_cosets(z, cfg), j(z)) from one evaluation per coset image;
+    j is read off the identity, the first representative."""
+    with mpmath.workprec(cfg.eval_bits):
+        z = mpc(z)
+        values = [_values((a * z + b) / (c * z + d), cfg)
+                  for a, b, c, d in coset_reps()]
+    return ({key: list(reversed(orbit_product([v[key] for v in values], 1)))
+             for key in ("aprime", "b")}, values[0]["j"])
+
+
 def psi_from_cosets(z: mpc, cfg: PrecisionConfig) -> dict:
     """Coefficients (ascending, monic degree 12) of prod(X - g(gamma z)) over
     the coset representatives, for g = A' and g = B, keyed "aprime" and "b".
     Each g is level-6 invariant so each factor depends only on the coset;
     one evaluation per coset image gives both values."""
-    desc = partition_form()
-    with mpmath.workprec(cfg.eval_bits):
-        z = mpc(z)
-        values = [_aprime_b_j(desc, (a * z + b) / (c * z + d), cfg)
-                  for a, b, c, d in coset_reps()]
-    return {key: list(reversed(orbit_product([v[i] for v in values], 1)))
-            for i, key in enumerate(("aprime", "b"))}
+    return _psi_and_j(z, cfg)[0]
 
 
 def psi_tabulated(j_value) -> dict:
@@ -261,9 +266,9 @@ def tabulated_deviations(z: mpc, cfg: PrecisionConfig) -> dict:
     """Normalized per-coefficient deviations (ascending) between the
     numerically expanded resolvents and the tabulated polynomials at j(z),
     keyed "aprime" and "b"."""
-    numeric = psi_from_cosets(z, cfg)
+    numeric, jval = _psi_and_j(z, cfg)
     with mpmath.workprec(cfg.eval_bits):
-        tabulated = psi_tabulated(eval_j(z, cfg))
+        tabulated = psi_tabulated(jval)
         return {key: [abs(num - tab) / (1 + abs(tab))
                       for num, tab in zip(numeric[key], tabulated[key])]
                 for key in numeric}
@@ -294,7 +299,6 @@ def psi_root_check(alpha: CMPoint, cfg: PrecisionConfig) -> dict:
     resolvents at j(alpha), keyed "aprime" and "b": the numerical witness
     that both values are algebraic integers."""
     with mpmath.workprec(cfg.eval_bits):
-        aprime, bval, jval = _aprime_b_j(partition_form(), alpha.embed, cfg)
-        tables = psi_tabulated(jval)
-        return {"aprime": _root_residual(tables["aprime"], aprime),
-                "b": _root_residual(tables["b"], bval)}
+        v = _values(alpha.embed, cfg)
+        tables = psi_tabulated(v["j"])
+        return {key: _root_residual(tables[key], v[key]) for key in tables}

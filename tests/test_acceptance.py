@@ -12,8 +12,7 @@ import mpmath
 from mpmath import mpc, mpf
 
 from cmpartitions.evaluate import (eval_A, eval_B, eval_C, eval_eisenstein,
-                                   eval_eta, eval_j, eval_P, eval_theta_j,
-                                   partition_form)
+                                   eval_eta, eval_j, eval_P, eval_theta_j)
 from cmpartitions.modpoly import (beta_norm, hnf_classes, taylor_coeffs,
                                   taylor_fd_fit)
 from cmpartitions.precision import PrecisionConfig
@@ -24,7 +23,6 @@ from cmpartitions.series import fp_series, hypothesis_check
 
 RIG = PrecisionConfig(256, 4096, abs_tol=mpf(2) ** -80)
 RIG512 = PrecisionConfig(512, 8192, abs_tol=mpf(2) ** -80)
-DESC = partition_form()
 
 
 def _report(name, margin, budget, t0):
@@ -73,9 +71,9 @@ def test_criterion_3_decomposition():
     worst = mpf(0)
     with mpmath.workprec(RIG512.eval_bits):
         for z in points:
-            dev = abs(eval_P(DESC, z, RIG512)
-                      - (eval_A(DESC, z, RIG512)
-                         + eval_B(DESC, z, RIG512) * eval_C(z, RIG512)))
+            dev = abs(eval_P(z, RIG512)
+                      - (eval_A(z, RIG512)
+                         + eval_B(z, RIG512) * eval_C(z, RIG512)))
             worst = max(worst, dev)
     assert worst < bound
     _report(f"criterion 3 (P = A + B*C at {len(points)} points)", worst, 60, t0)
@@ -166,16 +164,16 @@ def test_criterion_8_property_suites():
         # weight-0 invariance of P under level-6 elements
         gammas = [(1, 1, 0, 1), (1, 0, 6, 1), (5, -1, 6, -1), (7, -3, 12, -5)]
         for z in seeded_points(17, 5):
-            base = eval_P(DESC, z, RIG)
+            base = eval_P(z, RIG)
             for a, b, c, d in gammas:
-                moved = eval_P(DESC, (a * z + b) / (c * z + d), RIG)
+                moved = eval_P((a * z + b) / (c * z + d), RIG)
                 assert abs(moved - base) < tol * (1 + abs(base))
         # precision-ladder stability at a CM point
         lo, hi = PrecisionConfig(256), PrecisionConfig(512)
         form = enumerate_qn(2)[0]
         with mpmath.workprec(hi.eval_bits):
-            v_lo = eval_P(DESC, cm_point(form, lo).embed, lo)
-            v_hi = eval_P(DESC, cm_point(form, hi).embed, hi)
+            v_lo = eval_P(cm_point(form, lo).embed, lo)
+            v_hi = eval_P(cm_point(form, hi).embed, hi)
             assert abs(v_lo - v_hi) < mpf(2) ** (-lo.working_bits + 40)
     _report("criterion 8 (property suites)", worst, 300, t0)
 

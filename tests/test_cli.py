@@ -1,9 +1,10 @@
 import json
 import os
+import sys
 
 import pytest
 
-from cmpartitions import cli
+from cmpartitions import cli, evaluate
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +94,64 @@ class TestBasicCommands:
                                "--max-precision-bits", "512", "--no-cache")
         assert code == 3
         assert "precision exhausted" in err
+
+    def test_start_at_ceiling_still_confirms(self, capsys):
+        # the ceiling is raised to one doubling above the start
+        code, out, _ = run_cli(capsys, "eval", "--what", "j", "--z", "0,1",
+                               "--precision-bits", "512",
+                               "--max-precision-bits", "512", "--no-cache",
+                               "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["value"][0].startswith("1728.0")
+        assert doc["achieved_bits"] == 512
+
+
+class TestKernelCounts:
+    """One evaluation per point: four basics (at z, 2z, 3z, 6z) give P, A, B,
+    C and j, and one gives j and theta j."""
+
+    @pytest.fixture
+    def basics_calls(self, monkeypatch):
+        original = evaluate._basics
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("cmpartitions")
+                    and getattr(module, "_basics", None) is original):
+                monkeypatch.setattr(module, "_basics", counting)
+        return calls
+
+    def test_verify_decomp(self, capsys, basics_calls):
+        code, out, _ = run_cli(capsys, "verify-decomp", "--trials", "3",
+                               "--n-max", "2", "--tol", "2^-160",
+                               "--precision-bits", "512", "--seed", "1",
+                               "--no-cache", "--json")
+        assert code == 0
+        assert json.loads(out)["points"] == 11
+        assert len(basics_calls) == 4 * 11
+
+    def test_masser_n1(self, capsys, basics_calls):
+        # per form: alpha and its 24 images, then eval_C at alpha
+        code, out, _ = run_cli(capsys, "masser", "--n", "1", "--tol", "1e-15",
+                               "--precision-bits", "512", "--no-cache",
+                               "--json")
+        assert code == 0
+        assert len(json.loads(out)["rows"]) == 3
+        assert len(basics_calls) == 26 * 3
+
+    def test_verify_appendix(self, capsys, basics_calls):
+        # 12 coset images, each at four multiples; j(z) is the identity's
+        code, out, _ = run_cli(capsys, "verify-appendix", "--trials", "2",
+                               "--tol", "1e-30", "--precision-bits", "512",
+                               "--seed", "1", "--no-cache", "--json")
+        assert code == 0
+        assert json.loads(out)["points"] == 2
+        assert len(basics_calls) == 48 * 2
 
 
 class TestVerification:

@@ -10,12 +10,10 @@ from cmpartitions.evaluate import (_j_reduced, _nterms, _reduce,
                                    atkin_lehner_check, eval_A, eval_Aprime,
                                    eval_B, eval_C, eval_eisenstein, eval_eta,
                                    eval_form, eval_j, eval_P, eval_theta_form,
-                                   eval_theta_j, partition_form)
+                                   eval_theta_j)
 from cmpartitions.precision import PrecisionConfig
 from cmpartitions.quadforms import cm_point, enumerate_qn
 from cmpartitions.series import eisenstein_series, fp_series
-
-DESC = partition_form()
 
 
 def random_points(seed, count, im_low=0.1, im_high=3.0):
@@ -242,7 +240,7 @@ class TestFormAndP:
             z = mpc(mpf(1) / 7, 10)
             q = mpmath.exp(2j * mpmath.pi * z)
             truncated = sum(mpc(series.coeff(m)) * q ** m for m in range(-1, 12))
-            value = eval_form(DESC, z, cfg256)
+            value = eval_form(z, cfg256)
             # |F| ~ |q|^-1 ~ 1e27 here, so the bound is relative
             assert abs(value - truncated) / (1 + abs(value)) < mpf(2) ** -200
 
@@ -253,23 +251,23 @@ class TestFormAndP:
             mats = random_gamma0_matrices(rng, 10)
             for z, mat in zip(random_points(41, 10, 0.5, 2.0), mats):
                 a, b, c, d = mat
-                lhs = eval_form(DESC, apply_moebius(mat, z), cfg256)
-                rhs = (c * z + d) ** -2 * eval_form(DESC, z, cfg256)
+                lhs = eval_form(apply_moebius(mat, z), cfg256)
+                rhs = (c * z + d) ** -2 * eval_form(z, cfg256)
                 assert abs(lhs - rhs) < bound * (1 + abs(rhs))
 
     def test_periodicity(self, cfg256):
         with mpmath.workprec(cfg256.eval_bits):
             z = mpc(mpf("0.2"), mpf("1.1"))
-            diff = eval_form(DESC, z + 1, cfg256) - eval_form(DESC, z, cfg256)
+            diff = eval_form(z + 1, cfg256) - eval_form(z, cfg256)
             assert abs(diff) < mpf(2) ** -220
 
     def test_theta_form_finite_difference(self, cfg512):
         with mpmath.workprec(cfg512.eval_bits):
             z = mpc(mpf("0.17"), mpf("1.4"))
             h = mpf(10) ** -30
-            fd = ((eval_form(DESC, z + h, cfg512) - eval_form(DESC, z - h, cfg512))
+            fd = ((eval_form(z + h, cfg512) - eval_form(z - h, cfg512))
                   / (2 * h * 2j * mpmath.pi))
-            analytic = eval_theta_form(DESC, z, cfg512)
+            analytic = eval_theta_form(z, cfg512)
             assert abs(fd - analytic) / (1 + abs(analytic)) < mpf(10) ** -25
 
     def test_p_weight_zero_invariance(self, cfg256):
@@ -279,16 +277,16 @@ class TestFormAndP:
             points = random_points(47, 10, 0.5, 2.0)
             mats = random_gamma0_matrices(rng, 10)
             for z in points:
-                base = eval_P(DESC, z, cfg256)
+                base = eval_P(z, cfg256)
                 for mat in mats:
-                    moved = eval_P(DESC, apply_moebius(mat, z), cfg256)
+                    moved = eval_P(apply_moebius(mat, z), cfg256)
                     assert abs(moved - base) < bound * (1 + abs(base))
 
     def test_partition_trace_n1(self, cfg256):
         with mpmath.workprec(cfg256.eval_bits):
             total = mpc(0)
             for form in enumerate_qn(1):
-                total += eval_P(DESC, cm_point(form, cfg256).embed, cfg256)
+                total += eval_P(cm_point(form, cfg256).embed, cfg256)
             assert abs(total - 23) < mpf(2) ** -200
 
     def test_precision_ladder_stability(self):
@@ -298,8 +296,8 @@ class TestFormAndP:
         alpha_lo = cm_point(enumerate_qn(1)[0], lo).embed
         alpha_hi = cm_point(enumerate_qn(1)[0], hi).embed
         with mpmath.workprec(hi.eval_bits):
-            v_lo = eval_P(DESC, alpha_lo, lo)
-            v_hi = eval_P(DESC, alpha_hi, hi)
+            v_lo = eval_P(alpha_lo, lo)
+            v_hi = eval_P(alpha_hi, hi)
             assert abs(v_lo - v_hi) < mpf(2) ** (-lo.working_bits + lo.guard_bits + 8)
 
 
@@ -307,9 +305,9 @@ class TestDecomposition:
     def test_random_points(self, cfg512):
         with mpmath.workprec(cfg512.eval_bits):
             for z in random_points(7, 20, 0.8, 3.0):
-                lhs = eval_P(DESC, z, cfg512)
-                rhs = (eval_A(DESC, z, cfg512)
-                       + eval_B(DESC, z, cfg512) * eval_C(z, cfg512))
+                lhs = eval_P(z, cfg512)
+                rhs = (eval_A(z, cfg512)
+                       + eval_B(z, cfg512) * eval_C(z, cfg512))
                 assert abs(lhs - rhs) < mpf(2) ** -400
 
     def test_cm_points(self, cfg256):
@@ -317,19 +315,19 @@ class TestDecomposition:
             for n in range(1, 7):
                 for form in enumerate_qn(n):
                     alpha = cm_point(form, cfg256).embed
-                    lhs = eval_P(DESC, alpha, cfg256)
-                    rhs = (eval_A(DESC, alpha, cfg256)
-                           + eval_B(DESC, alpha, cfg256) * eval_C(alpha, cfg256))
+                    lhs = eval_P(alpha, cfg256)
+                    rhs = (eval_A(alpha, cfg256)
+                           + eval_B(alpha, cfg256) * eval_C(alpha, cfg256))
                     assert abs(lhs - rhs) < mpf(2) ** -160
 
     def test_b_definition_replay(self, cfg256):
         from cmpartitions.evaluate import _basics, _ipow
         alpha = cm_point(enumerate_qn(1)[0], cfg256).embed
         with mpmath.workprec(cfg256.eval_bits):
-            b = eval_B(DESC, alpha, cfg256)
+            b = eval_B(alpha, cfg256)
             v = _basics(alpha, cfg256.eval_bits)
             jval = _ipow(v["e4"], 3) / _ipow(v["eta"], 24)
-            raw = eval_form(DESC, alpha, cfg256) * v["e6"] * jval / v["e4"]
+            raw = eval_form(alpha, cfg256) * v["e6"] * jval / v["e4"]
             assert abs(b - raw) < mpf(2) ** -200 * (1 + abs(b))
 
     def test_near_singularity_guard(self, cfg256):
@@ -342,10 +340,10 @@ class TestDecomposition:
     def test_aprime_is_a_j_j1728(self, cfg256):
         with mpmath.workprec(cfg256.eval_bits):
             z = mpc(mpf("0.2"), mpf("1.3"))
-            a = eval_A(DESC, z, cfg256)
+            a = eval_A(z, cfg256)
             jval = eval_j(z, cfg256)
             expected = a * jval * (jval - 1728)
-            assert abs(eval_Aprime(DESC, z, cfg256) - expected) < mpf(2) ** -180 * (1 + abs(expected))
+            assert abs(eval_Aprime(z, cfg256) - expected) < mpf(2) ** -180 * (1 + abs(expected))
 
 
 class TestAtkinLehner:
@@ -356,7 +354,7 @@ class TestAtkinLehner:
         for d, sign in ((2, -1), (3, -1), (6, 1)):
             signs = set()
             for z in random_points(100 + d, 10, 0.8, 2.5):
-                res = atkin_lehner_check(DESC, d, z, cfg256)
+                res = atkin_lehner_check(d, z, cfg256)
                 assert res.deviation < tol
                 signs.add(res.sign)
             assert signs == {sign}, d
@@ -364,20 +362,20 @@ class TestAtkinLehner:
     def test_sign_well_defined_on_orbit(self, cfg256):
         rng = random.Random(59)
         z = mpc(mpf("0.21"), mpf("1.23"))
-        base = atkin_lehner_check(DESC, 6, z, cfg256)
+        base = atkin_lehner_check(6, z, cfg256)
         for mat in random_gamma0_matrices(rng, 5):
             with mpmath.workprec(cfg256.eval_bits):
                 moved = apply_moebius(mat, z)
-            res = atkin_lehner_check(DESC, 6, moved, cfg256)
+            res = atkin_lehner_check(6, moved, cfg256)
             assert res.sign == base.sign
 
     def test_non_eigenform_control(self, cfg256):
         z = mpc(mpf("0.21"), mpf("1.3"))
         res = al_deviation(
-            lambda w: eval_form(DESC, w, cfg256) + eval_j(w, cfg256),
+            lambda w: eval_form(w, cfg256) + eval_j(w, cfg256),
             6, z, cfg256)
         assert res.deviation > mpf("1e6")
 
     def test_invalid_divisor(self, cfg256):
         with pytest.raises(ValueError):
-            atkin_lehner_check(DESC, 4, mpc(0, 1), cfg256)
+            atkin_lehner_check(4, mpc(0, 1), cfg256)

@@ -5,7 +5,7 @@ import pytest
 from mpmath import mpc, mpf
 
 from cmpartitions.errors import NotNearIntegral
-from cmpartitions.evaluate import eval_P, partition_form
+from cmpartitions.evaluate import eval_P
 from cmpartitions.quadforms import cm_point, conjugate_partners, enumerate_qn
 from cmpartitions.recognize import (compute_pn, j_norm, norm_6unit_check,
                                     orbit_product, pentagonal_pn,
@@ -34,8 +34,7 @@ class TestOrbitProduct:
         assert residual < mpf("1e-15")
 
     def test_n1_scaled_polynomial(self, cfg256):
-        desc = partition_form()
-        values = [eval_P(desc, cm_point(f, cfg256).embed, cfg256)
+        values = [eval_P(cm_point(f, cfg256).embed, cfg256)
                   for f in enumerate_qn(1)]
         poly = orbit_product(values, 23)
         rounded, residual = round_to_integers(poly, mpf("1e-40"))
@@ -109,11 +108,10 @@ class TestComputePn:
         # partners are evaluated at their own CM points
         sample = sorted(random.Random(2011).sample(range(1, 61), 6))
         assert sample == [16, 20, 34, 35, 41, 52]
-        desc = partition_form()
         tol = mpf(2) ** -200
         for n in (1, 24, 47, *sample):
             forms = enumerate_qn(n)
-            ps = [eval_P(desc, cm_point(f, cfg256).embed, cfg256) for f in forms]
+            ps = [eval_P(cm_point(f, cfg256).embed, cfg256) for f in forms]
             with mpmath.workprec(cfg256.eval_bits):
                 for i, k in enumerate(conjugate_partners(forms)):
                     assert abs(ps[k] - mpmath.conj(ps[i])) < tol, (n, forms[i])
@@ -150,7 +148,6 @@ class TestComputePn:
     def test_representative_independence(self, cfg256):
         # a different representative choice moves the trace by less than tol
         rng = random.Random(71)
-        desc = partition_form()
         for n in (1, 2):
             base = compute_pn(n, cfg256)
             with mpmath.workprec(cfg256.eval_bits):
@@ -167,7 +164,7 @@ class TestComputePn:
                         mat = (a * e + b * g, a * f + b * h,
                                c * e + d * g, c * f + d * h)
                     moved = form.transform(mat)
-                    total += eval_P(desc, cm_point(moved, cfg256).embed, cfg256)
+                    total += eval_P(cm_point(moved, cfg256).embed, cfg256)
                 expected = mpmath.fsum(base.p_values)
                 assert abs(total - expected) < cfg256.abs_tol
 

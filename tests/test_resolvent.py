@@ -4,7 +4,7 @@ import mpmath
 import pytest
 from mpmath import mpc, mpf
 
-from cmpartitions.evaluate import eval_Aprime, eval_B, partition_form
+from cmpartitions.evaluate import eval_Aprime, eval_B
 from cmpartitions.quadforms import cm_point, enumerate_qn
 from cmpartitions.recognize import orbit_product
 from cmpartitions.resolvent import (APRIME_COEFFS, B_COEFFS, JPoly,
@@ -100,7 +100,6 @@ class TestPsiNumeric:
         z = mpc(mpf(1) / 5, mpf("1.7"))
         base = psi_from_cosets(z, cfg256)[which]
         gamma = (5, -1, 6, -1)  # determinant 1, lower-left = 6
-        desc = partition_form()
         with mpmath.workprec(cfg256.eval_bits):
             values = []
             for a, b, c, d in coset_reps():
@@ -108,7 +107,7 @@ class TestPsiNumeric:
                 moved = (e * a + f * c, e * b + f * d, g * a + h * c, g * b + h * d)
                 ma, mb, mc, md = moved
                 w = (ma * z + mb) / (mc * z + md)
-                values.append(evaluator(desc, w, cfg256))
+                values.append(evaluator(w, cfg256))
             other = list(reversed(orbit_product(values, 1)))
         for lhs, rhs in zip(base, other):
             assert abs(lhs - rhs) < mpf(2) ** -180 * (1 + abs(rhs))
