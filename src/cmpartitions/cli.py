@@ -73,14 +73,22 @@ def _parse_tol(text: str) -> mpf:
     return value
 
 
-def _parse_point(text: str) -> mpc:
+def _point(text: str, bits: int) -> mpc:
+    """The point '<re>,<im>' read at the given precision."""
     try:
         re_part, im_part = text.split(",")
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected '<re>,<im>', got {text!r}") from None
-    with mpmath.workprec(320):
+    with mpmath.workprec(bits):
         return mpc(mpf(re_part), mpf(im_part))
+
+
+def _parse_point(text: str) -> str:
+    """Check --z and keep its text: each command reads the point with
+    ``_point`` at the precision it evaluates at."""
+    _point(text, 53)
+    return text
 
 
 def _build_parser() -> _Parser:
@@ -310,17 +318,11 @@ def _cmd_forms(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _config(args)
-    z = args.z
-    evaluators = {
-        "F": lambda sub: eval_form(z, sub),
-        "P": lambda sub: eval_P(z, sub),
-        "A": lambda sub: eval_A(z, sub),
-        "B": lambda sub: eval_B(z, sub),
-        "C": lambda sub: eval_C(z, sub),
-        "j": lambda sub: eval_j(z, sub),
-    }
-    fn = evaluators[args.what]
-    value, achieved = run_adaptive(lambda bits: fn(cfg.with_bits(bits)), cfg)
+    # read at the top rung's precision, so every rung sees the same point
+    z = _point(args.z, cfg.max_bits + cfg.guard_bits)
+    fn = {"F": eval_form, "P": eval_P, "A": eval_A, "B": eval_B, "C": eval_C,
+          "j": eval_j}[args.what]
+    value, achieved = run_adaptive(lambda bits: fn(z, cfg.with_bits(bits)), cfg)
     digits = max(20, int(achieved * 0.30103))
     doc = {"what": args.what, "z": _cnstr(z, 30),
            "value": _cnstr(value, digits), "achieved_bits": achieved}
@@ -370,7 +372,7 @@ def _cmd_verify_decomp(args) -> int:
 def _cmd_verify_appendix(args) -> int:
     cfg = _config(args)
     if args.z is not None:
-        points = [args.z]
+        points = [_point(args.z, cfg.eval_bits)]
     else:
         points = _random_points(args.seed, args.trials)
     per_poly = {"aprime": [], "b": []}

@@ -151,62 +151,63 @@ def enumerate_qn(n: int) -> list[QuadForm]:
     """One representative per level-6 class of discriminant 1 - 24n forms with
     6 | a, a > 0, b = 1 (mod 12).
 
-    All candidates with a <= 4|D| are enumerated (b scanned over one full
-    translation period per a), bucketed by exact equivalence and the member
-    with smallest (a, |b|, b < 0) kept.  Imprimitive forms are included: the
-    trace formula for p(n) runs over every form of discriminant 1 - 24n, and
-    they occur only when 24n - 1 is not squarefree (first at n = 24).
+    D = 1 - 24n is prime to 6, so each SL2(Z) class of discriminant D holds
+    exactly one such level-6 class (Gross-Kohnen-Zagier, Math. Ann. 278
+    (1987), section I.1).  Rows a = 6, 12, ... are scanned with b in the order
+    (|b|, b < 0), the first form of each SL2(Z) class, keyed by its reduced
+    form, is kept, and the scan stops after the first row at which every
+    class has a form.  Imprimitive classes are counted and kept: the trace
+    formula for p(n) runs over every form of discriminant 1 - 24n, and they
+    occur only when 24n - 1 is not squarefree (first at n = 24).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     d = 1 - 24 * n
-    a_max = 4 * (-d)
-    candidates = []
-    for a in range(6, a_max + 1, 6):
+    # h(D / f^2) classes of content f for each f^2 | D
+    classes = sum(len(reduced_forms(d // (f * f)))
+                  for f in range(1, math.isqrt(-d) + 1) if d % (f * f) == 0)
+    reps: dict[QuadForm, QuadForm] = {}
+    for a in range(6, 4 * (-d) + 1, 6):
         # translation z -> z+1 shifts b by 2a and 12 | 2a, so one period
         # of b mod 2a meets every translate class exactly once
+        row = []
         b = 1 - 12 * (a // 12)  # smallest b = 1 (mod 12) with b > -a
         while b <= a:
             num = b * b - d
             if num % (4 * a) == 0:
-                candidates.append(QuadForm(a, b, num // (4 * a)))
+                row.append(QuadForm(a, b, num // (4 * a)))
             b += 12
-    candidates.sort(key=lambda f: (f.a, abs(f.b), -f.b))
-    # bucket by the full-group reduced form first: cheap complete invariant,
-    # then split buckets by the exact level-6 test
-    buckets: dict[QuadForm, list[QuadForm]] = {}
-    for form in candidates:
-        red, _ = reduce_with_matrix(form)
-        cls = buckets.setdefault(red, [])
-        if not any(gamma0_equivalent(rep, form) for rep in cls):
-            cls.append(form)
-    reps = [rep for cls in buckets.values() for rep in cls]
-    return sorted(reps, key=lambda f: (f.a, abs(f.b), -f.b))
+        for form in sorted(row, key=lambda f: (abs(f.b), -f.b)):
+            reps.setdefault(reduce_with_matrix(form)[0], form)
+        if len(reps) == classes:
+            return list(reps.values())
+    raise ValueError(f"only {len(reps)} of the {classes} classes of "
+                     f"discriminant {d} have a form with a <= {4 * -d}")
 
 
 def conjugate_partners(forms) -> list[int]:
-    """Index of each form's partner: the level-6 class of [6c, b, a/6].
+    """Index of each form's partner: the form in the class of [6c, b, a/6].
 
     [a, b, c] -> [6c, b, a/6] is complex conjugation followed by the
     Atkin-Lehner involution W6 on CM points (alpha -> 1/(6 conj alpha)), and
-    it keeps 6 | a and b = 1 (mod 12).  The image is reduced once and tested
-    for level-6 equivalence only against the forms with the same reduced
-    form.  Raises ValueError unless every form has exactly one partner and
-    the map is an involution.
+    it keeps 6 | a and b = 1 (mod 12).  Such forms of one discriminant prime
+    to 6 share a level-6 class exactly when they share an SL2(Z) class (see
+    ``enumerate_qn``), so the partner is looked up by the reduced image.
+    Raises ValueError unless 6 divides every a, no two forms share a class,
+    every form has a partner and the map is an involution.
     """
-    by_reduced: dict[QuadForm, list[int]] = {}
-    for i, form in enumerate(forms):
-        by_reduced.setdefault(reduce_with_matrix(form)[0], []).append(i)
+    index = {reduce_with_matrix(form)[0]: i for i, form in enumerate(forms)}
+    if len(index) != len(forms):
+        raise ValueError("two forms share a class")
     partners = []
     for form in forms:
         if form.a % 6:
             raise ValueError(f"form {form} has 6 not dividing a")
         image = QuadForm(6 * form.c, form.b, form.a // 6)
-        found = [i for i in by_reduced.get(reduce_with_matrix(image)[0], [])
-                 if gamma0_equivalent(forms[i], image)]
-        if len(found) != 1:
-            raise ValueError(f"form {form} has {len(found)} partners, not one")
-        partners.append(found[0])
+        k = index.get(reduce_with_matrix(image)[0])
+        if k is None:
+            raise ValueError(f"form {form} has no partner")
+        partners.append(k)
     if any(partners[k] != i for i, k in enumerate(partners)):
         raise ValueError("the partner map is not an involution")
     return partners

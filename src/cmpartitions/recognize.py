@@ -130,31 +130,29 @@ class OrbitRecord:
         }
 
 
-def _divisors_desc(m: int) -> list[int]:
-    divs = set()
-    for i in range(1, int(math.isqrt(m)) + 1):
-        if m % i == 0:
-            divs.update((i, m // i))
-    return sorted(divs, reverse=True)
-
-
 def sharpness_divisor(p_values, n: int, tol) -> int:
-    """Largest divisor d of 24n - 1 with prod(x - d*P) integral; 24n - 1 means
-    the full-strength scaling already suffices."""
-    for d in _divisors_desc(24 * n - 1):
-        try:
-            round_to_integers(orbit_product(p_values, d), tol)
-            return d
-        except NotNearIntegral:
-            continue
-    return 0
+    """24n - 1 when prod(x - (24n - 1) P) is integral, else 0.
+
+    No smaller divisor d of 24n - 1 needs a try: if prod(x - d P) is
+    integral, so is prod(x - (24n - 1) P), whose k-th coefficient is
+    ((24n - 1)/d)^k times its k-th coefficient.
+    """
+    scale = 24 * n - 1
+    try:
+        round_to_integers(orbit_product(p_values, scale), tol)
+    except NotNearIntegral:
+        return 0
+    return scale
 
 
 def compute_pn(n: int, cfg: PrecisionConfig | None = None) -> OrbitRecord:
     """Assemble the full orbit record for n under the adaptive ladder.
 
-    The per-point values, their sum and the scaled orbit polynomial must all
-    stabilize across a precision doubling before anything is rounded.
+    The per-point values and the scaled orbit polynomial must stabilize
+    across a precision doubling before anything is rounded.  Its x^(h-1)
+    coefficient is -(24n - 1) sum P = -(24n - 1)^2 p(n), so p(n) is read from
+    the rounded polynomial exactly, and the full scale 24n - 1 is the
+    sharpness divisor (``sharpness_divisor``) it has just confirmed.
 
     P is evaluated once per conjugate pair of CM points.  The partner of
     [a, b, c] is the class of [6c, b, a/6] (``conjugate_partners``), whose CM
@@ -179,28 +177,21 @@ def compute_pn(n: int, cfg: PrecisionConfig | None = None) -> OrbitRecord:
                     ps.append(mpmath.conj(ps[k]))
             else:
                 ps.append(eval_P(cm_point(f, sub).embed, sub))
-        poly = orbit_product(ps, scale)
-        with mpmath.workprec(sub.eval_bits):
-            total = mpmath.fsum(ps)
-        return {"p_values": ps, "poly": poly, "total": total}
+        return {"p_values": ps, "poly": orbit_product(ps, scale)}
 
     result, achieved = run_adaptive(task, cfg)
-    poly_int, poly_res = round_to_integers(result["poly"], cfg.abs_tol)
-    total = result["total"]
-    with mpmath.workprec(_carried_bits([total]) + 32):
-        pn = int(mpmath.nint(mpmath.re(total) / scale))
-        residual = max(poly_res, abs(total / scale - pn))
-    if not residual < cfg.abs_tol:
+    poly_int, residual = round_to_integers(result["poly"], cfg.abs_tol)
+    pn, remainder = divmod(-poly_int[1], scale * scale)
+    if remainder:
         raise NotNearIntegral(
-            f"p({n}) residual {mpmath.nstr(residual, 5)} above tolerance",
-            residual=residual)
-    sharp = sharpness_divisor(result["p_values"], n, cfg.abs_tol)
+            f"p({n}): trace {-poly_int[1]} of {scale} P is not divisible "
+            f"by {scale}^2", residual=residual)
     return OrbitRecord(
         n=n, d=1 - 24 * n, forms=tuple(forms),
         p_values=tuple(result["p_values"]),
         scaled_poly=tuple(poly_int), pn=pn,
         residual=residual, achieved_bits=achieved,
-        sharpness_divisor=sharp)
+        sharpness_divisor=scale)
 
 
 def norm_6unit_check(values, label: str, tol=None):

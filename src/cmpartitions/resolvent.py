@@ -201,18 +201,16 @@ APRIME_COEFFS = _aprime_coefficients()
 B_COEFFS = _b_coefficients()
 
 
-def coset_reps(level: int = 6):
+def coset_reps():
     """A complete system of 12 coset representatives of the level-6 group in
     the full modular group, grown from the identity by T/S products and kept
     pairwise inequivalent by the exact mod-6 test."""
-    if level != 6:
-        raise ValueError("only level 6 is supported")
     reps = []
     seen = set()
     queue = [(1, 0, 0, 1)]
     while queue and len(reps) < 12:
         mat = queue.pop(0)
-        key = _coset_key(mat, level)
+        key = _coset_key(mat)
         if key in seen:
             continue
         seen.add(key)
@@ -224,14 +222,11 @@ def coset_reps(level: int = 6):
     return reps
 
 
-def _coset_key(mat, level: int):
-    """Projective class of the bottom row mod level: gamma1 ~ gamma2 exactly
-    when the bottom rows agree up to a unit mod level."""
+def _coset_key(mat):
+    """Projective class of the bottom row mod 6: gamma1 ~ gamma2 exactly
+    when the bottom rows agree up to a unit mod 6."""
     _, _, c, d = mat
-    keys = []
-    for u in (1, 5):  # units mod 6
-        keys.append(((u * c) % level, (u * d) % level))
-    return min(keys)
+    return min(((u * c) % 6, (u * d) % 6) for u in (1, 5))  # units mod 6
 
 
 def _psi_and_j(z: mpc, cfg: PrecisionConfig):

@@ -2,9 +2,12 @@ import json
 import os
 import sys
 
+import mpmath
 import pytest
+from mpmath import mpc, mpf
 
 from cmpartitions import cli, evaluate
+from cmpartitions.precision import PrecisionConfig
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +108,20 @@ class TestBasicCommands:
         doc = json.loads(out)
         assert doc["value"][0].startswith("1728.0")
         assert doc["achieved_bits"] == 512
+
+    def test_eval_reads_point_at_its_precision(self, capsys):
+        # 0.1 is not a binary fraction, so --z must be read at the precision
+        # the ladder confirms, not at a fixed one
+        code, out, _ = run_cli(capsys, "eval", "--what", "j", "--z", "0.1,1.3",
+                               "--precision-bits", "1024", "--no-cache", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["achieved_bits"] == 1024
+        with mpmath.workprec(2200):
+            z = mpc(mpf("0.1"), mpf("1.3"))
+            expected = evaluate.eval_j(z, PrecisionConfig(2200))
+            value = mpc(*map(mpf, doc["value"]))
+            assert abs(value - expected) < abs(expected) * mpf(2) ** -1000
 
 
 class TestKernelCounts:

@@ -47,6 +47,27 @@ def random_gamma0_element(rng, level=6):
     return mat
 
 
+def exhaustive_qn(n):
+    """Every form with a <= 4|D|, 6 | a and b = 1 (mod 12), bucketed by the
+    reduced form and split by the level-6 test, keeping the first member of
+    each level-6 class in the order (a, |b|, b < 0): the reference for
+    enumerate_qn."""
+    d = 1 - 24 * n
+    candidates = []
+    for a in range(6, 4 * (-d) + 1, 6):
+        for b in range(1 - 12 * (a // 12), a + 1, 12):
+            if (b * b - d) % (4 * a) == 0:
+                candidates.append(QuadForm(a, b, (b * b - d) // (4 * a)))
+    candidates.sort(key=lambda f: (f.a, abs(f.b), -f.b))
+    buckets = {}
+    for form in candidates:
+        cls = buckets.setdefault(reduce_with_matrix(form)[0], [])
+        if not any(gamma0_equivalent(rep, form) for rep in cls):
+            cls.append(form)
+    return sorted((rep for cls in buckets.values() for rep in cls),
+                  key=lambda f: (f.a, abs(f.b), -f.b))
+
+
 class TestReducedForms:
     def test_d3(self):
         assert reduced_forms(-3) == [QuadForm(1, 1, 1)]
@@ -155,6 +176,12 @@ class TestEnumerateQn:
         with pytest.raises(ValueError):
             enumerate_qn(0)
 
+    def test_matches_exhaustive_scan_through_60(self):
+        # the scan stops at the first row that completes the SL2(Z) classes;
+        # the reference scans every a <= 4|D| and splits by the level-6 test
+        for n in range(1, 61):
+            assert enumerate_qn(n) == exhaustive_qn(n), n
+
 
 class TestConjugatePartners:
     def test_n1(self):
@@ -176,6 +203,11 @@ class TestConjugatePartners:
     def test_missing_partner_raises(self):
         with pytest.raises(ValueError):
             conjugate_partners(enumerate_qn(1)[:2])
+
+    def test_two_forms_of_one_class_raise(self):
+        # (6, 25, 27) is the translate of (6, 1, 1) by z -> z + 2
+        with pytest.raises(ValueError):
+            conjugate_partners([QuadForm(6, 1, 1), QuadForm(6, 25, 27)])
 
     def test_a_not_divisible_by_6_raises(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import mpmath
 import pytest
 from mpmath import mpc, mpf
 
+from cmpartitions import recognize
 from cmpartitions.errors import NotNearIntegral
 from cmpartitions.evaluate import eval_P
 from cmpartitions.quadforms import cm_point, conjugate_partners, enumerate_qn
@@ -167,6 +168,16 @@ class TestComputePn:
                     total += eval_P(cm_point(moved, cfg256).embed, cfg256)
                 expected = mpmath.fsum(base.p_values)
                 assert abs(total - expected) < cfg256.abs_tol
+
+    def test_trace_not_divisible_raises(self, cfg256, monkeypatch):
+        # P + 1/23 keeps prod(x - 23 P) integral (it shifts x by 1) but adds
+        # 3 to its trace 23^2 p(1), so p(1) is not read off exactly
+        def shifted(z, cfg):
+            with mpmath.workprec(cfg.eval_bits):
+                return eval_P(z, cfg) + mpf(1) / 23
+        monkeypatch.setattr(recognize, "eval_P", shifted)
+        with pytest.raises(NotNearIntegral):
+            compute_pn(1, cfg256)
 
     def test_json_dict_shape(self, cfg256):
         entry = compute_pn(1, cfg256).to_json_dict()

@@ -80,10 +80,6 @@ class TestCosets:
                 c2, d2 = reps[k][2:]
                 assert (c1 * d2 - d1 * c2) % 6 != 0
 
-    def test_level_rejected(self):
-        with pytest.raises(ValueError):
-            coset_reps(7)
-
 
 class TestPsiNumeric:
     def test_monic(self, cfg256):
