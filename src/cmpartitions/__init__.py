@@ -27,8 +27,8 @@ from .recognize import (OrbitRecord, compute_pn, j_norm, norm_6unit_check,
                         sharpness_divisor)
 from .resolvent import (coset_reps, psi_from_cosets, psi_root_check,
                         psi_tabulated, verify_tabulated)
-from .series import (EtaQuotientDescriptor, FormalSeries, HypothesisReport,
-                     delta_series, eisenstein_series, eta_quotient_series,
+from .series import (FormalSeries, HypothesisReport, delta_series,
+                     eisenstein_series, eta_quotient_series,
                      euler_product_series, fp_series, hypothesis_check,
                      j_series)
 

@@ -13,7 +13,6 @@ import os
 import random
 import sys
 import tempfile
-import time
 
 import mpmath
 from mpmath import mpc, mpf
@@ -171,7 +170,7 @@ def _nstr(x, digits: int = 40) -> str:
     return mpmath.nstr(mpf(x), digits)
 
 
-def _cnstr(z, digits: int = 40):
+def _cnstr(z, digits: int):
     return [mpmath.nstr(mpmath.re(z), digits), mpmath.nstr(mpmath.im(z), digits)]
 
 
@@ -204,7 +203,7 @@ def _is_record(entry) -> bool:
 def _load_cache(path: str):
     """(cache dict, warning or None); a broken or mismatched file is bypassed,
     never migrated."""
-    empty = {"version": CACHE_VERSION, "entries": [], "metadata": {}}
+    empty = {"version": CACHE_VERSION, "entries": []}
     if not os.path.exists(path):
         return empty, None
     try:
@@ -220,28 +219,33 @@ def _load_cache(path: str):
         return empty, f"unreadable cache {path}: {exc}"
 
 
-def _save_cache(cache: dict, path: str) -> None:
+def _save_cache(cache: dict, path: str):
+    """Write the cache atomically; a failed write returns a warning, since
+    the result in hand stays valid without the cache."""
     directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cmpartitions-cache-")
+    tmp = None
     try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cmpartitions-cache-")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             json.dump(cache, handle, sort_keys=True, indent=2)
             handle.write("\n")
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        return f"cannot write cache {path}: {exc.strerror}"
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
+    return None
 
 
 def _cache_lookup(cache: dict, n: int, working_bits: int):
     """Exact (n, working_bits) entry, else the highest-precision shadow."""
     best = None
     for entry in cache["entries"]:
-        if entry.get("n") != n:
+        if entry["n"] != n:
             continue
-        bits = entry.get("working_bits", 0)
+        bits = entry["working_bits"]
         if bits == working_bits:
             return entry
         if bits > working_bits and (best is None or bits > best["working_bits"]):
@@ -250,13 +254,11 @@ def _cache_lookup(cache: dict, n: int, working_bits: int):
 
 
 def _cache_store(cache: dict, entry: dict) -> None:
+    key = (entry["n"], entry["working_bits"])
     cache["entries"] = [e for e in cache["entries"]
-                        if (e.get("n"), e.get("working_bits"))
-                        != (entry["n"], entry["working_bits"])]
+                        if (e["n"], e["working_bits"]) != key]
     cache["entries"].append(entry)
-    cache["entries"].sort(key=lambda e: (e.get("n", 0), e.get("working_bits", 0)))
-    cache["metadata"].setdefault("created", time.strftime("%Y-%m-%dT%H:%M:%SZ",
-                                                          time.gmtime()))
+    cache["entries"].sort(key=lambda e: (e["n"], e["working_bits"]))
 
 
 def _record_entry(n: int, cfg: PrecisionConfig) -> dict:
@@ -266,38 +268,35 @@ def _record_entry(n: int, cfg: PrecisionConfig) -> dict:
     return entry
 
 
-def _get_record_entry(args, cfg: PrecisionConfig, n: int):
-    """Cached orbit record (as its serialized dict), computing and storing on
-    a miss; returns (entry, warning)."""
+def _get_record_entry(args) -> dict:
+    """The orbit record for --n (as its serialized dict), from the cache or
+    computed and stored; a cache warning goes to stderr."""
+    cfg = _config(args)
     if args.no_cache:
-        return _record_entry(n, cfg), None
+        return _record_entry(args.n, cfg)
     path = _cache_path(args)
     cache, warning = _load_cache(path)
-    entry = _cache_lookup(cache, n, cfg.working_bits)
+    entry = _cache_lookup(cache, args.n, cfg.working_bits)
     if entry is None:
-        entry = _record_entry(n, cfg)
+        entry = _record_entry(args.n, cfg)
         _cache_store(cache, entry)
         if warning is None:
-            _save_cache(cache, path)
-    return entry, warning
+            warning = _save_cache(cache, path)
+    if warning:
+        print(warning, file=sys.stderr)
+    return entry
 
 
 # ------------------------------------------------------------- commands ----
 
 def _cmd_pn(args) -> int:
-    cfg = _config(args)
-    entry, warning = _get_record_entry(args, cfg, args.n)
-    if warning:
-        print(warning, file=sys.stderr)
+    entry = _get_record_entry(args)
     _emit(entry, args, [entry["pn"]])
     return EXIT_OK
 
 
 def _cmd_orbit(args) -> int:
-    cfg = _config(args)
-    entry, warning = _get_record_entry(args, cfg, args.n)
-    if warning:
-        print(warning, file=sys.stderr)
+    entry = _get_record_entry(args)
     poly = entry["scaled_poly"]
     _emit({"n": args.n, "scaled_poly": poly}, args,
           ["scaled orbit polynomial (leading coefficient first):",
@@ -473,10 +472,8 @@ def _cmd_hypothesis(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
 
 
-def _per_n_block(params) -> dict:
+def _per_n_block(n: int, cfg: PrecisionConfig, cached) -> dict:
     """One n's worth of the report; run in a worker process when threaded."""
-    (n, working_bits, max_bits, tol_str, cached) = params
-    cfg = PrecisionConfig(working_bits, max_bits, abs_tol=_parse_tol(tol_str))
     block = dict(cached) if cached is not None else _record_entry(n, cfg)
     block["pn_oracle"] = str(recognize.pentagonal_pn(n))
     norm, coprime, achieved = recognize.j_norm(n, cfg)
@@ -499,23 +496,19 @@ def _per_n_block(params) -> dict:
     return block
 
 
-def report_bundle(n_max: int, cfg: PrecisionConfig, threads: int = 1,
-                  hypothesis_order: int = 200, cached_entries=None) -> dict:
+def report_bundle(n_max: int, cfg: PrecisionConfig, threads: int,
+                  hypothesis_order: int, cached_entries: dict) -> dict:
     """Aggregate document: per-n partition/orbit/norm results plus the global
     series integrality flags.  Cached orbit records (by n) are reused
     verbatim so a warm cache is recompute-free for that part."""
-    cached_entries = cached_entries or {}
-    tol_str = mpmath.nstr(cfg.abs_tol, 30)
-    params = [(n, cfg.working_bits, cfg.max_bits, tol_str,
-               cached_entries.get(n))
-              for n in range(1, n_max + 1)]
+    params = [(n, cfg, cached_entries.get(n)) for n in range(1, n_max + 1)]
     if threads > 1:
         import multiprocessing
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(min(threads, len(params))) as pool:
-            blocks = pool.map(_per_n_block, params)
+            blocks = pool.starmap(_per_n_block, params)
     else:
-        blocks = [_per_n_block(p) for p in params]
+        blocks = [_per_n_block(*p) for p in params]
     hyp = hypothesis_check(fp_series(hypothesis_order + 2), hypothesis_order)
     return {
         "n_max": n_max,
@@ -537,7 +530,7 @@ def _cmd_report(args) -> int:
         cache, warning = _load_cache(path)
         for n in range(1, args.n_max + 1):
             entry = _cache_lookup(cache, n, cfg.working_bits)
-            if entry is not None and entry.get("working_bits") == cfg.working_bits:
+            if entry is not None and entry["working_bits"] == cfg.working_bits:
                 cached_entries[n] = entry
     doc = report_bundle(args.n_max, cfg, threads=args.threads,
                         hypothesis_order=args.hypothesis_order,
@@ -547,9 +540,11 @@ def _cmd_report(args) -> int:
             entry = {k: block[k] for k in _RECORD_TYPES}
             _cache_store(cache, entry)
         if warning is None:
-            _save_cache(cache, path)
+            # a failed write is reported but leaves the document as it is
+            warning = _save_cache(cache, path)
         else:
             doc["cache_warning"] = warning
+        if warning:
             print(warning, file=sys.stderr)
     lines = []
     for block in doc["per_n"]:
@@ -566,16 +561,21 @@ def _cmd_report(args) -> int:
 def _cmd_cache(args) -> int:
     path = _cache_path(args)
     if args.action == "clear":
-        if os.path.exists(path):
-            os.unlink(path)
+        try:
+            if os.path.exists(path):
+                os.unlink(path)
+        except OSError as exc:
+            print(f"error: cannot clear cache {path}: {exc.strerror}",
+                  file=sys.stderr)
+            return EXIT_USAGE
         print(f"cache cleared: {path}")
         return EXIT_OK
     cache, warning = _load_cache(path)
     if warning:
         print(warning, file=sys.stderr)
     doc = {"path": path, "version": cache["version"],
-           "entries": [{"n": e.get("n"), "working_bits": e.get("working_bits"),
-                        "pn": e.get("pn")} for e in cache["entries"]]}
+           "entries": [{"n": e["n"], "working_bits": e["working_bits"],
+                        "pn": e["pn"]} for e in cache["entries"]]}
     _emit(doc, args, [f"cache at {path}: {len(cache['entries'])} entries"]
           + [f"  n={e['n']} bits={e['working_bits']} pn={e['pn']}"
              for e in doc["entries"]])

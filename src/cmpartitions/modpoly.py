@@ -256,12 +256,11 @@ def masser_c(alpha: CMPoint, cfg: PrecisionConfig) -> mpc:
     return taylor_coeffs(alpha, classes, cfg).masser_c()
 
 
-def taylor_fd_fit(alpha: CMPoint, classes, cfg: PrecisionConfig,
-                  delta_rel: str = "1e-8") -> TaylorData:
+def taylor_fd_fit(alpha: CMPoint, classes, cfg: PrecisionConfig) -> TaylorData:
     """Finite-difference oracle for the Taylor data.
 
     j is inverted locally around alpha by Newton iteration, the polynomial
-    value is formed on a 5x5 grid of offsets (step |delta| = delta_rel*|j0|),
+    value is formed on a 5x5 grid of offsets (step |delta| = 1e-8 |j0|),
     and a least-squares fit of a total-degree-4 model recovers the quadratic
     coefficients.  Nothing is shared with the analytic chain-rule path, so
     agreement between the two is meaningful.
@@ -269,7 +268,7 @@ def taylor_fd_fit(alpha: CMPoint, classes, cfg: PrecisionConfig,
     j0 = eval_j(alpha.embed, cfg)
     bits = cfg.eval_bits
     with mpmath.workprec(bits):
-        delta = mpf(delta_rel) * abs(j0)
+        delta = mpf("1e-8") * abs(j0)
         offsets = range(-2, 3)
         # invert j on the X-grid: sigma(u) with j(sigma(u)) = j0 + u*delta
         sigmas = {}
@@ -351,5 +350,5 @@ def beta_norm(n: int, cfg: PrecisionConfig | None = None):
         return product_at(magnitude + excess_bits)
 
     prod, achieved_excess = run_adaptive(task, cfg)
-    norm, coprime = norm_6unit_check([prod], f"beta-norm(n={n})", cfg.abs_tol)
+    norm, coprime = norm_6unit_check(prod, f"beta-norm(n={n})", cfg.abs_tol)
     return norm, coprime, magnitude + achieved_excess

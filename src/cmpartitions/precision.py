@@ -9,7 +9,7 @@ consecutive runs agree to the configured absolute tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import mpmath
 from mpmath import mpc, mpf
@@ -18,7 +18,6 @@ from .errors import PrecisionExhausted
 
 DEFAULT_WORKING_BITS = 256
 DEFAULT_MAX_BITS = 8192
-DEFAULT_GUARD_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -27,12 +26,14 @@ class PrecisionConfig:
 
     abs_tol defaults to 2^(-working_bits/2): large enough that a genuine
     integer (residual ~2^(-working_bits+small)) is always accepted, small
-    enough that accidental near-integers are not.
+    enough that accidental near-integers are not.  Evaluations run a fixed
+    32 guard bits above the working precision.
     """
+
+    guard_bits: ClassVar[int] = 32
 
     working_bits: int = DEFAULT_WORKING_BITS
     max_bits: int = DEFAULT_MAX_BITS
-    guard_bits: int = DEFAULT_GUARD_BITS
     abs_tol: mpf | None = None
 
     def __post_init__(self):
@@ -40,8 +41,6 @@ class PrecisionConfig:
             raise ValueError("working_bits must be positive")
         if self.working_bits > self.max_bits:
             raise ValueError("working_bits must not exceed max_bits")
-        if self.guard_bits < 16:
-            raise ValueError("guard_bits must be at least 16")
         if self.abs_tol is None:
             object.__setattr__(self, "abs_tol", mpf(2) ** (-mpf(self.working_bits) / 2))
 
@@ -53,7 +52,7 @@ class PrecisionConfig:
     def with_bits(self, working_bits: int) -> "PrecisionConfig":
         """Copy of this config at a different working precision (same tolerance)."""
         return PrecisionConfig(working_bits, max(self.max_bits, working_bits),
-                               self.guard_bits, self.abs_tol)
+                               self.abs_tol)
 
 
 def deviation(a, b, bits: int = 256) -> mpf:

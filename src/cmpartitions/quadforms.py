@@ -134,17 +134,17 @@ def transporter(q1: QuadForm, q2: QuadForm):
     return _mat_mul(g1, _mat_inv(g2))
 
 
-def gamma0_equivalent(q1: QuadForm, q2: QuadForm, level: int = 6) -> bool:
-    """Whether some matrix in Gamma_0(level) carries q1 to q2.
+def gamma0_equivalent(q1: QuadForm, q2: QuadForm) -> bool:
+    """Whether some matrix in Gamma_0(6) carries q1 to q2.
 
     Decided exactly: the transporter between the forms is unique up to sign
     (discriminant < -4), and both signs share the same lower-left entry mod
-    level, so a single congruence settles membership.
+    6, so a single congruence settles membership.
     """
     if q1.discriminant() >= -4:
         raise ValueError("equivalence test requires discriminant < -4")
     g = transporter(q1, q2)
-    return g is not None and g[2] % level == 0
+    return g is not None and g[2] % 6 == 0
 
 
 def enumerate_qn(n: int) -> list[QuadForm]:

@@ -18,6 +18,7 @@ from .errors import NotNearIntegral
 from .evaluate import eval_P, eval_j
 from .precision import PrecisionConfig, run_adaptive
 from .quadforms import QuadForm, cm_point, conjugate_partners, enumerate_qn
+from .series import _pentagonal_exponents
 
 
 def _carried_bits(values) -> int:
@@ -80,21 +81,9 @@ def pentagonal_pn(n: int) -> int:
         return 0
     while len(_pentagonal_cache) <= n:
         m = len(_pentagonal_cache)
-        total = 0
-        k = 1
-        while True:
-            g1 = m - k * (3 * k - 1) // 2
-            g2 = m - k * (3 * k + 1) // 2
-            if g1 < 0 and g2 < 0:
-                break
-            term = 0
-            if g1 >= 0:
-                term += _pentagonal_cache[g1]
-            if g2 >= 0:
-                term += _pentagonal_cache[g2]
-            total += term if k % 2 else -term
-            k += 1
-        _pentagonal_cache.append(total)
+        # prod (1 - q^k) * sum p(m) q^m = 1
+        _pentagonal_cache.append(-sum(s * _pentagonal_cache[m - e]
+                                      for e, s in _pentagonal_exponents(m + 1)))
     return _pentagonal_cache[n]
 
 
@@ -113,9 +102,8 @@ class OrbitRecord:
     achieved_bits: int
     sharpness_divisor: int
 
-    def to_json_dict(self, digits: int | None = None) -> dict:
-        if digits is None:
-            digits = max(30, int(self.achieved_bits * 0.30103))
+    def to_json_dict(self) -> dict:
+        digits = max(30, int(self.achieved_bits * 0.30103))
         return {
             "n": self.n,
             "discriminant": self.d,
@@ -194,17 +182,11 @@ def compute_pn(n: int, cfg: PrecisionConfig | None = None) -> OrbitRecord:
         sharpness_divisor=scale)
 
 
-def norm_6unit_check(values, label: str, tol=None):
-    """Round the product of a full Galois-stable multiset to an integer and
-    report whether it is coprime to 6.  Returns (norm, coprime_to_6)."""
-    if tol is None:
-        tol = PrecisionConfig().abs_tol
-    with mpmath.workprec(_carried_bits(values) + 32):
-        prod = mpc(1)
-        for v in values:
-            prod *= mpc(v)
+def norm_6unit_check(value, label: str, tol):
+    """Round a norm (the product over a full Galois-stable multiset) to an
+    integer and report whether it is coprime to 6: (norm, coprime_to_6)."""
     try:
-        (norm,), _ = round_to_integers([prod], tol)
+        (norm,), _ = round_to_integers([value], tol)
     except NotNearIntegral as exc:
         raise NotNearIntegral(f"{label}: {exc}", residual=exc.residual) from None
     return norm, math.gcd(norm, 6) == 1
@@ -227,5 +209,5 @@ def j_norm(n: int, cfg: PrecisionConfig | None = None):
         return prod
 
     prod, achieved = run_adaptive(task, cfg)
-    norm, coprime = norm_6unit_check([prod], f"j-norm(n={n})", cfg.abs_tol)
+    norm, coprime = norm_6unit_check(prod, f"j-norm(n={n})", cfg.abs_tol)
     return norm, coprime, achieved

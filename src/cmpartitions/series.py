@@ -62,10 +62,6 @@ class FormalSeries:
     def constant(cls, value, order: int) -> "FormalSeries":
         return cls(0, [value], order)
 
-    @classmethod
-    def monomial(cls, exponent: int, order: int, value=1) -> "FormalSeries":
-        return cls(exponent, [value], order)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -217,21 +213,6 @@ class FormalSeries:
         return f"FormalSeries({shown}{more} + O(q^{self.order}))"
 
 
-@dataclass(frozen=True)
-class EtaQuotientDescriptor:
-    """prefactor * prod eta(d z)^e over the listed (d, e) factors.
-
-    The fractional power sum(d*e)/24 is tracked explicitly; a series expansion
-    exists only when it is an integer.
-    """
-
-    factors: tuple[tuple[int, int], ...]
-    prefactor: Fraction = Fraction(1)
-
-    def weight_shift_numerator(self) -> int:
-        return sum(d * e for d, e in self.factors)
-
-
 def _divisor_power_sums(k: int, n: int) -> list[int]:
     """sigma_k(m) for m = 0..n (index 0 unused) via a divisor sieve."""
     sig = [0] * (n + 1)
@@ -286,9 +267,10 @@ def euler_product_series(order: int) -> FormalSeries:
     return FormalSeries(0, coeffs, order)
 
 
-def eta_quotient_series(desc: EtaQuotientDescriptor, order: int) -> FormalSeries:
-    """Exact expansion of an eta quotient whose weight shift sum(d*e)/24 is integral."""
-    num = desc.weight_shift_numerator()
+def eta_quotient_series(factors, order: int) -> FormalSeries:
+    """Exact expansion of prod eta(d z)^e over the (d, e) factors; the
+    q-power sum(d*e)/24 in front must be an integer."""
+    num = sum(d * e for d, e in factors)
     if num % 24 != 0:
         raise FractionalPower(f"weight-shift exponent {num}/24 is not an integer")
     shift = num // 24
@@ -296,10 +278,9 @@ def eta_quotient_series(desc: EtaQuotientDescriptor, order: int) -> FormalSeries
     if unit_order < 1:
         raise ValueError("order too small for this eta quotient")
     result = FormalSeries.constant(1, unit_order)
-    for d, e in desc.factors:
+    for d, e in factors:
         p = euler_product_series(unit_order).rescale_exponents(d).truncate(unit_order)
         result = result * (p ** e)
-    result = result * desc.prefactor
     return FormalSeries(result.start + shift, result.coeffs, result.order + shift)
 
 
@@ -322,13 +303,13 @@ def fp_series(order: int) -> FormalSeries:
     for d, c in FP_E2_COMBINATION:
         num = num + e2.rescale_exponents(d).truncate(margin) * c
     num = num * FP_PREFACTOR
-    den = eta_quotient_series(EtaQuotientDescriptor(FP_ETA_FACTORS), margin)
+    den = eta_quotient_series(FP_ETA_FACTORS, margin)
     return (num * den.inverse()).truncate(order)
 
 
 def delta_series(order: int) -> FormalSeries:
     """The discriminant cusp form as eta(z)^24, exact integer coefficients."""
-    return eta_quotient_series(EtaQuotientDescriptor(((1, 24),)), order)
+    return eta_quotient_series(((1, 24),), order)
 
 
 def j_series(order: int) -> FormalSeries:

@@ -288,6 +288,34 @@ class TestCache:
         assert code == 0
         assert not os.path.exists(path)
 
+    @pytest.mark.parametrize("content", [
+        {"version": 1, "entries": []},
+        {"version": 1, "entries": [], "metadata": []},
+    ], ids=["without_metadata", "metadata_not_dict"])
+    def test_file_without_metadata_is_used(self, capsys, tmp_path, content):
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps(content))
+        code, out, err = run_cli(capsys, "pn", "--n", "1",
+                                 "--cache-path", str(path))
+        assert (code, out, err) == (0, "1\n", "")
+        entries = json.loads(path.read_text())["entries"]
+        assert [(e["n"], e["pn"]) for e in entries] == [(1, "1")]
+
+    def test_failed_write_warns(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        path = str(blocker / "cache.json")
+        code, out, err = run_cli(capsys, "pn", "--n", "1", "--cache-path", path)
+        assert (code, out) == (0, "1\n")
+        assert err.count("\n") == 1 and path in err
+
+    def test_clear_directory_is_an_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "cache", "clear",
+                                 "--cache-path", str(tmp_path))
+        assert (code, out) == (4, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert tmp_path.is_dir()
+
     def test_env_var_default(self, capsys, tmp_path, monkeypatch):
         path = str(tmp_path / "env-cache.json")
         monkeypatch.setenv(cli.CACHE_ENV_VAR, path)
@@ -317,6 +345,23 @@ class TestReport:
         _, out1, _ = run_cli(capsys, *base, "--threads", "1")
         _, out2, _ = run_cli(capsys, *base, "--threads", "2")
         assert out1 == out2
+
+    def test_blocks_run_on_the_callers_config(self, monkeypatch):
+        seen = []
+
+        class Stop(Exception):
+            pass
+
+        def record(n, cfg):
+            seen.append(cfg)
+            raise Stop
+
+        monkeypatch.setattr(cli, "_record_entry", record)
+        cfg = PrecisionConfig(256, 4096)
+        with pytest.raises(Stop):
+            cli.report_bundle(1, cfg, threads=1, hypothesis_order=2,
+                              cached_entries={})
+        assert seen == [cfg] and seen[0].abs_tol == mpf(2) ** -128
 
     def test_cache_reuse_identical_output(self, capsys, tmp_path):
         path = str(tmp_path / "cache.json")

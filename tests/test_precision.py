@@ -37,8 +37,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             PrecisionConfig(512, 256)
         with pytest.raises(ValueError):
-            PrecisionConfig(guard_bits=8)
-        with pytest.raises(ValueError):
             PrecisionConfig(working_bits=0)
 
 

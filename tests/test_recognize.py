@@ -77,6 +77,15 @@ class TestPentagonal:
     def test_p100(self):
         assert pentagonal_pn(100) == 190569292
 
+    def test_against_part_by_part_count_through_200(self):
+        # counts[m] after each part: partitions of m into parts <= part;
+        # shares no code with the pentagonal generator
+        counts = [1] + [0] * 200
+        for part in range(1, 201):
+            for m in range(part, 201):
+                counts[m] += counts[m - part]
+        assert [pentagonal_pn(n) for n in range(201)] == counts
+
     def test_negative(self):
         assert pentagonal_pn(-3) == 0
 
@@ -199,7 +208,7 @@ class TestSharpness:
 
 class TestNorms:
     def test_two_is_not_coprime(self):
-        norm, coprime = norm_6unit_check([mpc(2)], "toy", mpf("1e-10"))
+        norm, coprime = norm_6unit_check(mpc(2), "toy", mpf("1e-10"))
         assert (norm, coprime) == (2, False)
 
     def test_j_norm_n1_class_polynomial_constant(self, cfg256):
@@ -222,4 +231,4 @@ class TestNorms:
 
     def test_norm_not_near_integer(self):
         with pytest.raises(NotNearIntegral):
-            norm_6unit_check([mpc(mpf("2.5"))], "toy", mpf("1e-10"))
+            norm_6unit_check(mpc(mpf("2.5")), "toy", mpf("1e-10"))

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from cmpartitions.errors import FractionalPower, ZeroLeadingCoefficient
-from cmpartitions.series import (EtaQuotientDescriptor, FormalSeries,
-                                 delta_series, eisenstein_series,
-                                 eta_quotient_series, euler_product_series,
-                                 fp_series, hypothesis_check, j_series)
+from cmpartitions.series import (FormalSeries, delta_series,
+                                 eisenstein_series, eta_quotient_series,
+                                 euler_product_series, fp_series,
+                                 hypothesis_check, j_series)
 
 
 def sigma(n, k):
@@ -136,13 +136,12 @@ class TestEtaQuotients:
         assert all(delta.coeff(k) == oracle.coeff(k) for k in range(1, order - 1))
 
     def test_fp_denominator_starts_at_one(self):
-        den = eta_quotient_series(
-            EtaQuotientDescriptor(((1, 2), (2, 2), (3, 2), (6, 2))), 6)
+        den = eta_quotient_series(((1, 2), (2, 2), (3, 2), (6, 2)), 6)
         assert den.start == 1
 
     def test_fractional_power_rejected(self):
         with pytest.raises(FractionalPower):
-            eta_quotient_series(EtaQuotientDescriptor(((1, 1),)), 6)
+            eta_quotient_series(((1, 1),), 6)
 
     def test_euler_product_signs(self):
         p = euler_product_series(13)
@@ -165,7 +164,7 @@ class TestNamedSeries:
 
     def test_eta24_equals_delta(self):
         order = 100
-        lhs = eta_quotient_series(EtaQuotientDescriptor(((1, 24),)), order)
+        lhs = eta_quotient_series(((1, 24),), order)
         e4 = eisenstein_series(4, order)
         e6 = eisenstein_series(6, order)
         rhs = (e4 ** 3 - e6 ** 2) * Fraction(1, 1728)
