@@ -14,7 +14,8 @@ from .errors import (CMPartitionsError, FractionalPower,
                      ZeroLeadingCoefficient)
 from .evaluate import (ALCheck, atkin_lehner_check, eval_A, eval_Aprime,
                        eval_B, eval_C, eval_eisenstein, eval_eta, eval_form,
-                       eval_j, eval_P, eval_theta_form, eval_theta_j)
+                       eval_j, eval_P, eval_P_cm, eval_theta_form,
+                       eval_theta_j)
 from .modpoly import (MatrixClass, TaylorData, beta_norm, beta_product,
                       class_count, fixing_class, hnf_classes,
                       is_special_candidate, masser_c, taylor_coeffs,

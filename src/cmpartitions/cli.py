@@ -166,7 +166,7 @@ def _config(args) -> PrecisionConfig:
     return PrecisionConfig(args.precision_bits, max_bits, abs_tol=args.tol)
 
 
-def _nstr(x, digits: int = 40) -> str:
+def _nstr(x, digits: int) -> str:
     return mpmath.nstr(mpf(x), digits)
 
 
@@ -201,8 +201,9 @@ def _is_record(entry) -> bool:
 
 
 def _load_cache(path: str):
-    """(cache dict, warning or None); a broken or mismatched file is bypassed,
-    never migrated."""
+    """(cache dict, warning or None); the dict keeps the version and entries
+    alone, so other top-level keys are not written back.  A broken or
+    mismatched file is bypassed, never migrated."""
     empty = {"version": CACHE_VERSION, "entries": []}
     if not os.path.exists(path):
         return empty, None
@@ -214,7 +215,7 @@ def _load_cache(path: str):
         entries = data.get("entries")
         if not isinstance(entries, list) or not all(map(_is_record, entries)):
             return empty, f"malformed cache in {path}; ignoring"
-        return data, None
+        return {"version": CACHE_VERSION, "entries": entries}, None
     except (OSError, json.JSONDecodeError) as exc:
         return empty, f"unreadable cache {path}: {exc}"
 
@@ -232,11 +233,21 @@ def _save_cache(cache: dict, path: str):
             handle.write("\n")
         os.replace(tmp, path)
     except OSError as exc:
-        return f"cannot write cache {path}: {exc.strerror}"
+        return f"cannot write cache {path}: {_write_failure(directory, exc)}"
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
     return None
+
+
+def _write_failure(directory: str, exc: OSError) -> str:
+    """The cause of a failed cache write: the nearest existing ancestor of
+    the directory when it is not a directory (``os.makedirs`` only says
+    "File exists" then), else the error's own text."""
+    parent = os.path.abspath(directory)
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    return exc.strerror if os.path.isdir(parent) else f"{parent} is not a directory"
 
 
 def _cache_lookup(cache: dict, n: int, working_bits: int):
@@ -310,7 +321,7 @@ def _cmd_forms(args) -> int:
     for form in enumerate_qn(args.n):
         alpha = cm_point(form, cfg)
         rows.append({"a": form.a, "b": form.b, "c": form.c,
-                     "im_alpha": _nstr(mpmath.im(alpha.embed))})
+                     "im_alpha": _nstr(mpmath.im(alpha.embed), 40)})
     print(json.dumps(rows, sort_keys=True, indent=2))
     return EXIT_OK
 

@@ -2,12 +2,13 @@
 weight -2 / weight 0 pair (F, P) with its A + B*C split, at arbitrary points
 of the upper half-plane.
 
-Every point evaluation routes through one reduction (_reduce) into the
-standard fundamental domain, where one sparse kernel gives eta, E2, E4 and E6
-together: a single exponential r = exp(pi i w) = q^(1/2), one table of its
-powers at the pentagonal and theta exponents (on fixed-point Python ints), eta
-and E2 from the pentagonal sum (E2 via theta(log eta) = E2/24) and E4, E6
-from the theta constants.  Values are transported back in one step by the
+Every point is reduced into the standard fundamental domain (numerically by
+_reduce, or, at the CM points of eval_P_cm, exactly through the reduction of
+their forms), where one sparse kernel gives eta, E2, E4 and E6 together: a
+single exponential r = exp(pi i w) = q^(1/2), one table of its powers at the
+pentagonal and theta exponents (on fixed-point Python ints), eta and E2 from
+the pentagonal sum (E2 via theta(log eta) = E2/24) and E4, E6 from the theta
+constants.  Values are transported back in one step (_transport) by the
 reducing matrix: the automorphy factor cz + d, the quasimodular E2 shift and
 the eta multiplier from Rademacher's Dedekind-sum formula.  Derivatives are
 analytic, via theta(E2) = (E2^2 - E4)/12 and theta(log eta) = E2/24 -
@@ -26,6 +27,7 @@ from mpmath.libmp import from_man_exp, to_fixed
 
 from .errors import NearSingularity, NotUpperHalfPlane
 from .precision import PrecisionConfig
+from .quadforms import QuadForm, reduce_with_matrix
 from .series import (FP_E2_COMBINATION, FP_ETA_FACTORS, FP_PREFACTOR,
                      _pentagonal_exponents)
 
@@ -51,10 +53,13 @@ def _reduce(z: mpc):
             z = -1 / z
             a, b, c, d = -c, -d, a, b
         else:
-            if c < 0 or (c == 0 and d < 0):
-                a, b, c, d = -a, -b, -c, -d
-            return z, (a, b, c, d)
+            return z, _normalised((a, b, c, d))
     raise RuntimeError("fundamental domain reduction did not terminate")
+
+
+def _normalised(m):
+    """The sign of the matrix m that has c > 0, or c = 0 and d > 0."""
+    return m if m[2] > 0 or (m[2] == 0 and m[3] > 0) else tuple(-x for x in m)
 
 
 def _dedekind_sum(h: int, k: int) -> Fraction:
@@ -244,29 +249,39 @@ def _j_from_eta(z: mpc, bits: int) -> mpc:
     return _j_reduced(_reduce(z)[0], bits)
 
 
-def _basics(z: mpc, bits: int) -> dict:
-    """eta, E2, E4 and E6 at z, carried back from w = g z, g = (a, b, c, d),
-    by the automorphy factors of g alone:
+def _transport(vals: dict, z: mpc, m) -> dict:
+    """eta, E2, E4 and E6 at z from their values vals at w = m z,
+    m = (a, b, c, d), by the automorphy factors of m alone:
 
         E4(z) = E4(w)/(cz + d)^4,   E6(z) = E6(w)/(cz + d)^6,
         E2(z) = (E2(w) + 6ic(cz + d)/pi)/(cz + d)^2,
         eta(z) = exp(-pi i k/12) eta(w)/sqrt(-i(cz + d)),
 
     with Rademacher's integer k = (a + d)/c - 12 s(d, c).  A translation
-    (c = 0) has k = b and leaves all but the root of unity out.
+    (c = 0) has k = b and leaves all but the root of unity out.  One
+    reciprocal r of cz + d serves every factor (1/sqrt(-i(cz + d)) =
+    sqrt(i r), both arguments having positive real part), and the root of
+    unity is skipped when k = 0 (mod 24).  vals is left as it is.
     """
-    w, (a, b, c, d) = _reduce(z)
-    vals = _reduced_basics(w, bits)
+    a, b, c, d = m
     k = int(Fraction(a + d, c) - 12 * _dedekind_sum(d, c)) if c else b
-    vals["eta"] *= mpmath.expjpi(mpf(-k % 24) / 12)
-    if c:
-        cz_d = c * mpc(z) + d
-        cz_d2 = cz_d * cz_d
-        vals["eta"] /= mpmath.sqrt(mpc(0, -1) * cz_d)
-        vals["e2"] = (vals["e2"] + 6j * c * cz_d / mpmath.pi) / cz_d2
-        vals["e4"] /= cz_d2 * cz_d2
-        vals["e6"] /= cz_d2 * cz_d2 * cz_d2
-    return vals
+    eta = vals["eta"]
+    if k % 24:
+        eta = eta * mpmath.expjpi(mpf(-k % 24) / 12)
+    if not c:
+        return dict(vals, eta=eta)
+    r = 1 / (c * mpc(z) + d)
+    r2 = r * r
+    return {"eta": eta * mpmath.sqrt(mpc(0, 1) * r),
+            "e2": vals["e2"] * r2 + 6j * c * r / mpmath.pi,
+            "e4": vals["e4"] * r2 * r2,
+            "e6": vals["e6"] * r2 * r2 * r2}
+
+
+def _basics(z: mpc, bits: int) -> dict:
+    """eta, E2, E4 and E6 at z, from the kernel at the reduced point."""
+    w, m = _reduce(z)
+    return _transport(_reduced_basics(w, bits), z, m)
 
 
 def _j_of(v: dict) -> mpc:
@@ -303,12 +318,10 @@ def eval_theta_j(z: mpc, cfg: PrecisionConfig) -> mpc:
     return _j_and_theta_j(z, cfg)[1]
 
 
-def _form_and_theta(z: mpc, bits: int):
-    """(F(z), thetaF(z), basics at z) for the form F of series.fp_series,
-    from the basics at z, 2z, 3z and 6z, exactly by the chain rule:
-    theta f(dz) = d * (theta f)(dz), theta E2 = (E2^2 - E4)/12,
-    theta log eta = E2/24."""
-    at = {d: _basics(d * z, bits) for d, _ in FP_ETA_FACTORS}
+def _combine(at: dict):
+    """(F, thetaF) at z from the basics at[d] at d z, d = 1, 2, 3, 6, exactly
+    by the chain rule: theta f(dz) = d * (theta f)(dz),
+    theta E2 = (E2^2 - E4)/12, theta log eta = E2/24."""
     num = mpc(0)
     theta_num = mpc(0)
     for d, c in FP_E2_COMBINATION:
@@ -321,9 +334,14 @@ def _form_and_theta(z: mpc, bits: int):
         den *= _ipow(at[d]["eta"], e)
         theta_log_den += e * d * at[d]["e2"] / 24
     pre = mpf(FP_PREFACTOR.numerator) / FP_PREFACTOR.denominator
-    f = pre * num / den
-    theta_f = pre * (theta_num - num * theta_log_den) / den
-    return f, theta_f, at[1]
+    return pre * num / den, pre * (theta_num - num * theta_log_den) / den
+
+
+def _form_and_theta(z: mpc, bits: int):
+    """(F(z), thetaF(z), basics at z) for the form F of series.fp_series,
+    from the basics at z, 2z, 3z and 6z."""
+    at = {d: _basics(d * z, bits) for d, _ in FP_ETA_FACTORS}
+    return (*_combine(at), at[1])
 
 
 def eval_form(z: mpc, cfg: PrecisionConfig) -> mpc:
@@ -345,6 +363,45 @@ def eval_P(z: mpc, cfg: PrecisionConfig) -> mpc:
     with mpmath.workprec(cfg.eval_bits):
         f, theta_f, _ = _form_and_theta(z, cfg.eval_bits)
         return _p_of(f, theta_f, z)
+
+
+def _root(form: QuadForm) -> mpc:
+    """The root (-b + sqrt(D))/(2a) of form(x, 1) in the upper half-plane,
+    under the ambient precision."""
+    return mpc(-form.b, mpmath.sqrt(-form.discriminant())) / (2 * form.a)
+
+
+def eval_P_cm(forms, cfg: PrecisionConfig) -> list:
+    """P at the CM points alpha of forms [a, b, c] with 6 | a, with one
+    kernel call per SL2(Z) class.
+
+    d alpha (d = 1, 2, 3, 6) is the CM point of [a/d, b, dc], of the same
+    discriminant.  reduce_with_matrix gives its reduced form R and g with
+    [a/d, b, dc] g = R, so R's root is g^-1 (d alpha): the kernel runs once
+    per R, at its root, and _transport carries the value by g^-1.  The
+    mirror [a, -b, c] of R, when reduced and distinct, takes the exact
+    conjugate (its root is -conj of R's; eta, E2, E4 and E6 have real
+    coefficients).  The table lives for one call.
+    """
+    bits = cfg.eval_bits
+    table = {}
+    values = []
+    with mpmath.workprec(bits):
+        for form in forms:
+            if form.a % 6:
+                raise ValueError(f"form {form} has 6 not dividing a")
+            at = {}
+            for d, _ in FP_ETA_FACTORS:
+                point = QuadForm(form.a // d, form.b, d * form.c)
+                red, (p, q, r, s) = reduce_with_matrix(point)
+                if red not in table:
+                    table[red] = _reduced_basics(_root(red), bits)
+                    mirror = QuadForm(red.a, -red.b, red.c)
+                    if mirror != red and mirror.is_reduced():
+                        table[mirror] = {k: mpmath.conj(v) for k, v in table[red].items()}
+                at[d] = _transport(table[red], _root(point), _normalised((s, -q, -r, p)))
+            values.append(_p_of(*_combine(at), _root(form)))
+    return values
 
 
 def _guarded_j(v: dict, cfg: PrecisionConfig) -> mpc:

@@ -320,7 +320,7 @@ def _lstsq(rows, rhs, bits: int):
         return list(mpmath.lu_solve(at * a, at * b))
 
 
-def beta_norm(n: int, cfg: PrecisionConfig | None = None):
+def beta_norm(n: int, cfg: PrecisionConfig):
     """Product of beta over the primitive class representatives for n,
     rounded to an integer, with the coprime-to-6 flag.
 
@@ -329,8 +329,6 @@ def beta_norm(n: int, cfg: PrecisionConfig | None = None):
     with that many bits added on top, doubling only the excess, so agreement
     to abs_tol is reached without a full doubling of a 30000-bit run.
     """
-    if cfg is None:
-        cfg = PrecisionConfig()
     # only primitive forms have a fixing class of determinant 24n - 1
     forms = [f for f in enumerate_qn(n) if f.content() == 1]
     classes = hnf_classes(24 * n - 1)

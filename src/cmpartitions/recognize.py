@@ -15,7 +15,7 @@ import mpmath
 from mpmath import mpc, mpf
 
 from .errors import NotNearIntegral
-from .evaluate import eval_P, eval_j
+from .evaluate import eval_j, eval_P_cm
 from .precision import PrecisionConfig, run_adaptive
 from .quadforms import QuadForm, cm_point, conjugate_partners, enumerate_qn
 from .series import _pentagonal_exponents
@@ -133,7 +133,7 @@ def sharpness_divisor(p_values, n: int, tol) -> int:
     return scale
 
 
-def compute_pn(n: int, cfg: PrecisionConfig | None = None) -> OrbitRecord:
+def compute_pn(n: int, cfg: PrecisionConfig) -> OrbitRecord:
     """Assemble the full orbit record for n under the adaptive ladder.
 
     The per-point values and the scaled orbit polynomial must stabilize
@@ -142,29 +142,26 @@ def compute_pn(n: int, cfg: PrecisionConfig | None = None) -> OrbitRecord:
     the rounded polynomial exactly, and the full scale 24n - 1 is the
     sharpness divisor (``sharpness_divisor``) it has just confirmed.
 
-    P is evaluated once per conjugate pair of CM points.  The partner of
-    [a, b, c] is the class of [6c, b, a/6] (``conjugate_partners``), whose CM
-    point is 1/(6 conj alpha): complex conjugation followed by W6.  P has real
+    P is evaluated once per conjugate pair of CM points, in one
+    ``eval_P_cm`` call per rung.  The partner of [a, b, c] is the class of
+    [6c, b, a/6] (``conjugate_partners``), whose CM point is
+    1/(6 conj alpha): complex conjugation followed by W6.  P has real
     Fourier coefficients and W6 sign +1, so the partner's value is exactly
     conj P(alpha), taken at the rung's precision.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if cfg is None:
-        cfg = PrecisionConfig()
     forms = enumerate_qn(n)
     partners = conjugate_partners(forms)
+    firsts = [i for i, k in enumerate(partners) if k >= i]
     scale = 24 * n - 1
 
     def task(bits):
         sub = cfg.with_bits(bits)
-        ps = []
-        for i, (f, k) in enumerate(zip(forms, partners)):
-            if k < i:
-                with mpmath.workprec(sub.eval_bits):
-                    ps.append(mpmath.conj(ps[k]))
-            else:
-                ps.append(eval_P(cm_point(f, sub).embed, sub))
+        own = dict(zip(firsts, eval_P_cm([forms[i] for i in firsts], sub)))
+        with mpmath.workprec(sub.eval_bits):
+            ps = [own[i] if k >= i else mpmath.conj(own[k])
+                  for i, k in enumerate(partners)]
         return {"p_values": ps, "poly": orbit_product(ps, scale)}
 
     result, achieved = run_adaptive(task, cfg)
@@ -192,11 +189,9 @@ def norm_6unit_check(value, label: str, tol):
     return norm, math.gcd(norm, 6) == 1
 
 
-def j_norm(n: int, cfg: PrecisionConfig | None = None):
+def j_norm(n: int, cfg: PrecisionConfig):
     """Product of j over the class representatives for n, rounded, with the
     coprimality-to-6 flag; runs under the adaptive ladder."""
-    if cfg is None:
-        cfg = PrecisionConfig()
     forms = enumerate_qn(n)
 
     def task(bits):

@@ -1,6 +1,7 @@
 import json
 import os
 import sys
+from collections import Counter
 
 import mpmath
 import pytest
@@ -126,7 +127,8 @@ class TestBasicCommands:
 
 class TestKernelCounts:
     """One evaluation per point: four basics (at z, 2z, 3z, 6z) give P, A, B,
-    C and j, and one gives j and theta j."""
+    C and j, and one gives j and theta j.  pn makes one kernel call per
+    SL2(Z) class per rung."""
 
     @pytest.fixture
     def basics_calls(self, monkeypatch):
@@ -169,6 +171,25 @@ class TestKernelCounts:
         assert code == 0
         assert json.loads(out)["points"] == 2
         assert len(basics_calls) == 48 * 2
+
+    @pytest.mark.parametrize("n, classes", [(1, 2), (2, 3), (30, 16)])
+    def test_pn_one_kernel_call_per_class_per_rung(self, capsys, monkeypatch,
+                                                   n, classes):
+        # the evaluated forms' points at alpha, 2 alpha, 3 alpha and 6 alpha
+        # meet this many SL2(Z) classes, counting a class and its mirror once
+        original = evaluate._reduced_basics
+        bits = []
+
+        def counting(w, b):
+            bits.append(b)
+            return original(w, b)
+
+        monkeypatch.setattr(evaluate, "_reduced_basics", counting)
+        code, _, _ = run_cli(capsys, "pn", "--n", str(n), "--no-cache")
+        assert code == 0
+        per_rung = Counter(bits)
+        assert len(per_rung) >= 2
+        assert set(per_rung.values()) == {classes}
 
 
 class TestVerification:
@@ -307,7 +328,15 @@ class TestCache:
         path = str(blocker / "cache.json")
         code, out, err = run_cli(capsys, "pn", "--n", "1", "--cache-path", path)
         assert (code, out) == (0, "1\n")
-        assert err.count("\n") == 1 and path in err
+        assert err == f"cannot write cache {path}: {blocker} is not a directory\n"
+
+    def test_stale_top_level_keys_dropped(self, capsys, tmp_path):
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps({"version": 1, "entries": [],
+                                    "metadata": {"created": 0}}))
+        code, out, _ = run_cli(capsys, "pn", "--n", "1", "--cache-path", str(path))
+        assert (code, out) == (0, "1\n")
+        assert sorted(json.loads(path.read_text())) == ["entries", "version"]
 
     def test_clear_directory_is_an_error(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "cache", "clear",

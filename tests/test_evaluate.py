@@ -9,10 +9,10 @@ from cmpartitions.evaluate import (_j_reduced, _nterms, _reduce,
                                    _reduced_basics, al_deviation,
                                    atkin_lehner_check, eval_A, eval_Aprime,
                                    eval_B, eval_C, eval_eisenstein, eval_eta,
-                                   eval_form, eval_j, eval_P, eval_theta_form,
-                                   eval_theta_j)
+                                   eval_form, eval_j, eval_P, eval_P_cm,
+                                   eval_theta_form, eval_theta_j)
 from cmpartitions.precision import PrecisionConfig
-from cmpartitions.quadforms import cm_point, enumerate_qn
+from cmpartitions.quadforms import QuadForm, cm_point, enumerate_qn
 from cmpartitions.series import eisenstein_series, fp_series
 
 
@@ -299,6 +299,34 @@ class TestFormAndP:
             v_lo = eval_P(alpha_lo, lo)
             v_hi = eval_P(alpha_hi, hi)
             assert abs(v_lo - v_hi) < mpf(2) ** (-lo.working_bits + lo.guard_bits + 8)
+
+
+class TestCMValues:
+    """eval_P_cm (exact reduction, one kernel call per class, mirror classes
+    by conjugation) against the generic eval_P at each CM point."""
+
+    # n = 1..30, the first n whose 24n - 1 is not squarefree beyond 24, and
+    # five n in 31..60 drawn with a fixed seed
+    SAMPLE = [*range(1, 31), 47, 49,
+              *sorted(random.Random(1987).sample(range(31, 61), 5))]
+
+    @pytest.mark.parametrize("bits", [256, 1024])
+    def test_matches_generic_eval_P(self, bits):
+        assert self.SAMPLE[32:] == [35, 46, 50, 52, 58]
+        cfg = PrecisionConfig(bits)
+        tol = mpf(2) ** -cfg.working_bits
+        for n in self.SAMPLE:
+            forms = enumerate_qn(n)
+            values = eval_P_cm(forms, cfg)
+            assert len(values) == len(forms)
+            with mpmath.workprec(cfg.eval_bits):
+                for form, value in zip(forms, values):
+                    generic = eval_P(cm_point(form, cfg).embed, cfg)
+                    assert abs(value - generic) < tol * abs(generic), (n, form)
+
+    def test_rejects_a_not_divisible_by_6(self, cfg256):
+        with pytest.raises(ValueError):
+            eval_P_cm([QuadForm(1, 1, 6)], cfg256)
 
 
 class TestDecomposition:

@@ -6,7 +6,7 @@ from mpmath import mpc, mpf
 
 from cmpartitions import recognize
 from cmpartitions.errors import NotNearIntegral
-from cmpartitions.evaluate import eval_P
+from cmpartitions.evaluate import eval_P, eval_P_cm
 from cmpartitions.quadforms import cm_point, conjugate_partners, enumerate_qn
 from cmpartitions.recognize import (compute_pn, j_norm, norm_6unit_check,
                                     orbit_product, pentagonal_pn,
@@ -181,10 +181,10 @@ class TestComputePn:
     def test_trace_not_divisible_raises(self, cfg256, monkeypatch):
         # P + 1/23 keeps prod(x - 23 P) integral (it shifts x by 1) but adds
         # 3 to its trace 23^2 p(1), so p(1) is not read off exactly
-        def shifted(z, cfg):
+        def shifted(forms, cfg):
             with mpmath.workprec(cfg.eval_bits):
-                return eval_P(z, cfg) + mpf(1) / 23
-        monkeypatch.setattr(recognize, "eval_P", shifted)
+                return [p + mpf(1) / 23 for p in eval_P_cm(forms, cfg)]
+        monkeypatch.setattr(recognize, "eval_P_cm", shifted)
         with pytest.raises(NotNearIntegral):
             compute_pn(1, cfg256)
 
