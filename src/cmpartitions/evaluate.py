@@ -3,8 +3,9 @@ weight -2 / weight 0 pair (F, P) with its A + B*C split, at arbitrary points
 of the upper half-plane.
 
 Every point is reduced into the standard fundamental domain (numerically by
-_reduce, or, at the CM points of eval_P_cm, exactly through the reduction of
-their forms), where one sparse kernel gives eta, E2, E4 and E6 together: a
+_reduce, or, at CM points given by their forms, exactly through the reduction
+of the forms, with one kernel call per class in a _ClassTable), where one
+sparse kernel gives eta, E2, E4 and E6 together: a
 single exponential r = exp(pi i w) = q^(1/2), one table of its powers at the
 pentagonal and theta exponents (on fixed-point Python ints), eta and E2 from
 the pentagonal sum (E2 via theta(log eta) = E2/24) and E4, E6 from the theta
@@ -25,7 +26,7 @@ import mpmath
 from mpmath import mpc, mpf
 from mpmath.libmp import from_man_exp, to_fixed
 
-from .errors import NearSingularity, NotUpperHalfPlane
+from .errors import NearSingularity, NotUpperHalfPlane, PrecisionExhausted
 from .precision import PrecisionConfig
 from .quadforms import QuadForm, reduce_with_matrix
 from .series import (FP_E2_COMBINATION, FP_ETA_FACTORS, FP_PREFACTOR,
@@ -97,9 +98,16 @@ def _ipow(x: mpc, n: int) -> mpc:
     return result
 
 
-# Guard bits of the fixed-point kernels below; the budget is in
-# _reduced_basics.
+# Guard bits of the fixed-point kernels below, and the precision below which
+# their error budget (in _reduced_basics) holds.
 _GUARD = 32
+_BUDGET_BITS = 1 << 15
+
+
+def _check_budget(bits: int) -> None:
+    if bits >= _BUDGET_BITS:
+        raise PrecisionExhausted(f"{bits} bits asked of a kernel whose error budget "
+                                 f"holds below {_BUDGET_BITS} bits")
 
 
 def _fixed(z: mpc, prec: int) -> tuple[int, int]:
@@ -183,8 +191,10 @@ def _reduced_basics(w: mpc, bits: int) -> dict:
     (sum e) * 2^(-prec+2) < 2^(-prec+20), and the fourth powers, E4 and E6
     (all of modulus below 3) magnify the errors of the theta sums by less
     than 2^6.  After the factor 24 of E2, 32 guard bits keep eta, E2, E4
-    and E6 within 2^(-bits-8) of exact for bits < 2^15.
+    and E6 within 2^(-bits-8) of exact for bits < 2^15; a call at or above
+    that raises PrecisionExhausted.
     """
+    _check_budget(bits)
     n = _nterms(bits, mpmath.im(w))
     prec = bits + _GUARD
     with mpmath.workprec(prec):
@@ -227,8 +237,10 @@ def _j_reduced(w: mpc, bits: int) -> mpc:
     fixed point under the budget of _reduced_basics (|q| < 0.005 here).  u
     and j are formed in mpc at the guarded precision too: the 24th power
     and, near rho, the cancellation in u + 16 would otherwise cost up to
-    10 bits of the ambient precision.
+    10 bits of the ambient precision.  Like that budget, it is refused at
+    bits >= 2^15.
     """
+    _check_budget(bits)
     n = _nterms(bits, mpmath.im(w))
     prec = bits + _GUARD
     t1 = list(_pentagonal_exponents(n))
@@ -371,6 +383,26 @@ def _root(form: QuadForm) -> mpc:
     return mpc(-form.b, mpmath.sqrt(-form.discriminant())) / (2 * form.a)
 
 
+class _ClassTable(dict):
+    """Reduced form -> kernel(form), for the values at the forms' roots
+    within one precision.  A miss runs the kernel once and fills the mirror
+    [a, -b, c], when it is reduced and distinct, with the exact conjugate:
+    its root is -conj of the form's, and eta, E2, E4, E6 and j have real
+    Fourier coefficients."""
+
+    def __init__(self, kernel):
+        super().__init__()
+        self.kernel = kernel
+
+    def __missing__(self, red: QuadForm):
+        value = self[red] = self.kernel(red)
+        mirror = QuadForm(red.a, -red.b, red.c)
+        if mirror != red and mirror.is_reduced():
+            self[mirror] = ({k: mpmath.conj(v) for k, v in value.items()}
+                            if isinstance(value, dict) else mpmath.conj(value))
+        return value
+
+
 def eval_P_cm(forms, cfg: PrecisionConfig) -> list:
     """P at the CM points alpha of forms [a, b, c] with 6 | a, with one
     kernel call per SL2(Z) class.
@@ -378,15 +410,13 @@ def eval_P_cm(forms, cfg: PrecisionConfig) -> list:
     d alpha (d = 1, 2, 3, 6) is the CM point of [a/d, b, dc], of the same
     discriminant.  reduce_with_matrix gives its reduced form R and g with
     [a/d, b, dc] g = R, so R's root is g^-1 (d alpha): the kernel runs once
-    per R, at its root, and _transport carries the value by g^-1.  The
-    mirror [a, -b, c] of R, when reduced and distinct, takes the exact
-    conjugate (its root is -conj of R's; eta, E2, E4 and E6 have real
-    coefficients).  The table lives for one call.
+    per R (and its mirror) in a _ClassTable, at R's root, and _transport
+    carries the value by g^-1.  The table lives for one call.
     """
     bits = cfg.eval_bits
-    table = {}
     values = []
     with mpmath.workprec(bits):
+        table = _ClassTable(lambda red: _reduced_basics(_root(red), bits))
         for form in forms:
             if form.a % 6:
                 raise ValueError(f"form {form} has 6 not dividing a")
@@ -394,11 +424,6 @@ def eval_P_cm(forms, cfg: PrecisionConfig) -> list:
             for d, _ in FP_ETA_FACTORS:
                 point = QuadForm(form.a // d, form.b, d * form.c)
                 red, (p, q, r, s) = reduce_with_matrix(point)
-                if red not in table:
-                    table[red] = _reduced_basics(_root(red), bits)
-                    mirror = QuadForm(red.a, -red.b, red.c)
-                    if mirror != red and mirror.is_reduced():
-                        table[mirror] = {k: mpmath.conj(v) for k, v in table[red].items()}
                 at[d] = _transport(table[red], _root(point), _normalised((s, -q, -r, p)))
             values.append(_p_of(*_combine(at), _root(form)))
     return values

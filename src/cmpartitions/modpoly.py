@@ -18,9 +18,11 @@ import mpmath
 from mpmath import mpc, mpf
 
 from .errors import MultipleFixingClasses, NearSingularity, NoFixingClass
-from .evaluate import _j_and_theta_j, _j_from_eta, eval_j, eval_theta_j
+from .evaluate import (_ClassTable, _j_and_theta_j, _j_from_eta, _root, eval_j,
+                       eval_theta_j)
 from .precision import PrecisionConfig, run_adaptive
-from .quadforms import CMPoint, QuadFieldElem, cm_point, enumerate_qn
+from .quadforms import (CMPoint, QuadForm, cm_point, enumerate_qn,
+                        reduce_with_matrix)
 from .recognize import _carried_bits, norm_6unit_check
 
 
@@ -42,9 +44,6 @@ class MatrixClass:
     @property
     def determinant(self) -> int:
         return self.p * self.s
-
-    def apply_exact(self, alpha: QuadFieldElem) -> QuadFieldElem:
-        return alpha.moebius((self.p, self.q, 0, self.s))
 
 
 def hnf_classes(m: int) -> list[MatrixClass]:
@@ -91,105 +90,76 @@ def is_special_candidate(d: int) -> bool:
     return r * r == n // 3
 
 
-def _hnf_of(mat: tuple[int, int, int, int]) -> MatrixClass:
-    """Hermite normal form of an integer matrix with positive determinant,
-    under left multiplication by the modular group."""
-    a, b, c, d = mat
-    det = a * d - b * c
-    if det <= 0:
-        raise ValueError("determinant must be positive")
-    if c == 0:
-        g, x, y = abs(a), (1 if a > 0 else -1), 0
-    else:
-        g, x, y = _xgcd(a, c)
-    # bottom row of the reducing matrix kills the lower-left entry
-    u, v = -c // g, a // g
-    p, q = g, x * b + y * d
-    s = u * b + v * d  # positive: p = gcd > 0 and p*s = det > 0
-    q %= s
-    return MatrixClass(p, q, s)
+def _image_form(form: QuadForm, cl: MatrixClass) -> tuple[QuadForm, int]:
+    """(F, g): the primitive form F whose root is (p alpha + q)/s for alpha
+    the root of form [a, b, c], and the content g of
 
+        [a s^2, b p s - 2 a q s, a q^2 - b p q + c p^2],
 
-def _xgcd(a: int, b: int):
-    """(g, x, y) with g = gcd > 0 and x*a + y*b = g."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        k, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - k * x1
-        y0, y1 = y1, y0 - k * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
-def _fixing_matrices(alpha: CMPoint, m: int):
-    """All primitive integer matrices of determinant m fixing alpha exactly,
-    up to sign, parametrized by u with t^2 = 4m + u^2 D."""
-    a, b, c = alpha.form.a, alpha.form.b, alpha.form.c
-    d = alpha.discriminant
-    out = []
-    u = 0
-    while u * u * (-d) <= 4 * m:
-        t2 = 4 * m + u * u * d
-        t = math.isqrt(t2)
-        if t * t == t2:
-            for tt in {t, -t} if t else {0}:
-                if (tt - u * b) % 2:
-                    continue
-                mat = ((tt - u * b) // 2, -u * c, u * a, (tt + u * b) // 2)
-                if math.gcd(math.gcd(mat[0], mat[1]), math.gcd(mat[2], mat[3])) == 1:
-                    out.append(mat)
-        u += 1
-    return out
+    which is form(x, 1) at x = (s z - q)/p, times p^2.  F has discriminant
+    D m^2 / g^2 for form's D and m = p s."""
+    a, b, c = form.a, form.b, form.c
+    p, q, s = cl.p, cl.q, cl.s
+    coeffs = (a * s * s, (b * p - 2 * a * q) * s, a * q * q - b * p * q + c * p * p)
+    g = math.gcd(*coeffs)
+    return QuadForm(*(x // g for x in coeffs)), g
 
 
 def fixing_class(alpha: CMPoint, classes: list[MatrixClass]) -> MatrixClass:
     """The unique class whose orbit contains a matrix fixing alpha.
 
-    The fixing matrices are constructed exactly from the form coefficients
-    (no search), classified by Hermite normal form, and the fixed-point
-    property is verified in exact quadratic-field arithmetic.
+    A class M has such a matrix gamma M exactly when M alpha is SL2(Z)-
+    equivalent to alpha: when its image form has content m times alpha's
+    own (so the same discriminant) and the same reduced form as alpha's
+    primitive form.  Decided in integers, one image form per class.
     """
     if not classes:
         raise ValueError("empty class list")
     m = classes[0].determinant
-    found = set()
-    for mat in _fixing_matrices(alpha, m):
-        if alpha.exact.moebius(mat) == alpha.exact:
-            found.add(_hnf_of(mat))
+    form = alpha.form
+    f = form.content()
+    own = reduce_with_matrix(QuadForm(form.a // f, form.b // f, form.c // f))[0]
+    found = []
+    for cl in classes:
+        image, g = _image_form(form, cl)
+        if g == m * f and reduce_with_matrix(image)[0] == own:
+            found.append(cl)
     if not found:
         raise NoFixingClass(f"no determinant-{m} class fixes {alpha.form}")
     if len(found) > 1:
         raise MultipleFixingClasses(
             f"{alpha.form} is special: {len(found)} fixing classes")
-    rep = found.pop()
-    if rep not in classes:
-        raise NoFixingClass(f"fixing class {rep} missing from the class list")
-    return rep
+    return found[0]
 
 
-def _images(alpha: CMPoint, classes, cfg: PrecisionConfig):
-    """(fixing class, {class: class * alpha}) for every class: exact image
-    points embedded at working precision."""
+def _images(alpha: CMPoint, classes):
+    """(fixing class, {class: image form}) for every class."""
     return fixing_class(alpha, classes), {
-        cl: cl.apply_exact(alpha.exact).embed(cfg) for cl in classes}
+        cl: _image_form(alpha.form, cl)[0] for cl in classes}
 
 
-def beta_product(alpha: CMPoint, classes, cfg: PrecisionConfig) -> mpc:
+def _j_table(cfg: PrecisionConfig) -> _ClassTable:
+    """Reduced form -> j at its root, at cfg's evaluation precision; the
+    kernel runs through this module's _j_from_eta."""
+    return _ClassTable(lambda red: _j_from_eta(_root(red), cfg.eval_bits))
+
+
+def beta_product(alpha: CMPoint, classes, cfg: PrecisionConfig, table) -> mpc:
     """prod over non-fixing classes of (j(alpha) - j(class * alpha)).
 
-    j is evaluated along the eta-only route here: the norm products for
-    n = 3 already need >30000 working bits, where E4^3 / Delta from the
-    theta constants would take more products per point.
+    j is invariant under SL2(Z), so each value is read from table (a
+    _j_table at cfg's precision, shared by the forms of one rung) at the
+    reduced form of alpha's or the image's form.  j runs along the eta-only
+    route: the norm products for n = 3 already need >30000 working bits,
+    where E4^3 / Delta from the theta constants would take more products.
     """
-    fix, images = _images(alpha, classes, cfg)
+    fix, images = _images(alpha, classes)
     with mpmath.workprec(cfg.eval_bits):
-        j0 = _j_from_eta(alpha.embed, cfg.eval_bits)
+        j0 = table[reduce_with_matrix(alpha.form)[0]]
         prod = mpc(1)
-        for cl, point in images.items():
+        for cl, image in images.items():
             if cl != fix:
-                prod *= j0 - _j_from_eta(point, cfg.eval_bits)
+                prod *= j0 - table[reduce_with_matrix(image)[0]]
     return prod
 
 
@@ -225,7 +195,7 @@ def taylor_coeffs(alpha: CMPoint, classes, cfg: PrecisionConfig) -> TaylorData:
     """
     if len(classes) < 2:
         raise ValueError("need a non-trivial class list (determinant > 1)")
-    fix, images = _images(alpha, classes, cfg)
+    fix, images = _images(alpha, classes)
     j0, theta_j0 = _j_and_theta_j(alpha.embed, cfg)
     with mpmath.workprec(cfg.eval_bits):
         two_pi_i = 2j * mpmath.pi
@@ -236,7 +206,7 @@ def taylor_coeffs(alpha: CMPoint, classes, cfg: PrecisionConfig) -> TaylorData:
         inv_sum = mpc(0)
         deriv_sum = mpc(0)
         for cl in classes:
-            jk, theta_jk = _j_and_theta_j(images[cl], cfg)
+            jk, theta_jk = _j_and_theta_j(_root(images[cl]), cfg)
             fk_prime = (two_pi_i * theta_jk * cl.p) / cl.s
             if cl == fix:
                 ffix_prime = fk_prime
@@ -335,7 +305,8 @@ def beta_norm(n: int, cfg: PrecisionConfig):
 
     def product_at(bits):
         sub = cfg.with_bits(bits)
-        betas = [beta_product(cm_point(f, sub), classes, sub) for f in forms]
+        table = _j_table(sub)
+        betas = [beta_product(cm_point(f, sub), classes, sub, table) for f in forms]
         with mpmath.workprec(sub.eval_bits):
             prod = mpc(1)
             for v in betas:

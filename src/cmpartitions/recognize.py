@@ -15,9 +15,10 @@ import mpmath
 from mpmath import mpc, mpf
 
 from .errors import NotNearIntegral
-from .evaluate import eval_j, eval_P_cm
+from .evaluate import _ClassTable, _j_reduced, _root, eval_P_cm
 from .precision import PrecisionConfig, run_adaptive
-from .quadforms import QuadForm, cm_point, conjugate_partners, enumerate_qn
+from .quadforms import (QuadForm, conjugate_partners, enumerate_qn,
+                        reduce_with_matrix)
 from .series import _pentagonal_exponents
 
 
@@ -191,16 +192,18 @@ def norm_6unit_check(value, label: str, tol):
 
 def j_norm(n: int, cfg: PrecisionConfig):
     """Product of j over the class representatives for n, rounded, with the
-    coprimality-to-6 flag; runs under the adaptive ladder."""
-    forms = enumerate_qn(n)
+    coprimality-to-6 flag; runs under the adaptive ladder.  j(alpha) is read
+    from a class table at alpha's reduced form, so a class and its mirror
+    take one kernel call per rung."""
+    reduced = [reduce_with_matrix(f)[0] for f in enumerate_qn(n)]
 
     def task(bits):
-        sub = cfg.with_bits(bits)
-        js = [eval_j(cm_point(f, sub).embed, sub) for f in forms]
-        with mpmath.workprec(sub.eval_bits):
+        eval_bits = cfg.with_bits(bits).eval_bits
+        with mpmath.workprec(eval_bits):
+            table = _ClassTable(lambda red: _j_reduced(_root(red), eval_bits))
             prod = mpc(1)
-            for v in js:
-                prod *= v
+            for red in reduced:
+                prod *= table[red]
         return prod
 
     prod, achieved = run_adaptive(task, cfg)

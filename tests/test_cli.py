@@ -1,13 +1,14 @@
 import json
 import os
 import sys
+import time
 from collections import Counter
 
 import mpmath
 import pytest
 from mpmath import mpc, mpf
 
-from cmpartitions import cli, evaluate
+from cmpartitions import cli, evaluate, modpoly
 from cmpartitions.precision import PrecisionConfig
 
 
@@ -99,6 +100,16 @@ class TestBasicCommands:
         assert code == 3
         assert "precision exhausted" in err
 
+    def test_norms_beyond_kernel_budget_refused(self, capsys):
+        # the n = 4 beta-norm needs about 53000 bits, past the kernels'
+        # stated error budget (bits < 2^15): refused at the first rung
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "norms", "--n", "4", "--no-cache")
+        assert code == 3
+        assert time.perf_counter() - t0 < 60
+        assert err.startswith("precision exhausted:") and err.count("\n") == 1
+        assert "Traceback" not in err and "32768" in err
+
     def test_start_at_ceiling_still_confirms(self, capsys):
         # the ceiling is raised to one doubling above the start
         code, out, _ = run_cli(capsys, "eval", "--what", "j", "--z", "0,1",
@@ -189,6 +200,26 @@ class TestKernelCounts:
         assert code == 0
         per_rung = Counter(bits)
         assert len(per_rung) >= 2
+        assert set(per_rung.values()) == {classes}
+
+    @pytest.mark.parametrize("n, classes", [(1, 37), (2, 121)])
+    def test_norms_one_kernel_call_per_class_pair_per_rung(self, capsys, monkeypatch,
+                                                           n, classes):
+        # the beta-norm's alphas and their non-fixing images meet this many
+        # SL2(Z) classes, counting a class and its mirror once: 2 + 35 for
+        # n = 1 and 3 + 118 for n = 2, in the probe and each rung
+        original = modpoly._j_from_eta
+        bits = []
+
+        def counting(z, b):
+            bits.append(b)
+            return original(z, b)
+
+        monkeypatch.setattr(modpoly, "_j_from_eta", counting)
+        code, _, _ = run_cli(capsys, "norms", "--n", str(n), "--no-cache")
+        assert code == 0
+        per_rung = Counter(bits)
+        assert len(per_rung) == 3
         assert set(per_rung.values()) == {classes}
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import product
 
@@ -5,14 +6,69 @@ import mpmath
 import pytest
 from mpmath import mpc, mpf
 
-from cmpartitions.errors import MultipleFixingClasses
+from cmpartitions.errors import MultipleFixingClasses, NoFixingClass
 from cmpartitions.evaluate import eval_C, eval_j, _j_from_eta
 from cmpartitions.modpoly import (MatrixClass, beta_norm, beta_product,
                                   class_count, fixing_class, hnf_classes,
                                   is_special_candidate, masser_c,
-                                  taylor_coeffs, taylor_fd_fit, _hnf_of)
+                                  taylor_coeffs, taylor_fd_fit, _image_form,
+                                  _j_table)
 from cmpartitions.precision import PrecisionConfig
-from cmpartitions.quadforms import QuadForm, cm_point, enumerate_qn
+from cmpartitions.quadforms import (QuadForm, cm_point, enumerate_qn,
+                                    reduce_with_matrix)
+
+
+def _xgcd(a: int, b: int):
+    """(g, x, y) with g = gcd > 0 and x*a + y*b = g."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        k, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - k * x1
+        y0, y1 = y1, y0 - k * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
+    return a, x0, y0
+
+
+def _hnf_of(mat) -> MatrixClass:
+    """Hermite normal form of an integer matrix with positive determinant,
+    under left multiplication by the modular group."""
+    a, b, c, d = mat
+    assert a * d - b * c > 0
+    if c == 0:
+        g, x, y = abs(a), (1 if a > 0 else -1), 0
+    else:
+        g, x, y = _xgcd(a, c)
+    # bottom row of the reducing matrix kills the lower-left entry
+    u, v = -c // g, a // g
+    p, q = g, x * b + y * d
+    s = u * b + v * d  # positive: p = gcd > 0 and p*s = det > 0
+    return MatrixClass(p, q % s, s)
+
+
+def reference_fixing_classes(alpha, m):
+    """Normal forms of the primitive determinant-m matrices that fix alpha,
+    checked in exact quadratic-field arithmetic: the matrices
+    ((t - u b)/2, -u c, u a, (t + u b)/2) with t^2 = 4m + u^2 D, up to sign.
+    The independent reference for fixing_class's form rule."""
+    a, b, c = alpha.form.a, alpha.form.b, alpha.form.c
+    d = alpha.discriminant
+    found = set()
+    u = 0
+    while u * u * (-d) <= 4 * m:
+        t2 = 4 * m + u * u * d
+        t = math.isqrt(t2)
+        if t * t == t2:
+            for tt in {t, -t}:
+                if (tt - u * b) % 2:
+                    continue
+                mat = ((tt - u * b) // 2, -u * c, u * a, (tt + u * b) // 2)
+                if (math.gcd(*mat) == 1
+                        and alpha.exact.moebius(mat) == alpha.exact):
+                    found.add(_hnf_of(mat))
+        u += 1
+    return found
 
 
 def brute_force_class_reps(m, bound=None):
@@ -81,18 +137,41 @@ class TestFixingClass:
         assert fix == MatrixClass(1, 0, 1)
 
     def test_special_detected(self, cfg256):
-        # discriminant -27 = -3*3^2 admits two fixing classes for m = 27
+        # discriminant -27 = -3*3^2 admits three fixing classes for m = 27
         alpha = cm_point(QuadForm(1, 1, 7), cfg256)
         assert is_special_candidate(alpha.discriminant)
-        with pytest.raises(MultipleFixingClasses):
+        assert len(reference_fixing_classes(alpha, 27)) == 3
+        with pytest.raises(MultipleFixingClasses, match="3 fixing classes"):
             fixing_class(alpha, hnf_classes(27))
+
+    def test_form_rule_matches_fixing_matrices_through_40(self, cfg256):
+        checked = 0
+        for n in range(1, 41):
+            m = 24 * n - 1
+            classes = hnf_classes(m)
+            for form in enumerate_qn(n):
+                if form.content() != 1:
+                    continue
+                alpha = cm_point(form, cfg256)
+                assert {fixing_class(alpha, classes)} == reference_fixing_classes(alpha, m)
+                checked += 1
+        assert checked == 799
+
+    def test_imprimitive_form_has_none(self, cfg256):
+        # n = 24: 575 = 23 * 5^2, and the fixing matrices of 5 [6, 5, 2]
+        # all have content 5
+        alpha = cm_point(QuadForm(30, 25, 10), cfg256)
+        assert reference_fixing_classes(alpha, 575) == set()
+        with pytest.raises(NoFixingClass):
+            fixing_class(alpha, hnf_classes(575))
 
 
 class TestBetaAndTaylor:
     def test_beta_nonzero(self, cfg512):
         classes = hnf_classes(23)
+        table = _j_table(cfg512)
         for form in enumerate_qn(1):
-            beta = beta_product(cm_point(form, cfg512), classes, cfg512)
+            beta = beta_product(cm_point(form, cfg512), classes, cfg512, table)
             assert abs(beta) > 1
 
     def test_taylor_rejects_trivial(self, cfg256):
@@ -156,14 +235,50 @@ class TestJFast:
                 assert abs(a - b) / (1 + abs(a)) < mpf(2) ** -240
 
 
+class TestClassTable:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_image_values_match_direct_j(self, cfg512, n):
+        # every class value, mirror fills included, against j at the
+        # numerically embedded image point (p alpha + q)/s
+        bits = cfg512.eval_bits
+        classes = hnf_classes(24 * n - 1)
+        table = _j_table(cfg512)
+        with mpmath.workprec(bits):
+            for form in enumerate_qn(n):
+                alpha = cm_point(form, cfg512).embed
+                for cl in classes:
+                    image, _ = _image_form(form, cl)
+                    value = table[reduce_with_matrix(image)[0]]
+                    direct = _j_from_eta((cl.p * alpha + cl.q) / cl.s, bits)
+                    assert abs(value - direct) <= abs(direct) * mpf(2) ** -cfg512.working_bits
+        assert len(table) == {1: 72, 2: 240}[n]
+
+    def test_image_form_root(self, cfg256):
+        # the root of the image form is the image of the root
+        form = enumerate_qn(3)[-1]
+        with mpmath.workprec(cfg256.eval_bits):
+            alpha = cm_point(form, cfg256).embed
+            for cl in hnf_classes(71):
+                image, g = _image_form(form, cl)
+                assert image.content() == 1 and g * g * image.discriminant() == -71 ** 3
+                z = (cl.p * alpha + cl.q) / cl.s
+                assert abs(image.a * z * z + image.b * z + image.c) < mpf(2) ** -200 * image.c
+
+
 class TestBetaNorm:
+    # SHA-256 of the decimal norms, as perfbench/oracle.json records them
+    SHA256 = {1: "633fc9cfe3d0f29425be59665d4ab01f8812c2f1b330840c1715846547fda0ac",
+              2: "14c97bb8cf30db83f33d198c0ffe8a3601454da7df09d963b2f1808cb972b27e"}
+
     def test_n1(self):
         norm, coprime, achieved = beta_norm(1, PrecisionConfig(256, 8192))
         assert coprime
         assert norm % 2 != 0 and norm % 3 != 0
         assert len(str(abs(norm))) == 987
+        assert hashlib.sha256(str(norm).encode()).hexdigest() == self.SHA256[1]
 
     def test_n2(self):
         norm, coprime, _ = beta_norm(2, PrecisionConfig(256, 8192))
         assert coprime
         assert len(str(abs(norm))) == 3991
+        assert hashlib.sha256(str(norm).encode()).hexdigest() == self.SHA256[2]
