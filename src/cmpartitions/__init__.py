@@ -8,21 +8,19 @@ its modular-polynomial expression, and verifies the 6-unit norm properties of
 j and of the singular-moduli products behind them.
 """
 
-from .errors import (CMPartitionsError, FractionalPower,
-                     MultipleFixingClasses, NearSingularity, NoFixingClass,
-                     NotNearIntegral, NotUpperHalfPlane, PrecisionExhausted,
-                     ZeroLeadingCoefficient)
+from .errors import (CMPartitionsError, FractionalPower, NearSingularity,
+                     NoFixingClass, NotNearIntegral, NotUpperHalfPlane,
+                     PrecisionExhausted, ZeroLeadingCoefficient)
 from .evaluate import (ALCheck, atkin_lehner_check, eval_A, eval_Aprime,
                        eval_B, eval_C, eval_eisenstein, eval_eta, eval_form,
                        eval_j, eval_P, eval_P_cm, eval_theta_form,
                        eval_theta_j)
 from .modpoly import (MatrixClass, TaylorData, beta_norm, beta_product,
-                      class_count, fixing_class, hnf_classes,
-                      is_special_candidate, masser_c, taylor_coeffs,
-                      taylor_fd_fit)
+                      class_count, fixing_class, hnf_classes, masser_c,
+                      taylor_coeffs, taylor_fd_fit)
 from .precision import PrecisionConfig, run_adaptive
-from .quadforms import (CMPoint, QuadFieldElem, QuadForm, cm_point,
-                        enumerate_qn, gamma0_equivalent, reduced_forms)
+from .quadforms import (QuadForm, cm_point, enumerate_qn, gamma0_equivalent,
+                        reduced_forms)
 from .recognize import (OrbitRecord, compute_pn, j_norm, norm_6unit_check,
                         orbit_product, pentagonal_pn, round_to_integers,
                         sharpness_divisor)

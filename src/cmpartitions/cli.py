@@ -319,9 +319,8 @@ def _cmd_forms(args) -> int:
     cfg = _config(args)
     rows = []
     for form in enumerate_qn(args.n):
-        alpha = cm_point(form, cfg)
         rows.append({"a": form.a, "b": form.b, "c": form.c,
-                     "im_alpha": _nstr(mpmath.im(alpha.embed), 40)})
+                     "im_alpha": _nstr(mpmath.im(cm_point(form, cfg)), 40)})
     print(json.dumps(rows, sort_keys=True, indent=2))
     return EXIT_OK
 
@@ -360,7 +359,7 @@ def _cmd_verify_decomp(args) -> int:
     points = [("random", z) for z in _random_points(args.seed, args.trials)]
     for n in range(1, args.n_max + 1):
         for form in enumerate_qn(n):
-            points.append((f"cm(n={n})", cm_point(form, cfg).embed))
+            points.append((f"cm(n={n})", cm_point(form, cfg)))
     with mpmath.workprec(cfg.eval_bits):
         for label, z in points:
             v = _values(z, cfg)
@@ -411,10 +410,9 @@ def _masser_rows(n: int, cfg: PrecisionConfig):
     # Masser's formula needs a fixing class of determinant 24n - 1, which
     # only primitive forms (discriminant exactly 1 - 24n) have
     for form in [f for f in enumerate_qn(n) if f.content() == 1]:
-        alpha = cm_point(form, cfg)
-        data = modpoly.taylor_coeffs(alpha, classes, cfg)
+        data = modpoly.taylor_coeffs(form, classes, cfg)
         from_taylor = data.masser_c()
-        direct = eval_C(alpha.embed, cfg)
+        direct = eval_C(cm_point(form, cfg), cfg)
         with mpmath.workprec(cfg.eval_bits):
             deviation = abs(from_taylor - direct)
         rows.append({
@@ -499,7 +497,7 @@ def _per_n_block(n: int, cfg: PrecisionConfig, cached) -> dict:
                            for r in rows]
         roots = []
         for form in enumerate_qn(n):
-            residuals = resolvent.psi_root_check(cm_point(form, cfg), cfg)
+            residuals = resolvent.psi_root_check(form, cfg)
             roots.append({"form": [form.a, form.b, form.c],
                           "aprime_residual": _nstr(residuals["aprime"], 20),
                           "b_residual": _nstr(residuals["b"], 20)})

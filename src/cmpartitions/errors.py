@@ -6,7 +6,9 @@ class CMPartitionsError(Exception):
 
 
 class PrecisionExhausted(CMPartitionsError):
-    """The adaptive precision ladder hit max_bits without two runs agreeing."""
+    """Precision ran out: the adaptive ladder hit max_bits without two runs
+    agreeing, or a kernel call was asked for at 2^15 bits or more, beyond
+    its stated error budget (evaluate._check_budget)."""
 
 
 class ZeroLeadingCoefficient(CMPartitionsError, ZeroDivisionError):
@@ -34,8 +36,5 @@ class NotNearIntegral(CMPartitionsError):
 
 
 class NoFixingClass(CMPartitionsError):
-    """No matrix class of the requested determinant fixes the CM point."""
-
-
-class MultipleFixingClasses(CMPartitionsError):
-    """More than one matrix class fixes the CM point (the form is special)."""
+    """Not exactly one matrix class of the requested determinant fixes the
+    CM point: none, or several (only for |D| = 3 k^2)."""

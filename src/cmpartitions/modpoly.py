@@ -17,13 +17,11 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mpc, mpf
 
-from .errors import (MultipleFixingClasses, NearSingularity, NoFixingClass,
-                     NotNearIntegral)
+from .errors import NearSingularity, NoFixingClass, NotNearIntegral
 from .evaluate import (_check_budget, _ClassTable, _j_and_theta_j, _j_from_eta,
                        _nomes, _root, eval_j, eval_theta_j)
 from .precision import PrecisionConfig, _fork_map, run_adaptive
-from .quadforms import (CMPoint, QuadForm, cm_point, enumerate_qn,
-                        reduce_with_matrix)
+from .quadforms import QuadForm, cm_point, enumerate_qn, reduce_with_matrix
 from .recognize import _carried_bits, norm_6unit_check
 
 
@@ -79,18 +77,6 @@ def class_count(m: int) -> int:
     return count
 
 
-def is_special_candidate(d: int) -> bool:
-    """Whether |d| = 3 k^2, the only discriminants whose CM points can be
-    fixed by more than one matrix class."""
-    if d >= 0:
-        raise ValueError("discriminant must be negative")
-    n = -d
-    if n % 3:
-        return False
-    r = math.isqrt(n // 3)
-    return r * r == n // 3
-
-
 def _image_form(form: QuadForm, cl: MatrixClass) -> tuple[QuadForm, int]:
     """(F, g): the primitive form F whose root is (p alpha + q)/s for alpha
     the root of form [a, b, c], and the content g of
@@ -106,18 +92,19 @@ def _image_form(form: QuadForm, cl: MatrixClass) -> tuple[QuadForm, int]:
     return QuadForm(*(x // g for x in coeffs)), g
 
 
-def fixing_class(alpha: CMPoint, classes: list[MatrixClass]) -> MatrixClass:
-    """The unique class whose orbit contains a matrix fixing alpha.
+def fixing_class(form: QuadForm, classes: list[MatrixClass]) -> MatrixClass:
+    """The unique class whose orbit contains a matrix fixing the CM point
+    alpha of form; NoFixingClass unless there is exactly one (several only
+    for |D| = 3 k^2, which D = 1 - 24n never is).
 
     A class M has such a matrix gamma M exactly when M alpha is SL2(Z)-
-    equivalent to alpha: when its image form has content m times alpha's
-    own (so the same discriminant) and the same reduced form as alpha's
-    primitive form.  Decided in integers, one image form per class.
+    equivalent to alpha: when its image form has content m times form's
+    own (so the same discriminant) and the same reduced form as form's
+    primitive part.  Decided in integers, one image form per class.
     """
     if not classes:
         raise ValueError("empty class list")
     m = classes[0].determinant
-    form = alpha.form
     f = form.content()
     own = reduce_with_matrix(QuadForm(form.a // f, form.b // f, form.c // f))[0]
     found = []
@@ -125,18 +112,16 @@ def fixing_class(alpha: CMPoint, classes: list[MatrixClass]) -> MatrixClass:
         image, g = _image_form(form, cl)
         if g == m * f and reduce_with_matrix(image)[0] == own:
             found.append(cl)
-    if not found:
-        raise NoFixingClass(f"no determinant-{m} class fixes {alpha.form}")
-    if len(found) > 1:
-        raise MultipleFixingClasses(
-            f"{alpha.form} is special: {len(found)} fixing classes")
+    if len(found) != 1:
+        raise NoFixingClass(
+            f"{form} has {len(found)} fixing classes of determinant {m}")
     return found[0]
 
 
-def _images(alpha: CMPoint, classes):
+def _images(form: QuadForm, classes):
     """(fixing class, {class: image form}) for every class."""
-    return fixing_class(alpha, classes), {
-        cl: _image_form(alpha.form, cl)[0] for cl in classes}
+    return fixing_class(form, classes), {
+        cl: _image_form(form, cl)[0] for cl in classes}
 
 
 def _j_classes(reds, bits: int) -> list:
@@ -187,15 +172,15 @@ def _magnitude(z) -> mpf:
         return abs(+z)
 
 
-def beta_product(alpha: CMPoint, classes, cfg: PrecisionConfig,
+def beta_product(form: QuadForm, classes, cfg: PrecisionConfig,
                  table) -> tuple[mpc, mpf]:
     """(beta, rel): beta = prod over non-fixing classes of
-    (j(alpha) - j(class * alpha)), and rel, a bound on its relative error
-    to first order.
+    (j(alpha) - j(class * alpha)) for alpha the CM point of form, and rel,
+    a bound on its relative error to first order.
 
     j is invariant under SL2(Z), so each (j, eps) is read from table (a
     _j_table at cfg's precision, shared by the forms of one rung) at the
-    reduced form of alpha's or the image's form.  With j0 and jk off by eps0
+    reduced form of form or of the image's form.  With j0 and jk off by eps0
     and epsk relative, the factor j0 - jk is off by
     (eps0 |j0| + epsk |jk|) / |j0 - jk| relative, plus 2^(2-p) for its
     subtraction and its product at p = cfg.eval_bits bits; rel sums that
@@ -203,9 +188,9 @@ def beta_product(alpha: CMPoint, classes, cfg: PrecisionConfig,
     n = 3 already need >30000 working bits, where E4^3 / Delta from the
     theta constants would take more products.
     """
-    fix, images = _images(alpha, classes)
+    fix, images = _images(form, classes)
     with mpmath.workprec(cfg.eval_bits):
-        j0, eps0 = table[reduce_with_matrix(alpha.form)[0]]
+        j0, eps0 = table[reduce_with_matrix(form)[0]]
         prod = mpc(1)
         rel = mpf(2) ** (2 - cfg.eval_bits) * (len(images) - 1)
         for cl, image in images.items():
@@ -234,9 +219,10 @@ class TaylorData:
             return (self.beta02 - self.beta11 + self.beta20) / self.beta
 
 
-def taylor_coeffs(alpha: CMPoint, classes, cfg: PrecisionConfig) -> TaylorData:
+def taylor_coeffs(form: QuadForm, classes, cfg: PrecisionConfig) -> TaylorData:
     """Analytic first/second-order Taylor coefficients of the determinant-m
-    modular polynomial about (j(alpha), j(alpha)).
+    modular polynomial about (j(alpha), j(alpha)), alpha the CM point of
+    form.
 
     With f_i(s) = j(M_i s) and the product definition Phi(j(s), Y) =
     prod_i (Y - f_i(s)), differentiating through the local inverse of j gives
@@ -251,8 +237,8 @@ def taylor_coeffs(alpha: CMPoint, classes, cfg: PrecisionConfig) -> TaylorData:
     """
     if len(classes) < 2:
         raise ValueError("need a non-trivial class list (determinant > 1)")
-    fix, images = _images(alpha, classes)
-    j0, theta_j0 = _j_and_theta_j(alpha.embed, cfg)
+    fix, images = _images(form, classes)
+    j0, theta_j0 = _j_and_theta_j(cm_point(form, cfg), cfg)
     with mpmath.workprec(cfg.eval_bits):
         two_pi_i = 2j * mpmath.pi
         jprime_alpha = two_pi_i * theta_j0
@@ -276,14 +262,14 @@ def taylor_coeffs(alpha: CMPoint, classes, cfg: PrecisionConfig) -> TaylorData:
     return TaylorData(j0=j0, beta=beta, beta02=beta02, beta11=beta11, beta20=beta02)
 
 
-def masser_c(alpha: CMPoint, cfg: PrecisionConfig) -> mpc:
-    """(beta02 - beta11 + beta20) / beta for alpha's discriminant."""
-    classes = hnf_classes(-alpha.discriminant)
-    return taylor_coeffs(alpha, classes, cfg).masser_c()
+def masser_c(form: QuadForm, cfg: PrecisionConfig) -> mpc:
+    """(beta02 - beta11 + beta20) / beta at form's CM point, m = |D|."""
+    classes = hnf_classes(-form.discriminant())
+    return taylor_coeffs(form, classes, cfg).masser_c()
 
 
-def taylor_fd_fit(alpha: CMPoint, classes, cfg: PrecisionConfig) -> TaylorData:
-    """Finite-difference oracle for the Taylor data.
+def taylor_fd_fit(form: QuadForm, classes, cfg: PrecisionConfig) -> TaylorData:
+    """Finite-difference oracle for the Taylor data at form's CM point.
 
     j is inverted locally around alpha by Newton iteration, the polynomial
     value is formed on a 5x5 grid of offsets (step |delta| = 1e-8 |j0|),
@@ -291,7 +277,8 @@ def taylor_fd_fit(alpha: CMPoint, classes, cfg: PrecisionConfig) -> TaylorData:
     coefficients.  Nothing is shared with the analytic chain-rule path, so
     agreement between the two is meaningful.
     """
-    j0 = eval_j(alpha.embed, cfg)
+    alpha = cm_point(form, cfg)
+    j0 = eval_j(alpha, cfg)
     bits = cfg.eval_bits
     with mpmath.workprec(bits):
         delta = mpf("1e-8") * abs(j0)
@@ -300,7 +287,7 @@ def taylor_fd_fit(alpha: CMPoint, classes, cfg: PrecisionConfig) -> TaylorData:
         sigmas = {}
         for u in offsets:
             target = j0 + u * delta
-            sigma = mpc(alpha.embed)
+            sigma = alpha
             for _ in range(80):
                 val = eval_j(sigma, cfg)
                 err = val - target
@@ -377,7 +364,7 @@ def beta_norm(n: int, cfg: PrecisionConfig):
                 prod = mpc(1)
                 rel = mpf(2) ** (1 - sub.eval_bits) * len(forms)
                 for f in forms:
-                    beta, beta_rel = beta_product(cm_point(f, sub), classes, sub, table)
+                    beta, beta_rel = beta_product(f, classes, sub, table)
                     prod *= beta
                     rel += beta_rel
             with mpmath.workprec(53):

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
-from mpmath import mpc
+from mpmath import mpc, mpf
 
 from .precision import PrecisionConfig
 
@@ -213,54 +212,10 @@ def conjugate_partners(forms) -> list[int]:
     return partners
 
 
-@dataclass(frozen=True)
-class QuadFieldElem:
-    """Exact element x + y*sqrt(d) of an imaginary quadratic field (d < 0)."""
-
-    d: int
-    x: Fraction
-    y: Fraction
-
-    def moebius(self, m) -> "QuadFieldElem":
-        """Image under an integer matrix (p, q, r, s) acting as a fractional
-        linear map; requires a nonzero denominator."""
-        p, q, r, s = m
-        # (p*self + q) / (r*self + s), using (u + v sqrt(d))^-1 conjugation
-        nx, ny = p * self.x + q, p * self.y
-        dx, dy = r * self.x + s, r * self.y
-        norm = dx * dx - dy * dy * self.d
-        if norm == 0:
-            raise ZeroDivisionError("Moebius denominator vanishes")
-        return QuadFieldElem(self.d,
-                             (nx * dx - ny * dy * self.d) / norm,
-                             (ny * dx - nx * dy) / norm)
-
-    def embed(self, cfg: PrecisionConfig) -> mpc:
-        """Complex embedding with sqrt(d) -> i sqrt(|d|), at working precision."""
-        with mpmath.workprec(cfg.eval_bits):
-            root = mpmath.sqrt(mpmath.mpf(-self.d))
-            return mpc(_frac_to_mpf(self.x), _frac_to_mpf(self.y) * root)
-
-
-def _frac_to_mpf(fr: Fraction):
-    return mpmath.mpf(fr.numerator) / fr.denominator
-
-
-@dataclass(frozen=True)
-class CMPoint:
-    """The root of Q(x, 1) = 0 in the upper half-plane, exactly and embedded."""
-
-    form: QuadForm
-    exact: QuadFieldElem
-    embed: mpc
-
-    @property
-    def discriminant(self) -> int:
-        return self.form.discriminant()
-
-
-def cm_point(q: QuadForm, cfg: PrecisionConfig) -> CMPoint:
-    """CM point (-b + sqrt(D)) / (2a) of a positive definite form."""
-    d = q.discriminant()
-    exact = QuadFieldElem(d, Fraction(-q.b, 2 * q.a), Fraction(1, 2 * q.a))
-    return CMPoint(form=q, exact=exact, embed=exact.embed(cfg))
+def cm_point(q: QuadForm, cfg: PrecisionConfig) -> mpc:
+    """The CM point (-b + sqrt(D)) / (2a) of a positive definite form, at
+    cfg's evaluation precision: -b / (2a) and (1 / (2a)) sqrt(|D|), each
+    step rounded as written."""
+    with mpmath.workprec(cfg.eval_bits):
+        return mpc(mpf(-q.b) / (2 * q.a),
+                   mpf(1) / (2 * q.a) * mpmath.sqrt(-q.discriminant()))

@@ -16,7 +16,7 @@ from mpmath import mpc, mpf
 
 from .evaluate import _values
 from .precision import PrecisionConfig
-from .quadforms import CMPoint
+from .quadforms import QuadForm, cm_point
 from .recognize import _carried_bits, orbit_product
 
 
@@ -289,11 +289,11 @@ def _root_residual(coeffs: list, g: mpc) -> mpf:
     return abs(total) / largest
 
 
-def psi_root_check(alpha: CMPoint, cfg: PrecisionConfig) -> dict:
+def psi_root_check(form: QuadForm, cfg: PrecisionConfig) -> dict:
     """Residuals of A'(alpha) and B(alpha) against their own tabulated
-    resolvents at j(alpha), keyed "aprime" and "b": the numerical witness
-    that both values are algebraic integers."""
+    resolvents at j(alpha), alpha the CM point of form, keyed "aprime" and
+    "b": the numerical witness that both values are algebraic integers."""
     with mpmath.workprec(cfg.eval_bits):
-        v = _values(alpha.embed, cfg)
+        v = _values(cm_point(form, cfg), cfg)
         tables = psi_tabulated(v["j"])
         return {key: _root_residual(tables[key], v[key]) for key in tables}

@@ -67,7 +67,7 @@ def test_criterion_3_decomposition():
     bound = mpf(2) ** -160
     points = seeded_points(7, 100)
     for n in range(1, 7):
-        points.extend(cm_point(f, RIG512).embed for f in enumerate_qn(n))
+        points.extend(cm_point(f, RIG512) for f in enumerate_qn(n))
     worst = mpf(0)
     with mpmath.workprec(RIG512.eval_bits):
         for z in points:
@@ -86,12 +86,11 @@ def test_criterion_4_masser_formula():
     for n in (1, 2):
         classes = hnf_classes(24 * n - 1)
         for form in enumerate_qn(n):
-            alpha = cm_point(form, RIG512)
-            analytic = taylor_coeffs(alpha, classes, RIG512)
+            analytic = taylor_coeffs(form, classes, RIG512)
             with mpmath.workprec(RIG512.eval_bits):
-                diff = abs(analytic.masser_c() - eval_C(alpha.embed, RIG512))
+                diff = abs(analytic.masser_c() - eval_C(cm_point(form, RIG512), RIG512))
                 worst_c = max(worst_c, diff)
-                fitted = taylor_fd_fit(alpha, classes, RIG512)
+                fitted = taylor_fd_fit(form, classes, RIG512)
                 for name in ("beta", "beta02", "beta11", "beta20"):
                     a = getattr(analytic, name)
                     b = getattr(fitted, name)
@@ -121,8 +120,7 @@ def test_criterion_6_resolvent_tables():
     root_worst = mpf(0)
     for n in (1, 2, 3):
         for form in enumerate_qn(n):
-            alpha = cm_point(form, RIG512)
-            root_worst = max(root_worst, *psi_root_check(alpha, RIG512).values())
+            root_worst = max(root_worst, *psi_root_check(form, RIG512).values())
     assert root_worst < mpf(10) ** -25
     _report(f"criterion 6 (tabulated resolvents at 25 points; roots "
             f"{mpmath.nstr(root_worst, 4)})", worst, 180, t0)
@@ -172,8 +170,8 @@ def test_criterion_8_property_suites():
         lo, hi = PrecisionConfig(256), PrecisionConfig(512)
         form = enumerate_qn(2)[0]
         with mpmath.workprec(hi.eval_bits):
-            v_lo = eval_P(cm_point(form, lo).embed, lo)
-            v_hi = eval_P(cm_point(form, hi).embed, hi)
+            v_lo = eval_P(cm_point(form, lo), lo)
+            v_hi = eval_P(cm_point(form, hi), hi)
             assert abs(v_lo - v_hi) < mpf(2) ** (-lo.working_bits + 40)
     _report("criterion 8 (property suites)", worst, 300, t0)
 

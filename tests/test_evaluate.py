@@ -288,15 +288,15 @@ class TestFormAndP:
         with mpmath.workprec(cfg256.eval_bits):
             total = mpc(0)
             for form in enumerate_qn(1):
-                total += eval_P(cm_point(form, cfg256).embed, cfg256)
+                total += eval_P(cm_point(form, cfg256), cfg256)
             assert abs(total - 23) < mpf(2) ** -200
 
     def test_precision_ladder_stability(self):
         # doubling the working precision moves the value by less than the
         # coarser run's own tolerance
         lo, hi = PrecisionConfig(256), PrecisionConfig(512)
-        alpha_lo = cm_point(enumerate_qn(1)[0], lo).embed
-        alpha_hi = cm_point(enumerate_qn(1)[0], hi).embed
+        alpha_lo = cm_point(enumerate_qn(1)[0], lo)
+        alpha_hi = cm_point(enumerate_qn(1)[0], hi)
         with mpmath.workprec(hi.eval_bits):
             v_lo = eval_P(alpha_lo, lo)
             v_hi = eval_P(alpha_hi, hi)
@@ -323,7 +323,7 @@ class TestCMValues:
             assert len(values) == len(forms)
             with mpmath.workprec(cfg.eval_bits):
                 for form, value in zip(forms, values):
-                    generic = eval_P(cm_point(form, cfg).embed, cfg)
+                    generic = eval_P(cm_point(form, cfg), cfg)
                     assert abs(value - generic) < tol * abs(generic), (n, form)
 
     def test_rejects_a_not_divisible_by_6(self, cfg256):
@@ -355,7 +355,7 @@ class TestDecomposition:
         with mpmath.workprec(cfg256.eval_bits):
             for n in range(1, 7):
                 for form in enumerate_qn(n):
-                    alpha = cm_point(form, cfg256).embed
+                    alpha = cm_point(form, cfg256)
                     lhs = eval_P(alpha, cfg256)
                     rhs = (eval_A(alpha, cfg256)
                            + eval_B(alpha, cfg256) * eval_C(alpha, cfg256))
@@ -363,7 +363,7 @@ class TestDecomposition:
 
     def test_b_definition_replay(self, cfg256):
         from cmpartitions.evaluate import _basics, _ipow
-        alpha = cm_point(enumerate_qn(1)[0], cfg256).embed
+        alpha = cm_point(enumerate_qn(1)[0], cfg256)
         with mpmath.workprec(cfg256.eval_bits):
             b = eval_B(alpha, cfg256)
             v = _basics(alpha, cfg256.eval_bits)

@@ -1,6 +1,8 @@
 """Every name a library module imports is used in that module, so a sweep
 that removes the last use of an import cannot leave the import behind.
-``__init__`` is exempt: its imports are the package's exports."""
+``__init__`` is exempt: its imports are the package's exports.  Every
+module-level private name is used somewhere in the package, so no dead
+helper stays behind either."""
 
 import ast
 from pathlib import Path
@@ -33,3 +35,43 @@ def test_every_import_is_used(module):
 
 def test_detects_an_unused_import():
     assert unused_imports("import time\nimport os\nos.sep\n") == ["time (line 1)"]
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level _private names (dunders aside) that no module of
+    sources reads: not as a name, an attribute or an imported name."""
+    defined = []
+    used = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            defined += [(name, module, node.lineno) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return [f"{name} ({module} line {line})" for name, module, line in defined
+            if name not in used]
+
+
+def test_every_private_name_is_used():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert dead_private_names(sources) == []
+
+
+def test_detects_a_dead_private_name():
+    sources = {"a.py": "def _used():\n    pass\n\n\ndef _dead():\n    pass\n\n_LIMIT = 3\n",
+               "b.py": "from .a import _used\n_used()\n"}
+    assert dead_private_names(sources) == ["_dead (a.py line 5)", "_LIMIT (a.py line 8)"]

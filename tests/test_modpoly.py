@@ -7,13 +7,12 @@ import pytest
 from mpmath import mpc, mpf
 
 from cmpartitions import modpoly
-from cmpartitions.errors import MultipleFixingClasses, NoFixingClass
+from cmpartitions.errors import NoFixingClass
 from cmpartitions.evaluate import eval_C, eval_j, _j_from_eta, _nomes, _root
 from cmpartitions.modpoly import (MatrixClass, beta_norm, beta_product,
                                   class_count, fixing_class, hnf_classes,
-                                  is_special_candidate, masser_c,
-                                  taylor_coeffs, taylor_fd_fit, _image_form,
-                                  _j_table)
+                                  masser_c, taylor_coeffs, taylor_fd_fit,
+                                  _image_form, _j_table)
 from cmpartitions.precision import PrecisionConfig
 from cmpartitions.quadforms import (QuadForm, cm_point, enumerate_qn,
                                     reduce_with_matrix)
@@ -48,13 +47,23 @@ def _hnf_of(mat) -> MatrixClass:
     return MatrixClass(p, q % s, s)
 
 
-def reference_fixing_classes(alpha, m):
-    """Normal forms of the primitive determinant-m matrices that fix alpha,
-    checked in exact quadratic-field arithmetic: the matrices
+def _fixes_root(mat, form) -> bool:
+    """Whether (p, q, r, s) fixes the root alpha of form [a, b, c]:
+    r alpha^2 + (s - p) alpha - q = 0 is then a multiple of
+    a alpha^2 + b alpha + c = 0, which in integers reads
+    r b = (s - p) a, r c = -q a and (s - p) c = -q b."""
+    p, q, r, s = mat
+    a, b, c = form.a, form.b, form.c
+    return r * b == (s - p) * a and r * c == -q * a and (s - p) * c == -q * b
+
+
+def reference_fixing_classes(form, m):
+    """Normal forms of the primitive determinant-m matrices that fix the
+    root of form, checked in integers (_fixes_root): the matrices
     ((t - u b)/2, -u c, u a, (t + u b)/2) with t^2 = 4m + u^2 D, up to sign.
     The independent reference for fixing_class's form rule."""
-    a, b, c = alpha.form.a, alpha.form.b, alpha.form.c
-    d = alpha.discriminant
+    a, b, c = form.a, form.b, form.c
+    d = form.discriminant()
     found = set()
     u = 0
     while u * u * (-d) <= 4 * m:
@@ -65,8 +74,7 @@ def reference_fixing_classes(alpha, m):
                 if (tt - u * b) % 2:
                     continue
                 mat = ((tt - u * b) // 2, -u * c, u * a, (tt + u * b) // 2)
-                if (math.gcd(*mat) == 1
-                        and alpha.exact.moebius(mat) == alpha.exact):
+                if math.gcd(*mat) == 1 and _fixes_root(mat, form):
                     found.add(_hnf_of(mat))
         u += 1
     return found
@@ -112,40 +120,26 @@ class TestHnfClasses:
             assert set(hnf_classes(m)) == brute_force_class_reps(m)
 
 
-class TestSpecial:
-    def test_special_values(self):
-        assert is_special_candidate(-27)
-        assert is_special_candidate(-3)
-        assert not is_special_candidate(-23)
-        assert not is_special_candidate(-47)
-
-    def test_partition_discriminants_never_special(self):
-        for n in range(1, 13):
-            assert not is_special_candidate(1 - 24 * n)
-
-
 class TestFixingClass:
-    def test_unique_for_partition_discriminants(self, cfg256):
+    def test_unique_for_partition_discriminants(self):
         for n in (1, 2, 3):
             classes = hnf_classes(24 * n - 1)
             for form in enumerate_qn(n):
-                fix = fixing_class(cm_point(form, cfg256), classes)
+                fix = fixing_class(form, classes)
                 assert fix in classes
 
-    def test_identity_for_m1(self, cfg256):
-        alpha = cm_point(QuadForm(1, 0, 1), cfg256)
-        fix = fixing_class(alpha, hnf_classes(1))
+    def test_identity_for_m1(self):
+        fix = fixing_class(QuadForm(1, 0, 1), hnf_classes(1))
         assert fix == MatrixClass(1, 0, 1)
 
-    def test_special_detected(self, cfg256):
+    def test_special_detected(self):
         # discriminant -27 = -3*3^2 admits three fixing classes for m = 27
-        alpha = cm_point(QuadForm(1, 1, 7), cfg256)
-        assert is_special_candidate(alpha.discriminant)
-        assert len(reference_fixing_classes(alpha, 27)) == 3
-        with pytest.raises(MultipleFixingClasses, match="3 fixing classes"):
-            fixing_class(alpha, hnf_classes(27))
+        form = QuadForm(1, 1, 7)
+        assert len(reference_fixing_classes(form, 27)) == 3
+        with pytest.raises(NoFixingClass, match="3 fixing classes"):
+            fixing_class(form, hnf_classes(27))
 
-    def test_form_rule_matches_fixing_matrices_through_40(self, cfg256):
+    def test_form_rule_matches_fixing_matrices_through_40(self):
         checked = 0
         for n in range(1, 41):
             m = 24 * n - 1
@@ -153,18 +147,17 @@ class TestFixingClass:
             for form in enumerate_qn(n):
                 if form.content() != 1:
                     continue
-                alpha = cm_point(form, cfg256)
-                assert {fixing_class(alpha, classes)} == reference_fixing_classes(alpha, m)
+                assert {fixing_class(form, classes)} == reference_fixing_classes(form, m)
                 checked += 1
         assert checked == 799
 
-    def test_imprimitive_form_has_none(self, cfg256):
+    def test_imprimitive_form_has_none(self):
         # n = 24: 575 = 23 * 5^2, and the fixing matrices of 5 [6, 5, 2]
         # all have content 5
-        alpha = cm_point(QuadForm(30, 25, 10), cfg256)
-        assert reference_fixing_classes(alpha, 575) == set()
-        with pytest.raises(NoFixingClass):
-            fixing_class(alpha, hnf_classes(575))
+        form = QuadForm(30, 25, 10)
+        assert reference_fixing_classes(form, 575) == set()
+        with pytest.raises(NoFixingClass, match="0 fixing classes"):
+            fixing_class(form, hnf_classes(575))
 
 
 class TestBetaAndTaylor:
@@ -172,7 +165,7 @@ class TestBetaAndTaylor:
         classes = hnf_classes(23)
         table = _j_table(cfg512)
         for form in enumerate_qn(1):
-            beta, _ = beta_product(cm_point(form, cfg512), classes, cfg512, table)
+            beta, _ = beta_product(form, classes, cfg512, table)
             assert abs(beta) > 1
 
     def test_beta_error_bound_holds(self, cfg512):
@@ -181,43 +174,40 @@ class TestBetaAndTaylor:
         hi = cfg512.with_bits(1024)
         table_lo, table_hi = _j_table(cfg512), _j_table(hi)
         for form in enumerate_qn(1):
-            beta, rel = beta_product(cm_point(form, cfg512), classes, cfg512, table_lo)
-            exact, _ = beta_product(cm_point(form, hi), classes, hi, table_hi)
+            beta, rel = beta_product(form, classes, cfg512, table_lo)
+            exact, _ = beta_product(form, classes, hi, table_hi)
             with mpmath.workprec(hi.eval_bits):
                 assert abs(beta - exact) <= rel * abs(beta)
             assert rel < mpf(2) ** -480
 
     def test_taylor_rejects_trivial(self, cfg256):
-        alpha = cm_point(QuadForm(1, 0, 1), cfg256)
         with pytest.raises(ValueError):
-            taylor_coeffs(alpha, hnf_classes(1), cfg256)
+            taylor_coeffs(QuadForm(1, 0, 1), hnf_classes(1), cfg256)
 
     def test_symmetry_imposed(self, cfg512):
         classes = hnf_classes(23)
-        data = taylor_coeffs(cm_point(enumerate_qn(1)[0], cfg512), classes, cfg512)
+        data = taylor_coeffs(enumerate_qn(1)[0], classes, cfg512)
         assert data.beta20 == data.beta02
 
     def test_masser_matches_direct_c_n1(self, cfg512):
         with mpmath.workprec(cfg512.eval_bits):
             for form in enumerate_qn(1):
-                alpha = cm_point(form, cfg512)
-                diff = abs(masser_c(alpha, cfg512) - eval_C(alpha.embed, cfg512))
+                diff = abs(masser_c(form, cfg512) - eval_C(cm_point(form, cfg512), cfg512))
                 assert diff < mpf("1e-15")
 
     def test_masser_matches_direct_c_n3(self, cfg512):
         classes = hnf_classes(71)
         with mpmath.workprec(cfg512.eval_bits):
             for form in enumerate_qn(3):
-                alpha = cm_point(form, cfg512)
-                data = taylor_coeffs(alpha, classes, cfg512)
-                diff = abs(data.masser_c() - eval_C(alpha.embed, cfg512))
+                data = taylor_coeffs(form, classes, cfg512)
+                diff = abs(data.masser_c() - eval_C(cm_point(form, cfg512), cfg512))
                 assert diff < mpf("1e-15")
 
     def test_finite_difference_oracle_agrees(self, cfg512):
         classes = hnf_classes(23)
-        alpha = cm_point(enumerate_qn(1)[0], cfg512)
-        analytic = taylor_coeffs(alpha, classes, cfg512)
-        fitted = taylor_fd_fit(alpha, classes, cfg512)
+        form = enumerate_qn(1)[0]
+        analytic = taylor_coeffs(form, classes, cfg512)
+        fitted = taylor_fd_fit(form, classes, cfg512)
         with mpmath.workprec(cfg512.eval_bits):
             for name in ("beta", "beta02", "beta11", "beta20"):
                 a = getattr(analytic, name)
@@ -229,8 +219,8 @@ class TestBetaAndTaylor:
         lo, hi = PrecisionConfig(256), PrecisionConfig(512)
         classes = hnf_classes(23)
         form = enumerate_qn(1)[0]
-        d_lo = taylor_coeffs(cm_point(form, lo), classes, lo)
-        d_hi = taylor_coeffs(cm_point(form, hi), classes, hi)
+        d_lo = taylor_coeffs(form, classes, lo)
+        d_hi = taylor_coeffs(form, classes, hi)
         with mpmath.workprec(600):
             rel = abs(d_lo.beta11 - d_hi.beta11) / (1 + abs(d_hi.beta11))
             assert rel < mpf(2) ** -200
@@ -258,7 +248,7 @@ class TestClassTable:
         table = _j_table(cfg512)
         with mpmath.workprec(bits):
             for form in enumerate_qn(n):
-                alpha = cm_point(form, cfg512).embed
+                alpha = cm_point(form, cfg512)
                 for cl in classes:
                     image, _ = _image_form(form, cl)
                     value, _ = table[reduce_with_matrix(image)[0]]
@@ -287,7 +277,7 @@ class TestClassTable:
         # the root of the image form is the image of the root
         form = enumerate_qn(3)[-1]
         with mpmath.workprec(cfg256.eval_bits):
-            alpha = cm_point(form, cfg256).embed
+            alpha = cm_point(form, cfg256)
             for cl in hnf_classes(71):
                 image, g = _image_form(form, cl)
                 assert image.content() == 1 and g * g * image.discriminant() == -71 ** 3

@@ -1,9 +1,11 @@
+import math
 import random
 
 import mpmath
 import pytest
 from mpmath import mpc, mpf
 
+from cmpartitions.precision import PrecisionConfig
 from cmpartitions.quadforms import (QuadForm, cm_point, conjugate_partners,
                                     enumerate_qn, gamma0_equivalent,
                                     reduce_with_matrix, reduced_forms,
@@ -214,34 +216,88 @@ class TestConjugatePartners:
             conjugate_partners([QuadForm(1, 1, 6)])
 
 
+def _rounded(num: int, den: int, prec: int) -> tuple:
+    """num / den (den > 0) rounded to nearest, ties to even, at prec bits,
+    as an mpf's (sign, man, exp, bc) with man odd."""
+    if num == 0:
+        return (0, 0, 0, 0)
+    sign, num = int(num < 0), abs(num)
+    exp = num.bit_length() - den.bit_length() - prec - 1
+    while True:
+        top, bottom = (num << -exp, den) if exp < 0 else (num, den << exp)
+        man, rem = divmod(top, bottom)
+        if man.bit_length() <= prec:
+            break
+        exp += 1
+    if 2 * rem > bottom or (2 * rem == bottom and man & 1):
+        man += 1
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return (sign, man, exp + zeros, man.bit_length())
+
+
+def _sqrt_rounded(n: int, prec: int) -> tuple:
+    """sqrt(n) for an integer n > 0 rounded to nearest at prec bits (a tie
+    cannot occur), as an mpf's (sign, man, exp, bc)."""
+    shift = prec - (n.bit_length() + 1) // 2 + 1
+    while True:
+        assert shift >= 0
+        man = math.isqrt(n << 2 * shift)
+        if man.bit_length() <= prec:
+            break
+        shift -= 1
+    if (n << 2 * shift) - man * man > man:
+        man += 1
+    return _rounded(man, 1 << shift, prec)
+
+
+def _product_rounded(x: tuple, y: tuple, prec: int) -> tuple:
+    """The product of two positive (sign, man, exp, bc) rounded at prec."""
+    exp = x[2] + y[2]
+    man = x[1] * y[1]
+    return _rounded(man << exp, 1, prec) if exp >= 0 else _rounded(man, 1 << -exp, prec)
+
+
 class TestCMPoint:
     def test_i(self, cfg256):
-        point = cm_point(QuadForm(1, 0, 1), cfg256)
-        assert abs(point.embed - mpc(0, 1)) < mpf(2) ** -250
+        assert abs(cm_point(QuadForm(1, 0, 1), cfg256) - mpc(0, 1)) < mpf(2) ** -250
 
     def test_omega(self, cfg256):
         point = cm_point(QuadForm(1, 1, 1), cfg256)
         with mpmath.workprec(300):
             expected = mpc(mpf(-1) / 2, mpmath.sqrt(3) / 2)
-            assert abs(point.embed - expected) < mpf(2) ** -250
+            assert abs(point - expected) < mpf(2) ** -250
 
     def test_first_representative(self, cfg256):
         point = cm_point(QuadForm(6, 1, 1), cfg256)
         with mpmath.workprec(300):
-            assert abs(mpmath.re(point.embed) + mpf(1) / 12) < mpf(2) ** -250
-            assert abs(mpmath.im(point.embed) - mpmath.sqrt(23) / 12) < mpf(2) ** -250
+            assert abs(mpmath.re(point) + mpf(1) / 12) < mpf(2) ** -250
+            assert abs(mpmath.im(point) - mpmath.sqrt(23) / 12) < mpf(2) ** -250
 
     def test_root_residual(self, cfg256):
         bound = mpf(2) ** (-cfg256.working_bits + cfg256.guard_bits + 8)
         with mpmath.workprec(cfg256.eval_bits):
             for n in (1, 3, 6):
                 for f in enumerate_qn(n):
-                    alpha = cm_point(f, cfg256).embed
+                    alpha = cm_point(f, cfg256)
                     residual = abs(f.a * alpha * alpha + f.b * alpha + f.c)
                     assert residual < bound * (abs(f.a) + abs(f.b) + abs(f.c))
 
-    def test_exact_matches_embed(self, cfg256):
-        point = cm_point(QuadForm(12, -11, 3), cfg256)
-        assert point.exact.x == mpf(11) / 24
-        with mpmath.workprec(300):
-            assert abs(point.exact.embed(cfg256) - point.embed) == 0
+    def test_exact_matches_embed(self):
+        # bit for bit against rounding done exactly in integers: the real
+        # part is -b / (2a) correctly rounded; the imaginary part is the
+        # correctly rounded product of 1 / (2a) and sqrt(|D|), each correctly
+        # rounded first.  The digits of every CM value (masser, forms,
+        # verify-decomp) depend on exactly these roundings.
+        forms = [f for n in range(1, 61) for f in enumerate_qn(n)]
+        forms += [QuadForm(1, 0, 1), QuadForm(1, 1, 1)]
+        for bits in (256, 512, 4096):
+            cfg = PrecisionConfig(bits, 4096)
+            p = cfg.eval_bits
+            for f in forms:
+                point = cm_point(f, cfg)
+                assert point.real._mpf_ == _rounded(-f.b, 2 * f.a, p), (bits, f)
+                im = _product_rounded(_rounded(1, 2 * f.a, p),
+                                      _sqrt_rounded(-f.discriminant(), p), p)
+                assert point.imag._mpf_ == im, (bits, f)
+

@@ -35,7 +35,7 @@ class TestOrbitProduct:
         assert residual < mpf("1e-15")
 
     def test_n1_scaled_polynomial(self, cfg256):
-        values = [eval_P(cm_point(f, cfg256).embed, cfg256)
+        values = [eval_P(cm_point(f, cfg256), cfg256)
                   for f in enumerate_qn(1)]
         poly = orbit_product(values, 23)
         rounded, residual = round_to_integers(poly, mpf("1e-40"))
@@ -121,7 +121,7 @@ class TestComputePn:
         tol = mpf(2) ** -200
         for n in (1, 24, 47, *sample):
             forms = enumerate_qn(n)
-            ps = [eval_P(cm_point(f, cfg256).embed, cfg256) for f in forms]
+            ps = [eval_P(cm_point(f, cfg256), cfg256) for f in forms]
             with mpmath.workprec(cfg256.eval_bits):
                 for i, k in enumerate(conjugate_partners(forms)):
                     assert abs(ps[k] - mpmath.conj(ps[i])) < tol, (n, forms[i])
@@ -174,7 +174,7 @@ class TestComputePn:
                         mat = (a * e + b * g, a * f + b * h,
                                c * e + d * g, c * f + d * h)
                     moved = form.transform(mat)
-                    total += eval_P(cm_point(moved, cfg256).embed, cfg256)
+                    total += eval_P(cm_point(moved, cfg256), cfg256)
                 expected = mpmath.fsum(base.p_values)
                 assert abs(total - expected) < cfg256.abs_tol
 
@@ -215,7 +215,7 @@ class TestNorms:
         # the product of the three j-values equals minus the constant term
         # of the degree-3 class polynomial built by this package
         from cmpartitions.evaluate import eval_j
-        values = [eval_j(cm_point(f, cfg256).embed, cfg256)
+        values = [eval_j(cm_point(f, cfg256), cfg256)
                   for f in enumerate_qn(1)]
         poly = orbit_product(values, 1)
         rounded, _ = round_to_integers(poly, mpf("1e-20"))

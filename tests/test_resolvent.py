@@ -142,13 +142,11 @@ class TestVerifyTabulated:
 class TestRootCheck:
     def test_n1_points(self, cfg512):
         for form in enumerate_qn(1):
-            alpha = cm_point(form, cfg512)
-            residuals = psi_root_check(alpha, cfg512)
+            residuals = psi_root_check(form, cfg512)
             assert residuals["b"] < mpf("1e-25")
             assert residuals["aprime"] < mpf("1e-25")
 
     def test_n2_n3_points(self, cfg512):
         for n in (2, 3):
             for form in enumerate_qn(n):
-                alpha = cm_point(form, cfg512)
-                assert max(psi_root_check(alpha, cfg512).values()) < mpf("1e-25")
+                assert max(psi_root_check(form, cfg512).values()) < mpf("1e-25")
