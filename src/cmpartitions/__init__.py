@@ -16,12 +16,12 @@ from .evaluate import (ALCheck, atkin_lehner_check, eval_A, eval_Aprime,
                        eval_j, eval_P, eval_P_cm, eval_theta_form,
                        eval_theta_j)
 from .modpoly import (MatrixClass, TaylorData, beta_norm, beta_product,
-                      class_count, fixing_class, hnf_classes, masser_c,
+                      class_count, fixing_class, hnf_classes, j_norm, masser_c,
                       taylor_coeffs, taylor_fd_fit)
 from .precision import PrecisionConfig, run_adaptive
 from .quadforms import (QuadForm, cm_point, enumerate_qn, gamma0_equivalent,
                         reduced_forms)
-from .recognize import (OrbitRecord, compute_pn, j_norm, norm_6unit_check,
+from .recognize import (OrbitRecord, compute_pn, norm_6unit_check,
                         orbit_product, pentagonal_pn, round_to_integers,
                         sharpness_divisor)
 from .resolvent import (coset_reps, psi_from_cosets, psi_root_check,

@@ -21,7 +21,7 @@ from . import modpoly, recognize, resolvent
 from .errors import (CMPartitionsError, NearSingularity, NotNearIntegral,
                      PrecisionExhausted)
 from .evaluate import _values, eval_A, eval_B, eval_C, eval_form, eval_j, eval_P
-from .precision import PrecisionConfig, _fork_map, run_adaptive
+from .precision import PrecisionConfig, run_adaptive
 from .quadforms import cm_point, enumerate_qn
 from .series import fp_series, hypothesis_check
 
@@ -99,7 +99,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--json", action="store_true", dest="as_json")
     common.add_argument("--cache-path", default=None)
     common.add_argument("--no-cache", action="store_true")
-    common.add_argument("--threads", type=_positive_int, default=1)
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized verification points")
 
@@ -445,7 +444,7 @@ def _cmd_masser(args) -> int:
 
 def _cmd_norms(args) -> int:
     cfg = _config(args)
-    norm, coprime, achieved = recognize.j_norm(args.n, cfg)
+    norm, coprime, achieved = modpoly.j_norm(args.n, cfg)
     doc = {"n": args.n,
            "j_norm": {"value": str(norm), "coprime_to_6": coprime,
                       "achieved_bits": achieved}}
@@ -482,10 +481,10 @@ def _cmd_hypothesis(args) -> int:
 
 
 def _per_n_block(n: int, cfg: PrecisionConfig, cached) -> dict:
-    """One n's worth of the report; run in a worker process when threaded."""
+    """One n's worth of the report."""
     block = dict(cached) if cached is not None else _record_entry(n, cfg)
     block["pn_oracle"] = str(recognize.pentagonal_pn(n))
-    norm, coprime, achieved = recognize.j_norm(n, cfg)
+    norm, coprime, achieved = modpoly.j_norm(n, cfg)
     block["j_norm"] = {"value": str(norm), "coprime_to_6": coprime,
                        "achieved_bits": achieved}
     if n <= 3:
@@ -505,15 +504,13 @@ def _per_n_block(n: int, cfg: PrecisionConfig, cached) -> dict:
     return block
 
 
-def report_bundle(n_max: int, cfg: PrecisionConfig, threads: int,
-                  hypothesis_order: int, cached_entries: dict) -> dict:
+def report_bundle(n_max: int, cfg: PrecisionConfig, hypothesis_order: int,
+                  cached_entries: dict) -> dict:
     """Aggregate document: per-n partition/orbit/norm results plus the global
     series integrality flags.  Cached orbit records (by n) are reused
-    verbatim so a warm cache is recompute-free for that part.  With
-    threads > 1 the blocks run in forked processes (``_fork_map``), and the
-    beta-norms inside them run serially."""
-    blocks = _fork_map(_per_n_block, [(n, cfg, cached_entries.get(n))
-                                      for n in range(1, n_max + 1)], threads)
+    verbatim so a warm cache is recompute-free for that part."""
+    blocks = [_per_n_block(n, cfg, cached_entries.get(n))
+              for n in range(1, n_max + 1)]
     hyp = hypothesis_check(fp_series(hypothesis_order + 2), hypothesis_order)
     return {
         "n_max": n_max,
@@ -537,8 +534,7 @@ def _cmd_report(args) -> int:
             entry = _cache_lookup(cache, n, cfg.working_bits)
             if entry is not None and entry["working_bits"] == cfg.working_bits:
                 cached_entries[n] = entry
-    doc = report_bundle(args.n_max, cfg, threads=args.threads,
-                        hypothesis_order=args.hypothesis_order,
+    doc = report_bundle(args.n_max, cfg, hypothesis_order=args.hypothesis_order,
                         cached_entries=cached_entries)
     if not args.no_cache:
         for block in doc["per_n"]:

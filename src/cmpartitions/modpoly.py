@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mpc, mpf
 
-from .errors import NearSingularity, NoFixingClass, NotNearIntegral
+from .errors import NearSingularity, NoFixingClass, PrecisionExhausted
 from .evaluate import (_check_budget, _ClassTable, _j_and_theta_j, _j_from_eta,
                        _nomes, _root, eval_j, eval_theta_j)
-from .precision import PrecisionConfig, _fork_map, run_adaptive
+from .precision import PrecisionConfig, _fork_map
 from .quadforms import QuadForm, cm_point, enumerate_qn, reduce_with_matrix
 from .recognize import _carried_bits, norm_6unit_check
 
@@ -182,26 +182,23 @@ def beta_product(form: QuadForm, classes, cfg: PrecisionConfig,
     _j_table at cfg's precision, shared by the forms of one rung) at the
     reduced form of form or of the image's form.  With j0 and jk off by eps0
     and epsk relative, the factor j0 - jk is off by
-    (eps0 |j0| + epsk |jk|) / |j0 - jk| relative, plus 2^(2-p) for its
-    subtraction and its product at p = cfg.eval_bits bits; rel sums that
-    over the factors.  j runs along the eta-only route: the norm products for
-    n = 3 already need >30000 working bits, where E4^3 / Delta from the
-    theta constants would take more products.
+    (eps0 |j0| + epsk |jk|) / |j0 - jk| relative, plus 2^(1-p) for its
+    subtraction at p = cfg.eval_bits bits; _product sums that over the
+    factors, with 2^(1-p) for each product.  j runs along the eta-only
+    route: the norm products for n = 3 already need >30000 working bits,
+    where E4^3 / Delta from the theta constants would take more products.
     """
     fix, images = _images(form, classes)
-    with mpmath.workprec(cfg.eval_bits):
-        j0, eps0 = table[reduce_with_matrix(form)[0]]
-        prod = mpc(1)
-        rel = mpf(2) ** (2 - cfg.eval_bits) * (len(images) - 1)
-        for cl, image in images.items():
-            if cl != fix:
-                jk, epsk = table[reduce_with_matrix(image)[0]]
+    j0, eps0 = table[reduce_with_matrix(form)[0]]
+    factors = []
+    for cl, image in images.items():
+        if cl != fix:
+            jk, epsk = table[reduce_with_matrix(image)[0]]
+            with mpmath.workprec(cfg.eval_bits):
                 diff = j0 - jk
-                prod *= diff
-                with mpmath.workprec(53):
-                    rel += ((eps0 * _magnitude(j0) + epsk * _magnitude(jk))
-                            / _magnitude(diff))
-    return prod, rel
+            rel = (eps0 * _magnitude(j0) + epsk * _magnitude(jk)) / _magnitude(diff)
+            factors.append((diff, rel + mpf(2) ** (1 - cfg.eval_bits)))
+    return _product(factors, cfg.eval_bits)
 
 
 @dataclass(frozen=True)
@@ -333,55 +330,81 @@ def _lstsq(rows, rhs, bits: int):
         return list(mpmath.lu_solve(at * a, at * b))
 
 
-def beta_norm(n: int, cfg: PrecisionConfig):
-    """Product of beta over the primitive class representatives for n,
-    rounded to an integer, with the coprime-to-6 flag and the working bits
-    it was accepted at.
+def _product(pairs, bits: int) -> tuple[mpc, mpf]:
+    """(prod, rel) of (value, rel) pairs at bits bits, rel bounding relative
+    errors: theirs summed, plus 2^(1-bits) for each product."""
+    with mpmath.workprec(bits):
+        prod = mpc(1)
+        rel = mpf(2) ** (1 - bits) * len(pairs)
+        for value, value_rel in pairs:
+            prod *= value
+            rel += value_rel
+    return prod, rel
 
-    These integers are enormous (about 9000 digits at n = 3), so a cheap
-    low-precision probe first measures the magnitude, and one rung runs at
-    the magnitude plus cfg.working_bits.  Its kernel calls, one per class
-    pair, are split over the CPUs (see _j_table).  The rung is accepted when
-    both its error bound and its distance to the nearest integer are at most
-    abs_tol.  The bound sums the factors' relative error bounds of
-    beta_product, plus 2^(1-p) for each product over the forms, to S; if
-    S <= 1/4, the product is off by at most 2 S |prod| (the first-order
-    sum, with exp(S) - 1 and the step from the computed |prod| to the exact
-    one covered by the factor 2).  Otherwise the adaptive ladder takes over
-    from that rung, doubling only the bits above the magnitude.
+
+def _certified_norm(label: str, product_at, cfg: PrecisionConfig):
+    """(norm, coprime_to_6, bits) from the rungs product_at(bits) = (prod,
+    rel), rel bounding prod's relative error to first order.
+
+    A rung is accepted when bound = 2 rel |prod| (with rel <= 1/4; the 2
+    covers exp(rel) - 1 and the computed |prod|) is at most cfg.abs_tol, and
+    prod is rounded with bound as the tolerance: a product farther from its
+    integer than its own bound raises NotNearIntegral.  Rungs run at w =
+    cfg.working_bits, which gives the magnitude M, then at M + w, M + 2w,
+    M + 4w, ..., the excess over M capped at cfg.max_bits; when the rung at
+    that cap does not close either, PrecisionExhausted."""
+    bits = cfg.working_bits
+    prod, rel = product_at(bits)
+    magnitude = max(int(mpmath.mag(prod)), 0)
+    excess = 0
+    while True:
+        bound = 2 * rel * _magnitude(prod) if rel <= 0.25 else mpmath.inf
+        if bound <= cfg.abs_tol:
+            return (*norm_6unit_check(prod, label, bound), bits)
+        if excess >= cfg.max_bits:
+            raise PrecisionExhausted(f"{label}: bound {mpmath.nstr(bound, 5)} above "
+                                     f"{mpmath.nstr(cfg.abs_tol, 5)} at {bits} bits")
+        excess = min(2 * excess, cfg.max_bits) if excess else cfg.working_bits
+        bits = magnitude + excess
+        prod, rel = product_at(bits)
+
+
+def j_norm(n: int, cfg: PrecisionConfig):
+    """Product of j over the class representatives for n, as an integer,
+    with the coprime-to-6 flag and its rung's working bits (_certified_norm;
+    at 256 working bits the first rung closes for n <= 4, the next beyond).
+    Each (j, eps) comes from a class table at alpha's reduced form, filled
+    on a miss: 2 to 31 kernel calls per rung for n <= 30 cost less than a
+    fork."""
+    reduced = [reduce_with_matrix(f)[0] for f in enumerate_qn(n)]
+
+    def product_at(bits):
+        sub = cfg.with_bits(bits)
+        table = _j_table(sub)
+        return _product([table[red] for red in reduced], sub.eval_bits)
+
+    return _certified_norm(f"j-norm(n={n})", product_at, cfg)
+
+
+def beta_norm(n: int, cfg: PrecisionConfig):
+    """Product of beta over the primitive class representatives for n, as an
+    integer, with the coprime-to-6 flag and its rung's working bits.
+
+    The integers are enormous (about 9000 digits at n = 3), so the first
+    rung only measures the magnitude, and the next, at the magnitude plus
+    cfg.working_bits, is accepted on its bound (_certified_norm; about
+    2^-270 for n = 1, 2 and 3): beta_product's relative bounds and 2^(1-p)
+    per product over the forms.  A rung's kernel calls, one per class pair,
+    are split over the CPUs (_j_table).
     """
     # only primitive forms have a fixing class of determinant 24n - 1
     forms = [f for f in enumerate_qn(n) if f.content() == 1]
     classes = hnf_classes(24 * n - 1)
-    rungs = {}
 
     def product_at(bits):
-        """(product, bound on its absolute error) at working precision bits."""
-        if bits not in rungs:
-            sub = cfg.with_bits(bits)
-            table = _j_table(sub, forms, classes)
-            with mpmath.workprec(sub.eval_bits):
-                prod = mpc(1)
-                rel = mpf(2) ** (1 - sub.eval_bits) * len(forms)
-                for f in forms:
-                    beta, beta_rel = beta_product(f, classes, sub, table)
-                    prod *= beta
-                    rel += beta_rel
-            with mpmath.workprec(53):
-                bound = 2 * rel * _magnitude(prod) if rel <= 0.25 else mpmath.inf
-            rungs[bits] = prod, bound
-        return rungs[bits]
+        sub = cfg.with_bits(bits)
+        table = _j_table(sub, forms, classes)
+        return _product([beta_product(f, classes, sub, table) for f in forms],
+                        sub.eval_bits)
 
-    label = f"beta-norm(n={n})"
-    magnitude = max(int(mpmath.mag(product_at(cfg.working_bits)[0])), 0)
-    bits = magnitude + cfg.working_bits
-    prod, bound = product_at(bits)
-    if bound <= cfg.abs_tol:
-        try:
-            return (*norm_6unit_check(prod, label, cfg.abs_tol), bits)
-        except NotNearIntegral:
-            pass
-    prod, achieved_excess = run_adaptive(
-        lambda excess: product_at(magnitude + excess)[0], cfg)
-    norm, coprime = norm_6unit_check(prod, label, cfg.abs_tol)
-    return norm, coprime, magnitude + achieved_excess
+    return _certified_norm(f"beta-norm(n={n})", product_at, cfg)

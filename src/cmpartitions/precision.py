@@ -2,11 +2,10 @@
 the fork pool that spreads one rung's independent evaluations over the CPUs.
 
 All numerical modules run at an explicit binary precision taken from a
-PrecisionConfig.  Correctness rests on the adaptive ladder: a computation is
-rerun at doubled precision until two consecutive runs agree to the
-configured absolute tolerance.  (The beta-norm alone accepts a single rung
-on an error bound, and falls back to the ladder when the bound does not
-close.)
+PrecisionConfig.  p(n) and eval rest on the adaptive ladder: a computation
+is rerun at doubled precision until two consecutive runs agree to the
+configured absolute tolerance.  The norms of j and beta take no ladder: they
+are accepted on an error bound (modpoly._certified_norm).
 """
 
 from __future__ import annotations

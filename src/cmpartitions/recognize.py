@@ -1,9 +1,11 @@
 """Turning multisets of high-precision CM values into exact integers.
 
-Integer recognition is plain nearest-integer rounding under the adaptive
-precision ladder: every target here is a rational integer (orbit products and
-traces), so rounding plus precision doubling is complete, and lattice-based
-relation detection would be overkill.
+Integer recognition is plain nearest-integer rounding: every target here is
+a rational integer (orbit products, traces and norms), so rounding plus
+enough precision is complete, and lattice-based relation detection would be
+overkill.  compute_pn rounds under the adaptive precision ladder; the norms
+(modpoly.j_norm and modpoly.beta_norm) round through norm_6unit_check with
+their error bound as the tolerance.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ import mpmath
 from mpmath import mpc, mpf
 
 from .errors import NotNearIntegral
-from .evaluate import _ClassTable, _j_reduced, _root, eval_P_cm
+from .evaluate import eval_P_cm
 from .precision import PrecisionConfig, run_adaptive
-from .quadforms import (QuadForm, conjugate_partners, enumerate_qn,
-                        reduce_with_matrix)
+from .quadforms import QuadForm, conjugate_partners, enumerate_qn
 from .series import _pentagonal_exponents
 
 
@@ -189,23 +190,3 @@ def norm_6unit_check(value, label: str, tol):
         raise NotNearIntegral(f"{label}: {exc}", residual=exc.residual) from None
     return norm, math.gcd(norm, 6) == 1
 
-
-def j_norm(n: int, cfg: PrecisionConfig):
-    """Product of j over the class representatives for n, rounded, with the
-    coprimality-to-6 flag; runs under the adaptive ladder.  j(alpha) is read
-    from a class table at alpha's reduced form, so a class and its mirror
-    take one kernel call per rung."""
-    reduced = [reduce_with_matrix(f)[0] for f in enumerate_qn(n)]
-
-    def task(bits):
-        eval_bits = cfg.with_bits(bits).eval_bits
-        with mpmath.workprec(eval_bits):
-            table = _ClassTable(lambda red: _j_reduced(_root(red), eval_bits))
-            prod = mpc(1)
-            for red in reduced:
-                prod *= table[red][0]
-        return prod
-
-    prod, achieved = run_adaptive(task, cfg)
-    norm, coprime = norm_6unit_check(prod, f"j-norm(n={n})", cfg.abs_tol)
-    return norm, coprime, achieved

@@ -13,11 +13,11 @@ from mpmath import mpc, mpf
 
 from cmpartitions.evaluate import (eval_A, eval_B, eval_C, eval_eisenstein,
                                    eval_eta, eval_j, eval_P, eval_theta_j)
-from cmpartitions.modpoly import (beta_norm, hnf_classes, taylor_coeffs,
-                                  taylor_fd_fit)
+from cmpartitions.modpoly import (beta_norm, hnf_classes, j_norm,
+                                  taylor_coeffs, taylor_fd_fit)
 from cmpartitions.precision import PrecisionConfig
 from cmpartitions.quadforms import cm_point, enumerate_qn
-from cmpartitions.recognize import compute_pn, j_norm, pentagonal_pn
+from cmpartitions.recognize import compute_pn, pentagonal_pn
 from cmpartitions.resolvent import psi_root_check, verify_tabulated
 from cmpartitions.series import fp_series, hypothesis_check
 

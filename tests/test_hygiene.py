@@ -2,14 +2,21 @@
 that removes the last use of an import cannot leave the import behind.
 ``__init__`` is exempt: its imports are the package's exports.  Every
 module-level private name is used somewhere in the package, so no dead
-helper stays behind either."""
+helper stays behind either.  The README's global flags are the options
+every command takes, so a flag cannot be added or removed on one side
+only."""
 
+import argparse
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
+from cmpartitions import cli
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cmpartitions"
+README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -75,3 +82,37 @@ def test_detects_a_dead_private_name():
     sources = {"a.py": "def _used():\n    pass\n\n\ndef _dead():\n    pass\n\n_LIMIT = 3\n",
                "b.py": "from .a import _used\n_used()\n"}
     assert dead_private_names(sources) == ["_dead (a.py line 5)", "_LIMIT (a.py line 8)"]
+
+
+def readme_global_flags(readme: str) -> set[str]:
+    """The options named in backticks in the README's "Global flags"
+    paragraph."""
+    paragraph = readme.split("Global flags:", 1)[1].split("\n\n", 1)[0]
+    return set(re.findall(r"`(--[a-z][a-z-]*)`", paragraph))
+
+
+def common_options(parser: argparse.ArgumentParser) -> set[str]:
+    """The long options, --help aside, that every subcommand of parser takes:
+    those of the common parent parser."""
+    commands = next(action.choices.values() for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    shared = set.intersection(*({s for action in command._actions
+                                 for s in action.option_strings}
+                                for command in commands))
+    return {s for s in shared if s.startswith("--")} - {"--help"}
+
+
+def test_readme_names_exactly_the_global_flags():
+    assert readme_global_flags(README.read_text()) == common_options(cli._build_parser())
+
+
+def test_detects_a_flag_on_one_side_only():
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true")
+    parser = argparse.ArgumentParser()
+    commands = parser.add_subparsers()
+    commands.add_parser("pn", parents=[common]).add_argument("--n")
+    commands.add_parser("cache", parents=[common])
+    readme = "Global flags: `--json`, `--threads`.\n\nExit codes: `--n`.\n"
+    assert common_options(parser) == {"--json"}
+    assert readme_global_flags(readme) == {"--json", "--threads"}

@@ -7,12 +7,14 @@ import pytest
 from mpmath import mpc, mpf
 
 from cmpartitions import modpoly
-from cmpartitions.errors import NoFixingClass
+from cmpartitions.errors import (NoFixingClass, NotNearIntegral,
+                                  PrecisionExhausted)
 from cmpartitions.evaluate import eval_C, eval_j, _j_from_eta, _nomes, _root
 from cmpartitions.modpoly import (MatrixClass, beta_norm, beta_product,
                                   class_count, fixing_class, hnf_classes,
-                                  masser_c, taylor_coeffs, taylor_fd_fit,
-                                  _image_form, _j_table)
+                                  j_norm, masser_c, taylor_coeffs,
+                                  taylor_fd_fit, _certified_norm, _image_form,
+                                  _j_table)
 from cmpartitions.precision import PrecisionConfig
 from cmpartitions.quadforms import (QuadForm, cm_point, enumerate_qn,
                                     reduce_with_matrix)
@@ -298,27 +300,29 @@ class TestBetaNorm:
         assert hashlib.sha256(str(norm).encode()).hexdigest() == self.SHA256[1]
 
     @pytest.fixture
-    def ladders(self, monkeypatch):
-        calls = []
-        original = modpoly.run_adaptive
+    def rungs(self, monkeypatch):
+        # the working bits of each rung, one class table per rung
+        bits = []
+        original = modpoly._j_table
 
-        def spy(task, cfg):
-            calls.append(cfg)
-            return original(task, cfg)
+        def spy(cfg, *args):
+            bits.append(cfg.working_bits)
+            return original(cfg, *args)
 
-        monkeypatch.setattr(modpoly, "run_adaptive", spy)
-        return calls
+        monkeypatch.setattr(modpoly, "_j_table", spy)
+        return bits
 
-    def test_n1_one_certified_rung(self, ladders):
+    def test_n1_one_certified_rung(self, rungs):
         # the rung at magnitude + 256 bits is bounded well below 2^-128
         _, _, achieved = beta_norm(1, PrecisionConfig(256, 8192))
-        assert ladders == [] and achieved == 3536
+        assert rungs == [256, 3536] and achieved == 3536
 
-    def test_ladder_when_the_bound_does_not_close(self, ladders):
-        # one rung at magnitude + 256 bits cannot be certified to 2^-400
+    def test_ladder_when_the_bound_does_not_close(self, rungs):
+        # one rung at magnitude + 256 bits cannot be certified to 2^-400,
+        # the next, at magnitude + 512, can
         cfg = PrecisionConfig(256, 8192, abs_tol=mpf(2) ** -400)
         norm, coprime, achieved = beta_norm(1, cfg)
-        assert ladders == [cfg] and achieved > 3536
+        assert rungs == [256, 3536, 3792] and achieved == 3792
         assert coprime
         assert hashlib.sha256(str(norm).encode()).hexdigest() == self.SHA256[1]
 
@@ -327,3 +331,40 @@ class TestBetaNorm:
         assert coprime
         assert len(str(abs(norm))) == 3991
         assert hashlib.sha256(str(norm).encode()).hexdigest() == self.SHA256[2]
+
+
+class TestCertifiedNorm:
+    @staticmethod
+    def stub(prod, rel):
+        """A product_at that returns (prod, rel) at every rung and records
+        the rung's bits."""
+        bits = []
+
+        def product_at(b):
+            bits.append(b)
+            return mpc(prod), mpf(rel)
+
+        return product_at, bits
+
+    def test_first_rung_closes(self):
+        product_at, bits = self.stub(-7, mpf(2) ** -300)
+        assert _certified_norm("toy", product_at, PrecisionConfig(256)) == (-7, True, 256)
+        assert bits == [256]
+
+    def test_integer_farther_than_its_bound(self):
+        product_at, _ = self.stub(5.5, mpf(2) ** -300)
+        with pytest.raises(NotNearIntegral, match="toy"):
+            _certified_norm("toy", product_at, PrecisionConfig(256))
+
+    def test_bound_never_closes(self):
+        # magnitude 10, then 10 + 256, 512, 1024, 2048 and the cap 3000
+        product_at, bits = self.stub(1000, 1)
+        with pytest.raises(PrecisionExhausted, match="toy"):
+            _certified_norm("toy", product_at, PrecisionConfig(256, 3000))
+        assert bits == [256, 266, 522, 1034, 2058, 3010]
+
+    def test_j_norm_past_the_first_rung(self):
+        # the product of j for n = 5 needs its magnitude plus 256 bits
+        norm, coprime, achieved = j_norm(5, PrecisionConfig(256, 4096))
+        assert norm == -11669920442373800031513478208679663025064587635901689887
+        assert coprime and achieved == 440

@@ -7,8 +7,9 @@ from mpmath import mpc, mpf
 from cmpartitions import recognize
 from cmpartitions.errors import NotNearIntegral
 from cmpartitions.evaluate import eval_P, eval_P_cm
+from cmpartitions.modpoly import j_norm
 from cmpartitions.quadforms import cm_point, conjugate_partners, enumerate_qn
-from cmpartitions.recognize import (compute_pn, j_norm, norm_6unit_check,
+from cmpartitions.recognize import (compute_pn, norm_6unit_check,
                                     orbit_product, pentagonal_pn,
                                     round_to_integers, sharpness_divisor)
 
