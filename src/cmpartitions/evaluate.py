@@ -28,7 +28,7 @@ from mpmath.libmp import from_man_exp, mpf_neg, to_fixed
 
 from .errors import NearSingularity, NotUpperHalfPlane, PrecisionExhausted
 from .precision import PrecisionConfig
-from .quadforms import QuadForm, reduce_with_matrix
+from .quadforms import QuadForm, _root, reduce_with_matrix
 from .series import (FP_E2_COMBINATION, FP_ETA_FACTORS, FP_PREFACTOR,
                      _pentagonal_exponents)
 
@@ -448,12 +448,6 @@ def eval_P(z: mpc, cfg: PrecisionConfig) -> mpc:
     with mpmath.workprec(cfg.eval_bits):
         f, theta_f, _ = _form_and_theta(z, cfg.eval_bits)
         return _p_of(f, theta_f, z)
-
-
-def _root(form: QuadForm) -> mpc:
-    """The root (-b + sqrt(D))/(2a) of form(x, 1) in the upper half-plane,
-    under the ambient precision."""
-    return mpc(-form.b, mpmath.sqrt(-form.discriminant())) / (2 * form.a)
 
 
 def _conj(value):

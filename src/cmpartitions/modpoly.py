@@ -19,9 +19,10 @@ from mpmath import mpc, mpf
 
 from .errors import NearSingularity, NoFixingClass, PrecisionExhausted
 from .evaluate import (_check_budget, _ClassTable, _j_and_theta_j, _j_from_eta,
-                       _nomes, _root, eval_j, eval_theta_j)
+                       _nomes, eval_j, eval_theta_j)
 from .precision import PrecisionConfig, _fork_map
-from .quadforms import QuadForm, cm_point, enumerate_qn, reduce_with_matrix
+from .quadforms import (QuadForm, _root, cm_point, enumerate_qn,
+                        reduce_with_matrix)
 from .recognize import _carried_bits, norm_6unit_check
 
 

@@ -84,27 +84,19 @@ def _dev(a, b) -> mpf:
     return mpf(abs(a - b))
 
 
-# True in a process that _fork_map forked; such a process exits when its
-# share is done.
-_in_worker = False
+def _fork_map(fn, arg_tuples) -> list:
+    """[fn(*args) for args in arg_tuples], in order, split over forked
+    processes, one per CPU this process may run on.
 
-
-def _fork_map(fn, arg_tuples, processes: int | None = None) -> list:
-    """[fn(*args) for args in arg_tuples], in order, split over ``processes``
-    forked processes (default: the CPUs this process may run on).
-
-    Worker k takes tasks k, k + processes, ... (so a list sorted by falling
+    Worker k of p takes tasks k, k + p, ... (so a list sorted by falling
     cost splits evenly).  Workers are forked, so they see the caller's
     modules as they are (the library starts no threads), and nothing but
     the results is pickled.  The first exception a worker raised is raised
-    here.  Runs serially when there is one process to use, and inside a
-    worker, which starts no processes of its own.
+    here.  Runs serially when there is one process to use.
     """
     tasks = list(arg_tuples)
-    if processes is None:
-        processes = len(os.sched_getaffinity(0))
-    processes = min(processes, len(tasks))
-    if processes <= 1 or _in_worker:
+    processes = min(len(os.sched_getaffinity(0)), len(tasks))
+    if processes <= 1:
         return [fn(*args) for args in tasks]
     workers = []
     try:
@@ -128,10 +120,8 @@ def _fork_map(fn, arg_tuples, processes: int | None = None) -> list:
 def _work(fn, tasks, out) -> None:
     """A forked worker: pickle (False, results) or (True, exception) to out
     and exit, never returning into the caller's code."""
-    global _in_worker
     try:
         import pickle  # here, not at the top: only runs that fork need it
-        _in_worker = True
         share = (False, [fn(*args) for args in tasks])
     except BaseException as exc:  # handed to the parent, which raises it
         share = (True, exc)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import mpmath
-from mpmath import mpc, mpf
+from mpmath import mpc
 
 from .precision import PrecisionConfig
 
@@ -87,10 +87,6 @@ def reduce_with_matrix(q: QuadForm):
         if cur.a == cur.c and cur.b < 0:
             s = (0, -1, 1, 0)
             cur, g = cur.transform(s), _mat_mul(g, s)
-            continue
-        if cur.b == -cur.a:
-            t = (1, 1, 0, 1)
-            cur, g = cur.transform(t), _mat_mul(g, t)
             continue
         return cur, g
 
@@ -212,10 +208,15 @@ def conjugate_partners(forms) -> list[int]:
     return partners
 
 
+def _root(form: QuadForm) -> mpc:
+    """The root (-b + sqrt(D))/(2a) of form(x, 1) in the upper half-plane,
+    under the ambient precision: sqrt(|D|) is rounded, then each part is
+    divided by 2a with one rounding."""
+    return mpc(-form.b, mpmath.sqrt(-form.discriminant())) / (2 * form.a)
+
+
 def cm_point(q: QuadForm, cfg: PrecisionConfig) -> mpc:
-    """The CM point (-b + sqrt(D)) / (2a) of a positive definite form, at
-    cfg's evaluation precision: -b / (2a) and (1 / (2a)) sqrt(|D|), each
-    step rounded as written."""
+    """The CM point of a positive definite form, _root at cfg's evaluation
+    precision."""
     with mpmath.workprec(cfg.eval_bits):
-        return mpc(mpf(-q.b) / (2 * q.a),
-                   mpf(1) / (2 * q.a) * mpmath.sqrt(-q.discriminant()))
+        return _root(q)

@@ -3,10 +3,12 @@
 Both A' and B are weight-0 level-6 functions, so the monic product of
 (X - g(gamma z)) over the 12 cosets of the level-6 group inside the full
 modular group has coefficients that are integer polynomials in j(z).  Those
-coefficient polynomials are tabulated here in their factored shape, and
-verified at runtime against the numerically expanded coset product; their
-specializations at CM values of j witness that A' and B take algebraic
-integer values there.
+coefficient polynomials are tabulated here in their factored shape and are
+evaluated in that shape at the j they are asked at; there is no polynomial
+type (the exact integer polynomials come out of passing a formal series as
+j).  They are verified at runtime against the numerically expanded coset
+product; their specializations at CM values of j witness that A' and B take
+algebraic integer values there.
 """
 
 from __future__ import annotations
@@ -20,79 +22,9 @@ from .quadforms import QuadForm, cm_point
 from .recognize import _carried_bits, orbit_product
 
 
-class JPoly:
-    """Dense integer polynomial in j, ascending coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other):
-        return isinstance(other, JPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = JPoly((other,))
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return JPoly([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                      for i in range(n)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return JPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = JPoly((other,))
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return JPoly([c * other for c in self.coeffs])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1) if self.coeffs and other.coeffs else []
-        for i, ca in enumerate(self.coeffs):
-            for k, cb in enumerate(other.coeffs):
-                out[i + k] += ca * cb
-        return JPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        result = JPoly((1,))
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __call__(self, x):
-        if not self.coeffs:
-            return 0 * x
-        acc = x * 0 + self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
-
-    def __repr__(self):
-        return f"JPoly({self.coeffs})"
-
-
-def _aprime_coefficients() -> tuple[JPoly, ...]:
-    """a_0..a_11 of the A' resolvent, in the factored shape of the table."""
-    j = JPoly((0, 1))
+def _aprime_coefficients(j) -> tuple:
+    """a_0..a_11 of the A' resolvent at j, in the factored shape of the
+    table: numbers at a number, the exact polynomials at the series j."""
     a11 = -2 * (j - 2**6 * 3**3) * (j - 2**5 * 3**3) * j
     a10 = -1 * ((j - 2**6 * 3**3) * j**2
                 * (7 * 67 * j**2 - 2**6 * 3**2 * 2053 * j + 2**11 * 3**5 * 31 * 53))
@@ -177,9 +109,9 @@ def _aprime_coefficients() -> tuple[JPoly, ...]:
     return (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11)
 
 
-def _b_coefficients() -> tuple[JPoly, ...]:
-    """b_0..b_11 of the B resolvent, in the factored shape of the table."""
-    j = JPoly((0, 1))
+def _b_coefficients(j) -> tuple:
+    """b_0..b_11 of the B resolvent at j, in the factored shape of the
+    table: numbers at a number, the exact polynomials at the series j."""
     b11 = -1 * ((j - 2**6 * 3**3) * j)
     b10 = -2 * 13 * 3**2 * (j - 2**6 * 3**3) * j**2
     b9 = 2**2 * (j - 2**3 * 3**6) * (j - 2**6 * 3**3)**2 * j**2
@@ -195,10 +127,6 @@ def _b_coefficients() -> tuple[JPoly, ...]:
     b0 = -(2**8) * 3**9 * (j - 2**6 * 3**3)**6 * j**8 * (
         j**2 - 2**7 * 3**3 * 1399 * j + 2**12 * 3**6 * 17**3)
     return (b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11)
-
-
-APRIME_COEFFS = _aprime_coefficients()
-B_COEFFS = _b_coefficients()
 
 
 def coset_reps():
@@ -253,8 +181,8 @@ def psi_tabulated(j_value) -> dict:
     (ascending, with the monic leading 1), keyed "aprime" and "b"."""
     with mpmath.workprec(_carried_bits([j_value]) + 32):
         j_value = mpc(j_value)
-        return {"aprime": [poly(j_value) for poly in APRIME_COEFFS] + [mpc(1)],
-                "b": [poly(j_value) for poly in B_COEFFS] + [mpc(1)]}
+        return {"aprime": [*_aprime_coefficients(j_value), mpc(1)],
+                "b": [*_b_coefficients(j_value), mpc(1)]}
 
 
 def tabulated_deviations(z: mpc, cfg: PrecisionConfig) -> dict:
@@ -276,7 +204,7 @@ def verify_tabulated(z: mpc, cfg: PrecisionConfig) -> mpf:
     return max(max(devs) for devs in tabulated_deviations(z, cfg).values())
 
 
-def _root_residual(coeffs: list, g: mpc) -> mpf:
+def _residual_at(coeffs: list, g: mpc) -> mpf:
     """|sum c_k g^k| relative to its largest term (and at least 1)."""
     total = mpc(0)
     largest = mpf(1)
@@ -296,4 +224,4 @@ def psi_root_check(form: QuadForm, cfg: PrecisionConfig) -> dict:
     with mpmath.workprec(cfg.eval_bits):
         v = _values(cm_point(form, cfg), cfg)
         tables = psi_tabulated(v["j"])
-        return {key: _root_residual(tables[key], v[key]) for key in tables}
+        return {key: _residual_at(tables[key], v[key]) for key in tables}

@@ -8,7 +8,8 @@ import mpmath
 import pytest
 from mpmath import mpc, mpf
 
-from cmpartitions import cli, evaluate, modpoly
+from cmpartitions import cli, evaluate, modpoly, recognize
+from cmpartitions.errors import NoFixingClass, NotNearIntegral
 from cmpartitions.precision import PrecisionConfig
 
 
@@ -280,6 +281,23 @@ class TestVerification:
         assert doc["j_norm"]["coprime_to_6"] is True
 
 
+class TestExits:
+    """Library failures map to an exit code and one line of stderr, never a
+    traceback."""
+
+    @pytest.mark.parametrize("exc,code,line", [
+        (NotNearIntegral("residual 0.4"), 2, "verification failed: residual 0.4"),
+        (NoFixingClass("2 classes fix alpha"), 2,
+         "error: NoFixingClass: 2 classes fix alpha"),
+    ], ids=["not_near_integral", "other_library_error"])
+    def test_library_error(self, capsys, monkeypatch, exc, code, line):
+        def fail(n, cfg):
+            raise exc
+
+        monkeypatch.setattr(recognize, "compute_pn", fail)
+        assert run_cli(capsys, "pn", "--n", "1", "--no-cache") == (code, "", line + "\n")
+
+
 class TestCache:
     def test_roundtrip_byte_identical(self, capsys, tmp_path):
         path = str(tmp_path / "cache.json")
@@ -421,6 +439,18 @@ class TestReport:
         with pytest.raises(Stop):
             cli.report_bundle(1, cfg, hypothesis_order=2, cached_entries={})
         assert seen == [cfg] and seen[0].abs_tol == mpf(2) ** -128
+
+    def test_malformed_cache_reported_and_kept(self, capsys, tmp_path):
+        path = tmp_path / "cache.json"
+        path.write_text('{"version": 1, "entries": [1]}')
+        code, out, err = run_cli(capsys, "report", "--n-max", "1",
+                                 "--hypothesis-order", "20", "--json",
+                                 "--cache-path", str(path))
+        warning = f"malformed cache in {path}; ignoring"
+        assert code == 0
+        assert json.loads(out)["cache_warning"] == warning
+        assert err == warning + "\n"
+        assert path.read_text() == '{"version": 1, "entries": [1]}'
 
     def test_cache_reuse_identical_output(self, capsys, tmp_path):
         path = str(tmp_path / "cache.json")

@@ -2,9 +2,10 @@
 that removes the last use of an import cannot leave the import behind.
 ``__init__`` is exempt: its imports are the package's exports.  Every
 module-level private name is used somewhere in the package, so no dead
-helper stays behind either.  The README's global flags are the options
-every command takes, so a flag cannot be added or removed on one side
-only."""
+helper stays behind either.  No module-level statement calls a function
+of the package, so importing it does no work of its own.  The README's
+global flags are the options every command takes, so a flag cannot be
+added or removed on one side only."""
 
 import argparse
 import ast
@@ -82,6 +83,56 @@ def test_detects_a_dead_private_name():
     sources = {"a.py": "def _used():\n    pass\n\n\ndef _dead():\n    pass\n\n_LIMIT = 3\n",
                "b.py": "from .a import _used\n_used()\n"}
     assert dead_private_names(sources) == ["_dead (a.py line 5)", "_LIMIT (a.py line 8)"]
+
+
+def _is_main_guard(node) -> bool:
+    """Whether node is ``if __name__ == "__main__":``."""
+    return (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+            and getattr(node.test.left, "id", None) == "__name__")
+
+
+def import_time_calls(sources: dict[str, str]) -> list[str]:
+    """Calls that importing the modules of sources makes to a function or
+    class defined in one of them: those in module-level statements, class
+    bodies, decorators and default values, not in function bodies or behind
+    ``if __name__ == "__main__":``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    found = []
+    for module, tree in trees.items():
+        pending = list(tree.body)
+        while pending:
+            node = pending.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                pending += node.decorator_list + node.args.defaults
+                pending += [d for d in node.args.kw_defaults if d is not None]
+                continue
+            if isinstance(node, ast.Lambda) or _is_main_guard(node):
+                continue
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in defined:
+                    found.append(f"{name} ({module} line {node.lineno})")
+            pending += ast.iter_child_nodes(node)
+    return sorted(found)
+
+
+def test_import_does_no_package_work():
+    # __main__ is the script ``python -m`` runs, not a module anything imports
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))
+               if p.name != "__main__.py"}
+    assert import_time_calls(sources) == []
+
+
+def test_detects_package_work_at_import():
+    sources = {"a.py": ("def _table(j=1):\n    return j\n\n\n"
+                        "def f(x=_table()):\n    return _table(x)\n\n\n"
+                        "TABLE = [_table(k) for k in range(3)]\n\n"
+                        "if __name__ == \"__main__\":\n    f()\n"),
+               "b.py": "from . import a\n\n\nclass C:\n    LIMIT = a._table(2)\n"}
+    assert import_time_calls(sources) == ["_table (a.py line 5)", "_table (a.py line 9)",
+                                          "_table (b.py line 5)"]
 
 
 def readme_global_flags(readme: str) -> set[str]:

@@ -9,14 +9,14 @@ from mpmath import mpc, mpf
 from cmpartitions import modpoly
 from cmpartitions.errors import (NoFixingClass, NotNearIntegral,
                                   PrecisionExhausted)
-from cmpartitions.evaluate import eval_C, eval_j, _j_from_eta, _nomes, _root
+from cmpartitions.evaluate import eval_C, eval_j, _j_from_eta, _nomes
 from cmpartitions.modpoly import (MatrixClass, beta_norm, beta_product,
                                   class_count, fixing_class, hnf_classes,
                                   j_norm, masser_c, taylor_coeffs,
                                   taylor_fd_fit, _certified_norm, _image_form,
                                   _j_table)
 from cmpartitions.precision import PrecisionConfig
-from cmpartitions.quadforms import (QuadForm, cm_point, enumerate_qn,
+from cmpartitions.quadforms import (QuadForm, _root, cm_point, enumerate_qn,
                                     reduce_with_matrix)
 
 

@@ -98,8 +98,8 @@ class TestDeviation:
 
 
 def _square_where(i):
-    # a task in a worker: its square, its pid, and the pids of a nested map
-    return i * i, os.getpid(), _fork_map(os.getpid, [(), ()], 2)
+    # a task in a worker: its square and its pid
+    return i * i, os.getpid()
 
 
 def _refuse(i):
@@ -108,17 +108,27 @@ def _refuse(i):
     return i
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the number of CPUs _fork_map sees."""
+    def set_cpus(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    return set_cpus
+
+
 class TestForkMap:
-    def test_results_in_order_and_no_nested_forks(self):
-        out = _fork_map(_square_where, [(i,) for i in range(7)], 2)
-        assert [v for v, _, _ in out] == [i * i for i in range(7)]
-        workers = {pid for _, pid, _ in out}
+    def test_results_in_order(self, cpus):
+        cpus(2)
+        out = _fork_map(_square_where, [(i,) for i in range(7)])
+        assert [v for v, _ in out] == [i * i for i in range(7)]
+        workers = {pid for _, pid in out}
         assert len(workers) == 2 and os.getpid() not in workers
-        assert all(inner == [pid, pid] for _, pid, inner in out)
 
-    def test_worker_exception_raised_in_caller(self):
+    def test_worker_exception_raised_in_caller(self, cpus):
+        cpus(2)
         with pytest.raises(PrecisionExhausted, match="task 3"):
-            _fork_map(_refuse, [(i,) for i in range(6)], 2)
+            _fork_map(_refuse, [(i,) for i in range(6)])
 
-    def test_serial_with_one_process(self):
-        assert _fork_map(os.getpid, [(), ()], 1) == [os.getpid()] * 2
+    def test_serial_with_one_process(self, cpus):
+        cpus(1)
+        assert _fork_map(os.getpid, [(), ()]) == [os.getpid()] * 2

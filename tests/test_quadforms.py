@@ -251,11 +251,11 @@ def _sqrt_rounded(n: int, prec: int) -> tuple:
     return _rounded(man, 1 << shift, prec)
 
 
-def _product_rounded(x: tuple, y: tuple, prec: int) -> tuple:
-    """The product of two positive (sign, man, exp, bc) rounded at prec."""
-    exp = x[2] + y[2]
-    man = x[1] * y[1]
-    return _rounded(man << exp, 1, prec) if exp >= 0 else _rounded(man, 1 << -exp, prec)
+def _quotient_rounded(x: tuple, den: int, prec: int) -> tuple:
+    """A positive (sign, man, exp, bc) divided by an integer den > 0,
+    rounded at prec."""
+    man, exp = x[1], x[2]
+    return _rounded(man << exp, den, prec) if exp >= 0 else _rounded(man, den << -exp, prec)
 
 
 class TestCMPoint:
@@ -286,9 +286,9 @@ class TestCMPoint:
     def test_exact_matches_embed(self):
         # bit for bit against rounding done exactly in integers: the real
         # part is -b / (2a) correctly rounded; the imaginary part is the
-        # correctly rounded product of 1 / (2a) and sqrt(|D|), each correctly
-        # rounded first.  The digits of every CM value (masser, forms,
-        # verify-decomp) depend on exactly these roundings.
+        # correctly rounded quotient of sqrt(|D|), itself correctly rounded,
+        # by 2a.  The digits of every CM value (masser, forms, verify-decomp)
+        # depend on exactly these roundings.
         forms = [f for n in range(1, 61) for f in enumerate_qn(n)]
         forms += [QuadForm(1, 0, 1), QuadForm(1, 1, 1)]
         for bits in (256, 512, 4096):
@@ -297,7 +297,6 @@ class TestCMPoint:
             for f in forms:
                 point = cm_point(f, cfg)
                 assert point.real._mpf_ == _rounded(-f.b, 2 * f.a, p), (bits, f)
-                im = _product_rounded(_rounded(1, 2 * f.a, p),
-                                      _sqrt_rounded(-f.discriminant(), p), p)
+                im = _quotient_rounded(_sqrt_rounded(-f.discriminant(), p), 2 * f.a, p)
                 assert point.imag._mpf_ == im, (bits, f)
 

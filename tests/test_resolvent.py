@@ -7,10 +7,10 @@ from mpmath import mpc, mpf
 from cmpartitions.evaluate import eval_Aprime, eval_B
 from cmpartitions.quadforms import cm_point, enumerate_qn
 from cmpartitions.recognize import orbit_product
-from cmpartitions.resolvent import (APRIME_COEFFS, B_COEFFS, JPoly,
-                                    _aprime_coefficients, _b_coefficients,
+from cmpartitions.resolvent import (_aprime_coefficients, _b_coefficients,
                                     coset_reps, psi_from_cosets,
                                     psi_root_check, verify_tabulated)
+from cmpartitions.series import FormalSeries
 
 # frozen checksums of the expanded integer coefficients: a second, textual
 # guard against accidental edits of the tables (the numerical guard is
@@ -18,50 +18,61 @@ from cmpartitions.resolvent import (APRIME_COEFFS, B_COEFFS, JPoly,
 APRIME_SHA256 = "1ae3dd8166cbe129cbefb2e230c4c0e345879a73bd927cd67f02786fd010bff4"
 B_SHA256 = "03bd45659cd5406f894d3012c75d305f05ad66d4f3f0d7346b8f788c6b5ca5f4"
 
+# j as a formal series: the tables evaluated at it are their exact integer
+# polynomials (every degree is below 30, far inside the order)
+J = FormalSeries(0, [0, 1], 64)
+
+
+def expanded(coefficients):
+    """The ascending integer coefficients, trailing zeros stripped, of each
+    table polynomial: the tables evaluated at the series J."""
+    dense = []
+    for poly in coefficients(J):
+        coeffs = [poly.coeff(e) for e in range(poly.order)]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        dense.append(coeffs)
+    return dense
+
 
 def table_digest(table):
-    text = ";".join(",".join(str(c) for c in poly.coeffs) for poly in table)
+    text = ";".join(",".join(str(c) for c in coeffs) for coeffs in table)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-class TestJPoly:
-    def test_arithmetic(self):
-        j = JPoly((0, 1))
-        poly = (j - 3) * (j + 3)
-        assert poly.coeffs == (-9, 0, 1)
-        assert (poly - poly).coeffs == ()
-        assert (2 * j ** 2).coeffs == (0, 0, 2)
-
-    def test_evaluation(self):
-        j = JPoly((0, 1))
-        poly = j ** 2 - 5 * j + 6
-        assert poly(2) == 0 and poly(3) == 0 and poly(0) == 6
+def horner(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 class TestTables:
-    def test_roundtrip_rebuild(self):
-        assert _aprime_coefficients() == APRIME_COEFFS
-        assert _b_coefficients() == B_COEFFS
-
     def test_checksums(self):
-        assert table_digest(APRIME_COEFFS) == APRIME_SHA256
-        assert table_digest(B_COEFFS) == B_SHA256
+        assert table_digest(expanded(_aprime_coefficients)) == APRIME_SHA256
+        assert table_digest(expanded(_b_coefficients)) == B_SHA256
+
+    @pytest.mark.parametrize("coefficients", [_aprime_coefficients, _b_coefficients],
+                             ids=["aprime", "b"])
+    def test_factored_values_match_expansion(self, coefficients):
+        # the factored text evaluated at an integer j is the expanded
+        # polynomial's value there, exactly
+        table = expanded(coefficients)
+        for j in (-5, 0, 32, 1728, 1995):
+            assert list(coefficients(j)) == [horner(c, j) for c in table]
 
     def test_b11_roots(self):
-        b11 = B_COEFFS[11]
-        assert b11(0) == 0
-        assert b11(2 ** 6 * 3 ** 3) == 0
+        assert _b_coefficients(0)[11] == 0
+        assert _b_coefficients(2 ** 6 * 3 ** 3)[11] == 0
 
     def test_a11_roots(self):
-        a11 = APRIME_COEFFS[11]
-        assert a11(2 ** 6 * 3 ** 3) == 0
-        assert a11(2 ** 5 * 3 ** 3) == 0
+        assert _aprime_coefficients(2 ** 6 * 3 ** 3)[11] == 0
+        assert _aprime_coefficients(2 ** 5 * 3 ** 3)[11] == 0
 
     def test_b0_structure(self):
-        b0 = B_COEFFS[0]
-        assert b0(0) == 0
-        assert b0(1728) == 0
-        assert b0.degree() == 16
+        assert _b_coefficients(0)[0] == 0
+        assert _b_coefficients(1728)[0] == 0
+        assert len(expanded(_b_coefficients)[0]) - 1 == 16
 
 
 class TestCosets:
@@ -125,7 +136,7 @@ class TestPsiNumeric:
         with mpmath.workprec(cfg512.eval_bits):
             numeric = psi_from_cosets(z, cfg512)["b"]
             jval = eval_j(z, cfg512)
-            expected = B_COEFFS[11](jval)
+            expected = _b_coefficients(jval)[11]
             assert abs(numeric[11] - expected) / (1 + abs(expected)) < mpf("1e-100")
 
 
