@@ -316,10 +316,9 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_forms(args) -> int:
     cfg = _config(args)
-    rows = []
-    for form in enumerate_qn(args.n):
-        rows.append({"a": form.a, "b": form.b, "c": form.c,
-                     "im_alpha": _nstr(mpmath.im(cm_point(form, cfg)), 40)})
+    rows = [{"a": form.a, "b": form.b, "c": form.c,
+             "im_alpha": _nstr(mpmath.im(cm_point(form, cfg)), 40)}
+            for form in enumerate_qn(args.n)]
     print(json.dumps(rows, sort_keys=True, indent=2))
     return EXIT_OK
 
@@ -343,12 +342,9 @@ def _cmd_eval(args) -> int:
 
 def _random_points(seed: int, count: int):
     rng = random.Random(seed)
-    points = []
     with mpmath.workprec(128):
-        for _ in range(count):
-            points.append(mpc(mpf(rng.uniform(-0.5, 0.5)),
-                              mpf(rng.uniform(0.8, 3.0))))
-    return points
+        return [mpc(mpf(rng.uniform(-0.5, 0.5)), mpf(rng.uniform(0.8, 3.0)))
+                for _ in range(count)]
 
 
 def _cmd_verify_decomp(args) -> int:

@@ -2,44 +2,42 @@
 weight -2 / weight 0 pair (F, P) with its A + B*C split, at arbitrary points
 of the upper half-plane.
 
-Every point is reduced into the standard fundamental domain (numerically by
-_reduce, or, at CM points given by their forms, exactly through the reduction
-of the forms, with one kernel call per class in a _ClassTable), where one
-sparse kernel gives eta, E2, E4 and E6 together: a
-single exponential r = exp(pi i w) = q^(1/2), one table of its powers at the
-pentagonal and theta exponents (on fixed-point Python ints), eta and E2 from
-the pentagonal sum (E2 via theta(log eta) = E2/24) and E4, E6 from the theta
-constants.  Values are transported back in one step (_transport) by the
-reducing matrix: the automorphy factor cz + d, the quasimodular E2 shift and
-the eta multiplier from Rademacher's Dedekind-sum formula.  Derivatives are
-analytic, via theta(E2) = (E2^2 - E4)/12 and theta(log eta) = E2/24 -
-numerical differentiation is demoted to a test oracle.
+Every point is reduced into the standard fundamental domain (by _reduce,
+or at CM points exactly through the reduction of their forms, one kernel
+call per class in a _ClassTable), where one sparse kernel gives eta^2, E2,
+E4 and E6 from one exponential q^(1/12) and a table of powers of q^(1/2).
+From the kernel to F, thetaF and P values are fixed-point Gaussian ints
+(pairs of Python ints scaled by 2^prec, multiplied by _cmul); eta^2 carries
+its own power of two, so a product of them (2^-1800 at Im z = 200) keeps
+its relative precision.  _transport carries values back by the reducing
+matrix and t = i/(cz + d): eta^2 takes a twelfth root of unity from
+Rademacher's integer k (_eta_k), no square root.  At a CM point t is a
+quotient of integers and one isqrt(|D| 2^2prec).  Derivatives are
+analytic: theta(E2) = (E2^2 - E4)/12, theta(log eta) = E2/24.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math as _math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 from mpmath import mpc, mpf
-from mpmath.libmp import from_man_exp, mpf_neg, to_fixed
+from mpmath.libmp import from_man_exp, mpf_neg, pi_fixed, to_fixed
 
 from .errors import NearSingularity, NotUpperHalfPlane, PrecisionExhausted
 from .precision import PrecisionConfig
-from .quadforms import QuadForm, _root, reduce_with_matrix
+from .quadforms import QuadForm, reduce_with_matrix
 from .series import (FP_E2_COMBINATION, FP_ETA_FACTORS, FP_PREFACTOR,
-                     _pentagonal_exponents)
+                     _pentagonal_exponents, _power)
 
 
 def _reduce(z: mpc):
-    """Reduce z into the fundamental domain under the ambient precision.
-
-    Returns (w, (a, b, c, d)) with w = (a z + b)/(c z + d), normalised so
-    that c > 0, or c = 0 and d > 0.  This is the one place that rejects a
-    point that is not finite with Im z > 0.
-    """
+    """(w, (a, b, c, d)): z reduced into the fundamental domain under the
+    ambient precision, w = (a z + b)/(c z + d) with c > 0, or c = 0 and
+    d > 0.  The one place that rejects a point not finite with Im z > 0."""
     z = mpc(z)
     if not (mpmath.isfinite(z.real) and mpmath.isfinite(z.imag) and z.imag > 0):
         raise NotUpperHalfPlane(f"z = {mpmath.nstr(z, 10)} is not a finite point "
@@ -63,39 +61,31 @@ def _normalised(m):
     return m if m[2] > 0 or (m[2] == 0 and m[3] > 0) else tuple(-x for x in m)
 
 
-def _dedekind_sum(h: int, k: int) -> Fraction:
-    """s(h, k) for k > 0 and gcd(h, k) = 1, by reciprocity:
-    s(h, k) + s(k, h) = (h/k + k/h + 1/(hk))/12 - 1/4."""
-    total = Fraction(0)
-    sign = 1
+def _dedekind6(h: int, k: int) -> int:
+    """The integer 6k s(h, k) for k > 0 and gcd(h, k) = 1, by reciprocity:
+    12hk (s(h, k) + s(k, h)) = h^2 + k^2 + 1 - 3hk, s(h, k) = s(h mod k, k)."""
     h %= k
-    while h:
-        total += sign * (Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4))
-        sign = -sign
-        h, k = k % h, h
-    return total
+    if not h:
+        return 0
+    return (h * h + k * k + 1 - 3 * h * k - 2 * k * _dedekind6(k, h)) // (2 * h)
+
+
+def _eta_k(m) -> int:
+    """Rademacher's integer k of a normalised m = (a, b, c, d), for which
+    eta(m z) = exp(pi i k/12) sqrt(-i(cz + d)) eta(z):
+    k = (a + d)/c - 12 s(d, c) = (a + d - 2 (6c s(d, c)))/c, and b if c = 0."""
+    a, b, c, d = m
+    return (a + d - 2 * _dedekind6(d, c)) // c if c else b
 
 
 def _nterms(bits: int, im_w) -> int:
     """Series length so the geometric tail exp(-2 pi Im(w) N) is below 2^-bits."""
-    n = int(bits * _math.log(2) / (2 * _math.pi * float(im_w))) + 9
-    return max(n, 4)
+    return max(int(bits * _math.log(2) / (2 * _math.pi * float(im_w))) + 9, 4)
 
 
 def _ipow(x: mpc, n: int) -> mpc:
-    """x**n for n >= 0 by binary squaring: mpmath routes complex integer
-    powers through log/exp, which dominates profiles at high precision."""
-    if n == 0:
-        return mpc(1)
-    result = None
-    base = x
-    while n:
-        if n & 1:
-            result = base if result is None else result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return result
+    """x**n for n >= 0 by binary squaring (series._power)."""
+    return _power(x, n) if n else mpc(1)
 
 
 # Guard bits of the fixed-point kernels below, and the precision below which
@@ -116,7 +106,8 @@ def _fixed(z: mpc, prec: int) -> tuple[int, int]:
 
 
 def _to_mpc(z: tuple[int, int], prec: int, bits: int) -> mpc:
-    """A fixed-point complex scaled by 2^prec, rounded to a bits-bit mpc."""
+    """A fixed-point complex scaled by 2^prec as an mpc, rounded to bits
+    bits (exact for bits = 0)."""
     return mpmath.mp.make_mpc((from_man_exp(z[0], -prec, bits, "n"),
                                from_man_exp(z[1], -prec, bits, "n")))
 
@@ -130,10 +121,26 @@ def _cmul(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
     return (k1 - k3) >> prec, (k1 + k2) >> prec
 
 
+def _cdiv(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
+    """a/b in fixed point, from a conj(b) and |b|^2 (b nonzero)."""
+    norm = b[0] * b[0] + b[1] * b[1]
+    return (((a[0] * b[0] + a[1] * b[1]) << prec) // norm,
+            ((a[1] * b[0] - a[0] * b[1]) << prec) // norm)
+
+
 def _fourth(a: tuple[int, int], prec: int) -> tuple[int, int]:
     """a^4 in fixed point, by two squarings."""
     a2 = _cmul(a, a, prec)
     return _cmul(a2, a2, prec)
+
+
+@functools.lru_cache(maxsize=32)
+def _constants(prec: int):
+    """(units, 1/pi) in fixed point at scale 2^prec: units[k] is
+    exp(-pi i k/6), the twelve roots of unity, from one isqrt."""
+    one, half, root3 = 1 << prec, 1 << (prec - 1), _math.isqrt(3 << 2 * prec) >> 1
+    cos = (one, root3, half, 0, -half, -root3, -one, -root3, -half, 0, half, root3)
+    return tuple((cos[k], -cos[k - 3]) for k in range(12)), (1 << 2 * prec) // pi_fixed(prec)
 
 
 def _csum(terms) -> tuple[int, int]:
@@ -158,38 +165,29 @@ def _cmul_within(a: tuple[int, int], b: tuple[int, int], prec: int,
 
 
 # Bits below a product's last place that a cut factor keeps, and the
-# precision from which _power_table cuts: below it the bookkeeping costs more
-# than the cuts save (_reduced_basics: 23% slower at 288 bits, 6% faster at
-# 1056 and 9% at 4128).
+# precision from which _power_table cuts (below it the bookkeeping costs more:
+# _reduced_basics 23% slower at 288 bits, 6% faster at 1056, 9% at 4128).
 _TAPER = 16
 _TAPER_BITS = 1 << 11
 
 
 def _power_table(x: tuple[int, int], exponents, prec: int) -> dict:
     """{e: x^e} in fixed point over a sparse set of exponents, ascending.
+    The gaps are short (~sqrt of the largest exponent), so a table of x^gap,
+    extended as larger gaps come up, makes each power one product.
 
-    Consecutive gaps are short (~sqrt of the largest exponent), so a small
-    table of x^gap, extended as larger gaps come up, makes each listed power
-    one product rather than an independent exponentiation.
-
-    From prec = _TAPER_BITS on, the powers (which shrink as e grows,
-    |x| < 1) are formed only to the accuracy they can contribute: each step x^e = x^prev x^gap
-    keeps of x^gap only what reaches 2^-_TAPER of its last place, and a gap
-    first needed at that step is formed to 2^-(_TAPER + 10) of what the
-    current power can use (under 400 products add up to less than 2^-_TAPER
-    of it).  A step then adds under 2^(-_TAPER + 1) of its last place to its
-    truncation, which stays under the 2 ulp that the _reduced_basics budget
-    allows per product, and at 30000 bits the table takes about half the
-    time.
+    From prec = _TAPER_BITS on, the powers (shrinking, |x| < 1) are formed
+    only to the accuracy they can contribute: each step x^e = x^prev x^gap
+    keeps of x^gap what reaches 2^-_TAPER of its last place, and a gap first
+    needed at a step is formed to 2^-(_TAPER + 10) of what the current power
+    can use (under 400 products add up to less than 2^-_TAPER of it).  A
+    step adds under 2^(-_TAPER + 1) of its last place to its truncation,
+    within the 2 ulp per product of the _reduced_basics budget; at 30000
+    bits the table takes about half the time.
     """
-    exps = sorted(set(exponents))
-    one = (1 << prec, 0)
-    gap_pow = [one, x]
-    powers = {}
-    acc = one
-    prev = 0
-    taper = prec >= _TAPER_BITS
-    for e in exps:
+    acc = one = (1 << prec, 0)
+    gap_pow, powers, prev, taper = [one, x], {}, 0, prec >= _TAPER_BITS
+    for e in sorted(set(exponents)):
         if taper:
             room = prec - _size(acc)
             while len(gap_pow) <= e - prev:
@@ -205,41 +203,41 @@ def _power_table(x: tuple[int, int], exponents, prec: int) -> dict:
 
 
 def _reduced_basics(w: mpc, bits: int) -> dict:
-    """eta, E2, E4 and E6 at a fundamental-domain point from one exponential.
-
-    With r = exp(pi i w) = q^(1/2) and the pentagonal sum P = sum s q^e:
-
-        eta = q^(1/24) P,   E2 = 1 + 24 (sum s e q^e) / P,
+    """eta^2, E2, E4 and E6 at a fundamental-domain point as fixed-point
+    Gaussian ints at scale 2^prec, prec = bits + _GUARD, with eta^2 =
+    v["eta2"] 2^v["eta2_exp"].  With x 2^ex = q^(1/12), the one exponential
+    (ex <= 0, the larger part of x in [1/2, 1)), r = q^(1/2) = x^6 2^(6 ex)
+    and P = sum s q^e:
+        eta^2 = q^(1/12) P^2,   E2 = 1 + 24 (sum s e q^e) / P,
         E4 = (th2^8 + th3^8 + th4^8) / 2,
         E6 = (th2^4 + th3^4) (th3^4 + th4^4) (th4^4 - th2^4) / 2,
+    th3, th4 = sum (+-1)^m r^(m^2) and th2^4 = 16 r (sum r^(m(m+1)))^4,
+    every power of r from one sparse table, each sum O(sqrt n) terms long.
 
-    where th3, th4 = sum (+-1)^m r^(m^2) and th2^4 = 16 r (sum r^(m(m+1)))^4.
-    Every power of r comes from one sparse table; each sum has O(sqrt n) terms.
-
-    The table, the sums, the theta fourth powers and E4, E6 run on Python
-    ints scaled by 2^prec, prec = bits + _GUARD; q^(1/24) comes from
-    mpmath, and only eta = q^(1/24) P and the quotient E2 are formed in mpc.
-
-    Error budget.  On the fundamental domain |r| <= exp(-pi sqrt(3)/2)
-    ~ 0.066 and |q^(1/24)| < 0.8, so every factor has modulus below 1: a
-    product adds its own truncation (under 2 ulp = 2^(-prec+1)) to the
-    errors of its factors without magnifying them.  Each table entry and
-    each unweighted sum is therefore off by less than
-    (#products) * 2^(-prec+2), with under 400 products for bits < 2^15.
-    The weights e of sum s e q^e raise that sum's bound to
-    (sum e) * 2^(-prec+2) < 2^(-prec+20), and the fourth powers, E4 and E6
-    (all of modulus below 3) magnify the errors of the theta sums by less
-    than 2^6.  After the factor 24 of E2, 32 guard bits keep eta, E2, E4
-    and E6 within 2^(-bits-8) of exact for bits < 2^15; a call at or above
-    that raises PrecisionExhausted.
+    Error budget.  |r| <= exp(-pi sqrt(3)/2) ~ 0.066 on the fundamental
+    domain, so the factors of the table and sums have modulus below 1 and a
+    product adds its truncation (under 2 ulp = 2^(-prec+1)) to its factors'
+    errors without magnifying them.  r is off by under 2^3 ulp: |x| < sqrt 2,
+    and the shift by 6|ex| >= 6 bits absorbs what x^6 magnifies, unless
+    ex = 0 and |x| < 0.64.  So a table entry or unweighted sum is off by
+    under (#products) 2^(-prec+2), with under 400 products for bits < 2^15;
+    the weights e raise the bound of sum s e q^e to (sum e) 2^(-prec+2) <
+    2^(-prec+20), and the fourth powers, E4 and E6 (of modulus below 3)
+    magnify the theta sums' errors by under 2^6.  After E2's factor 24, 32
+    guard bits keep eta^2 (relative to 2^ex), E2, E4 and E6 within
+    2^(-bits-8) for bits < 2^15; a call at or above that raises
+    PrecisionExhausted.
     """
     _check_budget(bits)
     n = _nterms(bits, mpmath.im(w))
     prec = bits + _GUARD
     with mpmath.workprec(prec):
-        q24 = mpmath.exp(mpmath.pi * mpc(0, 1) * w / 12)
-    x4 = _fourth(_fixed(q24, prec), prec)
-    r = _cmul(_cmul(x4, x4, prec), x4, prec)
+        q12 = mpmath.exp(mpmath.pi * mpc(0, 1) * w / 6)
+    ex = max(part[2] + part[3] for part in q12._mpc_ if part[1])
+    x = _fixed(q12, prec - ex)
+    x3 = _cmul(_cmul(x, x, prec), x, prec)
+    r = _cmul(x3, x3, prec)
+    r = (r[0] >> -6 * ex, r[1] >> -6 * ex)
     pent = list(_pentagonal_exponents(n))
     roots = range(1, _math.isqrt(2 * n - 1) + 1)  # r^(m^2) below r^(2n) = q^n
     oblongs = [m * (m + 1) for m in roots if m * (m + 1) < 2 * n]
@@ -255,55 +253,48 @@ def _reduced_basics(w: mpc, bits: int) -> dict:
     e4 = _csum((1, _cmul(t, t, prec)) for t in (th2_4, th3_4, th4_4))
     e6 = _cmul(_cmul(_csum([(1, th2_4), (1, th3_4)]), _csum([(1, th3_4), (1, th4_4)]), prec),
                _csum([(1, th4_4), (-1, th2_4)]), prec)
-    p = _to_mpc(p, prec, bits)
+    e2 = _cdiv(theta_p, p, prec)
     return {
-        "eta": q24 * p,
-        "e2": 1 + 24 * _to_mpc(theta_p, prec, bits) / p,
-        "e4": _to_mpc(e4, prec + 1, bits),  # scale 2^(prec+1): the halving
-        "e6": _to_mpc(e6, prec + 1, bits),
+        "eta2": _cmul(x, _cmul(p, p, prec), prec), "eta2_exp": ex,
+        "e2": ((1 << prec) + 24 * e2[0], 24 * e2[1]),
+        "e4": (e4[0] >> 1, e4[1] >> 1),
+        "e6": (e6[0] >> 1, e6[1] >> 1),
     }
 
 
 def _j_reduced(w: mpc, bits: int, q: mpc | None = None) -> tuple[mpc, mpf]:
     """(j, eps): j at a fundamental-domain point w via the eta quotient
-    u = 2^12 (eta(2w)/eta(w))^24 = 2^12 q prod (1 + q^k)^24 and the
-    classical identity j = (u + 16)^3 / u, with a bound eps on its relative
-    error.
+    u = 2^12 (eta(2w)/eta(w))^24 = 2^12 q prod (1 + q^k)^24 and
+    j = (u + 16)^3 / u, with a bound eps on its relative error.
 
-    The fractional eta prefactors collapse to one factor of q, so a single
-    exponential and two sparse pentagonal sums (sharing one table of q
-    powers) give j; at very high precision this takes fewer products than
-    E4^3 / Delta from the theta constants.  The table and both sums run in
-    fixed point under the budget of _reduced_basics (|q| < 0.005 here).  u
-    and j are formed in mpc at the guarded precision too: the 24th power
-    and, near rho, the cancellation in u + 16 would otherwise cost up to
-    10 bits of the ambient precision.  Like that budget, it is refused at
-    bits >= 2^15.  q = exp(2 pi i w) is computed here unless the caller
-    passes it (see _nomes).
+    One exponential and two sparse pentagonal sums sharing one table of q
+    powers give j (fewer products at very high precision than E4^3 / Delta
+    from the theta constants).  The table and sums run in fixed point under
+    the budget of _reduced_basics (|q| < 0.005 here); u and j are formed in
+    mpc at the guarded precision too, since the 24th power and, near rho,
+    the cancellation in u + 16 would cost up to 10 bits.  It is refused at
+    bits >= 2^15.  q = exp(2 pi i w) is computed here unless passed (_nomes).
 
-    Error budget.  Let prec = bits + _GUARD and K = (2|u| + 16)/|u + 16|,
-    which bounds |d log j / d log u| = |2u - 16|/|u + 16| and is at least 1;
-    |w| >= 1 on the fundamental domain.  Each source is a relative error
-    of j, for the exact j at any point within |w| 2^(2-bits) of w:
-      - the rounding of the root: w off by up to |w| 2^(2-bits) (a root
-        rounded at bits bits, and moved once more by _reduce at most), and
-        |d log u / dw| = 2 pi |1 + 24 sum k q^k/(1 + q^k)| < 7, so less than
-        28 K |w| 2^-bits;
-      - the exponential: the argument 2 pi i w off by 2 pi |w| 2^(2-prec)
-        and exp's own rounding, so q off by less than 2^(5-prec) |w|
-        relative (2^(18-prec) |w| from _nomes), weighted by
-        d log u / d log q < 1.2 and K;
-      - the fixed-point sums: off by under 2^(-prec+11) each by the
-        _reduced_basics budget, and of modulus above 0.99, so p2/p1 is off
-        by under 2^(-prec+13) relative;
-      - the 24th power: 24 times that plus five roundings, and the factor
-        2^12 q, so u is off by under 2^(-prec+18) relative;
+    Error budget.  Let prec = bits + _GUARD and K = (2|u| + 16)/|u + 16| >= 1,
+    a bound on |d log j / d log u| = |2u - 16|/|u + 16|; |w| >= 1 on the
+    fundamental domain.  Relative errors of j, for the exact j at any point
+    within |w| 2^(2-bits) of w:
+      - the root, off by up to |w| 2^(2-bits) (rounded at bits bits and moved
+        once more by _reduce at most), with |d log u / dw| =
+        2 pi |1 + 24 sum k q^k/(1 + q^k)| < 7: under 28 K |w| 2^-bits;
+      - the exponential: its argument off by 2 pi |w| 2^(2-prec), plus exp's
+        rounding, so q off by under 2^(5-prec) |w| relative (2^(18-prec) |w|
+        from _nomes), weighted by d log u / d log q < 1.2 and K;
+      - the fixed-point sums, off by under 2^(-prec+11) each and of modulus
+        above 0.99, so p2/p1 is off by under 2^(-prec+13) relative;
+      - the 24th power: 24 times that, five roundings and the factor 2^12 q,
+        so u is off by under 2^(-prec+18) relative;
       - the cancellation |u|/|u + 16|: u + 16, its cube and the quotient
         carry u's error times at most 2K, plus four roundings.
-    With 32 guard bits everything after the first item is under
-    2^(-bits-12) K |w|, so the total is under 2^(5-bits) K |w|.  eps is
-    twice that, 2^(6-bits) K |w|, so that the bound holds with K and |w|
-    taken at 53 bits and at the computed u, and relative to the computed j.
+    With 32 guard bits all but the first are under 2^(-bits-12) K |w|, so
+    the total is under 2^(5-bits) K |w|.  eps is twice that, so the bound
+    holds with K and |w| taken at 53 bits at the computed u, relative to the
+    computed j.
     """
     _check_budget(bits)
     n = _nterms(bits, mpmath.im(w))
@@ -327,75 +318,83 @@ def _j_reduced(w: mpc, bits: int, q: mpc | None = None) -> tuple[mpc, mpf]:
 
 def _j_from_eta(z: mpc, bits: int, q: mpc | None = None) -> tuple[mpc, mpf]:
     """(j, relative error bound) anywhere on the upper half-plane along the
-    eta-only route (j is invariant under the full modular group, so no
-    transport is needed); the bound is _j_reduced's.  q = exp(2 pi i z), if
-    given, is used when z needs no reduction."""
+    eta-only route (j is SL2(Z)-invariant: no transport), the bound
+    _j_reduced's; q = exp(2 pi i z), if given, is used when z is reduced."""
     w, m = _reduce(z)
     return _j_reduced(w, bits, q if m == (1, 0, 0, 1) else None)
 
 
-def _transport(vals: dict, z: mpc, m) -> dict:
-    """eta, E2, E4 and E6 at z from their values vals at w = m z,
-    m = (a, b, c, d), by the automorphy factors of m alone:
-
-        E4(z) = E4(w)/(cz + d)^4,   E6(z) = E6(w)/(cz + d)^6,
-        E2(z) = (E2(w) + 6ic(cz + d)/pi)/(cz + d)^2,
-        eta(z) = exp(-pi i k/12) eta(w)/sqrt(-i(cz + d)),
-
-    with Rademacher's integer k = (a + d)/c - 12 s(d, c).  A translation
-    (c = 0) has k = b and leaves all but the root of unity out.  One
-    reciprocal r of cz + d serves every factor (1/sqrt(-i(cz + d)) =
-    sqrt(i r), both arguments having positive real part), and the root of
-    unity is skipped when k = 0 (mod 24).  vals is left as it is.
-    """
-    a, b, c, d = m
-    k = int(Fraction(a + d, c) - 12 * _dedekind_sum(d, c)) if c else b
-    eta = vals["eta"]
-    if k % 24:
-        eta = eta * mpmath.expjpi(mpf(-k % 24) / 12)
+def _transport(v: dict, m, t: tuple[int, int], prec: int) -> dict:
+    """The fixed-point basics at z from their values v at w = m z, for a
+    normalised m = (a, b, c, d) and t = i/(cz + d): eta^2(z) =
+    exp(-pi i k/6) t eta^2(w) (Rademacher's k, _eta_k: the eta multiplier
+    exp(-pi i k/12)/sqrt(-i(cz + d)) squared), E2(z) = -t^2 E2(w) + 6ct/pi,
+    E4(z) = t^4 E4(w) and, when v has it, E6(z) = -t^6 E6(w).  v is left as
+    it is."""
+    units, inv_pi = _constants(prec)
+    unit, c = units[_eta_k(m) % 12], m[2]
     if not c:
-        return dict(vals, eta=eta)
-    r = 1 / (c * mpc(z) + d)
-    r2 = r * r
-    return {"eta": eta * mpmath.sqrt(mpc(0, 1) * r),
-            "e2": vals["e2"] * r2 + 6j * c * r / mpmath.pi,
-            "e4": vals["e4"] * r2 * r2,
-            "e6": vals["e6"] * r2 * r2 * r2}
+        return dict(v, eta2=_cmul(unit, v["eta2"], prec))
+    t2 = _cmul(t, t, prec)
+    t4 = _cmul(t2, t2, prec)
+    e2 = _csum([(6 * c, _cmul(t, (inv_pi, 0), prec)), (-1, _cmul(v["e2"], t2, prec))])
+    out = dict(v, eta2=_cmul(_cmul(unit, t, prec), v["eta2"], prec), e2=e2,
+               e4=_cmul(v["e4"], t4, prec))
+    if "e6" in v:
+        out["e6"] = _csum([(-1, _cmul(_cmul(v["e6"], t4, prec), t2, prec))])
+    return out
 
 
 def _basics(z: mpc, bits: int) -> dict:
-    """eta, E2, E4 and E6 at z, from the kernel at the reduced point."""
+    """The fixed-point basics at z, from the kernel at the reduced point;
+    t = i/(cz + d) is rounded once from its mpc."""
     w, m = _reduce(z)
-    return _transport(_reduced_basics(w, bits), z, m)
+    prec = bits + _GUARD
+    with mpmath.workprec(prec):
+        t = _fixed(mpc(0, 1) / (m[2] * mpc(z) + m[3]), prec)
+    return _transport(_reduced_basics(w, bits), m, t, prec)
+
+
+def _as_mpc(v: dict, bits: int) -> dict:
+    """eta^2, E2, E4 and E6 from the fixed-point basics v as bits-bit mpc."""
+    prec = bits + _GUARD
+    return {"eta2": _to_mpc(v["eta2"], prec - v["eta2_exp"], bits),
+            **{key: _to_mpc(v[key], prec, bits) for key in ("e2", "e4", "e6")}}
 
 
 def _j_of(v: dict) -> mpc:
-    """j = E4^3 / Delta from the basics at one point."""
-    return _ipow(v["e4"], 3) / _ipow(v["eta"], 24)
+    """j = E4^3 / Delta from the mpc basics at one point."""
+    return _ipow(v["e4"], 3) / _ipow(v["eta2"], 12)
 
 
 def eval_eta(z: mpc, cfg: PrecisionConfig) -> mpc:
-    with mpmath.workprec(cfg.eval_bits):
-        return _basics(z, cfg.eval_bits)["eta"]
+    """eta(z): the square root of eta^2(z) that exp(pi i k/12) turns into
+    the principal root of t eta^2(w) (argument within pi/3 of 0), so a
+    53-bit root of unity tells the two apart."""
+    bits = cfg.eval_bits
+    with mpmath.workprec(bits):
+        root = mpmath.sqrt(_as_mpc(_basics(z, bits), bits)["eta2"])
+        unit = mpmath.mpmathify(cmath.exp(1j * _math.pi * (_eta_k(_reduce(z)[1]) % 24) / 12))
+        return root if mpmath.re(root * unit) > 0 else -root
 
 
 def eval_eisenstein(k: int, z: mpc, cfg: PrecisionConfig) -> mpc:
     if k not in (2, 4, 6):
         raise ValueError(f"unsupported Eisenstein weight {k}")
     with mpmath.workprec(cfg.eval_bits):
-        return _basics(z, cfg.eval_bits)[f"e{k}"]
+        return _as_mpc(_basics(z, cfg.eval_bits), cfg.eval_bits)[f"e{k}"]
 
 
 def eval_j(z: mpc, cfg: PrecisionConfig) -> mpc:
     with mpmath.workprec(cfg.eval_bits):
-        return _j_of(_basics(z, cfg.eval_bits))
+        return _j_of(_as_mpc(_basics(z, cfg.eval_bits), cfg.eval_bits))
 
 
 def _j_and_theta_j(z: mpc, cfg: PrecisionConfig):
     """(j, theta j) at z from one evaluation, theta j = -E4^2 E6 / Delta."""
     with mpmath.workprec(cfg.eval_bits):
-        v = _basics(z, cfg.eval_bits)
-        return _j_of(v), -(v["e4"] * v["e4"]) * v["e6"] / _ipow(v["eta"], 24)
+        v = _as_mpc(_basics(z, cfg.eval_bits), cfg.eval_bits)
+        return _j_of(v), -(v["e4"] * v["e4"]) * v["e6"] / _ipow(v["eta2"], 12)
 
 
 def eval_theta_j(z: mpc, cfg: PrecisionConfig) -> mpc:
@@ -403,30 +402,41 @@ def eval_theta_j(z: mpc, cfg: PrecisionConfig) -> mpc:
     return _j_and_theta_j(z, cfg)[1]
 
 
-def _combine(at: dict):
-    """(F, thetaF) at z from the basics at[d] at d z, d = 1, 2, 3, 6, exactly
-    by the chain rule: theta f(dz) = d * (theta f)(dz),
-    theta E2 = (E2^2 - E4)/12, theta log eta = E2/24."""
-    num = mpc(0)
-    theta_num = mpc(0)
-    for d, c in FP_E2_COMBINATION:
-        e2d, e4d = at[d]["e2"], at[d]["e4"]
-        num += c * e2d
-        theta_num += c * d * (e2d * e2d - e4d) / 12
-    den = mpc(1)
-    theta_log_den = mpc(0)
-    for d, e in FP_ETA_FACTORS:
-        den *= _ipow(at[d]["eta"], e)
-        theta_log_den += e * d * at[d]["e2"] / 24
-    pre = mpf(FP_PREFACTOR.numerator) / FP_PREFACTOR.denominator
-    return pre * num / den, pre * (theta_num - num * theta_log_den) / den
+def _combine(at: dict, prec: int):
+    """(f, theta_f, den, ex) with F = f/den 2^-ex and thetaF = theta_f/den
+    2^-ex at z, from the fixed-point basics at[d] at d z (d = 1, 2, 3, 6),
+    by the chain rule: theta f(dz) = d (theta f)(dz), theta E2 =
+    (E2^2 - E4)/12, theta log eta = E2/24.  den 2^ex is the eta^2 product
+    times 24/FP_PREFACTOR, so every weight is an integer."""
+    num = _csum((c, at[d]["e2"]) for d, c in FP_E2_COMBINATION)
+    theta = _csum((2 * c * d, _csum([(1, _cmul(at[d]["e2"], at[d]["e2"], prec)),
+                                     (-1, at[d]["e4"])])) for d, c in FP_E2_COMBINATION)
+    drift = _cmul(num, _csum((e * d, at[d]["e2"]) for d, e in FP_ETA_FACTORS), prec)
+    den, ex = (1 << prec, 0), 0
+    for d, e in FP_ETA_FACTORS:  # every e is even
+        for _ in range(e // 2):
+            den, ex = _cmul(den, at[d]["eta2"], prec), ex + at[d]["eta2_exp"]
+    pre = FP_PREFACTOR
+    return (_csum([(24 * pre.numerator, num)]),
+            _csum([(pre.numerator, theta), (-pre.numerator, drift)]),
+            _csum([(24 * pre.denominator, den)]), ex)
+
+
+def _p_of(f, theta_f, g: int, prec: int) -> tuple[int, int]:
+    """P = -thetaF - F g, g = 1/(2 pi Im z) in fixed point, over _combine's den."""
+    return _csum([(-1, theta_f), (-1, _cmul(f, (g, 0), prec))])
 
 
 def _form_and_theta(z: mpc, bits: int):
-    """(F(z), thetaF(z), basics at z) for the form F of series.fp_series,
+    """(F, thetaF, P, mpc basics) at z, F the form of series.fp_series,
     from the basics at z, 2z, 3z and 6z."""
+    prec = bits + _GUARD
     at = {d: _basics(d * z, bits) for d, _ in FP_ETA_FACTORS}
-    return (*_combine(at), at[1])
+    f, theta_f, den, ex = _combine(at, prec)
+    with mpmath.workprec(prec):
+        g = to_fixed((1 / (2 * mpmath.pi * mpmath.im(z)))._mpf_, prec)
+    return (*(_to_mpc(_cdiv(x, den, prec), prec + ex, bits)
+              for x in (f, theta_f, _p_of(f, theta_f, g, prec))), _as_mpc(at[1], bits))
 
 
 def eval_form(z: mpc, cfg: PrecisionConfig) -> mpc:
@@ -439,56 +449,48 @@ def eval_theta_form(z: mpc, cfg: PrecisionConfig) -> mpc:
         return _form_and_theta(z, cfg.eval_bits)[1]
 
 
-def _p_of(f: mpc, theta_f: mpc, z: mpc) -> mpc:
-    """The weight-0 completion P = -thetaF - F/(2 pi Im z)."""
-    return -theta_f - f / (2 * mpmath.pi * mpmath.im(z))
-
-
 def eval_P(z: mpc, cfg: PrecisionConfig) -> mpc:
     with mpmath.workprec(cfg.eval_bits):
-        f, theta_f, _ = _form_and_theta(z, cfg.eval_bits)
-        return _p_of(f, theta_f, z)
+        return _form_and_theta(z, cfg.eval_bits)[2]
 
 
 def _conj(value):
-    """The exact complex conjugate of an mpc, an mpf (itself), or a dict or
-    tuple of them: the imaginary part is negated, nothing is rounded
-    (mpmath.conj rounds to the ambient precision)."""
+    """The exact conjugate (mpmath.conj rounds) of an mpc, a fixed-point
+    complex (two ints), a real (mpf or int: itself), or a dict or tuple of them."""
     if isinstance(value, dict):
         return {k: _conj(v) for k, v in value.items()}
     if isinstance(value, tuple):
+        if len(value) == 2 and all(isinstance(v, int) for v in value):
+            return value[0], -value[1]
         return tuple(_conj(v) for v in value)
     if isinstance(value, mpc):
-        re_part, im_part = value._mpc_
-        return mpmath.mp.make_mpc((re_part, mpf_neg(im_part)))
+        return mpmath.mp.make_mpc((value._mpc_[0], mpf_neg(value._mpc_[1])))
     return value
 
 
 def _nomes(forms, bits: int) -> list[mpc]:
-    """q = exp(2 pi i w) at the roots w of reduced forms [a, b, c] that share
-    a and the discriminant D, at the guarded precision of a bits-bit kernel:
-    q = exp(-pi sqrt|D|/a) * exp(-pi i/a)^b, one real exponential and one
-    root of unity for all of them, its powers by _ipow (conjugated for
-    b < 0).  With |b| < 2^10 the power is off by under
-    |b| (3 + 2 log2 |b|) 2^(1-prec) < 2^(16-prec) relative, and q by under
-    2^(18-prec) |w|."""
+    """q = exp(2 pi i w) at the roots w of reduced forms [a, b, c] sharing a
+    and the discriminant D, at the guarded precision of a bits-bit kernel:
+    q = exp(-pi sqrt|D|/a) exp(-pi i/a)^b, one exponential and one root of
+    unity for all, its powers by _ipow (conjugated for b < 0).  With
+    |b| < 2^10 the power is off by under |b| (3 + 2 log2 |b|) 2^(1-prec) <
+    2^(16-prec) relative, and q by under 2^(18-prec) |w|."""
     a, d = forms[0].a, forms[0].discriminant()
     if any((f.a, f.discriminant()) != (a, d) or abs(f.b) >= 1 << 10 for f in forms):
         raise ValueError("forms must share a and D, with |b| < 2^10")
     with mpmath.workprec(bits + _GUARD):
         modulus = mpmath.exp(-mpmath.pi * mpmath.sqrt(-d) / a)
-        root = mpmath.expjpi(mpf(-1) / a)
+        root = mpc(mpmath.cospi(mpf(-1) / a), mpmath.sinpi(mpf(-1) / a))
         return [modulus * (_ipow(root, f.b) if f.b >= 0 else _conj(_ipow(root, -f.b)))
                 for f in forms]
 
 
 class _ClassTable(dict):
-    """Reduced form -> kernel(form), for the values at the forms' roots
-    within one precision.  A miss runs the kernel once; every value (a miss's
-    or one computed elsewhere and ``put``) also fills the mirror [a, -b, c],
-    when it is reduced and distinct, with the exact conjugate: its root is
-    -conj of the form's, and eta, E2, E4, E6 and j have real Fourier
-    coefficients."""
+    """Reduced form -> kernel(form) within one precision.  A miss runs the
+    kernel once; every value (a miss's or one ``put``) also fills the mirror
+    [a, -b, c], when reduced and distinct, with the exact conjugate (_conj):
+    its root is -conj of the form's, and eta^2, E2, E4, E6 and j have real
+    Fourier coefficients."""
 
     def __init__(self, kernel):
         super().__init__()
@@ -507,27 +509,43 @@ class _ClassTable(dict):
 
 def eval_P_cm(forms, cfg: PrecisionConfig) -> list:
     """P at the CM points alpha of forms [a, b, c] with 6 | a, with one
-    kernel call per SL2(Z) class.
+    kernel call per SL2(Z) class, on fixed-point ints from the kernel to P.
 
-    d alpha (d = 1, 2, 3, 6) is the CM point of [a/d, b, dc], of the same
-    discriminant.  reduce_with_matrix gives its reduced form R and g with
-    [a/d, b, dc] g = R, so R's root is g^-1 (d alpha): the kernel runs once
-    per R (and its mirror) in a _ClassTable, at R's root, and _transport
-    carries the value by g^-1.  The table lives for one call.
-    """
+    d alpha (d = 1, 2, 3, 6) is the root (-b + i sqrt|D|)/(2A) of [A, b, dc],
+    A = a/d, and reduce_with_matrix gives R = [A, b, dc] g reduced: the
+    kernel runs once per R (and its mirror) in a _ClassTable that lives for
+    one call, and _transport carries the value by g^-1 = (p, q, c, d), with
+    t = 2A (c sqrt|D| + iX)/(X^2 + c^2 |D|), X = 2Ad - cb.  One
+    isqrt(|D| 2^2prec) per discriminant gives every t, every kernel root and
+    1/(2 pi Im alpha) = a/(pi sqrt|D|)."""
     bits = cfg.eval_bits
+    prec = bits + _GUARD
+    roots = {f.discriminant(): _math.isqrt(-f.discriminant() << 2 * prec) for f in forms}
+
+    def kernel(red: QuadForm) -> dict:
+        with mpmath.workprec(prec):
+            w = mpc(-red.b, mpmath.ldexp(roots[red.discriminant()], -prec)) / (2 * red.a)
+        v = _reduced_basics(w, bits)
+        del v["e6"]  # P needs eta^2, E2 and E4 alone
+        return v
+
+    table = _ClassTable(kernel)
     values = []
-    with mpmath.workprec(bits):
-        table = _ClassTable(lambda red: _reduced_basics(_root(red), bits))
-        for form in forms:
-            if form.a % 6:
-                raise ValueError(f"form {form} has 6 not dividing a")
-            at = {}
-            for d, _ in FP_ETA_FACTORS:
-                point = QuadForm(form.a // d, form.b, d * form.c)
-                red, (p, q, r, s) = reduce_with_matrix(point)
-                at[d] = _transport(table[red], _root(point), _normalised((s, -q, -r, p)))
-            values.append(_p_of(*_combine(at), _root(form)))
+    for form in forms:
+        if form.a % 6:
+            raise ValueError(f"form {form} has 6 not dividing a")
+        disc, at = form.discriminant(), {}
+        for d, _ in FP_ETA_FACTORS:
+            red, (p, q, r, s) = reduce_with_matrix(QuadForm(form.a // d, form.b, d * form.c))
+            m = _normalised((s, -q, -r, p))
+            a2 = 2 * form.a // d
+            x = a2 * m[3] - m[2] * form.b
+            den = x * x - m[2] * m[2] * disc
+            t = (a2 * m[2] * roots[disc] // den, (a2 * x << prec) // den)
+            at[d] = _transport(table[red], m, t, prec)
+        f, theta_f, den, ex = _combine(at, prec)
+        g = form.a * ((_constants(prec)[1] << prec) // roots[disc])
+        values.append(_to_mpc(_cdiv(_p_of(f, theta_f, g, prec), den, prec), prec + ex, bits))
     return values
 
 
@@ -553,17 +571,14 @@ def _c_of(v: dict, jval: mpc, z: mpc) -> mpc:
 def _values(z: mpc, cfg: PrecisionConfig) -> dict:
     """P, A, B, C, A' and j at z from one evaluation, keyed "p", "a", "b",
     "c", "aprime" and "j", under the ambient precision, with
-
-        A = -thetaF - F E2/6 + F E6 (7j - 6912)/(6 E4 (j - 1728)),
-        B = F E6 j / E4,   A' = A j (j - 1728),
-
-    so that P = A + B C, and A' is regular at CM points of the
-    discriminants in use."""
-    f, theta_f, v = _form_and_theta(z, cfg.eval_bits)
+    A = -thetaF - F E2/6 + F E6 (7j - 6912)/(6 E4 (j - 1728)),
+    B = F E6 j / E4 and A' = A j (j - 1728), so that P = A + B C, and A' is
+    regular at CM points of the discriminants in use."""
+    f, theta_f, p, v = _form_and_theta(z, cfg.eval_bits)
     jval = _guarded_j(v, cfg)
     a = (-theta_f - f * v["e2"] / 6
          + f * v["e6"] * (7 * jval - 6912) / (6 * v["e4"] * (jval - 1728)))
-    return {"p": _p_of(f, theta_f, z), "a": a, "b": f * v["e6"] * jval / v["e4"],
+    return {"p": p, "a": a, "b": f * v["e6"] * jval / v["e4"],
             "c": _c_of(v, jval, z), "aprime": a * jval * (jval - 1728), "j": jval}
 
 
@@ -581,7 +596,7 @@ def eval_C(z: mpc, cfg: PrecisionConfig) -> mpc:
     """C from the basics at z alone; level-1 invariant, so the value at a CM
     point only depends on its class."""
     with mpmath.workprec(cfg.eval_bits):
-        v = _basics(z, cfg.eval_bits)
+        v = _as_mpc(_basics(z, cfg.eval_bits), cfg.eval_bits)
         return _c_of(v, _guarded_j(v, cfg), z)
 
 

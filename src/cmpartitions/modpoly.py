@@ -51,15 +51,9 @@ def hnf_classes(m: int) -> list[MatrixClass]:
     (p, q, s) with p*s = m, 0 <= q < s, gcd(p, q, s) = 1."""
     if m < 1:
         raise ValueError("determinant must be positive")
-    out = []
-    for s in range(1, m + 1):
-        if m % s:
-            continue
-        p = m // s
-        for q in range(s):
-            if math.gcd(math.gcd(p, q), s) == 1:
-                out.append(MatrixClass(p, q, s))
-    return sorted(out, key=lambda c: (c.s, c.q))
+    return sorted((MatrixClass(m // s, q, s) for s in range(1, m + 1) if m % s == 0
+                   for q in range(s) if math.gcd(math.gcd(m // s, q), s) == 1),
+                  key=lambda c: (c.s, c.q))
 
 
 def class_count(m: int) -> int:
@@ -96,13 +90,10 @@ def _image_form(form: QuadForm, cl: MatrixClass) -> tuple[QuadForm, int]:
 def fixing_class(form: QuadForm, classes: list[MatrixClass]) -> MatrixClass:
     """The unique class whose orbit contains a matrix fixing the CM point
     alpha of form; NoFixingClass unless there is exactly one (several only
-    for |D| = 3 k^2, which D = 1 - 24n never is).
-
-    A class M has such a matrix gamma M exactly when M alpha is SL2(Z)-
-    equivalent to alpha: when its image form has content m times form's
-    own (so the same discriminant) and the same reduced form as form's
-    primitive part.  Decided in integers, one image form per class.
-    """
+    for |D| = 3 k^2, which D = 1 - 24n never is).  M has such a matrix
+    gamma M exactly when M alpha is SL2(Z)-equivalent to alpha: when its
+    image form has content m times form's own (so the same discriminant) and
+    the reduced form of form's primitive part.  Decided in integers."""
     if not classes:
         raise ValueError("empty class list")
     m = classes[0].determinant
@@ -137,15 +128,12 @@ def _j_classes(reds, bits: int) -> list:
 
 def _j_table(cfg: PrecisionConfig, forms=(), classes=()) -> _ClassTable:
     """Reduced form -> (j, relative error bound) at its root, at cfg's
-    evaluation precision.
-
-    The kernel calls that the CM points of forms and their images under
-    classes need, one per class and its mirror, are made at once and split
-    over the CPUs (``_fork_map``), in groups that share a and the
-    discriminant (and so one exponential), largest a first: the smallest Im
-    of the root takes the longest series.  Any other form is filled on a
-    miss.  The kernel's budget is checked first, so a precision it refuses
-    fails before any process starts.
+    evaluation precision.  The kernel calls that the CM points of forms and
+    their images under classes need, one per class and its mirror, are made
+    at once over the CPUs (``_fork_map``), in groups that share a and the
+    discriminant (one exponential), largest a (longest series) first; any
+    other form is filled on a miss.  The kernel's budget is checked first,
+    so a precision it refuses fails before any process starts.
     """
     bits = cfg.eval_bits
     _check_budget(bits)
@@ -179,15 +167,13 @@ def beta_product(form: QuadForm, classes, cfg: PrecisionConfig,
     (j(alpha) - j(class * alpha)) for alpha the CM point of form, and rel,
     a bound on its relative error to first order.
 
-    j is invariant under SL2(Z), so each (j, eps) is read from table (a
-    _j_table at cfg's precision, shared by the forms of one rung) at the
-    reduced form of form or of the image's form.  With j0 and jk off by eps0
-    and epsk relative, the factor j0 - jk is off by
-    (eps0 |j0| + epsk |jk|) / |j0 - jk| relative, plus 2^(1-p) for its
-    subtraction at p = cfg.eval_bits bits; _product sums that over the
-    factors, with 2^(1-p) for each product.  j runs along the eta-only
-    route: the norm products for n = 3 already need >30000 working bits,
-    where E4^3 / Delta from the theta constants would take more products.
+    Each (j, eps) is read from table (a _j_table at cfg's precision, shared
+    by the forms of one rung) at the reduced form of form or of the image.
+    With j0 and jk off by eps0 and epsk relative, j0 - jk is off by
+    (eps0 |j0| + epsk |jk|) / |j0 - jk| relative, plus 2^(1-p) for the
+    subtraction at p = cfg.eval_bits; _product sums that over the factors,
+    with 2^(1-p) per product.  j runs along the eta-only route, which takes
+    fewer products than E4^3 / Delta at the >30000 bits of n = 3.
     """
     fix, images = _images(form, classes)
     j0, eps0 = table[reduce_with_matrix(form)[0]]
@@ -220,10 +206,8 @@ class TaylorData:
 def taylor_coeffs(form: QuadForm, classes, cfg: PrecisionConfig) -> TaylorData:
     """Analytic first/second-order Taylor coefficients of the determinant-m
     modular polynomial about (j(alpha), j(alpha)), alpha the CM point of
-    form.
-
-    With f_i(s) = j(M_i s) and the product definition Phi(j(s), Y) =
-    prod_i (Y - f_i(s)), differentiating through the local inverse of j gives
+    form.  With f_i(s) = j(M_i s) and Phi(j(s), Y) = prod_i (Y - f_i(s)),
+    differentiating through the local inverse of j gives
 
       beta    = prod_{i != fix} (j0 - f_i(alpha)),
       beta02  = beta * sum_{k != fix} 1/(j0 - f_k(alpha)),
@@ -345,15 +329,13 @@ def _product(pairs, bits: int) -> tuple[mpc, mpf]:
 
 def _certified_norm(label: str, product_at, cfg: PrecisionConfig):
     """(norm, coprime_to_6, bits) from the rungs product_at(bits) = (prod,
-    rel), rel bounding prod's relative error to first order.
-
-    A rung is accepted when bound = 2 rel |prod| (with rel <= 1/4; the 2
-    covers exp(rel) - 1 and the computed |prod|) is at most cfg.abs_tol, and
-    prod is rounded with bound as the tolerance: a product farther from its
-    integer than its own bound raises NotNearIntegral.  Rungs run at w =
-    cfg.working_bits, which gives the magnitude M, then at M + w, M + 2w,
-    M + 4w, ..., the excess over M capped at cfg.max_bits; when the rung at
-    that cap does not close either, PrecisionExhausted."""
+    rel), rel bounding prod's relative error to first order.  A rung is
+    accepted when bound = 2 rel |prod| (rel <= 1/4; the 2 covers
+    exp(rel) - 1 and the computed |prod|) is at most cfg.abs_tol, and prod
+    is rounded with bound as the tolerance (NotNearIntegral beyond it).
+    Rungs run at w = cfg.working_bits, which gives the magnitude M, then at
+    M + w, M + 2w, M + 4w, ..., the excess capped at cfg.max_bits, beyond
+    which PrecisionExhausted."""
     bits = cfg.working_bits
     prod, rel = product_at(bits)
     magnitude = max(int(mpmath.mag(prod)), 0)
@@ -373,10 +355,9 @@ def _certified_norm(label: str, product_at, cfg: PrecisionConfig):
 def j_norm(n: int, cfg: PrecisionConfig):
     """Product of j over the class representatives for n, as an integer,
     with the coprime-to-6 flag and its rung's working bits (_certified_norm;
-    at 256 working bits the first rung closes for n <= 4, the next beyond).
-    Each (j, eps) comes from a class table at alpha's reduced form, filled
-    on a miss: 2 to 31 kernel calls per rung for n <= 30 cost less than a
-    fork."""
+    at 256 working bits the first rung closes for n <= 4).  Each (j, eps)
+    comes from a class table filled on a miss: 2 to 31 kernel calls per rung
+    for n <= 30 cost less than a fork."""
     reduced = [reduce_with_matrix(f)[0] for f in enumerate_qn(n)]
 
     def product_at(bits):
@@ -389,14 +370,11 @@ def j_norm(n: int, cfg: PrecisionConfig):
 
 def beta_norm(n: int, cfg: PrecisionConfig):
     """Product of beta over the primitive class representatives for n, as an
-    integer, with the coprime-to-6 flag and its rung's working bits.
-
-    The integers are enormous (about 9000 digits at n = 3), so the first
-    rung only measures the magnitude, and the next, at the magnitude plus
-    cfg.working_bits, is accepted on its bound (_certified_norm; about
-    2^-270 for n = 1, 2 and 3): beta_product's relative bounds and 2^(1-p)
-    per product over the forms.  A rung's kernel calls, one per class pair,
-    are split over the CPUs (_j_table).
+    integer, with the coprime-to-6 flag and its rung's working bits.  The
+    first rung measures the magnitude (about 9000 digits at n = 3), and the
+    next, at the magnitude plus cfg.working_bits, is accepted on its bound
+    (_certified_norm; about 2^-270 for n = 1, 2 and 3).  A rung's kernel
+    calls, one per class pair, are split over the CPUs (_j_table).
     """
     # only primitive forms have a fixing class of determinant 24n - 1
     forms = [f for f in enumerate_qn(n) if f.content() == 1]

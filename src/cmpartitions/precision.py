@@ -86,13 +86,11 @@ def _dev(a, b) -> mpf:
 
 def _fork_map(fn, arg_tuples) -> list:
     """[fn(*args) for args in arg_tuples], in order, split over forked
-    processes, one per CPU this process may run on.
-
-    Worker k of p takes tasks k, k + p, ... (so a list sorted by falling
-    cost splits evenly).  Workers are forked, so they see the caller's
-    modules as they are (the library starts no threads), and nothing but
-    the results is pickled.  The first exception a worker raised is raised
-    here.  Runs serially when there is one process to use.
+    processes, one per CPU this process may run on: worker k of p takes tasks
+    k, k + p, ... (a list sorted by falling cost splits evenly).  Forked
+    workers see the caller's modules as they are (the library starts no
+    threads), and only the results are pickled.  The first exception a
+    worker raised is raised here.  Serial when there is one process to use.
     """
     tasks = list(arg_tuples)
     processes = min(len(os.sched_getaffinity(0)), len(tasks))
@@ -146,16 +144,11 @@ def _collect(pid: int, out) -> tuple:
 
 def run_adaptive(task: Callable[[int], object], cfg: PrecisionConfig):
     """Rerun ``task(bits)`` at doubling precision until two consecutive runs
-    agree to cfg.abs_tol.
-
-    Returns (result, achieved_bits) where ``result`` is the output of the
-    higher-precision run of the first agreeing pair and ``achieved_bits`` the
-    precision at which the value was first confirmed.  Raises
-    PrecisionExhausted if max_bits is reached without agreement.
-    """
-    bits = cfg.working_bits
+    agree to cfg.abs_tol: (result, achieved_bits), the higher run's output of
+    the first agreeing pair and the precision of the lower one.  Raises
+    PrecisionExhausted if max_bits is reached without agreement."""
+    bits = prev_bits = cfg.working_bits
     prev = task(bits)
-    prev_bits = bits
     while bits < cfg.max_bits:
         bits = min(2 * bits, cfg.max_bits)
         cur = task(bits)

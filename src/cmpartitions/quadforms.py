@@ -46,11 +46,7 @@ class QuadForm:
 
     def is_reduced(self) -> bool:
         a, b, c = self.a, self.b, self.c
-        if not (abs(b) <= a <= c):
-            return False
-        if (abs(b) == a or a == c) and b < 0:
-            return False
-        return True
+        return abs(b) <= a <= c and not ((abs(b) == a or a == c) and b < 0)
 
 
 def _mat_mul(m1, m2):
@@ -80,11 +76,7 @@ def reduce_with_matrix(q: QuadForm):
             t = (1, k, 0, 1)
             cur, g = cur.transform(t), _mat_mul(g, t)
             continue
-        if cur.a > cur.c:
-            s = (0, -1, 1, 0)
-            cur, g = cur.transform(s), _mat_mul(g, s)
-            continue
-        if cur.a == cur.c and cur.b < 0:
+        if cur.a > cur.c or (cur.a == cur.c and cur.b < 0):
             s = (0, -1, 1, 0)
             cur, g = cur.transform(s), _mat_mul(g, s)
             continue
@@ -164,14 +156,10 @@ def enumerate_qn(n: int) -> list[QuadForm]:
     reps: dict[QuadForm, QuadForm] = {}
     for a in range(6, 4 * (-d) + 1, 6):
         # translation z -> z+1 shifts b by 2a and 12 | 2a, so one period
-        # of b mod 2a meets every translate class exactly once
-        row = []
-        b = 1 - 12 * (a // 12)  # smallest b = 1 (mod 12) with b > -a
-        while b <= a:
-            num = b * b - d
-            if num % (4 * a) == 0:
-                row.append(QuadForm(a, b, num // (4 * a)))
-            b += 12
+        # of b mod 2a, b = 1 (mod 12) in (-a, a], meets every translate
+        # class exactly once
+        row = [QuadForm(a, b, (b * b - d) // (4 * a))
+               for b in range(1 - 12 * (a // 12), a + 1, 12) if (b * b - d) % (4 * a) == 0]
         for form in sorted(row, key=lambda f: (abs(f.b), -f.b)):
             reps.setdefault(reduce_with_matrix(form)[0], form)
         if len(reps) == classes:
@@ -182,15 +170,13 @@ def enumerate_qn(n: int) -> list[QuadForm]:
 
 def conjugate_partners(forms) -> list[int]:
     """Index of each form's partner: the form in the class of [6c, b, a/6].
-
-    [a, b, c] -> [6c, b, a/6] is complex conjugation followed by the
-    Atkin-Lehner involution W6 on CM points (alpha -> 1/(6 conj alpha)), and
-    it keeps 6 | a and b = 1 (mod 12).  Such forms of one discriminant prime
-    to 6 share a level-6 class exactly when they share an SL2(Z) class (see
-    ``enumerate_qn``), so the partner is looked up by the reduced image.
-    Raises ValueError unless 6 divides every a, no two forms share a class,
-    every form has a partner and the map is an involution.
-    """
+    That map is complex conjugation followed by the Atkin-Lehner involution
+    W6 on CM points (alpha -> 1/(6 conj alpha)), and keeps 6 | a and
+    b = 1 (mod 12); such forms of one discriminant prime to 6 share a
+    level-6 class exactly when they share an SL2(Z) class (``enumerate_qn``),
+    so the partner is looked up by the reduced image.  Raises ValueError
+    unless 6 divides every a, no two forms share a class, every form has a
+    partner and the map is an involution."""
     index = {reduce_with_matrix(form)[0]: i for i, form in enumerate(forms)}
     if len(index) != len(forms):
         raise ValueError("two forms share a class")

@@ -11,13 +11,14 @@ their error bound as the tolerance.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import mpmath
 from mpmath import mpc, mpf
 
 from .errors import NotNearIntegral
-from .evaluate import eval_P_cm
+from .evaluate import _cmul, _conj, _csum, _fixed, _to_mpc, eval_P_cm
 from .precision import PrecisionConfig, run_adaptive
 from .quadforms import QuadForm, conjugate_partners, enumerate_qn
 from .series import _pentagonal_exponents
@@ -37,20 +38,36 @@ def _carried_bits(values) -> int:
 
 
 def orbit_product(values, scale: int = 1):
-    """Monic polynomial prod(x - scale*v) over the values, expanded in input
-    order; coefficients returned leading-first."""
+    """Monic polynomial prod(x - scale*v) over the values, coefficients
+    returned leading-first as exact mpc, on Gaussian ints scaled by 2^p, p =
+    32 + the bits the values carry.  A value whose exact conjugate is also
+    among the values enters with it as one real quadratic
+    x^2 - 2 Re(sv) x + |sv|^2, so conjugate pairs and real values give
+    exactly real coefficients; the others enter as linear factors, in input
+    order."""
     if not values:
         raise ValueError("orbit product needs at least one value")
-    with mpmath.workprec(_carried_bits(values) + 32):
-        coeffs = [mpc(1)]
-        for v in values:
-            root = mpc(scale) * v
-            nxt = [mpc(1)]
-            for k in range(1, len(coeffs) + 1):
-                prev = coeffs[k] if k < len(coeffs) else mpc(0)
-                nxt.append(prev - root * coeffs[k - 1])
-            coeffs = nxt
-    return coeffs
+    prec = _carried_bits(values) + 32
+    with mpmath.workprec(prec):
+        values = [mpc(v) for v in values]
+    unpaired = Counter(v._mpc_ for v in values)
+    coeffs = [(1 << prec, 0)]
+    for v in values:
+        if not unpaired[v._mpc_]:
+            continue  # entered with its conjugate
+        unpaired[v._mpc_] -= 1
+        x = _csum([(scale, _fixed(v, prec))])
+        conj = _conj(v)._mpc_
+        if v.imag and unpaired[conj]:
+            unpaired[conj] -= 1
+            lower = [(-2 * x[0], 0), ((x[0] * x[0] + x[1] * x[1]) >> prec, 0)]
+        else:
+            lower = [(-x[0], -x[1])]
+        padded = coeffs + [(0, 0)] * len(lower)
+        coeffs = [_csum([(1, c)] + [(1, _cmul(padded[i - k], f, prec))
+                                   for k, f in enumerate(lower, 1) if k <= i])
+                  for i, c in enumerate(padded)]
+    return [_to_mpc(c, prec, 0) for c in coeffs]
 
 
 def round_to_integers(poly, tol):
@@ -121,12 +138,9 @@ class OrbitRecord:
 
 
 def sharpness_divisor(p_values, n: int, tol) -> int:
-    """24n - 1 when prod(x - (24n - 1) P) is integral, else 0.
-
-    No smaller divisor d of 24n - 1 needs a try: if prod(x - d P) is
-    integral, so is prod(x - (24n - 1) P), whose k-th coefficient is
-    ((24n - 1)/d)^k times its k-th coefficient.
-    """
+    """24n - 1 when prod(x - (24n - 1) P) is integral, else 0.  No smaller
+    divisor d needs a try: if prod(x - d P) is integral, so is
+    prod(x - (24n - 1) P), its k-th coefficient times ((24n - 1)/d)^k."""
     scale = 24 * n - 1
     try:
         round_to_integers(orbit_product(p_values, scale), tol)
@@ -136,20 +150,16 @@ def sharpness_divisor(p_values, n: int, tol) -> int:
 
 
 def compute_pn(n: int, cfg: PrecisionConfig) -> OrbitRecord:
-    """Assemble the full orbit record for n under the adaptive ladder.
+    """The full orbit record for n under the adaptive ladder: the values
+    and the scaled orbit polynomial must stabilize across a precision
+    doubling before anything is rounded.  The polynomial's x^(h-1)
+    coefficient is -(24n - 1)^2 p(n), so p(n) is read from it exactly, and
+    the full scale 24n - 1 is the sharpness divisor it has just confirmed.
 
-    The per-point values and the scaled orbit polynomial must stabilize
-    across a precision doubling before anything is rounded.  Its x^(h-1)
-    coefficient is -(24n - 1) sum P = -(24n - 1)^2 p(n), so p(n) is read from
-    the rounded polynomial exactly, and the full scale 24n - 1 is the
-    sharpness divisor (``sharpness_divisor``) it has just confirmed.
-
-    P is evaluated once per conjugate pair of CM points, in one
-    ``eval_P_cm`` call per rung.  The partner of [a, b, c] is the class of
-    [6c, b, a/6] (``conjugate_partners``), whose CM point is
-    1/(6 conj alpha): complex conjugation followed by W6.  P has real
-    Fourier coefficients and W6 sign +1, so the partner's value is exactly
-    conj P(alpha), taken at the rung's precision.
+    P is evaluated once per conjugate pair, in one ``eval_P_cm`` call per
+    rung.  The partner of [a, b, c] is the class of [6c, b, a/6]
+    (``conjugate_partners``), at 1/(6 conj alpha): P has real Fourier
+    coefficients and W6 sign +1, so its value there is exactly conj P(alpha).
     """
     if n < 1:
         raise ValueError("n must be >= 1")

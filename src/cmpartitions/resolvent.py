@@ -1,14 +1,11 @@
 """Degree-12 resolvent polynomials of A' and B over the full modular group.
 
-Both A' and B are weight-0 level-6 functions, so the monic product of
-(X - g(gamma z)) over the 12 cosets of the level-6 group inside the full
-modular group has coefficients that are integer polynomials in j(z).  Those
-coefficient polynomials are tabulated here in their factored shape and are
-evaluated in that shape at the j they are asked at; there is no polynomial
-type (the exact integer polynomials come out of passing a formal series as
-j).  They are verified at runtime against the numerically expanded coset
-product; their specializations at CM values of j witness that A' and B take
-algebraic integer values there.
+A' and B are weight-0 level-6 functions, so the monic product of
+(X - g(gamma z)) over the 12 cosets of the level-6 group has coefficients
+that are integer polynomials in j(z).  They are tabulated in their factored
+shape and evaluated in it (passing a formal series as j gives the exact
+polynomials), verified at runtime against the numerically expanded coset
+product; at CM values of j they witness that A' and B are algebraic integers.
 """
 
 from __future__ import annotations
@@ -16,7 +13,7 @@ from __future__ import annotations
 import mpmath
 from mpmath import mpc, mpf
 
-from .evaluate import _values
+from .evaluate import _ipow, _values
 from .precision import PrecisionConfig
 from .quadforms import QuadForm, cm_point
 from .recognize import _carried_bits, orbit_product
@@ -170,19 +167,41 @@ def _psi_and_j(z: mpc, cfg: PrecisionConfig):
 
 def psi_from_cosets(z: mpc, cfg: PrecisionConfig) -> dict:
     """Coefficients (ascending, monic degree 12) of prod(X - g(gamma z)) over
-    the coset representatives, for g = A' and g = B, keyed "aprime" and "b".
-    Each g is level-6 invariant so each factor depends only on the coset;
-    one evaluation per coset image gives both values."""
+    the coset representatives (g is level-6 invariant), for g = A' and B,
+    keyed "aprime" and "b", from one evaluation per coset image."""
     return _psi_and_j(z, cfg)[0]
 
 
+class _Rounded:
+    """A number whose ** is evaluate._ipow, so that the factored tables take
+    rounded powers, not mpmath's exact complex ones."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __add__(self, other):
+        return _Rounded(self.value + getattr(other, "value", other))
+
+    def __sub__(self, other):
+        return _Rounded(self.value - getattr(other, "value", other))
+
+    def __mul__(self, other):
+        return _Rounded(self.value * getattr(other, "value", other))
+
+    def __pow__(self, n: int):
+        return _Rounded(_ipow(self.value, n))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
 def psi_tabulated(j_value) -> dict:
-    """The tabulated coefficients of both resolvents evaluated at a j-value
-    (ascending, with the monic leading 1), keyed "aprime" and "b"."""
+    """The tabulated coefficients of both resolvents evaluated in their
+    factored shape at a j-value, with rounded powers (ascending, with the
+    monic leading 1), keyed "aprime" and "b"."""
     with mpmath.workprec(_carried_bits([j_value]) + 32):
-        j_value = mpc(j_value)
-        return {"aprime": [*_aprime_coefficients(j_value), mpc(1)],
-                "b": [*_b_coefficients(j_value), mpc(1)]}
+        j_value = _Rounded(mpc(j_value))
+        return {key: [c.value for c in table(j_value)] + [mpc(1)]
+                for key, table in (("aprime", _aprime_coefficients), ("b", _b_coefficients))}
 
 
 def tabulated_deviations(z: mpc, cfg: PrecisionConfig) -> dict:

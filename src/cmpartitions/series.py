@@ -30,6 +30,20 @@ def _is_integer(c) -> bool:
     return isinstance(c, int) or c.denominator == 1
 
 
+def _power(x, n: int):
+    """x**n for n >= 1 by binary squaring, in x's own products (rounded ones
+    for an mpc: mpmath forms small complex powers exactly, and large ones
+    through log/exp)."""
+    result = None
+    while n:
+        if n & 1:
+            result = x if result is None else result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
+
+
 class FormalSeries:
     """Truncated Laurent series sum_{e >= start} coeffs[e-start] * q^e + O(q^order)."""
 
@@ -163,19 +177,8 @@ class FormalSeries:
             raise TypeError("series powers must be integers")
         if n < 0:
             return self.inverse() ** (-n)
-        # binary powering; validity tracked by the multiplications themselves
-        base = self
-        result = None
-        m = n
-        while m:
-            if m & 1:
-                result = base if result is None else result * base
-            m >>= 1
-            if m:
-                base = base * base
-        if result is None:  # n == 0
-            return FormalSeries.constant(1, self.order - self.start)
-        return result
+        # validity is tracked by the multiplications themselves
+        return _power(self, n) if n else FormalSeries.constant(1, self.order - self.start)
 
     def rescale_exponents(self, d: int) -> "FormalSeries":
         """Substitute q -> q^d (d >= 1)."""

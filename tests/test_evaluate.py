@@ -1,18 +1,22 @@
+import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import mpc, mpf
 
+from cmpartitions import evaluate, recognize
 from cmpartitions.errors import NearSingularity, NotUpperHalfPlane
-from cmpartitions.evaluate import (_ClassTable, _j_reduced, _nterms, _reduce,
-                                   _reduced_basics, al_deviation,
+from cmpartitions.evaluate import (_as_mpc, _ClassTable, _eta_k, _j_reduced,
+                                   _nterms, _reduce, _reduced_basics, al_deviation,
                                    atkin_lehner_check, eval_A, eval_Aprime,
                                    eval_B, eval_C, eval_eisenstein, eval_eta,
                                    eval_form, eval_j, eval_P, eval_P_cm,
                                    eval_theta_form, eval_theta_j)
 from cmpartitions.precision import PrecisionConfig
 from cmpartitions.quadforms import QuadForm, cm_point, enumerate_qn
+from cmpartitions.recognize import compute_pn
 from cmpartitions.series import eisenstein_series, fp_series
 
 
@@ -120,6 +124,38 @@ class TestEta:
             assert abs(value - oracle) < mpf(2) ** -(bits - 8) * abs(oracle)
 
 
+def dedekind_sum(h: int, k: int) -> Fraction:
+    """s(h, k) for k > 0 and gcd(h, k) = 1, by reciprocity in exact
+    rationals: s(h, k) + s(k, h) = (h/k + k/h + 1/(hk))/12 - 1/4."""
+    total = Fraction(0)
+    sign = 1
+    h %= k
+    while h:
+        total += sign * (Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4))
+        sign = -sign
+        h, k = k % h, h
+    return total
+
+
+class TestMultiplier:
+    def test_integer_k_against_rational_dedekind_sum(self):
+        # Rademacher's k = (a + d)/c - 12 s(d, c) in exact rationals against
+        # the library's integer k, for every coprime (d, c) with c <= 300
+        # and -c <= d <= 2c, a = d^-1 (mod c); eta^2 uses k mod 12, eta k
+        # mod 24
+        sums = {}
+        for c in range(1, 301):
+            for d in range(-c, 2 * c + 1):
+                if math.gcd(d, c) != 1:
+                    continue
+                a = pow(d, -1, c)
+                if (d % c, c) not in sums:
+                    sums[d % c, c] = dedekind_sum(d, c)
+                k = Fraction(a + d, c) - 12 * sums[d % c, c]
+                assert k.denominator == 1, (c, d)
+                assert (_eta_k((a, (a * d - 1) // c, c, d)) - k.numerator) % 24 == 0, (c, d)
+
+
 class TestEisenstein:
     def test_e6_vanishes_at_i(self, cfg256):
         # S fixes i and has weight-6 factor i^6 = -1, forcing E6(i) = 0
@@ -225,7 +261,7 @@ class TestFixedPointKernels:
         for x, y in KERNEL_POINTS:
             with mpmath.workprec(bits):
                 w = mpc(mpf(x), mpf(y))
-                value = _reduced_basics(w, bits)
+                value = _as_mpc(_reduced_basics(w, bits), bits)
             n = _nterms(bits + 64, mpmath.im(w))
             with mpmath.workprec(bits + 64):
                 q = mpmath.exp(2j * mpmath.pi * w)
@@ -330,6 +366,74 @@ class TestCMValues:
         with pytest.raises(ValueError):
             eval_P_cm([QuadForm(1, 1, 6)], cfg256)
 
+    @pytest.mark.parametrize("bits", [256, 1024])
+    def test_relative_accuracy_across_magnitudes(self, bits):
+        # |P| runs from 0.07 to 2e19 over these forms, and their eta^2
+        # products down to 2^-64 (n = 300): each value is within
+        # 2^-(bits+16) relative of the value 256 bits higher
+        for n in (30, 100, 300):
+            forms = enumerate_qn(n)
+            lo = eval_P_cm(forms, PrecisionConfig(bits))
+            hi = eval_P_cm(forms, PrecisionConfig(bits + 256))
+            with mpmath.workprec(bits + 320):
+                for form, value, ref in zip(forms, lo, hi):
+                    assert abs(value - ref) < mpf(2) ** -(bits + 16) * abs(ref), (n, form)
+
+    def test_mirror_fill_matches_the_kernel(self, monkeypatch):
+        # every entry eval_P_cm fills as a mirror (n = 1..5) against a direct
+        # kernel call at the mirror's root, to 2^-bits
+        tables = []
+
+        class Recording(_ClassTable):
+            def __init__(self, kernel):
+                super().__init__(kernel)
+                self.missed = set()
+                tables.append(self)
+
+            def __missing__(self, red):
+                self.missed.add(red)
+                return super().__missing__(red)
+
+        monkeypatch.setattr(evaluate, "_ClassTable", Recording)
+        cfg = PrecisionConfig(256)
+        ulps = 1 << (evaluate._GUARD)  # 2^-eval_bits at scale 2^(eval_bits + _GUARD)
+        filled = 0
+        for n in range(1, 6):
+            eval_P_cm(enumerate_qn(n), cfg)
+            table = tables[-1]
+            for red in set(table) - table.missed:
+                direct, filled_in = table.kernel(red), table[red]
+                assert set(direct) == set(filled_in)
+                assert direct["eta2_exp"] == filled_in["eta2_exp"]
+                for key in ("eta2", "e2", "e4"):
+                    assert all(abs(x - y) < ulps for x, y in zip(direct[key], filled_in[key])), \
+                        (n, red, key)
+                filled += 1
+        assert filled >= 5
+
+    def test_compute_pn_takes_no_mpc_transport(self, monkeypatch):
+        # no eta multiplier by expjpi, and no square root per point: at most
+        # one mpmath.sqrt per eval_P_cm call
+        def refuse(*args):
+            raise AssertionError("expjpi called")
+
+        sqrt, original = mpmath.sqrt, recognize.eval_P_cm
+        roots, calls = [], []
+
+        def counted_sqrt(*args, **kwargs):
+            roots.append(args)
+            return sqrt(*args, **kwargs)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(mpmath, "expjpi", refuse)
+        monkeypatch.setattr(mpmath, "sqrt", counted_sqrt)
+        monkeypatch.setattr(recognize, "eval_P_cm", counted)
+        assert compute_pn(5, PrecisionConfig(256)).pn == 7
+        assert calls and len(roots) <= len(calls)
+
     def test_mirror_fill_is_exact_outside_workprec(self):
         # a value filled at the default 53 bits keeps its mirror's 600 bits
         with mpmath.workprec(600):
@@ -366,8 +470,8 @@ class TestDecomposition:
         alpha = cm_point(enumerate_qn(1)[0], cfg256)
         with mpmath.workprec(cfg256.eval_bits):
             b = eval_B(alpha, cfg256)
-            v = _basics(alpha, cfg256.eval_bits)
-            jval = _ipow(v["e4"], 3) / _ipow(v["eta"], 24)
+            v = _as_mpc(_basics(alpha, cfg256.eval_bits), cfg256.eval_bits)
+            jval = _ipow(v["e4"], 3) / _ipow(v["eta2"], 12)
             raw = eval_form(alpha, cfg256) * v["e6"] * jval / v["e4"]
             assert abs(b - raw) < mpf(2) ** -200 * (1 + abs(b))
 
