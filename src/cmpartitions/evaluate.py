@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mpc, mpf
-from mpmath.libmp import from_man_exp, mpf_neg, pi_fixed, to_fixed
+from mpmath.libmp import from_man_exp, mpf_cos_sin_pi, mpf_neg, pi_fixed, to_fixed
 
 from .errors import NearSingularity, NotUpperHalfPlane, PrecisionExhausted
 from .precision import PrecisionConfig
@@ -114,7 +114,9 @@ def _to_mpc(z: tuple[int, int], prec: int, bits: int) -> mpc:
 
 def _cmul(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
     """Product of two fixed-point complex numbers from three integer products
-    (Gauss), truncated back to scale 2^prec."""
+    (Gauss), or two when b is real, truncated back to scale 2^prec."""
+    if not b[1]:
+        return a[0] * b[0] >> prec, a[1] * b[0] >> prec
     k1 = b[0] * (a[0] + a[1])
     k2 = a[0] * (b[1] - b[0])
     k3 = a[1] * (b[0] + b[1])
@@ -136,8 +138,7 @@ def _fourth(a: tuple[int, int], prec: int) -> tuple[int, int]:
 
 @functools.lru_cache(maxsize=32)
 def _constants(prec: int):
-    """(units, 1/pi) in fixed point at scale 2^prec: units[k] is
-    exp(-pi i k/6), the twelve roots of unity, from one isqrt."""
+    """(units[k] = exp(-pi i k/6) for k < 12, 1/pi) at scale 2^prec; one isqrt."""
     one, half, root3 = 1 << prec, 1 << (prec - 1), _math.isqrt(3 << 2 * prec) >> 1
     cos = (one, root3, half, 0, -half, -root3, -one, -root3, -half, 0, half, root3)
     return tuple((cos[k], -cos[k - 3]) for k in range(12)), (1 << 2 * prec) // pi_fixed(prec)
@@ -403,11 +404,10 @@ def eval_theta_j(z: mpc, cfg: PrecisionConfig) -> mpc:
 
 
 def _combine(at: dict, prec: int):
-    """(f, theta_f, den, ex) with F = f/den 2^-ex and thetaF = theta_f/den
-    2^-ex at z, from the fixed-point basics at[d] at d z (d = 1, 2, 3, 6),
-    by the chain rule: theta f(dz) = d (theta f)(dz), theta E2 =
-    (E2^2 - E4)/12, theta log eta = E2/24.  den 2^ex is the eta^2 product
-    times 24/FP_PREFACTOR, so every weight is an integer."""
+    """(f, theta_f, den, ex), F = f/den 2^-ex and thetaF = theta_f/den 2^-ex
+    at z from the fixed-point basics at[d] at d z (d = 1, 2, 3, 6) by the
+    chain rule: theta f(dz) = d (theta f)(dz), theta E2 = (E2^2 - E4)/12,
+    theta log eta = E2/24; den 2^ex is the eta^2 product times 24/FP_PREFACTOR."""
     num = _csum((c, at[d]["e2"]) for d, c in FP_E2_COMBINATION)
     theta = _csum((2 * c * d, _csum([(1, _cmul(at[d]["e2"], at[d]["e2"], prec)),
                                      (-1, at[d]["e4"])])) for d, c in FP_E2_COMBINATION)
@@ -480,7 +480,7 @@ def _nomes(forms, bits: int) -> list[mpc]:
         raise ValueError("forms must share a and D, with |b| < 2^10")
     with mpmath.workprec(bits + _GUARD):
         modulus = mpmath.exp(-mpmath.pi * mpmath.sqrt(-d) / a)
-        root = mpc(mpmath.cospi(mpf(-1) / a), mpmath.sinpi(mpf(-1) / a))
+        root = mpmath.mp.make_mpc(mpf_cos_sin_pi((mpf(-1) / a)._mpf_, bits + _GUARD, "n"))
         return [modulus * (_ipow(root, f.b) if f.b >= 0 else _conj(_ipow(root, -f.b)))
                 for f in forms]
 
@@ -518,8 +518,7 @@ def eval_P_cm(forms, cfg: PrecisionConfig) -> list:
     t = 2A (c sqrt|D| + iX)/(X^2 + c^2 |D|), X = 2Ad - cb.  One
     isqrt(|D| 2^2prec) per discriminant gives every t, every kernel root and
     1/(2 pi Im alpha) = a/(pi sqrt|D|)."""
-    bits = cfg.eval_bits
-    prec = bits + _GUARD
+    bits, prec = cfg.eval_bits, cfg.eval_bits + _GUARD
     roots = {f.discriminant(): _math.isqrt(-f.discriminant() << 2 * prec) for f in forms}
 
     def kernel(red: QuadForm) -> dict:

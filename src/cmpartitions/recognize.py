@@ -39,12 +39,11 @@ def _carried_bits(values) -> int:
 
 def orbit_product(values, scale: int = 1):
     """Monic polynomial prod(x - scale*v) over the values, coefficients
-    returned leading-first as exact mpc, on Gaussian ints scaled by 2^p, p =
-    32 + the bits the values carry.  A value whose exact conjugate is also
-    among the values enters with it as one real quadratic
-    x^2 - 2 Re(sv) x + |sv|^2, so conjugate pairs and real values give
-    exactly real coefficients; the others enter as linear factors, in input
-    order."""
+    leading-first as exact mpc, on Gaussian ints scaled by 2^(32 + the bits
+    the values carry).  A value whose exact conjugate is also among the
+    values enters with it as one real quadratic x^2 - 2 Re(sv) x + |sv|^2,
+    so conjugate pairs and real values give exactly real coefficients; the
+    others enter as linear factors, in input order."""
     if not values:
         raise ValueError("orbit product needs at least one value")
     prec = _carried_bits(values) + 32
@@ -63,10 +62,12 @@ def orbit_product(values, scale: int = 1):
             lower = [(-2 * x[0], 0), ((x[0] * x[0] + x[1] * x[1]) >> prec, 0)]
         else:
             lower = [(-x[0], -x[1])]
-        padded = coeffs + [(0, 0)] * len(lower)
-        coeffs = [_csum([(1, c)] + [(1, _cmul(padded[i - k], f, prec))
-                                   for k, f in enumerate(lower, 1) if k <= i])
-                  for i, c in enumerate(padded)]
+        product = coeffs + [(0, 0)] * len(lower)
+        for i, c in enumerate(coeffs):
+            for k, f in enumerate(lower, i + 1):
+                term = _cmul(c, f, prec)
+                product[k] = (product[k][0] + term[0], product[k][1] + term[1])
+        coeffs = product
     return [_to_mpc(c, prec, 0) for c in coeffs]
 
 
