@@ -288,10 +288,9 @@ class TestClassTable:
 
 
 class TestBetaNorm:
-    # SHA-256 of the decimal norms, as perfbench/oracle.json records them;
-    # n = 2 is pinned by tests/test_cli.py::TestKernelCounts, on the run
-    # that counts its kernel calls
-    SHA256 = {1: "633fc9cfe3d0f29425be59665d4ab01f8812c2f1b330840c1715846547fda0ac"}
+    # SHA-256 of the decimal norms, as perfbench/oracle.json records them
+    SHA256 = {1: "633fc9cfe3d0f29425be59665d4ab01f8812c2f1b330840c1715846547fda0ac",
+              2: "14c97bb8cf30db83f33d198c0ffe8a3601454da7df09d963b2f1808cb972b27e"}
 
     def test_n1(self):
         norm, coprime, achieved = beta_norm(1, PrecisionConfig(256, 8192))
@@ -326,6 +325,12 @@ class TestBetaNorm:
         assert rungs == [256, 3536, 3792] and achieved == 3792
         assert coprime
         assert hashlib.sha256(str(norm).encode()).hexdigest() == self.SHA256[1]
+
+    def test_n2(self):
+        norm, coprime, _ = beta_norm(2, PrecisionConfig(256, 8192))
+        assert coprime
+        assert len(str(abs(norm))) == 3991
+        assert hashlib.sha256(str(norm).encode()).hexdigest() == self.SHA256[2]
 
 
 class TestCertifiedNorm:
