@@ -2,8 +2,9 @@
 form, with numerical verification of the attached integrality statements.
 
 The package computes p(n) = (sum of P over the discriminant 1-24n class
-representatives) / (24n - 1) at adaptive precision, recognizes the scaled
-orbit polynomials as integer polynomials, checks the A + B*C split of P and
+representatives) / (24n - 1) at a precision accepted on an error bound,
+recognizes the scaled orbit polynomials as integer polynomials within that
+bound, checks the A + B*C split of P and
 its modular-polynomial expression, and verifies the 6-unit norm properties of
 j and of the singular-moduli products behind them.
 """

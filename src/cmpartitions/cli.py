@@ -20,7 +20,7 @@ from mpmath import mpc, mpf
 from . import modpoly, recognize, resolvent
 from .errors import (CMPartitionsError, NearSingularity, NotNearIntegral,
                      PrecisionExhausted)
-from .evaluate import _values, eval_A, eval_B, eval_C, eval_form, eval_j, eval_P
+from .evaluate import _eval_bounded, _values, eval_C
 from .precision import PrecisionConfig, run_adaptive
 from .quadforms import cm_point, enumerate_qn
 from .series import fp_series, hypothesis_check
@@ -159,8 +159,8 @@ def _build_parser() -> _Parser:
 
 
 def _config(args) -> PrecisionConfig:
-    # at least one doubling above the start, so the ladder gets a
-    # confirming rung
+    # max_bits caps the excess of a rung over the magnitude its first rung
+    # measured; at least twice the start, so two rungs can follow the first
     max_bits = max(args.max_precision_bits, 2 * args.precision_bits)
     return PrecisionConfig(args.precision_bits, max_bits, abs_tol=args.tol)
 
@@ -325,11 +325,10 @@ def _cmd_forms(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _config(args)
-    # read at the top rung's precision, so every rung sees the same point
+    # every rung sees the same binary point, the one its bound refers to
     z = _point(args.z, cfg.max_bits + cfg.guard_bits)
-    fn = {"F": eval_form, "P": eval_P, "A": eval_A, "B": eval_B, "C": eval_C,
-          "j": eval_j}[args.what]
-    value, achieved = run_adaptive(lambda bits: fn(z, cfg.with_bits(bits)), cfg)
+    value, _, achieved = run_adaptive(
+        lambda bits: _eval_bounded(args.what, z, cfg.with_bits(bits)), cfg)
     digits = max(20, int(achieved * 0.30103))
     doc = {"what": args.what, "z": _cnstr(z, 30),
            "value": _cnstr(value, digits), "achieved_bits": achieved}

@@ -6,9 +6,10 @@ class CMPartitionsError(Exception):
 
 
 class PrecisionExhausted(CMPartitionsError):
-    """Precision ran out: the adaptive ladder hit max_bits without two runs
-    agreeing, or a kernel call was asked for at 2^15 bits or more, beyond
-    its stated error budget (evaluate._check_budget)."""
+    """Precision ran out: no rung of precision.run_adaptive up to max_bits
+    above the magnitude had an error bound within the tolerance, or a kernel
+    call was asked for at 2^15 bits or more, beyond its stated error budget
+    (evaluate._check_budget)."""
 
 
 class ZeroLeadingCoefficient(CMPartitionsError, ZeroDivisionError):

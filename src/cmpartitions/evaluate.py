@@ -12,8 +12,12 @@ its own power of two, so a product of them (2^-1800 at Im z = 200) keeps
 its relative precision.  _transport carries values back by the reducing
 matrix and t = i/(cz + d): eta^2 takes a twelfth root of unity from
 Rademacher's integer k (_eta_k), no square root.  At a CM point t is a
-quotient of integers and one isqrt(|D| 2^2prec).  Derivatives are
-analytic: theta(E2) = (E2^2 - E4)/12, theta(log eta) = E2/24.
+quotient of integers and one isqrt(|D| 2^2prec); elsewhere t and w are
+formed in integers from z's binary value.  Derivatives are analytic:
+theta(E2) = (E2^2 - E4)/12, theta(log eta) = E2/24.  Every fixed-point value
+carries an integer error exponent (_emul, _esum, _ediv), seeded by the
+kernel's budget: the bound of P at CM points (eval_P_cm) and of the eval
+command (_eval_bounded).
 """
 
 from __future__ import annotations
@@ -155,6 +159,54 @@ def _size(z: tuple[int, int]) -> int:
     return max(z[0].bit_length(), z[1].bit_length())
 
 
+# Error bounds ride along as integer exponents: a pair (z, e) is a
+# fixed-point complex z at scale 2^prec within 2^e units of 2^-prec of the
+# exact value.  |z| < 2^(_size(z) + 1/2) units.
+
+
+def _emul(a, b, prec: int):
+    """_cmul of two (value, error exponent) pairs, with its error exponent:
+    |a| e_b + |b| e_a < 2^(m + 3/2) units, m = max(size a + e_b, size b +
+    e_a) - prec, and e_a e_b and the truncation (under 2 units) are each
+    below 2^s, s = max(e_a + e_b - prec, 1); under 2^(m + 2) in all when
+    s <= m - 2, else under 2^(max(m, s) + 3)."""
+    (x, ex), (y, ey) = a, b
+    m = max(max(x[0].bit_length(), x[1].bit_length()) + ey,
+            max(y[0].bit_length(), y[1].bit_length()) + ex) - prec
+    small = max(ex + ey - prec, 1)
+    return _cmul(x, y, prec), m + 2 if small <= m - 2 else max(m, small) + 3
+
+
+def _esum(terms):
+    """_csum over (integer weight, (value, error exponent)) pairs, with its
+    error exponent: the bit length of sum |c| 2^e."""
+    terms = list(terms)
+    return (_csum((c, z) for c, (z, _) in terms),
+            sum(abs(c) << max(e, 0) for c, (_, e) in terms).bit_length())
+
+
+def _ediv(a, b, prec: int):
+    """_cdiv of two (value, error exponent) pairs, with its error exponent.
+    With |b| >= 2^(size b - 1) units and b's error at most 2^(size b - 4),
+    so that the exact |b*| >= 7|b|/8: e_a/|b*| < 2^(X + 1/5) and |a| e_b/(|b|
+    |b*|) < 2^(X - 3/10) units, X = max(e_a - size b + 1, size a + e_b -
+    2 size b + 3) + prec, and the truncation is under 2; in all under
+    2^(max(X, 1) + 2).  Unbounded (inf) when b's error is larger."""
+    (x, ex), (y, ey) = a, b
+    sy = _size(y)
+    if ey > sy - 4:
+        return _cdiv(x, y, prec), _math.inf
+    return _cdiv(x, y, prec), max(ex - sy + 1, _size(x) + ey - 2 * sy + 3, 1 - prec) + prec + 2
+
+
+def _rounded(z, prec: int, bits: int):
+    """(mpc, error exponent): the pair z at scale 2^prec rounded to a
+    bits-bit mpc, within 2^e absolute of the exact value (its error, and
+    the rounding under 2^(size z - bits) units)."""
+    (x, e) = z
+    return _to_mpc(x, prec, bits), max(e, _size(x) - bits) + 1 - prec
+
+
 def _cmul_within(a: tuple[int, int], b: tuple[int, int], prec: int,
                  m: int) -> tuple[int, int]:
     """_cmul(a, b, prec) to within a further 2^m units of its last place:
@@ -206,7 +258,7 @@ def _power_table(x: tuple[int, int], exponents, prec: int) -> dict:
 def _reduced_basics(w: mpc, bits: int) -> dict:
     """eta^2, E2, E4 and E6 at a fundamental-domain point as fixed-point
     Gaussian ints at scale 2^prec, prec = bits + _GUARD, with eta^2 =
-    v["eta2"] 2^v["eta2_exp"].  With x 2^ex = q^(1/12), the one exponential
+    v["eta2"][0] 2^v["eta2_exp"].  With x 2^ex = q^(1/12), the one exponential
     (ex <= 0, the larger part of x in [1/2, 1)), r = q^(1/2) = x^6 2^(6 ex)
     and P = sum s q^e:
         eta^2 = q^(1/12) P^2,   E2 = 1 + 24 (sum s e q^e) / P,
@@ -228,6 +280,12 @@ def _reduced_basics(w: mpc, bits: int) -> dict:
     guard bits keep eta^2 (relative to 2^ex), E2, E4 and E6 within
     2^(-bits-8) for bits < 2^15; a call at or above that raises
     PrecisionExhausted.
+
+    Each comes as a (value, error exponent) pair (units of 2^-prec, see
+    _emul) whose exponent also covers the value at any point within
+    4 |w| 2^-prec of w, as the callers round w: |d/dw| of each is under 2^5
+    on the fundamental domain (|E2| < 1.2, |E4| < 2.1, |E6| < 3.3, d/dw =
+    2 pi i theta).
     """
     _check_budget(bits)
     n = _nterms(bits, mpmath.im(w))
@@ -255,11 +313,12 @@ def _reduced_basics(w: mpc, bits: int) -> dict:
     e6 = _cmul(_cmul(_csum([(1, th2_4), (1, th3_4)]), _csum([(1, th3_4), (1, th4_4)]), prec),
                _csum([(1, th4_4), (-1, th2_4)]), prec)
     e2 = _cdiv(theta_p, p, prec)
+    err = max(_GUARD - 8, int(mpmath.mag(w)) + 7) + 1
     return {
-        "eta2": _cmul(x, _cmul(p, p, prec), prec), "eta2_exp": ex,
-        "e2": ((1 << prec) + 24 * e2[0], 24 * e2[1]),
-        "e4": (e4[0] >> 1, e4[1] >> 1),
-        "e6": (e6[0] >> 1, e6[1] >> 1),
+        "eta2": (_cmul(x, _cmul(p, p, prec), prec), err), "eta2_exp": ex,
+        "e2": (((1 << prec) + 24 * e2[0], 24 * e2[1]), err),
+        "e4": ((e4[0] >> 1, e4[1] >> 1), err),
+        "e6": ((e6[0] >> 1, e6[1] >> 1), err),
     }
 
 
@@ -325,42 +384,55 @@ def _j_from_eta(z: mpc, bits: int, q: mpc | None = None) -> tuple[mpc, mpf]:
     return _j_reduced(w, bits, q if m == (1, 0, 0, 1) else None)
 
 
-def _transport(v: dict, m, t: tuple[int, int], prec: int) -> dict:
+def _transport(v: dict, m, t, prec: int) -> dict:
     """The fixed-point basics at z from their values v at w = m z, for a
-    normalised m = (a, b, c, d) and t = i/(cz + d): eta^2(z) =
-    exp(-pi i k/6) t eta^2(w) (Rademacher's k, _eta_k: the eta multiplier
-    exp(-pi i k/12)/sqrt(-i(cz + d)) squared), E2(z) = -t^2 E2(w) + 6ct/pi,
-    E4(z) = t^4 E4(w) and, when v has it, E6(z) = -t^6 E6(w).  v is left as
-    it is."""
+    normalised m = (a, b, c, d) and t = i/(cz + d), all (value, error
+    exponent) pairs (_emul, _esum; the unit is within 1 unit, 1/pi within
+    2): eta^2(z) = exp(-pi i k/6) t eta^2(w) (Rademacher's k, _eta_k: the
+    eta multiplier exp(-pi i k/12)/sqrt(-i(cz + d)) squared), E2(z) =
+    -t^2 E2(w) + 6ct/pi, E4(z) = t^4 E4(w) and, when v has it, E6(z) =
+    -t^6 E6(w).  v is left as it is."""
     units, inv_pi = _constants(prec)
-    unit, c = units[_eta_k(m) % 12], m[2]
+    unit, c = (units[_eta_k(m) % 12], 0), m[2]
     if not c:
-        return dict(v, eta2=_cmul(unit, v["eta2"], prec))
-    t2 = _cmul(t, t, prec)
-    t4 = _cmul(t2, t2, prec)
-    e2 = _csum([(6 * c, _cmul(t, (inv_pi, 0), prec)), (-1, _cmul(v["e2"], t2, prec))])
-    out = dict(v, eta2=_cmul(_cmul(unit, t, prec), v["eta2"], prec), e2=e2,
-               e4=_cmul(v["e4"], t4, prec))
+        return dict(v, eta2=_emul(unit, v["eta2"], prec))
+    t2 = _emul(t, t, prec)
+    t4 = _emul(t2, t2, prec)
+    e2 = _esum([(6 * c, _emul(t, ((inv_pi, 0), 1), prec)), (-1, _emul(v["e2"], t2, prec))])
+    out = dict(v, eta2=_emul(_emul(unit, t, prec), v["eta2"], prec), e2=e2,
+               e4=_emul(v["e4"], t4, prec))
     if "e6" in v:
-        out["e6"] = _csum([(-1, _cmul(_cmul(v["e6"], t4, prec), t2, prec))])
+        out["e6"] = _esum([(-1, _emul(_emul(v["e6"], t4, prec), t2, prec))])
     return out
 
 
 def _basics(z: mpc, bits: int) -> dict:
-    """The fixed-point basics at z, from the kernel at the reduced point;
-    t = i/(cz + d) is rounded once from its mpc."""
-    w, m = _reduce(z)
+    """The fixed-point basics at z, from the kernel at w = m z.  t = i/(cz +
+    d) and w = a/c + i t/c are formed in integers from z's exact binary
+    value, so t is within 2 units and w within 4 |w| 2^-prec."""
+    m = _reduce(z)[1]
     prec = bits + _GUARD
+    a, b, c, d = m
+    z = mpmath.mpmathify(z)  # not mpc(z), which rounds
+    (sx, x, ex, _), (sy, y, ey, _) = z._mpc_
+    low = min(ex, ey, 0)  # z = (x + i y) 2^low
+    x, y = (-x if sx else x) << (ex - low), (-y if sy else y) << (ey - low)
     with mpmath.workprec(prec):
-        t = _fixed(mpc(0, 1) / (m[2] * mpc(z) + m[3]), prec)
-    return _transport(_reduced_basics(w, bits), m, t, prec)
+        if c:
+            re, im = c * x + (d << -low), c * y  # (cz + d) 2^-low
+            norm = re * re + im * im
+            t = ((im << prec - low) // norm, (re << prec - low) // norm)
+            w = mpc((a << prec) - t[1], t[0]) / (c << prec)
+        else:
+            t, w = (0, 1 << prec), z + b
+    return _transport(_reduced_basics(w, bits), m, (t, 1), prec)
 
 
 def _as_mpc(v: dict, bits: int) -> dict:
     """eta^2, E2, E4 and E6 from the fixed-point basics v as bits-bit mpc."""
     prec = bits + _GUARD
-    return {"eta2": _to_mpc(v["eta2"], prec - v["eta2_exp"], bits),
-            **{key: _to_mpc(v[key], prec, bits) for key in ("e2", "e4", "e6")}}
+    return {"eta2": _to_mpc(v["eta2"][0], prec - v["eta2_exp"], bits),
+            **{key: _to_mpc(v[key][0], prec, bits) for key in ("e2", "e4", "e6")}}
 
 
 def _j_of(v: dict) -> mpc:
@@ -407,51 +479,58 @@ def _combine(at: dict, prec: int):
     """(f, theta_f, den, ex), F = f/den 2^-ex and thetaF = theta_f/den 2^-ex
     at z from the fixed-point basics at[d] at d z (d = 1, 2, 3, 6) by the
     chain rule: theta f(dz) = d (theta f)(dz), theta E2 = (E2^2 - E4)/12,
-    theta log eta = E2/24; den 2^ex is the eta^2 product times 24/FP_PREFACTOR."""
-    num = _csum((c, at[d]["e2"]) for d, c in FP_E2_COMBINATION)
-    theta = _csum((2 * c * d, _csum([(1, _cmul(at[d]["e2"], at[d]["e2"], prec)),
+    theta log eta = E2/24; den 2^ex is the eta^2 product times 24/FP_PREFACTOR.
+    f, theta_f and den are (value, error exponent) pairs."""
+    num = _esum((c, at[d]["e2"]) for d, c in FP_E2_COMBINATION)
+    theta = _esum((2 * c * d, _esum([(1, _emul(at[d]["e2"], at[d]["e2"], prec)),
                                      (-1, at[d]["e4"])])) for d, c in FP_E2_COMBINATION)
-    drift = _cmul(num, _csum((e * d, at[d]["e2"]) for d, e in FP_ETA_FACTORS), prec)
-    den, ex = (1 << prec, 0), 0
+    drift = _emul(num, _esum((e * d, at[d]["e2"]) for d, e in FP_ETA_FACTORS), prec)
+    den, ex = ((1 << prec, 0), 0), 0
     for d, e in FP_ETA_FACTORS:  # every e is even
         for _ in range(e // 2):
-            den, ex = _cmul(den, at[d]["eta2"], prec), ex + at[d]["eta2_exp"]
+            den, ex = _emul(den, at[d]["eta2"], prec), ex + at[d]["eta2_exp"]
     pre = FP_PREFACTOR
-    return (_csum([(24 * pre.numerator, num)]),
-            _csum([(pre.numerator, theta), (-pre.numerator, drift)]),
-            _csum([(24 * pre.denominator, den)]), ex)
+    return (_esum([(24 * pre.numerator, num)]),
+            _esum([(pre.numerator, theta), (-pre.numerator, drift)]),
+            _esum([(24 * pre.denominator, den)]), ex)
 
 
-def _p_of(f, theta_f, g: int, prec: int) -> tuple[int, int]:
-    """P = -thetaF - F g, g = 1/(2 pi Im z) in fixed point, over _combine's den."""
-    return _csum([(-1, theta_f), (-1, _cmul(f, (g, 0), prec))])
+def _p_of(f, theta_f, g, prec: int):
+    """P = -thetaF - F g over _combine's den, g = 1/(2 pi Im z) in fixed
+    point; all three are (value, error exponent) pairs."""
+    return _esum([(-1, theta_f), (-1, _emul(f, g, prec))])
 
 
 def _form_and_theta(z: mpc, bits: int):
-    """(F, thetaF, P, mpc basics) at z, F the form of series.fp_series,
-    from the basics at z, 2z, 3z and 6z."""
+    """({"f": F, "theta_f": thetaF, "p": P}, the fixed-point basics at z),
+    each of F, thetaF and P an (mpc, error exponent) pair (_rounded), F the
+    form of series.fp_series, from the basics at z, 2z, 3z and 6z (exact
+    multiples of z's binary value)."""
     prec = bits + _GUARD
-    at = {d: _basics(d * z, bits) for d, _ in FP_ETA_FACTORS}
+    at = {d: _basics(mpmath.fmul(z, d, exact=True), bits) for d, _ in FP_ETA_FACTORS}
     f, theta_f, den, ex = _combine(at, prec)
     with mpmath.workprec(prec):
         g = to_fixed((1 / (2 * mpmath.pi * mpmath.im(z)))._mpf_, prec)
-    return (*(_to_mpc(_cdiv(x, den, prec), prec + ex, bits)
-              for x in (f, theta_f, _p_of(f, theta_f, g, prec))), _as_mpc(at[1], bits))
+    # three roundings and the truncation
+    g = ((g, 0), max(g.bit_length() + 2 - prec, 0) + 1)
+    parts = {"f": f, "theta_f": theta_f, "p": _p_of(f, theta_f, g, prec)}
+    return ({key: _rounded(_ediv(x, den, prec), prec + ex, bits) for key, x in parts.items()},
+            at[1])
 
 
 def eval_form(z: mpc, cfg: PrecisionConfig) -> mpc:
     with mpmath.workprec(cfg.eval_bits):
-        return _form_and_theta(z, cfg.eval_bits)[0]
+        return _form_and_theta(z, cfg.eval_bits)[0]["f"][0]
 
 
 def eval_theta_form(z: mpc, cfg: PrecisionConfig) -> mpc:
     with mpmath.workprec(cfg.eval_bits):
-        return _form_and_theta(z, cfg.eval_bits)[1]
+        return _form_and_theta(z, cfg.eval_bits)[0]["theta_f"][0]
 
 
 def eval_P(z: mpc, cfg: PrecisionConfig) -> mpc:
     with mpmath.workprec(cfg.eval_bits):
-        return _form_and_theta(z, cfg.eval_bits)[2]
+        return _form_and_theta(z, cfg.eval_bits)[0]["p"][0]
 
 
 def _conj(value):
@@ -507,9 +586,10 @@ class _ClassTable(dict):
         return value
 
 
-def eval_P_cm(forms, cfg: PrecisionConfig) -> list:
-    """P at the CM points alpha of forms [a, b, c] with 6 | a, with one
-    kernel call per SL2(Z) class, on fixed-point ints from the kernel to P.
+def eval_P_cm(forms, cfg: PrecisionConfig) -> tuple[list, list]:
+    """(values, error exponents), |P - value| < 2^e, of P at the CM points
+    alpha of forms [a, b, c] with 6 | a, with one kernel call per SL2(Z)
+    class, on fixed-point ints from the kernel to P.
 
     d alpha (d = 1, 2, 3, 6) is the root (-b + i sqrt|D|)/(2A) of [A, b, dc],
     A = a/d, and reduce_with_matrix gives R = [A, b, dc] g reduced: the
@@ -517,7 +597,8 @@ def eval_P_cm(forms, cfg: PrecisionConfig) -> list:
     one call, and _transport carries the value by g^-1 = (p, q, c, d), with
     t = 2A (c sqrt|D| + iX)/(X^2 + c^2 |D|), X = 2Ad - cb.  One
     isqrt(|D| 2^2prec) per discriminant gives every t, every kernel root and
-    1/(2 pi Im alpha) = a/(pi sqrt|D|)."""
+    1/(2 pi Im alpha) = a/(pi sqrt|D|).  The isqrt's truncation moves t by
+    2A c/(X^2 + c^2 |D|) units, and 1/(2 pi Im alpha) by under 3a."""
     bits, prec = cfg.eval_bits, cfg.eval_bits + _GUARD
     roots = {f.discriminant(): _math.isqrt(-f.discriminant() << 2 * prec) for f in forms}
 
@@ -529,7 +610,7 @@ def eval_P_cm(forms, cfg: PrecisionConfig) -> list:
         return v
 
     table = _ClassTable(kernel)
-    values = []
+    values, errors = [], []
     for form in forms:
         if form.a % 6:
             raise ValueError(f"form {form} has 6 not dividing a")
@@ -541,11 +622,14 @@ def eval_P_cm(forms, cfg: PrecisionConfig) -> list:
             x = a2 * m[3] - m[2] * form.b
             den = x * x - m[2] * m[2] * disc
             t = (a2 * m[2] * roots[disc] // den, (a2 * x << prec) // den)
-            at[d] = _transport(table[red], m, t, prec)
+            at[d] = _transport(table[red], m, (t, (a2 * m[2] // den + 3).bit_length()), prec)
         f, theta_f, den, ex = _combine(at, prec)
-        g = form.a * ((_constants(prec)[1] << prec) // roots[disc])
-        values.append(_to_mpc(_cdiv(_p_of(f, theta_f, g, prec), den, prec), prec + ex, bits))
-    return values
+        g = ((form.a * ((_constants(prec)[1] << prec) // roots[disc]), 0),
+             (3 * form.a).bit_length())
+        value, err = _rounded(_ediv(_p_of(f, theta_f, g, prec), den, prec), prec + ex, bits)
+        values.append(value)
+        errors.append(err)
+    return values, errors
 
 
 def _guarded_j(v: dict, cfg: PrecisionConfig) -> mpc:
@@ -559,26 +643,34 @@ def _guarded_j(v: dict, cfg: PrecisionConfig) -> mpc:
     return jval
 
 
-def _c_of(v: dict, jval: mpc, z: mpc) -> mpc:
-    """C = E4/(6 E6 j) * (E2 - 3/(pi y)) - (7j - 6912)/(6 j (j - 1728)) from
-    the basics and j at z."""
-    e2star = v["e2"] - 3 / (mpmath.pi * mpmath.im(mpc(z)))
-    return (v["e4"] * e2star / (6 * v["e6"] * jval)
-            - (7 * jval - 6912) / (6 * jval * (jval - 1728)))
+def _abc(ctx, f, theta_f, v: dict, jval, y):
+    """A, B and C from F, thetaF, the basics and j at a point of imaginary
+    part y, in the arithmetic of ctx (mpmath.mp, or mpmath.iv for
+    enclosures); f and theta_f are not read for C alone:
+        A = -thetaF - F E2/6 + F E6 (7j - 6912)/(6 E4 (j - 1728)),
+        B = F E6 j / E4,
+        C = E4/(6 E6 j) (E2 - 3/(pi y)) - (7j - 6912)/(6 j (j - 1728))."""
+    e2star = v["e2"] - 3 / (ctx.pi * y)
+    c = (v["e4"] * e2star / (6 * v["e6"] * jval)
+         - (7 * jval - 6912) / (6 * jval * (jval - 1728)))
+    if f is None:
+        return None, None, c
+    a = (-theta_f - f * v["e2"] / 6
+         + f * v["e6"] * (7 * jval - 6912) / (6 * v["e4"] * (jval - 1728)))
+    return a, f * v["e6"] * jval / v["e4"], c
 
 
 def _values(z: mpc, cfg: PrecisionConfig) -> dict:
     """P, A, B, C, A' and j at z from one evaluation, keyed "p", "a", "b",
-    "c", "aprime" and "j", under the ambient precision, with
-    A = -thetaF - F E2/6 + F E6 (7j - 6912)/(6 E4 (j - 1728)),
-    B = F E6 j / E4 and A' = A j (j - 1728), so that P = A + B C, and A' is
-    regular at CM points of the discriminants in use."""
-    f, theta_f, p, v = _form_and_theta(z, cfg.eval_bits)
+    "c", "aprime" and "j", under the ambient precision (_abc), with
+    A' = A j (j - 1728), so that P = A + B C, and A' is regular at CM
+    points of the discriminants in use."""
+    parts, basics = _form_and_theta(z, cfg.eval_bits)
+    v = _as_mpc(basics, cfg.eval_bits)
     jval = _guarded_j(v, cfg)
-    a = (-theta_f - f * v["e2"] / 6
-         + f * v["e6"] * (7 * jval - 6912) / (6 * v["e4"] * (jval - 1728)))
-    return {"p": p, "a": a, "b": f * v["e6"] * jval / v["e4"],
-            "c": _c_of(v, jval, z), "aprime": a * jval * (jval - 1728), "j": jval}
+    a, b, c = _abc(mpmath.mp, parts["f"][0], parts["theta_f"][0], v, jval, mpmath.im(z))
+    return {"p": parts["p"][0], "a": a, "b": b, "c": c,
+            "aprime": a * jval * (jval - 1728), "j": jval}
 
 
 def eval_A(z: mpc, cfg: PrecisionConfig) -> mpc:
@@ -596,12 +688,51 @@ def eval_C(z: mpc, cfg: PrecisionConfig) -> mpc:
     point only depends on its class."""
     with mpmath.workprec(cfg.eval_bits):
         v = _as_mpc(_basics(z, cfg.eval_bits), cfg.eval_bits)
-        return _c_of(v, _guarded_j(v, cfg), z)
+        return _abc(mpmath.mp, None, None, v, _guarded_j(v, cfg), mpmath.im(z))[2]
 
 
 def eval_Aprime(z: mpc, cfg: PrecisionConfig) -> mpc:
     with mpmath.workprec(cfg.eval_bits):
         return _values(z, cfg)["aprime"]
+
+
+def _eval_bounded(what: str, z: mpc, cfg: PrecisionConfig):
+    """(value, bound) for the eval command: what ("F", "P", "A", "B", "C"
+    or "j") at z as eval_form, eval_P, eval_A, ... give it, and a bound on
+    its absolute error at z's exact binary value.  F and P carry their
+    fixed-point error exponents; A, B, C and j repeat their mpc tail in
+    complex interval arithmetic (mpmath.iv) from boxes around F, thetaF and
+    the basics at z, and the bound is the farthest point of the result's
+    box from the value."""
+    bits, y = cfg.eval_bits, mpmath.im(z)
+    prec, iv = bits + _GUARD, mpmath.iv
+    with mpmath.workprec(bits):
+        parts, basics = ({}, _basics(z, bits)) if what in ("C", "j") else _form_and_theta(z, bits)
+        if what in ("F", "P"):
+            value, err = parts[what.lower()]
+            return value, mpf(2) ** err
+
+        def tail(ctx, v, f, theta_f, jval):
+            return jval if what == "j" else dict(zip("ABC", _abc(ctx, f, theta_f, v, jval, y)))[what]
+
+        v = _as_mpc(basics, bits)
+        jval = _j_of(v) if what == "j" else _guarded_j(v, cfg)
+        value = tail(mpmath.mp, v, *(parts.get(key, (None,))[0] for key in ("f", "theta_f")), jval)
+    saved, iv.prec = iv.prec, bits
+
+    def box(x, err):
+        r = iv.mpf([-mpf(2) ** err, mpf(2) ** err])
+        return iv.mpc(x.real, x.imag) + iv.mpc(r, r)
+
+    try:
+        vbox = {key: box(_to_mpc(basics[key][0], prec - basics.get(key + "_exp", 0), 0),
+                         basics[key][1] - prec + basics.get(key + "_exp", 0))
+                for key in ("eta2", "e2", "e4", "e6")}
+        fbox = [box(*parts[key]) if parts else None for key in ("f", "theta_f")]
+        bound = abs(iv.mpc(value.real, value.imag) - tail(iv, vbox, *fbox, _j_of(vbox)))
+        return value, mpmath.mp.make_mpf(bound._mpi_[1])
+    finally:
+        iv.prec = saved
 
 
 ATKIN_LEHNER_MATRICES = {2: (2, -1, 6, -2), 3: (3, 1, 6, 3), 6: (0, -1, 6, 0)}

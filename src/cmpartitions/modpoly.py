@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mpc, mpf
 
-from .errors import NearSingularity, NoFixingClass, PrecisionExhausted
+from .errors import NearSingularity, NoFixingClass
 from .evaluate import (_check_budget, _ClassTable, _j_and_theta_j, _j_from_eta,
                        _nomes, eval_j, eval_theta_j)
-from .precision import PrecisionConfig, _fork_map
+from .precision import PrecisionConfig, _fork_map, run_adaptive
 from .quadforms import (QuadForm, _root, cm_point, enumerate_qn,
                         reduce_with_matrix)
 from .recognize import _carried_bits, norm_6unit_check
@@ -327,35 +327,19 @@ def _product(pairs, bits: int) -> tuple[mpc, mpf]:
     return prod, rel
 
 
-def _certified_norm(label: str, product_at, cfg: PrecisionConfig):
-    """(norm, coprime_to_6, bits) from the rungs product_at(bits) = (prod,
-    rel), rel bounding prod's relative error to first order.  A rung is
-    accepted when bound = 2 rel |prod| (rel <= 1/4; the 2 covers
-    exp(rel) - 1 and the computed |prod|) is at most cfg.abs_tol, and prod
-    is rounded with bound as the tolerance (NotNearIntegral beyond it).
-    Rungs run at w = cfg.working_bits, which gives the magnitude M, then at
-    M + w, M + 2w, M + 4w, ..., the excess capped at cfg.max_bits, beyond
-    which PrecisionExhausted."""
-    bits = cfg.working_bits
+def _norm_rung(product_at, bits: int):
+    """(prod, bound) of one norm rung from product_at(bits) = (prod, rel),
+    rel bounding prod's relative error to first order: bound = 2 rel |prod|
+    (rel <= 1/4; the 2 covers exp(rel) - 1 and the computed |prod|)."""
     prod, rel = product_at(bits)
-    magnitude = max(int(mpmath.mag(prod)), 0)
-    excess = 0
-    while True:
-        bound = 2 * rel * _magnitude(prod) if rel <= 0.25 else mpmath.inf
-        if bound <= cfg.abs_tol:
-            return (*norm_6unit_check(prod, label, bound), bits)
-        if excess >= cfg.max_bits:
-            raise PrecisionExhausted(f"{label}: bound {mpmath.nstr(bound, 5)} above "
-                                     f"{mpmath.nstr(cfg.abs_tol, 5)} at {bits} bits")
-        excess = min(2 * excess, cfg.max_bits) if excess else cfg.working_bits
-        bits = magnitude + excess
-        prod, rel = product_at(bits)
+    return prod, 2 * rel * _magnitude(prod) if rel <= 0.25 else mpmath.inf
 
 
 def j_norm(n: int, cfg: PrecisionConfig):
     """Product of j over the class representatives for n, as an integer,
-    with the coprime-to-6 flag and its rung's working bits (_certified_norm;
-    at 256 working bits the first rung closes for n <= 4).  Each (j, eps)
+    with the coprime-to-6 flag and its rung's working bits (run_adaptive,
+    rounded with the rung's bound as the tolerance; at 256 working bits the
+    first rung closes for n <= 4).  Each (j, eps)
     comes from a class table filled on a miss: 2 to 31 kernel calls per rung
     for n <= 30 cost less than a fork."""
     reduced = [reduce_with_matrix(f)[0] for f in enumerate_qn(n)]
@@ -365,7 +349,8 @@ def j_norm(n: int, cfg: PrecisionConfig):
         table = _j_table(sub)
         return _product([table[red] for red in reduced], sub.eval_bits)
 
-    return _certified_norm(f"j-norm(n={n})", product_at, cfg)
+    prod, bound, bits = run_adaptive(lambda b: _norm_rung(product_at, b), cfg)
+    return (*norm_6unit_check(prod, f"j-norm(n={n})", bound), bits)
 
 
 def beta_norm(n: int, cfg: PrecisionConfig):
@@ -373,7 +358,7 @@ def beta_norm(n: int, cfg: PrecisionConfig):
     integer, with the coprime-to-6 flag and its rung's working bits.  The
     first rung measures the magnitude (about 9000 digits at n = 3), and the
     next, at the magnitude plus cfg.working_bits, is accepted on its bound
-    (_certified_norm; about 2^-270 for n = 1, 2 and 3).  A rung's kernel
+    (run_adaptive; about 2^-270 for n = 1, 2 and 3).  A rung's kernel
     calls, one per class pair, are split over the CPUs (_j_table).
     """
     # only primitive forms have a fixing class of determinant 24n - 1
@@ -386,4 +371,5 @@ def beta_norm(n: int, cfg: PrecisionConfig):
         return _product([beta_product(f, classes, sub, table) for f in forms],
                         sub.eval_bits)
 
-    return _certified_norm(f"beta-norm(n={n})", product_at, cfg)
+    prod, bound, bits = run_adaptive(lambda b: _norm_rung(product_at, b), cfg)
+    return (*norm_6unit_check(prod, f"beta-norm(n={n})", bound), bits)

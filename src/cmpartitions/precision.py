@@ -1,11 +1,11 @@
-"""Precision settings, the adaptive agreement ladder on top of mpmath, and
-the fork pool that spreads one rung's independent evaluations over the CPUs.
+"""Precision settings, the one acceptance loop on top of mpmath, and the
+fork pool that spreads one rung's independent evaluations over the CPUs.
 
 All numerical modules run at an explicit binary precision taken from a
-PrecisionConfig.  p(n) and eval rest on the adaptive ladder: a computation
-is rerun at doubled precision until two consecutive runs agree to the
-configured absolute tolerance.  The norms of j and beta take no ladder: they
-are accepted on an error bound (modpoly._certified_norm).
+PrecisionConfig.  p(n), eval and the norms of j and beta rest on one loop,
+run_adaptive: each rung returns its value with a bound on its absolute
+error, and the first rung whose bound is within the configured tolerance is
+accepted.
 """
 
 from __future__ import annotations
@@ -57,31 +57,6 @@ class PrecisionConfig:
         """Copy of this config at a different working precision (same tolerance)."""
         return PrecisionConfig(working_bits, max(self.max_bits, working_bits),
                                self.abs_tol)
-
-
-def deviation(a, b, bits: int = 256) -> mpf:
-    """Max absolute componentwise difference between two structured results.
-
-    Accepts mpf/mpc/int scalars and (possibly nested) sequences or dicts
-    with identical shape.  Each difference is taken from the operands
-    as they are and only the difference is rounded, to bits + 16 bits, so
-    values far larger than 2^bits are still compared in full.
-    """
-    with mpmath.workprec(bits + 16):
-        return _dev(a, b)
-
-
-def _dev(a, b) -> mpf:
-    if isinstance(a, dict):
-        if set(a) != set(b):
-            raise ValueError("mismatched result shapes")
-        return max((_dev(a[k], b[k]) for k in a), default=mpf(0))
-    if isinstance(a, (list, tuple)):
-        if len(a) != len(b):
-            raise ValueError("mismatched result shapes")
-        return max((_dev(x, y) for x, y in zip(a, b)), default=mpf(0))
-    # mpmath rounds only the result of a - b, ints included
-    return mpf(abs(a - b))
 
 
 def _fork_map(fn, arg_tuples) -> list:
@@ -142,18 +117,31 @@ def _collect(pid: int, out) -> tuple:
             return True, RuntimeError(f"worker process {pid} ended without a result")
 
 
-def run_adaptive(task: Callable[[int], object], cfg: PrecisionConfig):
-    """Rerun ``task(bits)`` at doubling precision until two consecutive runs
-    agree to cfg.abs_tol: (result, achieved_bits), the higher run's output of
-    the first agreeing pair and the precision of the lower one.  Raises
-    PrecisionExhausted if max_bits is reached without agreement."""
-    bits = prev_bits = cfg.working_bits
-    prev = task(bits)
-    while bits < cfg.max_bits:
-        bits = min(2 * bits, cfg.max_bits)
-        cur = task(bits)
-        if deviation(prev, cur, bits) <= cfg.abs_tol:
-            return cur, prev_bits
-        prev, prev_bits = cur, bits
-    raise PrecisionExhausted(
-        f"no agreement to {mpmath.nstr(cfg.abs_tol, 5)} at max_bits={cfg.max_bits}")
+def _magnitude(value) -> int:
+    """The largest max(mpmath.mag(x), 0), an integer at least log2 |x|, over
+    the numbers in a value (a number, or lists and tuples of them)."""
+    if isinstance(value, (list, tuple)):
+        return max((_magnitude(v) for v in value), default=0)
+    return max(int(mpmath.mag(value)), 0)
+
+
+def run_adaptive(task: Callable[[int], tuple], cfg: PrecisionConfig):
+    """(value, bound, bits) from the rungs task(bits) = (value, bound), bound
+    bounding the absolute error of every number in value: the first rung
+    whose bound is at most cfg.abs_tol, and its working bits.  The first rung
+    runs at w = cfg.working_bits and gives the magnitude M of its value; the
+    next run at M + w, M + 2w, M + 4w, ..., the excess over M capped at
+    cfg.max_bits, beyond which PrecisionExhausted."""
+    bits = cfg.working_bits
+    value, bound = task(bits)
+    magnitude = _magnitude(value)
+    excess = 0
+    while not bound <= cfg.abs_tol:
+        if excess >= cfg.max_bits:
+            raise PrecisionExhausted(
+                f"bound {mpmath.nstr(bound, 5)} above {mpmath.nstr(cfg.abs_tol, 5)} "
+                f"at {bits} bits")
+        excess = min(2 * excess, cfg.max_bits) if excess else cfg.working_bits
+        bits = magnitude + excess
+        value, bound = task(bits)
+    return value, bound, bits

@@ -65,22 +65,23 @@ def _mat_inv(m):
 
 def reduce_with_matrix(q: QuadForm):
     """Reduce q under the full modular group, returning (reduced, g) with
-    q.transform(g) == reduced."""
-    g = IDENTITY
-    cur = q
+    q.transform(g) == reduced.  The steps run on the integer triple and the
+    matrix entries (a step cannot change the discriminant), and one QuadForm
+    is built at the end."""
+    a, b, c = q.a, q.b, q.c
+    g0, g1, g2, g3 = IDENTITY
     while True:
-        a, b, c = cur.a, cur.b, cur.c
-        # normalize: bring b into (-a, a]
-        if not (-a < b <= a):
-            k = (a - b) // (2 * a)  # b + 2ak in (-a, a]
-            t = (1, k, 0, 1)
-            cur, g = cur.transform(t), _mat_mul(g, t)
-            continue
-        if cur.a > cur.c or (cur.a == cur.c and cur.b < 0):
-            s = (0, -1, 1, 0)
-            cur, g = cur.transform(s), _mat_mul(g, s)
-            continue
-        return cur, g
+        if not -a < b <= a:
+            # (1, k, 0, 1) brings b into (-a, a]
+            k = (a - b) // (2 * a)
+            b, c = b + 2 * a * k, (a * k + b) * k + c
+            g1, g3 = g0 * k + g1, g2 * k + g3
+        elif a > c or (a == c and b < 0):
+            # (0, -1, 1, 0)
+            a, b, c = c, -b, a
+            g0, g1, g2, g3 = g1, -g0, g3, -g2
+        else:
+            return QuadForm(a, b, c), (g0, g1, g2, g3)
 
 
 def reduced_forms(d: int) -> list[QuadForm]:

@@ -3,9 +3,9 @@
 Integer recognition is plain nearest-integer rounding: every target here is
 a rational integer (orbit products, traces and norms), so rounding plus
 enough precision is complete, and lattice-based relation detection would be
-overkill.  compute_pn rounds under the adaptive precision ladder; the norms
-(modpoly.j_norm and modpoly.beta_norm) round through norm_6unit_check with
-their error bound as the tolerance.
+overkill.  compute_pn and the norms (modpoly.j_norm and modpoly.beta_norm)
+accept a rung of precision.run_adaptive on its error bound and round with
+that bound as the tolerance.
 """
 
 from __future__ import annotations
@@ -37,13 +37,28 @@ def _carried_bits(values) -> int:
     return best
 
 
-def orbit_product(values, scale: int = 1):
+def _log2_sum(a: float, b: float) -> float:
+    """log2(2^a + 2^b)."""
+    return max(a, b) + math.log2(1 + 2 ** -abs(a - b))
+
+
+def orbit_product(values, scale: int = 1, errors=None):
     """Monic polynomial prod(x - scale*v) over the values, coefficients
     leading-first as exact mpc, on Gaussian ints scaled by 2^(32 + the bits
     the values carry).  A value whose exact conjugate is also among the
     values enters with it as one real quadratic x^2 - 2 Re(sv) x + |sv|^2,
     so conjugate pairs and real values give exactly real coefficients; the
-    others enter as linear factors, in input order."""
+    others enter as linear factors, in input order.
+
+    With errors, one exponent per value (|v - exact| < 2^e; a conjugate pair
+    must have exactly conjugate exact values), (coefficients, bound), bound
+    at least every coefficient's error.  With x_i = scale v_i off by eps_i
+    (its error and the conversion), U_i = |x_i| + eps_i and rho = sum
+    eps_i/U_i <= 1, the exact coefficients e_k of prod(x - x_i) move by
+    under (exp(rho) - 1) e_k(U) <= 2 rho prod(1 + U_i), and the truncations
+    here add under 8 h (h + 1) 2^-prec prod(1 + U_i) for h values (their
+    1-norms grow by at most the factors' own).  It is summed in log2 floats,
+    2^(10^-6) up for their roundings."""
     if not values:
         raise ValueError("orbit product needs at least one value")
     prec = _carried_bits(values) + 32
@@ -68,7 +83,25 @@ def orbit_product(values, scale: int = 1):
                 term = _cmul(c, f, prec)
                 product[k] = (product[k][0] + term[0], product[k][1] + term[1])
         coeffs = product
-    return [_to_mpc(c, prec, 0) for c in coeffs]
+    coeffs = [_to_mpc(c, prec, 0) for c in coeffs]
+    if errors is None:
+        return coeffs
+    if math.inf in errors:
+        return coeffs, mpmath.inf
+    h, log_scale = len(values), math.log2(scale)
+    log_rho, log_pi = -math.inf, 0.0
+    for v, e in zip(values, errors):
+        x = _fixed(v, prec)
+        log_eps = log_scale + _log2_sum(e, 1 - prec)
+        log_u = _log2_sum(log_scale + math.log2(math.isqrt(x[0] ** 2 + x[1] ** 2) + 1) - prec,
+                          log_eps)
+        log_rho = _log2_sum(log_rho, log_eps - log_u)
+        log_pi += _log2_sum(0, log_u)
+    if log_rho > 0:
+        return coeffs, mpmath.inf
+    log_bound = _log2_sum(1 + log_rho, math.log2(8 * h * (h + 1)) - prec) + log_pi
+    with mpmath.workprec(53):
+        return coeffs, mpf(2) ** (log_bound + 1e-6)
 
 
 def round_to_integers(poly, tol):
@@ -151,11 +184,12 @@ def sharpness_divisor(p_values, n: int, tol) -> int:
 
 
 def compute_pn(n: int, cfg: PrecisionConfig) -> OrbitRecord:
-    """The full orbit record for n under the adaptive ladder: the values
-    and the scaled orbit polynomial must stabilize across a precision
-    doubling before anything is rounded.  The polynomial's x^(h-1)
-    coefficient is -(24n - 1)^2 p(n), so p(n) is read from it exactly, and
-    the full scale 24n - 1 is the sharpness divisor it has just confirmed.
+    """The full orbit record for n, accepted by run_adaptive on the error
+    bound of the scaled orbit polynomial (eval_P_cm's error exponents
+    through orbit_product), which it is rounded with as the tolerance.  The
+    polynomial's x^(h-1) coefficient is -(24n - 1)^2 p(n), so p(n) is read
+    from it exactly, and the full scale 24n - 1 is the sharpness divisor it
+    has just confirmed.
 
     P is evaluated once per conjugate pair, in one ``eval_P_cm`` call per
     rung.  The partner of [a, b, c] is the class of [6c, b, a/6]
@@ -170,26 +204,24 @@ def compute_pn(n: int, cfg: PrecisionConfig) -> OrbitRecord:
     scale = 24 * n - 1
 
     def task(bits):
-        sub = cfg.with_bits(bits)
-        own = dict(zip(firsts, eval_P_cm([forms[i] for i in firsts], sub)))
-        with mpmath.workprec(sub.eval_bits):
-            ps = [own[i] if k >= i else mpmath.conj(own[k])
-                  for i, k in enumerate(partners)]
-        return {"p_values": ps, "poly": orbit_product(ps, scale)}
+        own = dict(zip(firsts, zip(*eval_P_cm([forms[i] for i in firsts],
+                                              cfg.with_bits(bits)))))
+        ps, errors = zip(*[own[i] if k >= i else (_conj(own[k][0]), own[k][1])
+                           for i, k in enumerate(partners)])
+        poly, bound = orbit_product(ps, scale, errors)
+        return (ps, poly), bound
 
-    result, achieved = run_adaptive(task, cfg)
-    poly_int, residual = round_to_integers(result["poly"], cfg.abs_tol)
+    (p_values, poly), bound, bits = run_adaptive(task, cfg)
+    poly_int, residual = round_to_integers(poly, bound)
     pn, remainder = divmod(-poly_int[1], scale * scale)
     if remainder:
         raise NotNearIntegral(
             f"p({n}): trace {-poly_int[1]} of {scale} P is not divisible "
             f"by {scale}^2", residual=residual)
     return OrbitRecord(
-        n=n, d=1 - 24 * n, forms=tuple(forms),
-        p_values=tuple(result["p_values"]),
-        scaled_poly=tuple(poly_int), pn=pn,
-        residual=residual, achieved_bits=achieved,
-        sharpness_divisor=scale)
+        n=n, d=1 - 24 * n, forms=tuple(forms), p_values=p_values,
+        scaled_poly=tuple(poly_int), pn=pn, residual=residual,
+        achieved_bits=bits, sharpness_divisor=scale)
 
 
 def norm_6unit_check(value, label: str, tol):

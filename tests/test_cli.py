@@ -26,6 +26,13 @@ class TestBasicCommands:
         assert code == 0
         assert out.strip() == "7"
 
+    def test_pn_300_at_default_flags(self, capsys):
+        # the orbit polynomial's magnitude is 2482 bits: one rung at that
+        # plus 256 bits closes under the default 4096-bit cap
+        code, out, _ = run_cli(capsys, "pn", "--n", "300", "--no-cache")
+        assert code == 0
+        assert out.strip() == str(recognize.pentagonal_pn(300))
+
     def test_pn_rejects_zero(self, capsys):
         code, _, err = run_cli(capsys, "pn", "--n", "0", "--no-cache")
         assert code == 4
@@ -112,7 +119,7 @@ class TestBasicCommands:
         assert "Traceback" not in err and "32768" in err
 
     def test_start_at_ceiling_still_confirms(self, capsys):
-        # the ceiling is raised to one doubling above the start
+        # the ceiling is raised to twice the start
         code, out, _ = run_cli(capsys, "eval", "--what", "j", "--z", "0,1",
                                "--precision-bits", "512",
                                "--max-precision-bits", "512", "--no-cache",
@@ -123,8 +130,8 @@ class TestBasicCommands:
         assert doc["achieved_bits"] == 512
 
     def test_eval_reads_point_at_its_precision(self, capsys):
-        # 0.1 is not a binary fraction, so --z must be read at the precision
-        # the ladder confirms, not at a fixed one
+        # 0.1 is not a binary fraction, so --z must be read at a precision
+        # above the accepted rung's, not at a fixed one
         code, out, _ = run_cli(capsys, "eval", "--what", "j", "--z", "0.1,1.3",
                                "--precision-bits", "1024", "--no-cache", "--json")
         assert code == 0
@@ -200,7 +207,9 @@ class TestKernelCounts:
         code, _, _ = run_cli(capsys, "pn", "--n", str(n), "--no-cache")
         assert code == 0
         per_rung = Counter(bits)
-        assert len(per_rung) >= 2
+        # the first rung closes for n = 1 and 2; for n = 30 it sizes one
+        # more, at the orbit polynomial's magnitude plus 256 bits
+        assert len(per_rung) == {1: 1, 2: 1, 30: 2}[n]
         assert set(per_rung.values()) == {classes}
 
     @pytest.mark.parametrize("n, classes", [(1, 37), (2, 121)])

@@ -8,7 +8,7 @@ from mpmath import mpc, mpf
 
 from cmpartitions import evaluate, recognize
 from cmpartitions.errors import NearSingularity, NotUpperHalfPlane
-from cmpartitions.evaluate import (_as_mpc, _ClassTable, _eta_k, _j_reduced,
+from cmpartitions.evaluate import (_as_mpc, _ClassTable, _eta_k, _eval_bounded, _j_reduced,
                                    _nterms, _reduce, _reduced_basics, al_deviation,
                                    atkin_lehner_check, eval_A, eval_Aprime,
                                    eval_B, eval_C, eval_eisenstein, eval_eta,
@@ -355,7 +355,7 @@ class TestCMValues:
         tol = mpf(2) ** -cfg.working_bits
         for n in self.SAMPLE:
             forms = enumerate_qn(n)
-            values = eval_P_cm(forms, cfg)
+            values, _ = eval_P_cm(forms, cfg)
             assert len(values) == len(forms)
             with mpmath.workprec(cfg.eval_bits):
                 for form, value in zip(forms, values):
@@ -373,8 +373,8 @@ class TestCMValues:
         # 2^-(bits+16) relative of the value 256 bits higher
         for n in (30, 100, 300):
             forms = enumerate_qn(n)
-            lo = eval_P_cm(forms, PrecisionConfig(bits))
-            hi = eval_P_cm(forms, PrecisionConfig(bits + 256))
+            lo, _ = eval_P_cm(forms, PrecisionConfig(bits))
+            hi, _ = eval_P_cm(forms, PrecisionConfig(bits + 256))
             with mpmath.workprec(bits + 320):
                 for form, value, ref in zip(forms, lo, hi):
                     assert abs(value - ref) < mpf(2) ** -(bits + 16) * abs(ref), (n, form)
@@ -406,7 +406,8 @@ class TestCMValues:
                 assert set(direct) == set(filled_in)
                 assert direct["eta2_exp"] == filled_in["eta2_exp"]
                 for key in ("eta2", "e2", "e4"):
-                    assert all(abs(x - y) < ulps for x, y in zip(direct[key], filled_in[key])), \
+                    assert direct[key][1] == filled_in[key][1]
+                    assert all(abs(x - y) < ulps for x, y in zip(direct[key][0], filled_in[key][0])), \
                         (n, red, key)
                 filled += 1
         assert filled >= 5
@@ -524,3 +525,34 @@ class TestAtkinLehner:
     def test_invalid_divisor(self, cfg256):
         with pytest.raises(ValueError):
             atkin_lehner_check(4, mpc(0, 1), cfg256)
+
+
+class TestEvalBound:
+    """The eval command's bound (_eval_bounded) at generic points."""
+
+    FUNCTIONS = {"F": eval_form, "P": eval_P, "A": eval_A, "B": eval_B,
+                 "C": eval_C, "j": eval_j}
+
+    @staticmethod
+    def points():
+        # Im z from 10^-3 (reduced by matrices with c up to ~10^3) to 5
+        rng = random.Random(5)
+        with mpmath.workprec(600):
+            return [mpc(mpf(rng.uniform(-0.7, 0.7)), mpf(10) ** rng.uniform(-3, 0.7))
+                    for _ in range(8)] + [mpc(0, 200)]
+
+    @pytest.mark.parametrize("what", sorted(FUNCTIONS))
+    def test_bound_holds_against_256_more_bits(self, what):
+        lo, hi = PrecisionConfig(256), PrecisionConfig(512)
+        checked = 0
+        for z in self.points():
+            try:
+                value, bound = _eval_bounded(what, z, lo)
+            except NearSingularity:
+                continue
+            assert value == self.FUNCTIONS[what](z, lo)
+            reference, _ = _eval_bounded(what, z, hi)
+            assert abs(value - reference) <= bound, (what, z)
+            checked += 1
+        assert checked >= 6
+

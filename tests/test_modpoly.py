@@ -13,9 +13,9 @@ from cmpartitions.evaluate import eval_C, eval_j, _j_from_eta, _nomes
 from cmpartitions.modpoly import (MatrixClass, beta_norm, beta_product,
                                   class_count, fixing_class, hnf_classes,
                                   j_norm, masser_c, taylor_coeffs,
-                                  taylor_fd_fit, _certified_norm, _image_form,
-                                  _j_table)
-from cmpartitions.precision import PrecisionConfig
+                                  taylor_fd_fit, _image_form, _j_table,
+                                  _norm_rung)
+from cmpartitions.precision import PrecisionConfig, run_adaptive
 from cmpartitions.quadforms import (QuadForm, _root, cm_point, enumerate_qn,
                                     reduce_with_matrix)
 
@@ -334,9 +334,13 @@ class TestBetaNorm:
 
 
 class TestCertifiedNorm:
+    """The norms' rungs run through precision.run_adaptive, each a product
+    with its relative error bound rel, taken as the absolute bound
+    2 rel |prod| (_norm_rung)."""
+
     @staticmethod
     def stub(prod, rel):
-        """A product_at that returns (prod, rel) at every rung and records
+        """A norm rung that returns (prod, rel) at every rung and records
         the rung's bits."""
         bits = []
 
@@ -344,23 +348,24 @@ class TestCertifiedNorm:
             bits.append(b)
             return mpc(prod), mpf(rel)
 
-        return product_at, bits
+        return lambda b: _norm_rung(product_at, b), bits
 
     def test_first_rung_closes(self):
-        product_at, bits = self.stub(-7, mpf(2) ** -300)
-        assert _certified_norm("toy", product_at, PrecisionConfig(256)) == (-7, True, 256)
+        task, bits = self.stub(-7, mpf(2) ** -300)
+        assert run_adaptive(task, PrecisionConfig(256)) == (-7, 14 * mpf(2) ** -300, 256)
         assert bits == [256]
 
-    def test_integer_farther_than_its_bound(self):
-        product_at, _ = self.stub(5.5, mpf(2) ** -300)
-        with pytest.raises(NotNearIntegral, match="toy"):
-            _certified_norm("toy", product_at, PrecisionConfig(256))
+    def test_integer_farther_than_its_bound(self, monkeypatch):
+        # a product within its bound of 5.5 is refused, not retried
+        monkeypatch.setattr(modpoly, "_product", lambda pairs, bits: (mpc(5.5), mpf(2) ** -300))
+        with pytest.raises(NotNearIntegral, match="j-norm"):
+            j_norm(1, PrecisionConfig(256))
 
     def test_bound_never_closes(self):
         # magnitude 10, then 10 + 256, 512, 1024, 2048 and the cap 3000
-        product_at, bits = self.stub(1000, 1)
-        with pytest.raises(PrecisionExhausted, match="toy"):
-            _certified_norm("toy", product_at, PrecisionConfig(256, 3000))
+        task, bits = self.stub(1000, 1)
+        with pytest.raises(PrecisionExhausted, match="at 3010 bits"):
+            run_adaptive(task, PrecisionConfig(256, 3000))
         assert bits == [256, 266, 522, 1034, 2058, 3010]
 
     def test_j_norm_past_the_first_rung(self):

@@ -5,8 +5,7 @@ import pytest
 from mpmath import mpc, mpf
 
 from cmpartitions.errors import PrecisionExhausted
-from cmpartitions.precision import (PrecisionConfig, _fork_map, deviation,
-                                    run_adaptive)
+from cmpartitions.precision import PrecisionConfig, _fork_map, run_adaptive
 
 
 def machin_pi(bits):
@@ -43,58 +42,76 @@ class TestConfig:
             PrecisionConfig(working_bits=0)
 
 
+def rungs_of(value, bound_at):
+    """A task returning (value, bound_at(bits)) that records each rung's
+    bits."""
+    bits = []
+
+    def task(b):
+        bits.append(b)
+        return value, bound_at(b)
+
+    return task, bits
+
+
 class TestRunAdaptive:
     def test_pi_against_machin(self):
+        # the first rung closes: pi at 64 bits is within 2^-64, under 2^-32
         cfg = PrecisionConfig(64, 1024)
 
         def task(bits):
             with mpmath.workprec(bits):
-                return +mpmath.pi
+                return +mpmath.pi, mpf(2) ** -bits
 
-        value, achieved = run_adaptive(task, cfg)
-        assert achieved == 64
+        value, bound, achieved = run_adaptive(task, cfg)
+        assert achieved == 64 and bound == mpf(2) ** -64
         assert abs(value - machin_pi(256)) < mpf(10) ** -19
 
     def test_constant_achieves_initial(self, cfg256):
-        value, achieved = run_adaptive(lambda bits: mpc(1), cfg256)
-        assert value == 1
-        assert achieved == cfg256.working_bits
+        task, bits = rungs_of(mpc(1), lambda b: mpf(0))
+        assert run_adaptive(task, cfg256) == (1, 0, cfg256.working_bits)
+        assert bits == [cfg256.working_bits]
+
+    def test_schedule(self):
+        # magnitude M = 1001 (mpmath.mag, at least log2) from the first
+        # rung, then M + w, M + 2w: the bound 2^(1300 - bits) first reaches
+        # 2^-128 at M + 2w = 1513
+        task, bits = rungs_of(mpf(2) ** 1000 + 1, lambda b: mpf(2) ** (1300 - b))
+        value, bound, achieved = run_adaptive(task, PrecisionConfig(256))
+        assert bits == [256, 1257, 1513]
+        assert achieved == 1513 and bound == mpf(2) ** -213
 
     def test_exhaustion(self):
+        # excesses 256, 512, 1024 and the cap 1500 over M = 10, then refused
+        task, bits = rungs_of(mpf(1000), lambda b: mpf(1))
+        with pytest.raises(PrecisionExhausted, match="at 1510 bits"):
+            run_adaptive(task, PrecisionConfig(256, 1500))
+        assert bits == [256, 266, 522, 1034, 1510]
+
+    def test_exhaustion_at_zero_tolerance(self):
         cfg = PrecisionConfig(128, 128, abs_tol=mpf(0))
+        task, bits = rungs_of(mpf(1), lambda b: mpf(2) ** -b)
         with pytest.raises(PrecisionExhausted):
-            run_adaptive(lambda bits: mpf(1), cfg)
+            run_adaptive(task, cfg)
+        assert bits == [128, 129]  # magnitude 1, excess 128
 
     def test_deterministic(self, cfg256):
         def task(bits):
             with mpmath.workprec(bits):
-                return mpmath.sqrt(mpf(2))
+                return mpmath.sqrt(mpf(2)), mpf(2) ** -bits
 
         first = run_adaptive(task, cfg256)
         second = run_adaptive(task, cfg256)
         assert first == second
 
     def test_structured_results(self, cfg256):
-        def task(bits):
-            with mpmath.workprec(bits):
-                return {"x": [mpmath.sqrt(mpf(2)), mpmath.mpf(3)], "y": mpc(0, 1)}
-
-        value, achieved = run_adaptive(task, cfg256)
-        assert achieved == cfg256.working_bits
-        assert deviation(value, value) == 0
-
-
-class TestDeviation:
-    def test_whole_values_compared(self):
-        # 2^1000 and 2^1000 + 1 agree in their top 272 bits; the difference
-        # is 1 all the same
-        assert deviation(2 ** 1000, 2 ** 1000 + 1) == 1
-
-    def test_large_complex_values(self):
-        with mpmath.workprec(1100):
-            a = mpc(2) ** 1000 * mpc(1, 1)
-            b = a + mpc(0, 2) ** -10
-        assert deviation(a, b, bits=64) == mpf(2) ** -10
+        # the magnitude is the largest over a nested value: 301 here, from
+        # |(2i)^300| = 2^300
+        value = ([mpmath.sqrt(mpf(2)), mpf(3)], (mpc(0, 2) ** 300, 7))
+        task, bits = rungs_of(value, lambda b: mpf(2) ** (300 - b))
+        result, _, achieved = run_adaptive(task, cfg256)
+        assert result is value
+        assert bits == [256, 557] and achieved == 557
 
 
 def _square_where(i):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import mpmath
@@ -8,6 +9,7 @@ from cmpartitions import recognize
 from cmpartitions.errors import NotNearIntegral
 from cmpartitions.evaluate import eval_P, eval_P_cm
 from cmpartitions.modpoly import j_norm
+from cmpartitions.precision import run_adaptive
 from cmpartitions.quadforms import cm_point, conjugate_partners, enumerate_qn
 from cmpartitions.recognize import (compute_pn, norm_6unit_check,
                                     orbit_product, pentagonal_pn,
@@ -183,8 +185,9 @@ class TestComputePn:
         # P + 1/23 keeps prod(x - 23 P) integral (it shifts x by 1) but adds
         # 3 to its trace 23^2 p(1), so p(1) is not read off exactly
         def shifted(forms, cfg):
+            values, errors = eval_P_cm(forms, cfg)
             with mpmath.workprec(cfg.eval_bits):
-                return [p + mpf(1) / 23 for p in eval_P_cm(forms, cfg)]
+                return [p + mpf(1) / 23 for p in values], errors
         monkeypatch.setattr(recognize, "eval_P_cm", shifted)
         with pytest.raises(NotNearIntegral):
             compute_pn(1, cfg256)
@@ -194,6 +197,32 @@ class TestComputePn:
         assert entry["pn"] == "1"
         assert entry["scaled_poly"] == ["1", "-529", "82616", "-5097973"]
         assert entry["forms"][0] == [6, 1, 1]
+
+
+class TestBound:
+    def test_bound_holds_against_256_more_bits(self, cfg256, monkeypatch):
+        # n = 1..30 and 60: the accepted rung's orbit coefficients and P
+        # values lie within the rung's bound of the same values computed
+        # 256 bits higher
+        runs = []
+
+        def spy(task, cfg):
+            result = run_adaptive(task, cfg)
+            runs.append((task, result))
+            return result
+
+        monkeypatch.setattr(recognize, "run_adaptive", spy)
+        for n in [*range(1, 31), 60]:
+            compute_pn(n, cfg256)
+            task, ((ps, poly), bound, bits) = runs[-1]
+            (ps_hi, poly_hi), _ = task(bits + 256)
+            assert bound <= cfg256.abs_tol
+            for lo, hi in zip([*ps, *poly], [*ps_hi, *poly_hi]):
+                assert abs(lo - hi) <= bound, n
+
+    def test_unbounded_values_give_no_bound(self):
+        _, bound = orbit_product([mpc(1), mpc(2)], 1, [-100, math.inf])
+        assert bound == mpmath.inf
 
 
 class TestSharpness:

@@ -4,10 +4,15 @@ per-layer metric."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 from pathlib import Path
 
 import pytest
+
+import cmpartitions.cli  # noqa: F401  (the tracer wraps every layer)
+from cmpartitions import modpoly, recognize
+from cmpartitions.precision import PrecisionConfig, run_adaptive
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -48,3 +53,27 @@ def test_looked_up_name_is_a_function_of_its_module(layer, name):
 def test_private_name_is_a_function_of_its_module(layer, name):
     fn = getattr(importlib.import_module(f"cmpartitions.{layer}"), name, None)
     assert inspect.isfunction(fn)
+
+
+def _spans():
+    """perfbench/spans.py, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_adaptive_takes_the_task_first():
+    # the tracer wraps the first argument of run_adaptive as each rung
+    assert list(inspect.signature(run_adaptive).parameters)[:2] == ["task", "cfg"]
+
+
+@pytest.mark.parametrize("module, name", [(recognize, "compute_pn"), (modpoly, "j_norm")])
+def test_precision_metrics_read_the_rungs(module, name):
+    spans = _spans()
+    recorder = spans.Recorder("test")
+    with spans.tracing(recorder):
+        getattr(module, name)(1, PrecisionConfig())
+    metrics = spans.layer_metrics(recorder.spans, 1.0)
+    assert metrics["precision.ladders"] >= 1 and metrics["precision.rungs"] >= 1
+
