@@ -33,6 +33,7 @@ _RECORD_TYPES = {"n": int, "discriminant": int, "forms": list, "p_values": list,
                  "scaled_poly": list, "pn": str, "residual": str,
                  "achieved_bits": int, "sharpness_divisor": int,
                  "working_bits": int}
+_Z_HELP = "the point as <re>,<im>; a negative re needs the = form: --z=-0.5,1"
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 2
@@ -120,7 +121,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("eval", parents=[common], help="evaluate one function")
     p.add_argument("--what", required=True,
                    choices=["F", "P", "A", "B", "C", "j"])
-    p.add_argument("--z", type=_parse_point, required=True)
+    p.add_argument("--z", type=_parse_point, required=True, help=_Z_HELP)
 
     p = sub.add_parser("verify-decomp", parents=[common],
                        help="check P = A + B*C at random and CM points")
@@ -129,7 +130,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify-appendix", parents=[common],
                        help="check the tabulated resolvent polynomials")
-    p.add_argument("--z", type=_parse_point, default=None)
+    p.add_argument("--z", type=_parse_point, default=None, help=_Z_HELP)
     p.add_argument("--trials", type=_positive_int, default=5)
 
     p = sub.add_parser("masser", parents=[common],

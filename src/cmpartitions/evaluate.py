@@ -2,10 +2,11 @@
 weight -2 / weight 0 pair (F, P) with its A + B*C split, at arbitrary points
 of the upper half-plane.
 
-Every point is reduced into the standard fundamental domain (by _reduce,
-or at CM points exactly through the reduction of their forms, one kernel
-call per class in a _ClassTable), where one sparse kernel gives eta^2, E2,
-E4 and E6 from one exponential q^(1/12) and a table of powers of q^(1/2).
+Every point is reduced into the standard fundamental domain by reducing a
+binary quadratic form (_reducing): a CM point's own form, one kernel call
+per class in a _ClassTable, or elsewhere the integer form whose root is z's
+exact binary value (_reduce).  There one sparse kernel gives eta^2, E2, E4
+and E6 from one exponential q^(1/12) and a table of powers of q^(1/2).
 From the kernel to F, thetaF and P values are fixed-point Gaussian ints
 (pairs of Python ints scaled by 2^prec, multiplied by _cmul); eta^2 carries
 its own power of two, so a product of them (2^-1800 at Im z = 200) keeps
@@ -38,31 +39,38 @@ from .series import (FP_E2_COMBINATION, FP_ETA_FACTORS, FP_PREFACTOR,
                      _pentagonal_exponents, _power)
 
 
-def _reduce(z: mpc):
-    """(w, (a, b, c, d)): z reduced into the fundamental domain under the
-    ambient precision, w = (a z + b)/(c z + d) with c > 0, or c = 0 and
-    d > 0.  The one place that rejects a point not finite with Im z > 0."""
-    z = mpc(z)
-    if not (mpmath.isfinite(z.real) and mpmath.isfinite(z.imag) and z.imag > 0):
+def _reducing(form: QuadForm):
+    """(R, m): R = form g reduced (reduce_with_matrix), and m = g^-1 with the
+    sign that has c > 0, or c = 0 and d > 0; m carries the root of form to
+    the root of R."""
+    red, (p, q, r, s) = reduce_with_matrix(form)
+    m = (s, -q, -r, p)
+    return red, m if r < 0 or (r == 0 and p > 0) else tuple(-x for x in m)
+
+
+def _reduce(z: mpc, prec: int):
+    """(m, t, w) for z read at its exact binary value (x + i y) 2^low, the
+    root of the integer form [4^-low, -x 2^(1-low), x^2 + y^2]: m reduces
+    that form (_reducing), t = i/(cz + d) at scale 2^prec (within 2 units)
+    and w = m z = a/c + i t/c (within 4 |w| 2^-prec), or w = z + b when
+    c = 0, both formed in integers.  The one place that rejects a point not
+    finite with Im z > 0."""
+    z = mpmath.mpmathify(z)  # not mpc(z), which rounds
+    if not (isinstance(z, mpc) and mpmath.isfinite(z) and z.imag > 0):
         raise NotUpperHalfPlane(f"z = {mpmath.nstr(z, 10)} is not a finite point "
                                 "of the upper half-plane")
-    a, b, c, d = 1, 0, 0, 1
-    for _ in range(100000):
-        k = int(mpmath.nint(z.real))
-        if k != 0:
-            z = z - k
-            a, b = a - k * c, b - k * d
-        if abs(z) < 1:
-            z = -1 / z
-            a, b, c, d = -c, -d, a, b
-        else:
-            return z, _normalised((a, b, c, d))
-    raise RuntimeError("fundamental domain reduction did not terminate")
-
-
-def _normalised(m):
-    """The sign of the matrix m that has c > 0, or c = 0 and d > 0."""
-    return m if m[2] > 0 or (m[2] == 0 and m[3] > 0) else tuple(-x for x in m)
+    (sx, x, ex, _), (_, y, ey, _) = z._mpc_
+    low = min(ex, ey, 0)
+    x, y = (-x if sx else x) << (ex - low), y << (ey - low)
+    m = _reducing(QuadForm(1 << -2 * low, -x << 1 - low, x * x + y * y))[1]
+    a, b, c, d = m
+    with mpmath.workprec(prec):
+        if not c:
+            return m, (0, 1 << prec), z + b
+        re, im = c * x + (d << -low), c * y  # (cz + d) 2^-low
+        norm = re * re + im * im
+        t = ((im << prec - low) // norm, (re << prec - low) // norm)
+        return m, t, mpc((a << prec) - t[1], t[0]) / (c << prec)
 
 
 def _dedekind6(h: int, k: int) -> int:
@@ -339,8 +347,8 @@ def _j_reduced(w: mpc, bits: int, q: mpc | None = None) -> tuple[mpc, mpf]:
     a bound on |d log j / d log u| = |2u - 16|/|u + 16|; |w| >= 1 on the
     fundamental domain.  Relative errors of j, for the exact j at any point
     within |w| 2^(2-bits) of w:
-      - the root, off by up to |w| 2^(2-bits) (rounded at bits bits and moved
-        once more by _reduce at most), with |d log u / dw| =
+      - the root, off by up to |w| 2^(2-bits) (rounded at bits bits by the
+        caller; _reduce forms w within 4 |w| 2^-prec), with |d log u / dw| =
         2 pi |1 + 24 sum k q^k/(1 + q^k)| < 7: under 28 K |w| 2^-bits;
       - the exponential: its argument off by 2 pi |w| 2^(2-prec), plus exp's
         rounding, so q off by under 2^(5-prec) |w| relative (2^(18-prec) |w|
@@ -380,7 +388,7 @@ def _j_from_eta(z: mpc, bits: int, q: mpc | None = None) -> tuple[mpc, mpf]:
     """(j, relative error bound) anywhere on the upper half-plane along the
     eta-only route (j is SL2(Z)-invariant: no transport), the bound
     _j_reduced's; q = exp(2 pi i z), if given, is used when z is reduced."""
-    w, m = _reduce(z)
+    m, _, w = _reduce(z, bits + _GUARD)
     return _j_reduced(w, bits, q if m == (1, 0, 0, 1) else None)
 
 
@@ -407,25 +415,11 @@ def _transport(v: dict, m, t, prec: int) -> dict:
 
 
 def _basics(z: mpc, bits: int) -> dict:
-    """The fixed-point basics at z, from the kernel at w = m z.  t = i/(cz +
-    d) and w = a/c + i t/c are formed in integers from z's exact binary
-    value, so t is within 2 units and w within 4 |w| 2^-prec."""
-    m = _reduce(z)[1]
-    prec = bits + _GUARD
-    a, b, c, d = m
-    z = mpmath.mpmathify(z)  # not mpc(z), which rounds
-    (sx, x, ex, _), (sy, y, ey, _) = z._mpc_
-    low = min(ex, ey, 0)  # z = (x + i y) 2^low
-    x, y = (-x if sx else x) << (ex - low), (-y if sy else y) << (ey - low)
-    with mpmath.workprec(prec):
-        if c:
-            re, im = c * x + (d << -low), c * y  # (cz + d) 2^-low
-            norm = re * re + im * im
-            t = ((im << prec - low) // norm, (re << prec - low) // norm)
-            w = mpc((a << prec) - t[1], t[0]) / (c << prec)
-        else:
-            t, w = (0, 1 << prec), z + b
-    return _transport(_reduced_basics(w, bits), m, (t, 1), prec)
+    """The fixed-point basics at z, from the kernel at w = m z (_reduce);
+    the budget is checked before _reduce works at the rung's precision."""
+    _check_budget(bits)
+    m, t, w = _reduce(z, bits + _GUARD)
+    return _transport(_reduced_basics(w, bits), m, (t, 1), bits + _GUARD)
 
 
 def _as_mpc(v: dict, bits: int) -> dict:
@@ -444,10 +438,12 @@ def eval_eta(z: mpc, cfg: PrecisionConfig) -> mpc:
     """eta(z): the square root of eta^2(z) that exp(pi i k/12) turns into
     the principal root of t eta^2(w) (argument within pi/3 of 0), so a
     53-bit root of unity tells the two apart."""
-    bits = cfg.eval_bits
+    bits, prec = cfg.eval_bits, cfg.eval_bits + _GUARD
+    m, t, w = _reduce(z, prec)
     with mpmath.workprec(bits):
-        root = mpmath.sqrt(_as_mpc(_basics(z, bits), bits)["eta2"])
-        unit = mpmath.mpmathify(cmath.exp(1j * _math.pi * (_eta_k(_reduce(z)[1]) % 24) / 12))
+        v = _transport(_reduced_basics(w, bits), m, (t, 1), prec)
+        root = mpmath.sqrt(_as_mpc(v, bits)["eta2"])
+        unit = mpmath.mpmathify(cmath.exp(1j * _math.pi * (_eta_k(m) % 24) / 12))
         return root if mpmath.re(root * unit) > 0 else -root
 
 
@@ -592,13 +588,13 @@ def eval_P_cm(forms, cfg: PrecisionConfig) -> tuple[list, list]:
     class, on fixed-point ints from the kernel to P.
 
     d alpha (d = 1, 2, 3, 6) is the root (-b + i sqrt|D|)/(2A) of [A, b, dc],
-    A = a/d, and reduce_with_matrix gives R = [A, b, dc] g reduced: the
-    kernel runs once per R (and its mirror) in a _ClassTable that lives for
-    one call, and _transport carries the value by g^-1 = (p, q, c, d), with
-    t = 2A (c sqrt|D| + iX)/(X^2 + c^2 |D|), X = 2Ad - cb.  One
-    isqrt(|D| 2^2prec) per discriminant gives every t, every kernel root and
-    1/(2 pi Im alpha) = a/(pi sqrt|D|).  The isqrt's truncation moves t by
-    2A c/(X^2 + c^2 |D|) units, and 1/(2 pi Im alpha) by under 3a."""
+    A = a/d, and _reducing gives its reduced R and the matrix m = (p, q, c,
+    d) that carries d alpha to R's root: the kernel runs once per R (and its
+    mirror) in a _ClassTable that lives for one call, and _transport carries
+    the value by m, with t = 2A (c sqrt|D| + iX)/(X^2 + c^2 |D|), X = 2Ad -
+    cb.  One isqrt(|D| 2^2prec) per discriminant gives every t, every kernel
+    root and 1/(2 pi Im alpha) = a/(pi sqrt|D|).  The isqrt's truncation
+    moves t by 2A c/(X^2 + c^2 |D|) units, and 1/(2 pi Im alpha) by under 3a."""
     bits, prec = cfg.eval_bits, cfg.eval_bits + _GUARD
     roots = {f.discriminant(): _math.isqrt(-f.discriminant() << 2 * prec) for f in forms}
 
@@ -616,8 +612,7 @@ def eval_P_cm(forms, cfg: PrecisionConfig) -> tuple[list, list]:
             raise ValueError(f"form {form} has 6 not dividing a")
         disc, at = form.discriminant(), {}
         for d, _ in FP_ETA_FACTORS:
-            red, (p, q, r, s) = reduce_with_matrix(QuadForm(form.a // d, form.b, d * form.c))
-            m = _normalised((s, -q, -r, p))
+            red, m = _reducing(QuadForm(form.a // d, form.b, d * form.c))
             a2 = 2 * form.a // d
             x = a2 * m[3] - m[2] * form.b
             den = x * x - m[2] * m[2] * disc
@@ -706,12 +701,11 @@ def _eval_bounded(what: str, z: mpc, cfg: PrecisionConfig):
     box from the value."""
     bits, y = cfg.eval_bits, mpmath.im(z)
     prec, iv = bits + _GUARD, mpmath.iv
+    parts, basics = ({}, _basics(z, bits)) if what in ("C", "j") else _form_and_theta(z, bits)
+    if what in ("F", "P"):
+        value, err = parts[what.lower()]
+        return value, mpf(2) ** err
     with mpmath.workprec(bits):
-        parts, basics = ({}, _basics(z, bits)) if what in ("C", "j") else _form_and_theta(z, bits)
-        if what in ("F", "P"):
-            value, err = parts[what.lower()]
-            return value, mpf(2) ** err
-
         def tail(ctx, v, f, theta_f, jval):
             return jval if what == "j" else dict(zip("ABC", _abc(ctx, f, theta_f, v, jval, y)))[what]
 

@@ -62,6 +62,15 @@ class TestBasicCommands:
         doc = json.loads(out)
         assert doc["value"][0].startswith("1728.0")
 
+    def test_eval_negative_real_part(self, capsys):
+        # argparse takes a separate "-0.5,1" for an option; "--z=-0.5,1" passes it
+        values = []
+        for z in ("--z=-0.5,1", "--z=0.5,1"):
+            code, out, _ = run_cli(capsys, "eval", "--what", "j", z, "--no-cache", "--json")
+            assert code == 0
+            values.append(json.loads(out)["value"][0])
+        assert values[0] == values[1]
+
     @pytest.mark.parametrize("z", ["nonsense", "0.2,inf", "inf,1", "nan,1"])
     def test_eval_bad_point(self, capsys, z):
         code, _, err = run_cli(capsys, "eval", "--what", "j", "--z", z,
@@ -107,6 +116,16 @@ class TestBasicCommands:
                                "--max-precision-bits", "512", "--no-cache")
         assert code == 3
         assert "precision exhausted" in err
+
+    @pytest.mark.parametrize("z", ["0,1e30", "0.1,1e-3000"])
+    def test_astronomical_value_exhausts_precision(self, capsys, z):
+        # |j(10^30 i)| is about e^(2 pi 10^30), and 0.1 + 10^-3000 i reduces
+        # to Im w near 10^2998: the kernels' budget refuses the rung sized
+        # from that magnitude before any work at its precision
+        code, out, err = run_cli(capsys, "eval", "--what", "j", "--z", z, "--no-cache")
+        assert code == 3
+        assert out == ""
+        assert "precision exhausted" in err and "Traceback" not in err
 
     def test_norms_beyond_kernel_budget_refused(self, capsys):
         # the n = 4 beta-norm needs about 53000 bits, past the kernels'

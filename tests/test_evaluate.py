@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 from mpmath import mpc, mpf
+from mpmath.libmp import to_rational
 
 from cmpartitions import evaluate, recognize
 from cmpartitions.errors import NearSingularity, NotUpperHalfPlane
@@ -48,32 +49,65 @@ def random_gamma0_matrices(rng, count, level=6):
     return mats
 
 
+def exact_form(z):
+    """The primitive integer form whose root is z's exact binary value."""
+    x, y = (Fraction(*to_rational(part._mpf_)) for part in (z.real, z.imag))
+    den = math.lcm((2 * x).denominator, (x * x + y * y).denominator)
+    return QuadForm(den, int(-2 * x * den), int((x * x + y * y) * den))
+
+
 class TestReduction:
-    def test_fixed_point(self, cfg256):
-        with mpmath.workprec(cfg256.eval_bits):
-            z_red, matrix = _reduce(mpc(0, 1))
+    PREC = 288
+
+    def test_fixed_point(self):
+        matrix, t, w = _reduce(mpc(0, 1), self.PREC)
         assert matrix == (1, 0, 0, 1)
-        assert z_red == mpc(0, 1)
+        assert t == (0, 1 << self.PREC)
+        assert w == mpc(0, 1)
 
-    def test_translation(self, cfg256):
-        with mpmath.workprec(cfg256.eval_bits):
-            z_red, matrix = _reduce(mpc(5, 1))
+    def test_translation(self):
+        matrix, _, w = _reduce(mpc(5, 1), self.PREC)
         assert matrix == (1, -5, 0, 1)
-        assert abs(z_red - mpc(0, 1)) < mpf(2) ** -250
+        assert w == mpc(0, 1)
 
-    def test_deep_point(self, cfg256):
-        with mpmath.workprec(cfg256.eval_bits):
+    def test_deep_point(self):
+        with mpmath.workprec(self.PREC):
             z = mpc(mpf("0.1"), mpf("0.01"))
-            z_red, matrix = _reduce(z)
-            assert mpmath.im(z_red) >= mpmath.sqrt(3) / 2 - mpf(2) ** -20
+            matrix, t, w = _reduce(z, self.PREC)
+            assert mpmath.im(w) >= mpmath.sqrt(3) / 2
             a, b, c, d = matrix
             assert a * d - b * c == 1
             assert c > 0 or (c == 0 and d > 0)
-            assert abs(apply_moebius(matrix, z) - z_red) < mpf(2) ** -240
+            assert abs(apply_moebius(matrix, z) - w) < mpf(2) ** -270
+            assert abs(mpc(*t) / 2 ** self.PREC - 1j / (c * z + d)) < mpf(2) ** -280
 
     def test_rejects_lower_half(self):
-        with pytest.raises(NotUpperHalfPlane):
-            _reduce(mpc(0, -1))
+        for z in (mpc(0, -1), mpf(1), mpc(0, mpmath.inf), mpc(mpmath.nan, 1)):
+            with pytest.raises(NotUpperHalfPlane):
+                _reduce(z, self.PREC)
+
+    def test_matrix_reduces_exact_form(self):
+        # The matrix is normalised, in SL2(Z), and carries the form of z's
+        # exact binary value to a reduced form, at seeded random points and
+        # on the boundary of the fundamental domain
+        rng = random.Random(18)
+        with mpmath.workprec(128):
+            points = [mpc(mpf(rng.uniform(-3, 3)), mpf(10) ** rng.uniform(-3, 3))
+                      for _ in range(1000)]
+        points += [mpc(0.5, 1), mpc(-0.5, 1), mpc(0, 1)]
+        for z in points:
+            matrix = _reduce(z, self.PREC)[0]
+            a, b, c, d = matrix
+            assert a * d - b * c == 1
+            assert c > 0 or (c == 0 and d > 0)
+            assert exact_form(z).transform((d, -b, -c, a)).is_reduced(), (z, matrix)
+
+    def test_boundary_follows_forms(self):
+        # Re z = 1/2 on the boundary goes to Re w = -1/2, as reduced forms
+        # [a, b, c] have b = a, not -a
+        matrix, _, w = _reduce(mpc(0.5, 1), self.PREC)
+        assert matrix == (1, -1, 0, 1)
+        assert w == mpc(-0.5, 1)
 
 
 class TestEta:
@@ -535,11 +569,12 @@ class TestEvalBound:
 
     @staticmethod
     def points():
-        # Im z from 10^-3 (reduced by matrices with c up to ~10^3) to 5
+        # Im z from 10^-3 (reduced by matrices with c up to ~10^3) to 5, and
+        # both sides of the boundary Re z = +-1/2
         rng = random.Random(5)
         with mpmath.workprec(600):
             return [mpc(mpf(rng.uniform(-0.7, 0.7)), mpf(10) ** rng.uniform(-3, 0.7))
-                    for _ in range(8)] + [mpc(0, 200)]
+                    for _ in range(8)] + [mpc(0, 200), mpc(0.5, 1.25), mpc(-0.5, 1.25)]
 
     @pytest.mark.parametrize("what", sorted(FUNCTIONS))
     def test_bound_holds_against_256_more_bits(self, what):
