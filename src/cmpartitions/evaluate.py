@@ -2,19 +2,17 @@
 weight -2 / weight 0 pair (F, P) with its A + B*C split, at arbitrary points
 of the upper half-plane.
 
-Every point is reduced into the standard fundamental domain by reducing a
-binary quadratic form (_reducing): a CM point's own form, one kernel call
-per class in a _ClassTable, or elsewhere the integer form whose root is z's
-exact binary value (_reduce).  There one sparse kernel gives eta^2, E2, E4
-and E6 from one exponential q^(1/12) and a table of powers of q^(1/2).
-From the kernel to F, thetaF and P values are fixed-point Gaussian ints
-(pairs of Python ints scaled by 2^prec, multiplied by _cmul); eta^2 carries
-its own power of two, so a product of them (2^-1800 at Im z = 200) keeps
-its relative precision.  _transport carries values back by the reducing
-matrix and t = i/(cz + d): eta^2 takes a twelfth root of unity from
-Rademacher's integer k (_eta_k), no square root.  At a CM point t is a
-quotient of integers and one isqrt(|D| 2^2prec); elsewhere t and w are
-formed in integers from z's binary value.  Derivatives are analytic:
+Every point is the root of an integer form: a CM point's own, or the form
+of z's exact binary value (_form), and is reduced with its form (_reducing).
+One sparse kernel gives eta^2, E2, E4 and E6 at the reduced root from one
+exponential q^(1/12) and a table of powers of q^(1/2), once per class in a
+_ClassTable.  From the kernel to F, thetaF and P values are fixed-point
+Gaussian ints (pairs of Python ints scaled by 2^prec, multiplied by _cmul);
+eta^2 carries its own power of two, so a product of them (2^-1800 at
+Im z = 200) keeps its relative precision.  _transport carries values back
+by the reducing matrix and t = i/(cz + d), a quotient of integers and one
+isqrt(|D| 2^2prec) (_t): eta^2 takes a twelfth root of unity from
+Rademacher's integer k (_eta_k), no square root.  Derivatives are analytic:
 theta(E2) = (E2^2 - E4)/12, theta(log eta) = E2/24.  Every fixed-point value
 carries an integer error exponent (_emul, _esum, _ediv), seeded by the
 kernel's budget: the bound of P at CM points (eval_P_cm) and of the eval
@@ -30,13 +28,28 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mpc, mpf
-from mpmath.libmp import from_man_exp, mpf_cos_sin_pi, mpf_neg, pi_fixed, to_fixed
+from mpmath.libmp import (from_man_exp, mpf_cos_sin_pi, mpf_div, mpf_neg, pi_fixed,
+                          to_fixed)
 
 from .errors import NearSingularity, NotUpperHalfPlane, PrecisionExhausted
 from .precision import PrecisionConfig
 from .quadforms import QuadForm, reduce_with_matrix
 from .series import (FP_E2_COMBINATION, FP_ETA_FACTORS, FP_PREFACTOR,
                      _pentagonal_exponents, _power)
+
+
+def _form(z: mpc) -> QuadForm:
+    """The form 36 [4^-low, -x 2^(1-low), x^2 + y^2] of z's exact binary value
+    (x + i y) 2^low: 6 | a as at a CM point, and an exact isqrt of |D| =
+    (72 y 2^-low)^2.  The one place that rejects z not finite with Im z > 0."""
+    z = mpmath.mpmathify(z)  # not mpc(z), which rounds
+    if not (isinstance(z, mpc) and mpmath.isfinite(z) and z.imag > 0):
+        raise NotUpperHalfPlane(f"z = {mpmath.nstr(z, 10)} is not a finite point "
+                                "of the upper half-plane")
+    (sx, x, ex, _), (_, y, ey, _) = z._mpc_
+    low = min(ex, ey, 0)
+    x, y = (-x if sx else x) << (ex - low), y << (ey - low)
+    return QuadForm(36 << -2 * low, -36 * x << 1 - low, 36 * (x * x + y * y))
 
 
 def _reducing(form: QuadForm):
@@ -48,29 +61,41 @@ def _reducing(form: QuadForm):
     return red, m if r < 0 or (r == 0 and p > 0) else tuple(-x for x in m)
 
 
-def _reduce(z: mpc, prec: int):
-    """(m, t, w) for z read at its exact binary value (x + i y) 2^low, the
-    root of the integer form [4^-low, -x 2^(1-low), x^2 + y^2]: m reduces
-    that form (_reducing), t = i/(cz + d) at scale 2^prec (within 2 units)
-    and w = m z = a/c + i t/c (within 4 |w| 2^-prec), or w = z + b when
-    c = 0, both formed in integers.  The one place that rejects a point not
-    finite with Im z > 0."""
-    z = mpmath.mpmathify(z)  # not mpc(z), which rounds
-    if not (isinstance(z, mpc) and mpmath.isfinite(z) and z.imag > 0):
-        raise NotUpperHalfPlane(f"z = {mpmath.nstr(z, 10)} is not a finite point "
-                                "of the upper half-plane")
-    (sx, x, ex, _), (_, y, ey, _) = z._mpc_
-    low = min(ex, ey, 0)
-    x, y = (-x if sx else x) << (ex - low), y << (ey - low)
-    m = _reducing(QuadForm(1 << -2 * low, -x << 1 - low, x * x + y * y))[1]
-    a, b, c, d = m
-    with mpmath.workprec(prec):
-        if not c:
-            return m, (0, 1 << prec), z + b
-        re, im = c * x + (d << -low), c * y  # (cz + d) 2^-low
-        norm = re * re + im * im
-        t = ((im << prec - low) // norm, (re << prec - low) // norm)
-        return m, t, mpc((a << prec) - t[1], t[0]) / (c << prec)
+@functools.lru_cache(maxsize=64)
+def _sqrt_disc(disc: int, prec: int) -> tuple[int, bool]:
+    """(isqrt(|D| 2^2prec), whether it is exact), once per discriminant."""
+    root = _math.isqrt(-disc << 2 * prec)
+    return root, root * root == -disc << 2 * prec
+
+
+def _quotient(n: int, e: int, d: int, prec: int):
+    """n 2^e / d rounded at prec, trailing zeros shifted out at once (libmp
+    strips them bytewise) and an exact dyadic quotient divided out first."""
+    j = (d & -d).bit_length() - 1
+    if not n % (d >> j):
+        n, e, d, j = n // (d >> j), e - j, 1, 0
+    k = max((n & -n).bit_length() - 1, 0)
+    return mpf_div(from_man_exp(n >> k, e + k), from_man_exp(d >> j, j), prec, "n")
+
+
+def _form_root(form: QuadForm, prec: int) -> mpc:
+    """The root (-b + i sqrt|D|)/(2a) of form, -b and the isqrt rounded at
+    prec over 2a (bit for bit mpc(-b, ldexp(isqrt, -prec))/(2a) at CM forms)."""
+    _, im, ex, _ = _quotient(_sqrt_disc(form.discriminant(), prec)[0], -prec, 1, prec)
+    return mpmath.mp.make_mpc((_quotient(-form.b, 0, 2 * form.a, prec),
+                               _quotient(im, ex, 2 * form.a, prec)))
+
+
+def _t(form: QuadForm, red: QuadForm, m, prec: int):
+    """t = i/(c alpha + d) = (c sqrt|D| + iX)/(2A), X = 2ad - cb', at the root
+    alpha of form [a, b, c'] for the normalised m = (p, q, c, d) that
+    carries it to the root of red = [A, ., .] (X^2 + c^2 |D| = 4aA), in
+    integers (_sqrt_disc): a (value, error exponent) pair (_emul), each part
+    truncated, the real part moved c/(2A) more units by an inexact isqrt."""
+    (_, _, c, d), a2 = m, 2 * red.a
+    root, exact = _sqrt_disc(form.discriminant(), prec)
+    t = (c * root // a2, (2 * form.a * d - c * form.b << prec) // a2)
+    return t, 1 if exact else (c // a2 + 3).bit_length()
 
 
 def _dedekind6(h: int, k: int) -> int:
@@ -210,9 +235,9 @@ def _ediv(a, b, prec: int):
 def _rounded(z, prec: int, bits: int):
     """(mpc, error exponent): the pair z at scale 2^prec rounded to a
     bits-bit mpc, within 2^e absolute of the exact value (its error, and
-    the rounding under 2^(size z - bits) units)."""
+    the rounding under 2^(size z - bits) units); inf stays inf, whatever prec."""
     (x, e) = z
-    return _to_mpc(x, prec, bits), max(e, _size(x) - bits) + 1 - prec
+    return _to_mpc(x, prec, bits), e if e == _math.inf else max(e, _size(x) - bits) + 1 - prec
 
 
 def _cmul_within(a: tuple[int, int], b: tuple[int, int], prec: int,
@@ -291,9 +316,9 @@ def _reduced_basics(w: mpc, bits: int) -> dict:
 
     Each comes as a (value, error exponent) pair (units of 2^-prec, see
     _emul) whose exponent also covers the value at any point within
-    4 |w| 2^-prec of w, as the callers round w: |d/dw| of each is under 2^5
-    on the fundamental domain (|E2| < 1.2, |E4| < 2.1, |E6| < 3.3, d/dw =
-    2 pi i theta).
+    4 |w| 2^-prec of w (_form_root rounds w within |w| 2^-prec): |d/dw| of
+    each is under 2^5 on the fundamental domain (|E2| < 1.2, |E4| < 2.1,
+    |E6| < 3.3, d/dw = 2 pi i theta).
     """
     _check_budget(bits)
     n = _nterms(bits, mpmath.im(w))
@@ -347,9 +372,9 @@ def _j_reduced(w: mpc, bits: int, q: mpc | None = None) -> tuple[mpc, mpf]:
     a bound on |d log j / d log u| = |2u - 16|/|u + 16|; |w| >= 1 on the
     fundamental domain.  Relative errors of j, for the exact j at any point
     within |w| 2^(2-bits) of w:
-      - the root, off by up to |w| 2^(2-bits) (rounded at bits bits by the
-        caller; _reduce forms w within 4 |w| 2^-prec), with |d log u / dw| =
-        2 pi |1 + 24 sum k q^k/(1 + q^k)| < 7: under 28 K |w| 2^-bits;
+      - the root, off by up to |w| 2^(2-bits) (_j_from_eta rounds it within
+        |w| 2^-prec), with |d log u / dw| = 2 pi |1 + 24 sum k q^k/(1 + q^k)|
+        < 7: under 28 K |w| 2^-bits;
       - the exponential: its argument off by 2 pi |w| 2^(2-prec), plus exp's
         rounding, so q off by under 2^(5-prec) |w| relative (2^(18-prec) |w|
         from _nomes), weighted by d log u / d log q < 1.2 and K;
@@ -384,12 +409,10 @@ def _j_reduced(w: mpc, bits: int, q: mpc | None = None) -> tuple[mpc, mpf]:
     return j, eps
 
 
-def _j_from_eta(z: mpc, bits: int, q: mpc | None = None) -> tuple[mpc, mpf]:
-    """(j, relative error bound) anywhere on the upper half-plane along the
-    eta-only route (j is SL2(Z)-invariant: no transport), the bound
-    _j_reduced's; q = exp(2 pi i z), if given, is used when z is reduced."""
-    m, _, w = _reduce(z, bits + _GUARD)
-    return _j_reduced(w, bits, q if m == (1, 0, 0, 1) else None)
+def _j_from_eta(red: QuadForm, bits: int, q: mpc | None = None) -> tuple[mpc, mpf]:
+    """_j_reduced at the root w of a reduced form, with q = exp(2 pi i w)
+    if given (_nomes)."""
+    return _j_reduced(_form_root(red, bits + _GUARD), bits, q)
 
 
 def _transport(v: dict, m, t, prec: int) -> dict:
@@ -414,12 +437,29 @@ def _transport(v: dict, m, t, prec: int) -> dict:
     return out
 
 
-def _basics(z: mpc, bits: int) -> dict:
-    """The fixed-point basics at z, from the kernel at w = m z (_reduce);
-    the budget is checked before _reduce works at the rung's precision."""
+def _kernel_table(bits: int, e6: bool = True) -> _ClassTable:
+    """Reduced form -> the basics at its root (_reduced_basics), E6 dropped
+    unless e6; the budget is checked before any work at its precision."""
     _check_budget(bits)
-    m, t, w = _reduce(z, bits + _GUARD)
-    return _transport(_reduced_basics(w, bits), m, (t, 1), bits + _GUARD)
+
+    def kernel(red: QuadForm) -> dict:
+        v = _reduced_basics(_form_root(red, bits + _GUARD), bits)
+        if not e6:
+            del v["e6"]
+        return v
+
+    return _ClassTable(kernel)
+
+
+def _at(form: QuadForm, table, bits: int) -> dict:
+    """The basics at the root of form: table[R] carried back from R (_reducing, _t)."""
+    red, m = _reducing(form)
+    return _transport(table[red], m, _t(form, red, m, bits + _GUARD), bits + _GUARD)
+
+
+def _basics(z: mpc, bits: int) -> dict:
+    """The fixed-point basics at z, at the root of its form (_form, _at)."""
+    return _at(_form(z), _kernel_table(bits), bits)
 
 
 def _as_mpc(v: dict, bits: int) -> dict:
@@ -438,11 +478,9 @@ def eval_eta(z: mpc, cfg: PrecisionConfig) -> mpc:
     """eta(z): the square root of eta^2(z) that exp(pi i k/12) turns into
     the principal root of t eta^2(w) (argument within pi/3 of 0), so a
     53-bit root of unity tells the two apart."""
-    bits, prec = cfg.eval_bits, cfg.eval_bits + _GUARD
-    m, t, w = _reduce(z, prec)
+    bits, m = cfg.eval_bits, _reducing(_form(z))[1]
     with mpmath.workprec(bits):
-        v = _transport(_reduced_basics(w, bits), m, (t, 1), prec)
-        root = mpmath.sqrt(_as_mpc(v, bits)["eta2"])
+        root = mpmath.sqrt(_as_mpc(_basics(z, bits), bits)["eta2"])
         unit = mpmath.mpmathify(cmath.exp(1j * _math.pi * (_eta_k(m) % 24) / 12))
         return root if mpmath.re(root * unit) > 0 else -root
 
@@ -450,8 +488,7 @@ def eval_eta(z: mpc, cfg: PrecisionConfig) -> mpc:
 def eval_eisenstein(k: int, z: mpc, cfg: PrecisionConfig) -> mpc:
     if k not in (2, 4, 6):
         raise ValueError(f"unsupported Eisenstein weight {k}")
-    with mpmath.workprec(cfg.eval_bits):
-        return _as_mpc(_basics(z, cfg.eval_bits), cfg.eval_bits)[f"e{k}"]
+    return _as_mpc(_basics(z, cfg.eval_bits), cfg.eval_bits)[f"e{k}"]
 
 
 def eval_j(z: mpc, cfg: PrecisionConfig) -> mpc:
@@ -471,12 +508,17 @@ def eval_theta_j(z: mpc, cfg: PrecisionConfig) -> mpc:
     return _j_and_theta_j(z, cfg)[1]
 
 
-def _combine(at: dict, prec: int):
-    """(f, theta_f, den, ex), F = f/den 2^-ex and thetaF = theta_f/den 2^-ex
-    at z from the fixed-point basics at[d] at d z (d = 1, 2, 3, 6) by the
-    chain rule: theta f(dz) = d (theta f)(dz), theta E2 = (E2^2 - E4)/12,
-    theta log eta = E2/24; den 2^ex is the eta^2 product times 24/FP_PREFACTOR.
-    f, theta_f and den are (value, error exponent) pairs."""
+def _form_and_theta(form: QuadForm, bits: int, table, g, keys=("f", "theta_f", "p")):
+    """({"f": F, "theta_f": thetaF, "p": P} for the keys asked, the basics at
+    alpha), each an (mpc, error exponent) pair (_rounded), at the root alpha
+    of a form [a, b, c] with 6 | a: F of series.fp_series, P = -thetaF - F g
+    for a pair g = 1/(2 pi Im alpha).  d alpha (d = 1, 2, 3, 6) is the root
+    of [a/d, b, dc] (_at); F = f/den 2^-ex and thetaF = theta_f/den 2^-ex by
+    the chain rule, theta E2 = (E2^2 - E4)/12, theta log eta = E2/24, and
+    den 2^ex is the eta^2 product times 24/FP_PREFACTOR."""
+    prec, pre = bits + _GUARD, FP_PREFACTOR
+    at = {d: _at(QuadForm(form.a // d, form.b, d * form.c), table, bits)
+          for d, _ in FP_ETA_FACTORS}
     num = _esum((c, at[d]["e2"]) for d, c in FP_E2_COMBINATION)
     theta = _esum((2 * c * d, _esum([(1, _emul(at[d]["e2"], at[d]["e2"], prec)),
                                      (-1, at[d]["e4"])])) for d, c in FP_E2_COMBINATION)
@@ -485,48 +527,34 @@ def _combine(at: dict, prec: int):
     for d, e in FP_ETA_FACTORS:  # every e is even
         for _ in range(e // 2):
             den, ex = _emul(den, at[d]["eta2"], prec), ex + at[d]["eta2_exp"]
-    pre = FP_PREFACTOR
-    return (_esum([(24 * pre.numerator, num)]),
-            _esum([(pre.numerator, theta), (-pre.numerator, drift)]),
-            _esum([(24 * pre.denominator, den)]), ex)
+    f = _esum([(24 * pre.numerator, num)])
+    theta_f = _esum([(pre.numerator, theta), (-pre.numerator, drift)])
+    den = _esum([(24 * pre.denominator, den)])
+    parts = {"f": f, "theta_f": theta_f, "p": _esum([(-1, theta_f), (-1, _emul(f, g, prec))])}
+    return ({key: _rounded(_ediv(x, den, prec), prec + ex, bits) for key, x in parts.items()
+             if key in keys}, at[1])
 
 
-def _p_of(f, theta_f, g, prec: int):
-    """P = -thetaF - F g over _combine's den, g = 1/(2 pi Im z) in fixed
-    point; all three are (value, error exponent) pairs."""
-    return _esum([(-1, theta_f), (-1, _emul(f, g, prec))])
-
-
-def _form_and_theta(z: mpc, bits: int):
-    """({"f": F, "theta_f": thetaF, "p": P}, the fixed-point basics at z),
-    each of F, thetaF and P an (mpc, error exponent) pair (_rounded), F the
-    form of series.fp_series, from the basics at z, 2z, 3z and 6z (exact
-    multiples of z's binary value)."""
-    prec = bits + _GUARD
-    at = {d: _basics(mpmath.fmul(z, d, exact=True), bits) for d, _ in FP_ETA_FACTORS}
-    f, theta_f, den, ex = _combine(at, prec)
+def _point_parts(z: mpc, bits: int):
+    """_form_and_theta at z's form, in a table of its own, g from mpmath."""
+    form, table, prec = _form(z), _kernel_table(bits), bits + _GUARD
     with mpmath.workprec(prec):
         g = to_fixed((1 / (2 * mpmath.pi * mpmath.im(z)))._mpf_, prec)
     # three roundings and the truncation
     g = ((g, 0), max(g.bit_length() + 2 - prec, 0) + 1)
-    parts = {"f": f, "theta_f": theta_f, "p": _p_of(f, theta_f, g, prec)}
-    return ({key: _rounded(_ediv(x, den, prec), prec + ex, bits) for key, x in parts.items()},
-            at[1])
+    return _form_and_theta(form, bits, table, g)
 
 
 def eval_form(z: mpc, cfg: PrecisionConfig) -> mpc:
-    with mpmath.workprec(cfg.eval_bits):
-        return _form_and_theta(z, cfg.eval_bits)[0]["f"][0]
+    return _point_parts(z, cfg.eval_bits)[0]["f"][0]
 
 
 def eval_theta_form(z: mpc, cfg: PrecisionConfig) -> mpc:
-    with mpmath.workprec(cfg.eval_bits):
-        return _form_and_theta(z, cfg.eval_bits)[0]["theta_f"][0]
+    return _point_parts(z, cfg.eval_bits)[0]["theta_f"][0]
 
 
 def eval_P(z: mpc, cfg: PrecisionConfig) -> mpc:
-    with mpmath.workprec(cfg.eval_bits):
-        return _form_and_theta(z, cfg.eval_bits)[0]["p"][0]
+    return _point_parts(z, cfg.eval_bits)[0]["p"][0]
 
 
 def _conj(value):
@@ -561,70 +589,36 @@ def _nomes(forms, bits: int) -> list[mpc]:
 
 
 class _ClassTable(dict):
-    """Reduced form -> kernel(form) within one precision.  A miss runs the
-    kernel once; every value (a miss's or one ``put``) also fills the mirror
-    [a, -b, c], when reduced and distinct, with the exact conjugate (_conj):
-    its root is -conj of the form's, and eta^2, E2, E4, E6 and j have real
-    Fourier coefficients."""
+    """Reduced form -> kernel(form) within one precision.  A miss takes the
+    exact conjugate (_conj) of a held mirror [a, -b, c], whose root is -conj
+    of the form's (eta^2, E2, E4, E6 and j have real Fourier coefficients),
+    else runs the kernel once."""
 
     def __init__(self, kernel):
         super().__init__()
         self.kernel = kernel
 
     def __missing__(self, red: QuadForm):
-        return self.put(red, self.kernel(red))
-
-    def put(self, red: QuadForm, value):
-        self[red] = value
-        mirror = QuadForm(red.a, -red.b, red.c)
-        if mirror != red and mirror.is_reduced():
-            self[mirror] = _conj(value)
+        mirror = self.get(QuadForm(red.a, -red.b, red.c)) if self else None
+        self[red] = value = self.kernel(red) if mirror is None else _conj(mirror)
         return value
 
 
 def eval_P_cm(forms, cfg: PrecisionConfig) -> tuple[list, list]:
     """(values, error exponents), |P - value| < 2^e, of P at the CM points
-    alpha of forms [a, b, c] with 6 | a, with one kernel call per SL2(Z)
-    class, on fixed-point ints from the kernel to P.
-
-    d alpha (d = 1, 2, 3, 6) is the root (-b + i sqrt|D|)/(2A) of [A, b, dc],
-    A = a/d, and _reducing gives its reduced R and the matrix m = (p, q, c,
-    d) that carries d alpha to R's root: the kernel runs once per R (and its
-    mirror) in a _ClassTable that lives for one call, and _transport carries
-    the value by m, with t = 2A (c sqrt|D| + iX)/(X^2 + c^2 |D|), X = 2Ad -
-    cb.  One isqrt(|D| 2^2prec) per discriminant gives every t, every kernel
-    root and 1/(2 pi Im alpha) = a/(pi sqrt|D|).  The isqrt's truncation
-    moves t by 2A c/(X^2 + c^2 |D|) units, and 1/(2 pi Im alpha) by under 3a."""
+    of forms [a, b, c] with 6 | a (_form_and_theta), one kernel call per
+    SL2(Z) class of one table, without E6; 1/(2 pi Im alpha) = a/(pi
+    sqrt|D|) from the isqrt (_sqrt_disc) within 3a units."""
     bits, prec = cfg.eval_bits, cfg.eval_bits + _GUARD
-    roots = {f.discriminant(): _math.isqrt(-f.discriminant() << 2 * prec) for f in forms}
-
-    def kernel(red: QuadForm) -> dict:
-        with mpmath.workprec(prec):
-            w = mpc(-red.b, mpmath.ldexp(roots[red.discriminant()], -prec)) / (2 * red.a)
-        v = _reduced_basics(w, bits)
-        del v["e6"]  # P needs eta^2, E2 and E4 alone
-        return v
-
-    table = _ClassTable(kernel)
-    values, errors = [], []
+    table = _kernel_table(bits, e6=False)
+    pairs = []
     for form in forms:
         if form.a % 6:
             raise ValueError(f"form {form} has 6 not dividing a")
-        disc, at = form.discriminant(), {}
-        for d, _ in FP_ETA_FACTORS:
-            red, m = _reducing(QuadForm(form.a // d, form.b, d * form.c))
-            a2 = 2 * form.a // d
-            x = a2 * m[3] - m[2] * form.b
-            den = x * x - m[2] * m[2] * disc
-            t = (a2 * m[2] * roots[disc] // den, (a2 * x << prec) // den)
-            at[d] = _transport(table[red], m, (t, (a2 * m[2] // den + 3).bit_length()), prec)
-        f, theta_f, den, ex = _combine(at, prec)
-        g = ((form.a * ((_constants(prec)[1] << prec) // roots[disc]), 0),
-             (3 * form.a).bit_length())
-        value, err = _rounded(_ediv(_p_of(f, theta_f, g, prec), den, prec), prec + ex, bits)
-        values.append(value)
-        errors.append(err)
-    return values, errors
+        g = ((form.a * ((_constants(prec)[1] << prec) // _sqrt_disc(form.discriminant(), prec)[0]),
+              0), (3 * form.a).bit_length())
+        pairs.append(_form_and_theta(form, bits, table, g, ("p",))[0]["p"])
+    return [value for value, _ in pairs], [err for _, err in pairs]
 
 
 def _guarded_j(v: dict, cfg: PrecisionConfig) -> mpc:
@@ -660,7 +654,7 @@ def _values(z: mpc, cfg: PrecisionConfig) -> dict:
     "c", "aprime" and "j", under the ambient precision (_abc), with
     A' = A j (j - 1728), so that P = A + B C, and A' is regular at CM
     points of the discriminants in use."""
-    parts, basics = _form_and_theta(z, cfg.eval_bits)
+    parts, basics = _point_parts(z, cfg.eval_bits)
     v = _as_mpc(basics, cfg.eval_bits)
     jval = _guarded_j(v, cfg)
     a, b, c = _abc(mpmath.mp, parts["f"][0], parts["theta_f"][0], v, jval, mpmath.im(z))
@@ -701,7 +695,7 @@ def _eval_bounded(what: str, z: mpc, cfg: PrecisionConfig):
     box from the value."""
     bits, y = cfg.eval_bits, mpmath.im(z)
     prec, iv = bits + _GUARD, mpmath.iv
-    parts, basics = ({}, _basics(z, bits)) if what in ("C", "j") else _form_and_theta(z, bits)
+    parts, basics = ({}, _basics(z, bits)) if what in ("C", "j") else _point_parts(z, bits)
     if what in ("F", "P"):
         value, err = parts[what.lower()]
         return value, mpf(2) ** err

@@ -118,12 +118,11 @@ def _images(form: QuadForm, classes):
 
 def _j_classes(reds, bits: int) -> list:
     """(j, relative error bound) at the roots of reduced forms that share a
-    and the discriminant, the roots taken at bits bits, with one exponential
-    for all of them (``_nomes``) when there are several; the kernel runs
-    through this module's _j_from_eta."""
+    and the discriminant, with one exponential for all of them (``_nomes``)
+    when there are several; the kernel runs through this module's
+    _j_from_eta."""
     nomes = _nomes(reds, bits) if len(reds) > 1 else [None]
-    with mpmath.workprec(bits):
-        return [_j_from_eta(_root(red), bits, q) for red, q in zip(reds, nomes)]
+    return [_j_from_eta(red, bits, q) for red, q in zip(reds, nomes)]
 
 
 def _j_table(cfg: PrecisionConfig, forms=(), classes=()) -> _ClassTable:
@@ -131,9 +130,10 @@ def _j_table(cfg: PrecisionConfig, forms=(), classes=()) -> _ClassTable:
     evaluation precision.  The kernel calls that the CM points of forms and
     their images under classes need, one per class and its mirror, are made
     at once over the CPUs (``_fork_map``), in groups that share a and the
-    discriminant (one exponential), largest a (longest series) first; any
-    other form is filled on a miss.  The kernel's budget is checked first,
-    so a precision it refuses fails before any process starts.
+    discriminant (one exponential), largest a (longest series) first; a
+    mirror is conjugated and any other form computed on a miss.  The
+    kernel's budget is checked first, so a precision it refuses fails before
+    any process starts.
     """
     bits = cfg.eval_bits
     _check_budget(bits)
@@ -150,8 +150,7 @@ def _j_table(cfg: PrecisionConfig, forms=(), classes=()) -> _ClassTable:
     groups = sorted(groups.values(), key=lambda group: -group[0].a)
     values = _fork_map(_j_classes, [(group, bits) for group in groups])
     for group, group_values in zip(groups, values):
-        for red, value in zip(group, group_values):
-            table.put(red, value)
+        table.update(zip(group, group_values))
     return table
 
 

@@ -122,7 +122,7 @@ def _magnitude(value) -> int:
     the numbers in a value (a number, or lists and tuples of them)."""
     if isinstance(value, (list, tuple)):
         return max((_magnitude(v) for v in value), default=0)
-    return max(int(mpmath.mag(value)), 0)
+    return int(max(mpmath.mag(value), 0))
 
 
 def run_adaptive(task: Callable[[int], tuple], cfg: PrecisionConfig):

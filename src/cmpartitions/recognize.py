@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mpc, mpf
 
-from .errors import NotNearIntegral
-from .evaluate import _cmul, _conj, _csum, _fixed, _to_mpc, eval_P_cm
-from .precision import PrecisionConfig, run_adaptive
+from .errors import NotNearIntegral, PrecisionExhausted
+from .evaluate import _BUDGET_BITS, _cmul, _conj, _csum, _fixed, _to_mpc, eval_P_cm
+from .precision import PrecisionConfig, _magnitude, run_adaptive
 from .quadforms import QuadForm, conjugate_partners, enumerate_qn
 from .series import _pentagonal_exponents
 
@@ -58,9 +58,14 @@ def orbit_product(values, scale: int = 1, errors=None):
     under (exp(rho) - 1) e_k(U) <= 2 rho prod(1 + U_i), and the truncations
     here add under 8 h (h + 1) 2^-prec prod(1 + U_i) for h values (their
     1-norms grow by at most the factors' own).  It is summed in log2 floats,
-    2^(10^-6) up for their roundings."""
+    2^(10^-6) up for their roundings.  Values whose magnitudes sum to 2^15
+    bits or more would need a rung beyond the kernels' budget: refused."""
     if not values:
         raise ValueError("orbit product needs at least one value")
+    magnitude = sum(_magnitude(v) for v in values)
+    if magnitude >= _BUDGET_BITS:
+        raise PrecisionExhausted(f"orbit product of magnitude 2^{mpmath.nstr(mpf(magnitude), 3)}, "
+                                 f"at or beyond the kernels' budget of {_BUDGET_BITS} bits")
     prec = _carried_bits(values) + 32
     with mpmath.workprec(prec):
         values = [mpc(v) for v in values]

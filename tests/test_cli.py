@@ -1,6 +1,5 @@
 import json
 import os
-import sys
 import time
 from collections import Counter
 
@@ -120,12 +119,21 @@ class TestBasicCommands:
     @pytest.mark.parametrize("z", ["0,1e30", "0.1,1e-3000"])
     def test_astronomical_value_exhausts_precision(self, capsys, z):
         # |j(10^30 i)| is about e^(2 pi 10^30), and 0.1 + 10^-3000 i reduces
-        # to Im w near 10^2998: the kernels' budget refuses the rung sized
-        # from that magnitude before any work at its precision
-        code, out, err = run_cli(capsys, "eval", "--what", "j", "--z", z, "--no-cache")
-        assert code == 3
-        assert out == ""
-        assert "precision exhausted" in err and "Traceback" not in err
+        # to Im w near 2^1704: the kernels' budget refuses the rung sized
+        # from that magnitude before any work at its precision, or the
+        # ladder runs out on F's unbounded error; the resolvents' orbit
+        # products refuse values that large.  C stays bounded there.
+        for argv in [("eval", "--what", what, "--z", z) for what in "FPABj"] + [
+                ("verify-appendix", "--z", z)]:
+            code, out, err = run_cli(capsys, *argv, "--no-cache")
+            assert code == 3, argv
+            assert out == ""
+            assert err.startswith("precision exhausted:") and err.count("\n") == 1, argv
+        code, out, _ = run_cli(capsys, "eval", "--what", "C", "--z", z, "--no-cache", "--json")
+        assert code == 0
+        assert json.loads(out)["value"][0].startswith(
+            {"0,1e30": "-1.94294085181633010802630009404",
+             "0.1,1e-3000": "2.15789572701612505548883214036"}[z])
 
     def test_norms_beyond_kernel_budget_refused(self, capsys):
         # the n = 4 beta-norm needs about 53000 bits, past the kernels'
@@ -164,68 +172,58 @@ class TestBasicCommands:
 
 
 class TestKernelCounts:
-    """One evaluation per point: four basics (at z, 2z, 3z, 6z) give P, A, B,
-    C and j, and one gives j and theta j.  pn makes one kernel call per
-    SL2(Z) class per rung."""
+    """One evaluation per point: four kernel calls (at z, 2z, 3z, 6z) give
+    P, A, B, C and j, and one gives j and theta j.  pn makes one kernel call
+    per SL2(Z) class per rung."""
 
     @pytest.fixture
-    def basics_calls(self, monkeypatch):
-        original = evaluate._basics
+    def kernel_calls(self, monkeypatch):
+        # the working bits of each call of the basics kernel
+        original = evaluate._reduced_basics
         calls = []
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def counting(w, b):
+            calls.append(b)
+            return original(w, b)
 
-        for name, module in list(sys.modules.items()):
-            if (name.startswith("cmpartitions")
-                    and getattr(module, "_basics", None) is original):
-                monkeypatch.setattr(module, "_basics", counting)
+        monkeypatch.setattr(evaluate, "_reduced_basics", counting)
         return calls
 
-    def test_verify_decomp(self, capsys, basics_calls):
+    def test_verify_decomp(self, capsys, kernel_calls):
         code, out, _ = run_cli(capsys, "verify-decomp", "--trials", "3",
                                "--n-max", "2", "--tol", "2^-160",
                                "--precision-bits", "512", "--seed", "1",
                                "--no-cache", "--json")
         assert code == 0
         assert json.loads(out)["points"] == 11
-        assert len(basics_calls) == 4 * 11
+        assert len(kernel_calls) == 4 * 11
 
-    def test_masser_n1(self, capsys, basics_calls):
+    def test_masser_n1(self, capsys, kernel_calls):
         # per form: alpha and its 24 images, then eval_C at alpha
         code, out, _ = run_cli(capsys, "masser", "--n", "1", "--tol", "1e-15",
                                "--precision-bits", "512", "--no-cache",
                                "--json")
         assert code == 0
         assert len(json.loads(out)["rows"]) == 3
-        assert len(basics_calls) == 26 * 3
+        assert len(kernel_calls) == 26 * 3
 
-    def test_verify_appendix(self, capsys, basics_calls):
+    def test_verify_appendix(self, capsys, kernel_calls):
         # 12 coset images, each at four multiples; j(z) is the identity's
         code, out, _ = run_cli(capsys, "verify-appendix", "--trials", "2",
                                "--tol", "1e-30", "--precision-bits", "512",
                                "--seed", "1", "--no-cache", "--json")
         assert code == 0
         assert json.loads(out)["points"] == 2
-        assert len(basics_calls) == 48 * 2
+        assert len(kernel_calls) == 48 * 2
 
     @pytest.mark.parametrize("n, classes", [(1, 2), (2, 3), (30, 16)])
-    def test_pn_one_kernel_call_per_class_per_rung(self, capsys, monkeypatch,
+    def test_pn_one_kernel_call_per_class_per_rung(self, capsys, kernel_calls,
                                                    n, classes):
         # the evaluated forms' points at alpha, 2 alpha, 3 alpha and 6 alpha
         # meet this many SL2(Z) classes, counting a class and its mirror once
-        original = evaluate._reduced_basics
-        bits = []
-
-        def counting(w, b):
-            bits.append(b)
-            return original(w, b)
-
-        monkeypatch.setattr(evaluate, "_reduced_basics", counting)
         code, _, _ = run_cli(capsys, "pn", "--n", str(n), "--no-cache")
         assert code == 0
-        per_rung = Counter(bits)
+        per_rung = Counter(kernel_calls)
         # the first rung closes for n = 1 and 2; for n = 30 it sizes one
         # more, at the orbit polynomial's magnitude plus 256 bits
         assert len(per_rung) == {1: 1, 2: 1, 30: 2}[n]

@@ -9,14 +9,15 @@ from mpmath.libmp import to_rational
 
 from cmpartitions import evaluate, recognize
 from cmpartitions.errors import NearSingularity, NotUpperHalfPlane
-from cmpartitions.evaluate import (_as_mpc, _ClassTable, _eta_k, _eval_bounded, _j_reduced,
-                                   _nterms, _reduce, _reduced_basics, al_deviation,
+from cmpartitions.evaluate import (_as_mpc, _ClassTable, _eta_k, _eval_bounded, _form,
+                                   _form_root, _j_reduced, _nterms, _reduced_basics,
+                                   _reducing, _t, al_deviation,
                                    atkin_lehner_check, eval_A, eval_Aprime,
                                    eval_B, eval_C, eval_eisenstein, eval_eta,
                                    eval_form, eval_j, eval_P, eval_P_cm,
                                    eval_theta_form, eval_theta_j)
 from cmpartitions.precision import PrecisionConfig
-from cmpartitions.quadforms import QuadForm, cm_point, enumerate_qn
+from cmpartitions.quadforms import QuadForm, _root, cm_point, enumerate_qn
 from cmpartitions.recognize import compute_pn
 from cmpartitions.series import eisenstein_series, fp_series
 
@@ -60,31 +61,37 @@ class TestReduction:
     PREC = 288
 
     def test_fixed_point(self):
-        matrix, t, w = _reduce(mpc(0, 1), self.PREC)
+        red, matrix = _reducing(_form(mpc(0, 1)))
         assert matrix == (1, 0, 0, 1)
-        assert t == (0, 1 << self.PREC)
-        assert w == mpc(0, 1)
+        assert red == QuadForm(36, 0, 36)
+        assert _t(_form(mpc(0, 1)), red, matrix, self.PREC) == ((0, 1 << self.PREC), 1)
 
     def test_translation(self):
-        matrix, _, w = _reduce(mpc(5, 1), self.PREC)
+        red, matrix = _reducing(_form(mpc(5, 1)))
         assert matrix == (1, -5, 0, 1)
-        assert w == mpc(0, 1)
+        assert red == QuadForm(36, 0, 36)
+        assert _form_root(red, self.PREC) == mpc(0, 1)
 
     def test_deep_point(self):
         with mpmath.workprec(self.PREC):
             z = mpc(mpf("0.1"), mpf("0.01"))
-            matrix, t, w = _reduce(z, self.PREC)
+            red, matrix = _reducing(_form(z))
+            w = _root(red)
             assert mpmath.im(w) >= mpmath.sqrt(3) / 2
             a, b, c, d = matrix
             assert a * d - b * c == 1
             assert c > 0 or (c == 0 and d > 0)
             assert abs(apply_moebius(matrix, z) - w) < mpf(2) ** -270
+            # the kernel's root, rounded once: within an ulp of _root's
+            assert abs(_form_root(red, self.PREC) - w) <= abs(w) * mpf(2) ** (1 - self.PREC)
+            t, err = _t(_form(z), red, matrix, self.PREC)
+            assert err == 1  # the isqrt of a binary form's |D| is exact
             assert abs(mpc(*t) / 2 ** self.PREC - 1j / (c * z + d)) < mpf(2) ** -280
 
     def test_rejects_lower_half(self):
         for z in (mpc(0, -1), mpf(1), mpc(0, mpmath.inf), mpc(mpmath.nan, 1)):
             with pytest.raises(NotUpperHalfPlane):
-                _reduce(z, self.PREC)
+                _form(z)
 
     def test_matrix_reduces_exact_form(self):
         # The matrix is normalised, in SL2(Z), and carries the form of z's
@@ -96,18 +103,21 @@ class TestReduction:
                       for _ in range(1000)]
         points += [mpc(0.5, 1), mpc(-0.5, 1), mpc(0, 1)]
         for z in points:
-            matrix = _reduce(z, self.PREC)[0]
+            red, matrix = _reducing(_form(z))
             a, b, c, d = matrix
             assert a * d - b * c == 1
             assert c > 0 or (c == 0 and d > 0)
-            assert exact_form(z).transform((d, -b, -c, a)).is_reduced(), (z, matrix)
+            exact = exact_form(z).transform((d, -b, -c, a))
+            assert exact.is_reduced(), (z, matrix)
+            k = red.a // exact.a
+            assert red == QuadForm(k * exact.a, k * exact.b, k * exact.c), (z, matrix)
 
     def test_boundary_follows_forms(self):
         # Re z = 1/2 on the boundary goes to Re w = -1/2, as reduced forms
         # [a, b, c] have b = a, not -a
-        matrix, _, w = _reduce(mpc(0.5, 1), self.PREC)
+        red, matrix = _reducing(_form(mpc(0.5, 1)))
         assert matrix == (1, -1, 0, 1)
-        assert w == mpc(-0.5, 1)
+        assert _root(red) == mpc(-0.5, 1)
 
 
 class TestEta:
@@ -420,13 +430,13 @@ class TestCMValues:
 
         class Recording(_ClassTable):
             def __init__(self, kernel):
-                super().__init__(kernel)
-                self.missed = set()
-                tables.append(self)
+                def recording(red):
+                    self.computed.add(red)
+                    return kernel(red)
 
-            def __missing__(self, red):
-                self.missed.add(red)
-                return super().__missing__(red)
+                super().__init__(recording)
+                self.computed = set()
+                tables.append(self)
 
         monkeypatch.setattr(evaluate, "_ClassTable", Recording)
         cfg = PrecisionConfig(256)
@@ -435,7 +445,7 @@ class TestCMValues:
         for n in range(1, 6):
             eval_P_cm(enumerate_qn(n), cfg)
             table = tables[-1]
-            for red in set(table) - table.missed:
+            for red in set(table) - table.computed:
                 direct, filled_in = table.kernel(red), table[red]
                 assert set(direct) == set(filled_in)
                 assert direct["eta2_exp"] == filled_in["eta2_exp"]
@@ -479,6 +489,26 @@ class TestCMValues:
         mirror = table[QuadForm(2, -1, 3)]
         assert mirror["j"].real == conj.real and mirror["j"].imag == conj.imag
         assert mirror["eps"] == 1 and len(table) == 2
+
+    def test_one_off_point_fills_no_mirror(self, monkeypatch):
+        # a table takes a mirror's conjugate on lookup only, so it holds
+        # just the classes asked for: one form, or a generic point's four
+        # multiples in the one table of its own
+        table = _ClassTable(lambda red: {"j": mpc(1, 3), "eps": mpf(1)})
+        table[QuadForm(2, 1, 3)]
+        assert list(table) == [QuadForm(2, 1, 3)]
+        tables = []
+
+        class Recording(_ClassTable):
+            def __init__(self, kernel):
+                super().__init__(kernel)
+                tables.append(self)
+
+        monkeypatch.setattr(evaluate, "_ClassTable", Recording)
+        eval_P(mpc(0.13, 0.021), PrecisionConfig(256))
+        (table,) = tables
+        assert len(table) == 4
+        assert not any(QuadForm(red.a, -red.b, red.c) in table for red in table if red.b)
 
 
 class TestDecomposition:
@@ -573,8 +603,11 @@ class TestEvalBound:
         # both sides of the boundary Re z = +-1/2
         rng = random.Random(5)
         with mpmath.workprec(600):
-            return [mpc(mpf(rng.uniform(-0.7, 0.7)), mpf(10) ** rng.uniform(-3, 0.7))
-                    for _ in range(8)] + [mpc(0, 200), mpc(0.5, 1.25), mpc(-0.5, 1.25)]
+            points = [mpc(mpf(rng.uniform(-0.7, 0.7)), mpf(10) ** rng.uniform(-3, 0.7))
+                      for _ in range(8)] + [mpc(0, 200), mpc(0.5, 1.25), mpc(-0.5, 1.25)]
+        # read at 4128 bits, as eval reads --z: a form of ~8000-bit coefficients
+        with mpmath.workprec(4128):
+            return points + [mpc(mpf("0.13"), mpf("0.021"))]
 
     @pytest.mark.parametrize("what", sorted(FUNCTIONS))
     def test_bound_holds_against_256_more_bits(self, what):
