@@ -20,7 +20,7 @@ from mpmath import mpc, mpf
 from . import modpoly, recognize, resolvent
 from .errors import (CMPartitionsError, NearSingularity, NotNearIntegral,
                      PrecisionExhausted)
-from .evaluate import _eval_bounded, _values, eval_C
+from .evaluate import _eval_bounded, _form, _form_root, _kernel_table, _values
 from .precision import PrecisionConfig, run_adaptive
 from .quadforms import cm_point, enumerate_qn
 from .series import fp_series, hypothesis_check
@@ -349,23 +349,21 @@ def _random_points(seed: int, count: int):
 
 def _cmd_verify_decomp(args) -> int:
     cfg = _config(args)
-    worst = mpf(0)
-    worst_at = None
-    points = [("random", z) for z in _random_points(args.seed, args.trials)]
+    worst, worst_at, table = mpf(0), None, _kernel_table(cfg.eval_bits)
+    points = [("random", _form(z)) for z in _random_points(args.seed, args.trials)]
     for n in range(1, args.n_max + 1):
-        for form in enumerate_qn(n):
-            points.append((f"cm(n={n})", cm_point(form, cfg)))
+        points += [(f"cm(n={n})", form) for form in enumerate_qn(n)]
     with mpmath.workprec(cfg.eval_bits):
-        for label, z in points:
-            v = _values(z, cfg)
+        for label, form in points:
+            v = _values(form, table, cfg)
             dev = abs(v["p"] - (v["a"] + v["b"] * v["c"]))
             if dev > worst:
-                worst, worst_at = dev, (label, z)
+                worst, worst_at = dev, [label] + _cnstr(_form_root(form, cfg.eval_bits), 20)
     passed = bool(worst < cfg.abs_tol)
     doc = {"check": "P = A + B*C", "seed": args.seed, "trials": args.trials,
            "n_max": args.n_max, "points": len(points),
            "max_deviation": _nstr(worst, 20), "tolerance": _nstr(cfg.abs_tol, 20),
-           "worst_at": [worst_at[0]] + _cnstr(worst_at[1], 20), "pass": passed}
+           "worst_at": worst_at, "pass": passed}
     _emit(doc, args, [f"P = A + B*C over {len(points)} points "
                       f"(seed {args.seed}): max deviation {_nstr(worst, 10)} "
                       f"{'<' if passed else '>='} tol {_nstr(cfg.abs_tol, 10)}",
@@ -402,12 +400,13 @@ def _masser_rows(n: int, cfg: PrecisionConfig):
     classes = modpoly.hnf_classes(24 * n - 1)
     rows = []
     digits = max(20, int(cfg.working_bits * 0.30103))
+    table = _kernel_table(cfg.eval_bits)
     # Masser's formula needs a fixing class of determinant 24n - 1, which
     # only primitive forms (discriminant exactly 1 - 24n) have
     for form in [f for f in enumerate_qn(n) if f.content() == 1]:
-        data = modpoly.taylor_coeffs(form, classes, cfg)
+        data = modpoly._taylor(form, classes, cfg, table)
         from_taylor = data.masser_c()
-        direct = eval_C(cm_point(form, cfg), cfg)
+        direct = _values(form, table, cfg)["c"]
         with mpmath.workprec(cfg.eval_bits):
             deviation = abs(from_taylor - direct)
         rows.append({

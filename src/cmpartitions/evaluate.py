@@ -1,22 +1,21 @@
 """High-precision evaluation of eta quotients, Eisenstein series, j and the
-weight -2 / weight 0 pair (F, P) with its A + B*C split, at arbitrary points
-of the upper half-plane.
+weight -2 / weight 0 pair (F, P) with its A + B*C split.
 
-Every point is the root of an integer form: a CM point's own, or the form
-of z's exact binary value (_form), and is reduced with its form (_reducing).
-One sparse kernel gives eta^2, E2, E4 and E6 at the reduced root from one
-exponential q^(1/12) and a table of powers of q^(1/2), once per class in a
-_ClassTable.  From the kernel to F, thetaF and P values are fixed-point
-Gaussian ints (pairs of Python ints scaled by 2^prec, multiplied by _cmul);
-eta^2 carries its own power of two, so a product of them (2^-1800 at
-Im z = 200) keeps its relative precision.  _transport carries values back
-by the reducing matrix and t = i/(cz + d), a quotient of integers and one
-isqrt(|D| 2^2prec) (_t): eta^2 takes a twelfth root of unity from
-Rademacher's integer k (_eta_k), no square root.  Derivatives are analytic:
-theta(E2) = (E2^2 - E4)/12, theta(log eta) = E2/24.  Every fixed-point value
-carries an integer error exponent (_emul, _esum, _ediv), seeded by the
-kernel's budget: the bound of P at CM points (eval_P_cm) and of the eval
-command (_eval_bounded).
+Every caller hands over the integer form whose root is its point: a CM form,
+an exact image of one, or at the public eval_*(z, cfg) the form of z's exact
+binary value (_form); Im = sqrt|D|/(2a) is read off the form (_im).  One
+sparse kernel gives eta^2, E2, E4 and E6 at the reduced root (_reducing)
+from one exponential q^(1/12) and a table of powers of q^(1/2), once per
+class of the caller's _ClassTable.  From the kernel to F, thetaF and P values
+are fixed-point Gaussian ints (Python ints scaled by 2^prec, _cmul); eta^2
+carries its own power of two, so a product of them (2^-1800 at Im z = 200)
+keeps its relative precision.  _transport carries values back by the
+reducing matrix and t = i/(cz + d), in integers (_t), eta^2 with a twelfth
+root of unity from Rademacher's integer k (_eta_k).  Derivatives are
+analytic: theta(E2) = (E2^2 - E4)/12, theta(log eta) = E2/24.  Every
+fixed-point value carries an integer error exponent (_emul, _esum, _ediv),
+seeded by the kernel's budget: the bound of P at CM points (eval_P_cm) and
+of the eval command (_eval_bounded).
 """
 
 from __future__ import annotations
@@ -86,6 +85,13 @@ def _form_root(form: QuadForm, prec: int) -> mpc:
                                _quotient(im, ex, 2 * form.a, prec)))
 
 
+def _im(form: QuadForm, prec: int) -> mpf:
+    """Im of the root of form, sqrt|D|/(2a): exact at the form of a binary
+    point (_form: the isqrt exact, the quotient dyadic), else rounded at prec."""
+    root, exact = _sqrt_disc(form.discriminant(), prec)
+    return mpmath.mp.make_mpf(_quotient(root, -prec, 2 * form.a, prec + exact * root.bit_length()))
+
+
 def _t(form: QuadForm, red: QuadForm, m, prec: int):
     """t = i/(c alpha + d) = (c sqrt|D| + iX)/(2A), X = 2ad - cb', at the root
     alpha of form [a, b, c'] for the normalised m = (p, q, c, d) that
@@ -133,7 +139,8 @@ _BUDGET_BITS = 1 << 15
 
 def _check_budget(bits: int) -> None:
     if bits >= _BUDGET_BITS:
-        raise PrecisionExhausted(f"{bits} bits asked of a kernel whose error budget "
+        shown = bits if bits < 10**6 else mpmath.nstr(mpf(bits), 3)
+        raise PrecisionExhausted(f"{shown} bits asked of a kernel whose error budget "
                                  f"holds below {_BUDGET_BITS} bits")
 
 
@@ -457,11 +464,6 @@ def _at(form: QuadForm, table, bits: int) -> dict:
     return _transport(table[red], m, _t(form, red, m, bits + _GUARD), bits + _GUARD)
 
 
-def _basics(z: mpc, bits: int) -> dict:
-    """The fixed-point basics at z, at the root of its form (_form, _at)."""
-    return _at(_form(z), _kernel_table(bits), bits)
-
-
 def _as_mpc(v: dict, bits: int) -> dict:
     """eta^2, E2, E4 and E6 from the fixed-point basics v as bits-bit mpc."""
     prec = bits + _GUARD
@@ -478,45 +480,53 @@ def eval_eta(z: mpc, cfg: PrecisionConfig) -> mpc:
     """eta(z): the square root of eta^2(z) that exp(pi i k/12) turns into
     the principal root of t eta^2(w) (argument within pi/3 of 0), so a
     53-bit root of unity tells the two apart."""
-    bits, m = cfg.eval_bits, _reducing(_form(z))[1]
+    bits, form = cfg.eval_bits, _form(z)
     with mpmath.workprec(bits):
-        root = mpmath.sqrt(_as_mpc(_basics(z, bits), bits)["eta2"])
-        unit = mpmath.mpmathify(cmath.exp(1j * _math.pi * (_eta_k(m) % 24) / 12))
+        root = mpmath.sqrt(_as_mpc(_at(form, _kernel_table(bits), bits), bits)["eta2"])
+        k = _eta_k(_reducing(form)[1])
+        unit = mpmath.mpmathify(cmath.exp(1j * _math.pi * (k % 24) / 12))
         return root if mpmath.re(root * unit) > 0 else -root
 
 
 def eval_eisenstein(k: int, z: mpc, cfg: PrecisionConfig) -> mpc:
     if k not in (2, 4, 6):
         raise ValueError(f"unsupported Eisenstein weight {k}")
-    return _as_mpc(_basics(z, cfg.eval_bits), cfg.eval_bits)[f"e{k}"]
+    bits = cfg.eval_bits
+    return _as_mpc(_at(_form(z), _kernel_table(bits), bits), bits)[f"e{k}"]
+
+
+def _j_and_theta_j(form: QuadForm, table, cfg: PrecisionConfig):
+    """(j, theta j) at the root of form from the basics there (_at in table),
+    theta j = -E4^2 E6 / Delta."""
+    with mpmath.workprec(cfg.eval_bits):
+        v = _as_mpc(_at(form, table, cfg.eval_bits), cfg.eval_bits)
+        return _j_of(v), -(v["e4"] * v["e4"]) * v["e6"] / _ipow(v["eta2"], 12)
 
 
 def eval_j(z: mpc, cfg: PrecisionConfig) -> mpc:
-    with mpmath.workprec(cfg.eval_bits):
-        return _j_of(_as_mpc(_basics(z, cfg.eval_bits), cfg.eval_bits))
-
-
-def _j_and_theta_j(z: mpc, cfg: PrecisionConfig):
-    """(j, theta j) at z from one evaluation, theta j = -E4^2 E6 / Delta."""
-    with mpmath.workprec(cfg.eval_bits):
-        v = _as_mpc(_basics(z, cfg.eval_bits), cfg.eval_bits)
-        return _j_of(v), -(v["e4"] * v["e4"]) * v["e6"] / _ipow(v["eta2"], 12)
+    return _j_and_theta_j(_form(z), _kernel_table(cfg.eval_bits), cfg)[0]
 
 
 def eval_theta_j(z: mpc, cfg: PrecisionConfig) -> mpc:
     """theta applied to j, analytically."""
-    return _j_and_theta_j(z, cfg)[1]
+    return _j_and_theta_j(_form(z), _kernel_table(cfg.eval_bits), cfg)[1]
 
 
-def _form_and_theta(form: QuadForm, bits: int, table, g, keys=("f", "theta_f", "p")):
+def _form_and_theta(form: QuadForm, table, bits: int, g=None, keys=("f", "theta_f", "p")):
     """({"f": F, "theta_f": thetaF, "p": P} for the keys asked, the basics at
     alpha), each an (mpc, error exponent) pair (_rounded), at the root alpha
-    of a form [a, b, c] with 6 | a: F of series.fp_series, P = -thetaF - F g
-    for a pair g = 1/(2 pi Im alpha).  d alpha (d = 1, 2, 3, 6) is the root
-    of [a/d, b, dc] (_at); F = f/den 2^-ex and thetaF = theta_f/den 2^-ex by
-    the chain rule, theta E2 = (E2^2 - E4)/12, theta log eta = E2/24, and
-    den 2^ex is the eta^2 product times 24/FP_PREFACTOR."""
+    of a form [a, b, c] with 6 | a, from table: F of series.fp_series, P =
+    -thetaF - F g for a pair g = 1/(2 pi Im alpha), unless given from mpmath
+    at Im off the form (_im), its bound valid where Im is exact.  d alpha
+    (d = 1, 2, 3, 6) is the root of [a/d, b, dc] (_at); F = f/den 2^-ex and
+    thetaF = theta_f/den 2^-ex by the chain rule, theta E2 = (E2^2 - E4)/12,
+    theta log eta = E2/24, and den 2^ex is the eta^2 product times
+    24/FP_PREFACTOR."""
     prec, pre = bits + _GUARD, FP_PREFACTOR
+    if g is None:
+        with mpmath.workprec(prec):
+            g = to_fixed((1 / (2 * mpmath.pi * _im(form, prec)))._mpf_, prec)
+        g = ((g, 0), max(g.bit_length() + 2 - prec, 0) + 1)  # three roundings, a truncation
     at = {d: _at(QuadForm(form.a // d, form.b, d * form.c), table, bits)
           for d, _ in FP_ETA_FACTORS}
     num = _esum((c, at[d]["e2"]) for d, c in FP_E2_COMBINATION)
@@ -535,26 +545,16 @@ def _form_and_theta(form: QuadForm, bits: int, table, g, keys=("f", "theta_f", "
              if key in keys}, at[1])
 
 
-def _point_parts(z: mpc, bits: int):
-    """_form_and_theta at z's form, in a table of its own, g from mpmath."""
-    form, table, prec = _form(z), _kernel_table(bits), bits + _GUARD
-    with mpmath.workprec(prec):
-        g = to_fixed((1 / (2 * mpmath.pi * mpmath.im(z)))._mpf_, prec)
-    # three roundings and the truncation
-    g = ((g, 0), max(g.bit_length() + 2 - prec, 0) + 1)
-    return _form_and_theta(form, bits, table, g)
-
-
 def eval_form(z: mpc, cfg: PrecisionConfig) -> mpc:
-    return _point_parts(z, cfg.eval_bits)[0]["f"][0]
+    return _form_and_theta(_form(z), _kernel_table(cfg.eval_bits), cfg.eval_bits)[0]["f"][0]
 
 
 def eval_theta_form(z: mpc, cfg: PrecisionConfig) -> mpc:
-    return _point_parts(z, cfg.eval_bits)[0]["theta_f"][0]
+    return _form_and_theta(_form(z), _kernel_table(cfg.eval_bits), cfg.eval_bits)[0]["theta_f"][0]
 
 
 def eval_P(z: mpc, cfg: PrecisionConfig) -> mpc:
-    return _point_parts(z, cfg.eval_bits)[0]["p"][0]
+    return _form_and_theta(_form(z), _kernel_table(cfg.eval_bits), cfg.eval_bits)[0]["p"][0]
 
 
 def _conj(value):
@@ -617,7 +617,7 @@ def eval_P_cm(forms, cfg: PrecisionConfig) -> tuple[list, list]:
             raise ValueError(f"form {form} has 6 not dividing a")
         g = ((form.a * ((_constants(prec)[1] << prec) // _sqrt_disc(form.discriminant(), prec)[0]),
               0), (3 * form.a).bit_length())
-        pairs.append(_form_and_theta(form, bits, table, g, ("p",))[0]["p"])
+        pairs.append(_form_and_theta(form, table, bits, g, ("p",))[0]["p"])
     return [value for value, _ in pairs], [err for _, err in pairs]
 
 
@@ -649,40 +649,39 @@ def _abc(ctx, f, theta_f, v: dict, jval, y):
     return a, f * v["e6"] * jval / v["e4"], c
 
 
-def _values(z: mpc, cfg: PrecisionConfig) -> dict:
-    """P, A, B, C, A' and j at z from one evaluation, keyed "p", "a", "b",
-    "c", "aprime" and "j", under the ambient precision (_abc), with
-    A' = A j (j - 1728), so that P = A + B C, and A' is regular at CM
-    points of the discriminants in use."""
-    parts, basics = _point_parts(z, cfg.eval_bits)
-    v = _as_mpc(basics, cfg.eval_bits)
-    jval = _guarded_j(v, cfg)
-    a, b, c = _abc(mpmath.mp, parts["f"][0], parts["theta_f"][0], v, jval, mpmath.im(z))
-    return {"p": parts["p"][0], "a": a, "b": b, "c": c,
-            "aprime": a * jval * (jval - 1728), "j": jval}
+def _values(form: QuadForm, table, cfg: PrecisionConfig) -> dict:
+    """P, A, B, C, A' = A j (j - 1728) and j at the root of form (6 | a),
+    keyed "p", "a", "b", "c", "aprime" and "j", from one evaluation in table
+    at cfg's precision (_abc): P = A + B C, and A' is regular at CM points."""
+    bits = cfg.eval_bits
+    parts, basics = _form_and_theta(form, table, bits)
+    with mpmath.workprec(bits):
+        v = _as_mpc(basics, bits)
+        jval = _guarded_j(v, cfg)
+        a, b, c = _abc(mpmath.mp, parts["f"][0], parts["theta_f"][0], v, jval,
+                       _im(form, bits + _GUARD))
+        return {"p": parts["p"][0], "a": a, "b": b, "c": c,
+                "aprime": a * jval * (jval - 1728), "j": jval}
 
 
 def eval_A(z: mpc, cfg: PrecisionConfig) -> mpc:
-    with mpmath.workprec(cfg.eval_bits):
-        return _values(z, cfg)["a"]
+    return _values(_form(z), _kernel_table(cfg.eval_bits), cfg)["a"]
 
 
 def eval_B(z: mpc, cfg: PrecisionConfig) -> mpc:
-    with mpmath.workprec(cfg.eval_bits):
-        return _values(z, cfg)["b"]
+    return _values(_form(z), _kernel_table(cfg.eval_bits), cfg)["b"]
 
 
 def eval_C(z: mpc, cfg: PrecisionConfig) -> mpc:
     """C from the basics at z alone; level-1 invariant, so the value at a CM
     point only depends on its class."""
     with mpmath.workprec(cfg.eval_bits):
-        v = _as_mpc(_basics(z, cfg.eval_bits), cfg.eval_bits)
+        v = _as_mpc(_at(_form(z), _kernel_table(cfg.eval_bits), cfg.eval_bits), cfg.eval_bits)
         return _abc(mpmath.mp, None, None, v, _guarded_j(v, cfg), mpmath.im(z))[2]
 
 
 def eval_Aprime(z: mpc, cfg: PrecisionConfig) -> mpc:
-    with mpmath.workprec(cfg.eval_bits):
-        return _values(z, cfg)["aprime"]
+    return _values(_form(z), _kernel_table(cfg.eval_bits), cfg)["aprime"]
 
 
 def _eval_bounded(what: str, z: mpc, cfg: PrecisionConfig):
@@ -693,9 +692,10 @@ def _eval_bounded(what: str, z: mpc, cfg: PrecisionConfig):
     complex interval arithmetic (mpmath.iv) from boxes around F, thetaF and
     the basics at z, and the bound is the farthest point of the result's
     box from the value."""
-    bits, y = cfg.eval_bits, mpmath.im(z)
-    prec, iv = bits + _GUARD, mpmath.iv
-    parts, basics = ({}, _basics(z, bits)) if what in ("C", "j") else _point_parts(z, bits)
+    bits, y, form = cfg.eval_bits, mpmath.im(z), _form(z)
+    prec, iv, table = bits + _GUARD, mpmath.iv, _kernel_table(bits)
+    parts, basics = (({}, _at(form, table, bits)) if what in ("C", "j")
+                     else _form_and_theta(form, table, bits))
     if what in ("F", "P"):
         value, err = parts[what.lower()]
         return value, mpf(2) ** err

@@ -5,8 +5,8 @@ expression for C.
 The modular polynomial itself is never built as an exact bivariate integer
 polynomial (its coefficients are enormous and nothing here needs them); only
 the first- and second-order Taylor coefficients at the CM point are computed,
-analytically from the product over matrix classes.  An independent
-finite-difference fit over a local inversion of j provides the cross-check.
+analytically from j and theta j at its image forms in one class table; an
+independent finite-difference fit over a local inversion of j checks them.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ from mpmath import mpc, mpf
 
 from .errors import NearSingularity, NoFixingClass
 from .evaluate import (_check_budget, _ClassTable, _j_and_theta_j, _j_from_eta,
-                       _nomes, eval_j, eval_theta_j)
+                       _kernel_table, _nomes, eval_j, eval_theta_j)
 from .precision import PrecisionConfig, _fork_map, run_adaptive
-from .quadforms import (QuadForm, _root, cm_point, enumerate_qn,
-                        reduce_with_matrix)
+from .quadforms import QuadForm, cm_point, enumerate_qn, reduce_with_matrix
 from .recognize import _carried_bits, norm_6unit_check
 
 
@@ -214,12 +213,18 @@ def taylor_coeffs(form: QuadForm, classes, cfg: PrecisionConfig) -> TaylorData:
 
     all other terms vanishing because the factor through the fixing class is
     zero at the expansion point.  beta20 = beta02 by the symmetry of the
-    polynomial; the finite-difference fit checks that independently.
+    polynomial; the finite-difference fit checks that independently.  j and
+    theta j at alpha and at each image form's own root (_image_form, so no
+    weight factor) come from one class table, which _taylor shares.
     """
+    return _taylor(form, classes, cfg, _kernel_table(cfg.eval_bits))
+
+
+def _taylor(form: QuadForm, classes, cfg: PrecisionConfig, table) -> TaylorData:
     if len(classes) < 2:
         raise ValueError("need a non-trivial class list (determinant > 1)")
     fix, images = _images(form, classes)
-    j0, theta_j0 = _j_and_theta_j(cm_point(form, cfg), cfg)
+    j0, theta_j0 = _j_and_theta_j(form, table, cfg)
     with mpmath.workprec(cfg.eval_bits):
         two_pi_i = 2j * mpmath.pi
         jprime_alpha = two_pi_i * theta_j0
@@ -229,7 +234,7 @@ def taylor_coeffs(form: QuadForm, classes, cfg: PrecisionConfig) -> TaylorData:
         inv_sum = mpc(0)
         deriv_sum = mpc(0)
         for cl in classes:
-            jk, theta_jk = _j_and_theta_j(_root(images[cl]), cfg)
+            jk, theta_jk = _j_and_theta_j(images[cl], table, cfg)
             fk_prime = (two_pi_i * theta_jk * cl.p) / cl.s
             if cl == fix:
                 ffix_prime = fk_prime
@@ -282,7 +287,7 @@ def taylor_fd_fit(form: QuadForm, classes, cfg: PrecisionConfig) -> TaylorData:
         monomials = [(mu, nu) for mu in range(5) for nu in range(5)
                      if mu + nu <= 4]
         for u in offsets:
-            roots = [eval_j(_apply_numeric(cl, sigmas[u]), cfg) for cl in classes]
+            roots = [eval_j((cl.p * sigmas[u] + cl.q) / cl.s, cfg) for cl in classes]
             for v in offsets:
                 y = j0 + v * delta
                 phi = mpc(1)
@@ -299,10 +304,6 @@ def taylor_fd_fit(form: QuadForm, classes, cfg: PrecisionConfig) -> TaylorData:
             beta11=by_mono[(1, 1)] / delta ** 2,
             beta20=by_mono[(2, 0)] / delta ** 2,
         )
-
-
-def _apply_numeric(cl: MatrixClass, z: mpc) -> mpc:
-    return (cl.p * z + cl.q) / cl.s
 
 
 def _lstsq(rows, rhs, bits: int):

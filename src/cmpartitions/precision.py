@@ -138,9 +138,10 @@ def run_adaptive(task: Callable[[int], tuple], cfg: PrecisionConfig):
     excess = 0
     while not bound <= cfg.abs_tol:
         if excess >= cfg.max_bits:
+            e = mpmath.mag(bound) if bound < mpmath.inf else 0  # nstr prints every exponent digit
+            shown = mpmath.nstr(bound, 5) if e < 10**6 else f"2^{mpmath.nstr(mpf(e), 3)}"
             raise PrecisionExhausted(
-                f"bound {mpmath.nstr(bound, 5)} above {mpmath.nstr(cfg.abs_tol, 5)} "
-                f"at {bits} bits")
+                f"bound {shown} above {mpmath.nstr(cfg.abs_tol, 5)} at {bits} bits")
         excess = min(2 * excess, cfg.max_bits) if excess else cfg.working_bits
         bits = magnitude + excess
         value, bound = task(bits)

@@ -3,9 +3,9 @@
 A' and B are weight-0 level-6 functions, so the monic product of
 (X - g(gamma z)) over the 12 cosets of the level-6 group has coefficients
 that are integer polynomials in j(z).  They are tabulated in their factored
-shape and evaluated in it (passing a formal series as j gives the exact
-polynomials), verified at runtime against the numerically expanded coset
-product; at CM values of j they witness that A' and B are algebraic integers.
+shape and evaluated in it (a formal series as j gives the exact polynomials),
+verified against the coset product over the exact image forms of z's form;
+at CM values of j they witness that A' and B are algebraic integers.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from __future__ import annotations
 import mpmath
 from mpmath import mpc, mpf
 
-from .evaluate import _ipow, _values
+from .evaluate import _form, _ipow, _kernel_table, _values
 from .precision import PrecisionConfig
-from .quadforms import QuadForm, cm_point
+from .quadforms import QuadForm
 from .recognize import _carried_bits, orbit_product
 
 
@@ -155,12 +155,11 @@ def _coset_key(mat):
 
 
 def _psi_and_j(z: mpc, cfg: PrecisionConfig):
-    """(psi_from_cosets(z, cfg), j(z)) from one evaluation per coset image;
-    j is read off the identity, the first representative."""
-    with mpmath.workprec(cfg.eval_bits):
-        z = mpc(z)
-        values = [_values((a * z + b) / (c * z + d), cfg)
-                  for a, b, c, d in coset_reps()]
+    """(psi_from_cosets(z, cfg), j(z)), j the identity's, from each coset
+    image gamma z at its exact form z's form.transform(gamma^-1) (_form; 6 | a
+    kept), in one class table: with 2, 3 and 6 times each, 48 points in 20 classes."""
+    form, table = _form(z), _kernel_table(cfg.eval_bits)
+    values = [_values(form.transform((d, -b, -c, a)), table, cfg) for a, b, c, d in coset_reps()]
     return ({key: list(reversed(orbit_product([v[key] for v in values], 1)))
              for key in ("aprime", "b")}, values[0]["j"])
 
@@ -241,6 +240,6 @@ def psi_root_check(form: QuadForm, cfg: PrecisionConfig) -> dict:
     resolvents at j(alpha), alpha the CM point of form, keyed "aprime" and
     "b": the numerical witness that both values are algebraic integers."""
     with mpmath.workprec(cfg.eval_bits):
-        v = _values(cm_point(form, cfg), cfg)
+        v = _values(form, _kernel_table(cfg.eval_bits), cfg)
         tables = psi_tabulated(v["j"])
         return {key: _residual_at(tables[key], v[key]) for key in tables}

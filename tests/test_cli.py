@@ -129,6 +129,7 @@ class TestBasicCommands:
             assert code == 3, argv
             assert out == ""
             assert err.startswith("precision exhausted:") and err.count("\n") == 1, argv
+            assert all(len(line) < 200 for line in err.splitlines()), argv
         code, out, _ = run_cli(capsys, "eval", "--what", "C", "--z", z, "--no-cache", "--json")
         assert code == 0
         assert json.loads(out)["value"][0].startswith(
@@ -172,9 +173,10 @@ class TestBasicCommands:
 
 
 class TestKernelCounts:
-    """One evaluation per point: four kernel calls (at z, 2z, 3z, 6z) give
-    P, A, B, C and j, and one gives j and theta j.  pn makes one kernel call
-    per SL2(Z) class per rung."""
+    """One kernel call per SL2(Z) class of one table: the kernel at z, 2z,
+    3z and 6z gives P, A, B, C and j, and at one point j and theta j.  A
+    command shares one table over its points (the resolvent check one per
+    point, masser one per n), and pn one per rung."""
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
@@ -195,26 +197,30 @@ class TestKernelCounts:
                                "--precision-bits", "512", "--seed", "1",
                                "--no-cache", "--json")
         assert code == 0
+        # 4 for each random point; the CM points of n = 1 and 2 at alpha,
+        # 2 alpha, 3 alpha and 6 alpha meet 2 and 3 classes, as in pn
         assert json.loads(out)["points"] == 11
-        assert len(kernel_calls) == 4 * 11
+        assert len(kernel_calls) == 4 * 3 + 2 + 3
 
     def test_masser_n1(self, capsys, kernel_calls):
-        # per form: alpha and its 24 images, then eval_C at alpha
+        # the 3 alphas and their 24 images each meet the 37 classes of the
+        # beta-norm of n = 1; the direct C at alpha reads the same table
         code, out, _ = run_cli(capsys, "masser", "--n", "1", "--tol", "1e-15",
                                "--precision-bits", "512", "--no-cache",
                                "--json")
         assert code == 0
         assert len(json.loads(out)["rows"]) == 3
-        assert len(kernel_calls) == 26 * 3
+        assert len(kernel_calls) == 37
 
     def test_verify_appendix(self, capsys, kernel_calls):
-        # 12 coset images, each at four multiples; j(z) is the identity's
+        # 12 coset images, each at four multiples, meet 20 classes; j(z) is
+        # the identity's
         code, out, _ = run_cli(capsys, "verify-appendix", "--trials", "2",
                                "--tol", "1e-30", "--precision-bits", "512",
                                "--seed", "1", "--no-cache", "--json")
         assert code == 0
         assert json.loads(out)["points"] == 2
-        assert len(kernel_calls) == 48 * 2
+        assert len(kernel_calls) == 20 * 2
 
     @pytest.mark.parametrize("n, classes", [(1, 2), (2, 3), (30, 16)])
     def test_pn_one_kernel_call_per_class_per_rung(self, capsys, kernel_calls,

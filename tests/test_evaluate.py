@@ -531,11 +531,12 @@ class TestDecomposition:
                     assert abs(lhs - rhs) < mpf(2) ** -160
 
     def test_b_definition_replay(self, cfg256):
-        from cmpartitions.evaluate import _basics, _ipow
+        from cmpartitions.evaluate import _at, _ipow, _kernel_table
         alpha = cm_point(enumerate_qn(1)[0], cfg256)
         with mpmath.workprec(cfg256.eval_bits):
             b = eval_B(alpha, cfg256)
-            v = _as_mpc(_basics(alpha, cfg256.eval_bits), cfg256.eval_bits)
+            v = _as_mpc(_at(_form(alpha), _kernel_table(cfg256.eval_bits), cfg256.eval_bits),
+                        cfg256.eval_bits)
             jval = _ipow(v["e4"], 3) / _ipow(v["eta2"], 12)
             raw = eval_form(alpha, cfg256) * v["e6"] * jval / v["e4"]
             assert abs(b - raw) < mpf(2) ** -200 * (1 + abs(b))

@@ -3,7 +3,10 @@ that removes the last use of an import cannot leave the import behind.
 ``__init__`` is exempt: its imports are the package's exports.  Every
 module-level private name is used somewhere in the package, so no dead
 helper stays behind either.  No module-level statement calls a function
-of the package, so importing it does no work of its own.  The README's
+of the package, so importing it does no work of its own.  A CM point is
+rounded to an mpc (``cm_point``, ``quadforms._root``) only where a number is
+printed or an independent oracle needs one, so no evaluator reads a rounded
+point back as a form.  The README's
 global flags are the options every command takes, so a flag cannot be
 added or removed on one side only."""
 
@@ -133,6 +136,54 @@ def test_detects_package_work_at_import():
                "b.py": "from . import a\n\n\nclass C:\n    LIMIT = a._table(2)\n"}
     assert import_time_calls(sources) == ["_table (a.py line 5)", "_table (a.py line 9)",
                                           "_table (b.py line 5)"]
+
+
+# The only functions outside quadforms that may round a form to a point: the
+# forms command prints im_alpha, and the finite-difference fit is the oracle
+# that shares nothing with the analytic path.
+ROUNDING = {"cm_point", "_root"}
+MAY_ROUND = {("cli.py", "_cmd_forms"), ("modpoly.py", "taylor_fd_fit")}
+
+
+def rounded_point_uses(sources: dict[str, str]) -> list[str]:
+    """References to cm_point or _root (as a name or an attribute) outside
+    quadforms, the package's exports (``__init__``) and the functions of
+    MAY_ROUND, found by the module-level statement that holds them; a module
+    with such a function may import the name, unaliased."""
+    found = []
+    for module, source in sources.items():
+        if module in ("quadforms.py", "__init__.py"):
+            continue
+        for top in ast.parse(source).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom):
+                    names = [a.name for a in node.names
+                             if a.asname or module not in {m for m, _ in MAY_ROUND}]
+                else:
+                    names = [getattr(node, "id", None) or getattr(node, "attr", None)]
+                    if (module, owner) in MAY_ROUND:
+                        names = []
+                found += [f"{name} ({module} line {node.lineno})" for name in names
+                          if name in ROUNDING]
+    return found
+
+
+def test_no_form_is_rounded_to_a_point_and_read_back():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert rounded_point_uses(sources) == []
+
+
+def test_detects_a_rounded_point():
+    sources = {"quadforms.py": "def cm_point(q):\n    return _root(q)\n",
+               "cli.py": ("from .quadforms import cm_point\n\n\n"
+                          "def _cmd_forms(f):\n    return cm_point(f)\n\n\n"
+                          "def _rows(f):\n    return cm_point(f)\n"),
+               "resolvent.py": ("from . import quadforms\nfrom .quadforms import cm_point\n\n\n"
+                                "def check(f):\n    return quadforms._root(f)\n")}
+    assert rounded_point_uses(sources) == ["cm_point (cli.py line 9)",
+                                           "cm_point (resolvent.py line 2)",
+                                           "_root (resolvent.py line 6)"]
 
 
 def readme_global_flags(readme: str) -> set[str]:

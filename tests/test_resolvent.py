@@ -1,14 +1,17 @@
 import hashlib
+from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import mpc, mpf
 
+from cmpartitions import resolvent
+from cmpartitions.cli import _random_points
 from cmpartitions.evaluate import eval_Aprime, eval_B
 from cmpartitions.quadforms import cm_point, enumerate_qn
 from cmpartitions.recognize import orbit_product
 from cmpartitions.resolvent import (_aprime_coefficients, _b_coefficients,
-                                    coset_reps, psi_from_cosets,
+                                    _psi_and_j, coset_reps, psi_from_cosets,
                                     psi_root_check, verify_tabulated)
 from cmpartitions.series import FormalSeries
 
@@ -138,6 +141,37 @@ class TestPsiNumeric:
             jval = eval_j(z, cfg512)
             expected = _b_coefficients(jval)[11]
             assert abs(numeric[11] - expected) / (1 + abs(expected)) < mpf("1e-100")
+
+
+def exact(x) -> Fraction:
+    """An mpf's exact binary value."""
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+class TestCosetForms:
+    def test_exact_images_of_the_verify_appendix_points(self, monkeypatch, cfg512):
+        # every form _psi_and_j evaluates has 6 | a, and its root is gamma z
+        # exactly, in Fractions from z's binary value; the values are not
+        # computed
+        forms = []
+
+        def record(form, table, cfg):
+            forms.append(form)
+            return {"aprime": mpc(1), "b": mpc(1), "j": mpc(0)}
+
+        monkeypatch.setattr(resolvent, "_values", record)
+        for z in _random_points(1, 25):
+            forms.clear()
+            _psi_and_j(z, cfg512)
+            x, y = exact(z.real), exact(z.imag)
+            assert len(forms) == 12
+            for form, (a, b, c, d) in zip(forms, coset_reps()):
+                assert form.a % 6 == 0
+                norm = (c * x + d) ** 2 + (c * y) ** 2
+                re = ((a * x + b) * (c * x + d) + a * c * y * y) / norm
+                assert Fraction(-form.b, 2 * form.a) == re
+                assert Fraction(-form.discriminant(), 4 * form.a ** 2) == (y / norm) ** 2
 
 
 class TestVerifyTabulated:
