@@ -32,7 +32,7 @@ from mpmath.libmp import (from_man_exp, mpf_cos_sin_pi, mpf_div, mpf_neg, pi_fix
 
 from .errors import NearSingularity, NotUpperHalfPlane, PrecisionExhausted
 from .precision import PrecisionConfig
-from .quadforms import QuadForm, reduce_with_matrix
+from .quadforms import ATKIN_LEHNER_MATRICES, QuadForm, reduce_with_matrix
 from .series import (FP_E2_COMBINATION, FP_ETA_FACTORS, FP_PREFACTOR,
                      _pentagonal_exponents, _power)
 
@@ -512,21 +512,21 @@ def eval_theta_j(z: mpc, cfg: PrecisionConfig) -> mpc:
     return _j_and_theta_j(_form(z), _kernel_table(cfg.eval_bits), cfg)[1]
 
 
-def _form_and_theta(form: QuadForm, table, bits: int, g=None, keys=("f", "theta_f", "p")):
+def _form_and_theta(form: QuadForm, table, bits: int, keys=("f", "theta_f", "p")):
     """({"f": F, "theta_f": thetaF, "p": P} for the keys asked, the basics at
     alpha), each an (mpc, error exponent) pair (_rounded), at the root alpha
     of a form [a, b, c] with 6 | a, from table: F of series.fp_series, P =
-    -thetaF - F g for a pair g = 1/(2 pi Im alpha), unless given from mpmath
-    at Im off the form (_im), its bound valid where Im is exact.  d alpha
-    (d = 1, 2, 3, 6) is the root of [a/d, b, dc] (_at); F = f/den 2^-ex and
-    thetaF = theta_f/den 2^-ex by the chain rule, theta E2 = (E2^2 - E4)/12,
-    theta log eta = E2/24, and den 2^ex is the eta^2 product times
-    24/FP_PREFACTOR."""
+    -thetaF - F g, g = 1/(2 pi Im alpha) = a/(pi sqrt|D|) in integers.  With
+    s = 2^-prec isqrt(|D| 2^2prec) (_sqrt_disc; s >= sqrt 3 - 2^-prec), g is
+    off by under 2a/s units from 1/pi (within 2), a/(5s) from the isqrt and 1
+    from the floor: in all under 3a/s + 1 units.  d alpha (d = 1, 2, 3, 6) is
+    the root of [a/d, b, dc] (_at); F = f/den 2^-ex and thetaF = theta_f/den
+    2^-ex by the chain rule, theta E2 = (E2^2 - E4)/12, theta log eta =
+    E2/24, and den 2^ex is the eta^2 product times 24/FP_PREFACTOR."""
     prec, pre = bits + _GUARD, FP_PREFACTOR
-    if g is None:
-        with mpmath.workprec(prec):
-            g = to_fixed((1 / (2 * mpmath.pi * _im(form, prec)))._mpf_, prec)
-        g = ((g, 0), max(g.bit_length() + 2 - prec, 0) + 1)  # three roundings, a truncation
+    root = _sqrt_disc(form.discriminant(), prec)[0]
+    g = (((form.a * _constants(prec)[1] << prec) // root, 0),
+         (((3 * form.a << prec) // root) + 2).bit_length())
     at = {d: _at(QuadForm(form.a // d, form.b, d * form.c), table, bits)
           for d, _ in FP_ETA_FACTORS}
     num = _esum((c, at[d]["e2"]) for d, c in FP_E2_COMBINATION)
@@ -607,17 +607,14 @@ class _ClassTable(dict):
 def eval_P_cm(forms, cfg: PrecisionConfig) -> tuple[list, list]:
     """(values, error exponents), |P - value| < 2^e, of P at the CM points
     of forms [a, b, c] with 6 | a (_form_and_theta), one kernel call per
-    SL2(Z) class of one table, without E6; 1/(2 pi Im alpha) = a/(pi
-    sqrt|D|) from the isqrt (_sqrt_disc) within 3a units."""
-    bits, prec = cfg.eval_bits, cfg.eval_bits + _GUARD
+    SL2(Z) class of one table, without E6."""
+    bits = cfg.eval_bits
     table = _kernel_table(bits, e6=False)
     pairs = []
     for form in forms:
         if form.a % 6:
             raise ValueError(f"form {form} has 6 not dividing a")
-        g = ((form.a * ((_constants(prec)[1] << prec) // _sqrt_disc(form.discriminant(), prec)[0]),
-              0), (3 * form.a).bit_length())
-        pairs.append(_form_and_theta(form, table, bits, g, ("p",))[0]["p"])
+        pairs.append(_form_and_theta(form, table, bits, ("p",))[0]["p"])
     return [value for value, _ in pairs], [err for _, err in pairs]
 
 
@@ -721,9 +718,6 @@ def _eval_bounded(what: str, z: mpc, cfg: PrecisionConfig):
         return value, mpmath.mp.make_mpf(bound._mpi_[1])
     finally:
         iv.prec = saved
-
-
-ATKIN_LEHNER_MATRICES = {2: (2, -1, 6, -2), 3: (3, 1, 6, 3), 6: (0, -1, 6, 0)}
 
 
 @dataclass(frozen=True)

@@ -125,17 +125,20 @@ def _magnitude(value) -> int:
     return int(max(mpmath.mag(value), 0))
 
 
-def run_adaptive(task: Callable[[int], tuple], cfg: PrecisionConfig):
+def run_adaptive(task: Callable[[int], tuple], cfg: PrecisionConfig, magnitude: int | None = None):
     """(value, bound, bits) from the rungs task(bits) = (value, bound), bound
     bounding the absolute error of every number in value: the first rung
     whose bound is at most cfg.abs_tol, and its working bits.  The first rung
     runs at w = cfg.working_bits and gives the magnitude M of its value; the
-    next run at M + w, M + 2w, M + 4w, ..., the excess over M capped at
+    next run at M + w, M + 2w, M + 4w, ...  A caller that can predict M
+    passes it as magnitude: the first rung runs at magnitude + w, and any
+    later one at M + 2w, M + 4w, ..., M from that rung, so a prediction too
+    low costs a rung, never a result.  The excess over M is capped at
     cfg.max_bits, beyond which PrecisionExhausted."""
-    bits = cfg.working_bits
+    bits, excess = ((cfg.working_bits, 0) if magnitude is None
+                    else (magnitude + cfg.working_bits, cfg.working_bits))
     value, bound = task(bits)
     magnitude = _magnitude(value)
-    excess = 0
     while not bound <= cfg.abs_tol:
         if excess >= cfg.max_bits:
             e = mpmath.mag(bound) if bound < mpmath.inf else 0  # nstr prints every exponent digit

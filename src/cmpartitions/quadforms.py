@@ -195,6 +195,36 @@ def conjugate_partners(forms) -> list[int]:
     return partners
 
 
+ATKIN_LEHNER_MATRICES = {2: (2, -1, 6, -2), 3: (3, 1, 6, 3), 6: (0, -1, 6, 0)}
+
+
+def _min_gamma0(form: QuadForm) -> int:
+    """min form(x, y) over coprime (x, y) with 6 | y: y = 0 gives a, and
+    form(x, y) >= |D| y^2/(4a) bounds the y > 0 worth scanning; at each, the
+    first x coprime to y on either side of the vertex -b y/(2a) is its least."""
+    a, b, disc = form.a, form.b, -form.discriminant()
+    best, y = a, 6
+    while disc * y * y < 4 * a * best:
+        vertex = -b * y // (2 * a)
+        for x, step in ((vertex, -1), (vertex + 1, 1)):
+            while math.gcd(x, y) != 1:
+                x += step
+            best = min(best, a * x * x + b * x * y + form.c * y * y)
+        y += 6
+    return best
+
+
+def height(form: QuadForm) -> float:
+    """The largest Im over the images of the root alpha of form under
+    Gamma_0(6) and the Atkin-Lehner W_d (d = 1, 2, 3, 6): Im gamma alpha' =
+    sqrt|D'|/(2 Q'(s, -r)) at the root alpha' of a form Q' for gamma =
+    (p, q; r, s), and W_d alpha is the root of form transformed by the
+    adjugate of W_d (_min_gamma0)."""
+    images = [form] + [form.transform((s, -q, -r, p))
+                       for p, q, r, s in ATKIN_LEHNER_MATRICES.values()]
+    return max(math.sqrt(-f.discriminant()) / (2 * _min_gamma0(f)) for f in images)
+
+
 def _root(form: QuadForm) -> mpc:
     """The root (-b + sqrt(D))/(2a) of form(x, 1) in the upper half-plane,
     under the ambient precision: sqrt(|D|) is rounded, then each part is

@@ -20,7 +20,7 @@ from mpmath import mpc, mpf
 from .errors import NotNearIntegral, PrecisionExhausted
 from .evaluate import _BUDGET_BITS, _cmul, _conj, _csum, _fixed, _to_mpc, eval_P_cm
 from .precision import PrecisionConfig, _magnitude, run_adaptive
-from .quadforms import QuadForm, conjugate_partners, enumerate_qn
+from .quadforms import QuadForm, conjugate_partners, enumerate_qn, height
 from .series import _pentagonal_exponents
 
 
@@ -188,6 +188,21 @@ def sharpness_divisor(p_values, n: int, tol) -> int:
     return scale
 
 
+def _predicted_magnitude(forms, partners, n: int) -> int:
+    """The magnitude in bits that compute_pn's first rung is sized for:
+    |P(alpha)| is about exp(2 pi h) at the height h of alpha
+    (quadforms.height), since P has weight 0, a sign under each W_d and the
+    pole q^-1 at every cusp, so the scaled orbit polynomial's coefficients
+    have at most about sum max(0, log2(24n - 1) + 2 pi h/ln 2) bits.  A form
+    and its conjugate partner (conjugate_partners) share h, since W6 and
+    conjugation carry the images of one root onto those of the other, so
+    each pair is measured once."""
+    scale = math.log2(24 * n - 1)
+    terms = ((1 + (k != i)) * max(0.0, scale + 2 * math.pi * height(forms[i]) / math.log(2))
+             for i, k in enumerate(partners) if k >= i)
+    return math.ceil(sum(terms))
+
+
 def compute_pn(n: int, cfg: PrecisionConfig) -> OrbitRecord:
     """The full orbit record for n, accepted by run_adaptive on the error
     bound of the scaled orbit polynomial (eval_P_cm's error exponents
@@ -195,6 +210,12 @@ def compute_pn(n: int, cfg: PrecisionConfig) -> OrbitRecord:
     polynomial's x^(h-1) coefficient is -(24n - 1)^2 p(n), so p(n) is read
     from it exactly, and the full scale 24n - 1 is the sharpness divisor it
     has just confirmed.
+
+    The polynomial's magnitude is predicted from the forms
+    (_predicted_magnitude), so the first rung runs at it plus the working
+    bits, with no probe rung before it; it is capped below the kernels'
+    budget, so a prediction too high cannot refuse an n that a probe would
+    have sized within it, and one too low costs a further rung.
 
     P is evaluated once per conjugate pair, in one ``eval_P_cm`` call per
     rung.  The partner of [a, b, c] is the class of [6c, b, a/6]
@@ -216,7 +237,9 @@ def compute_pn(n: int, cfg: PrecisionConfig) -> OrbitRecord:
         poly, bound = orbit_product(ps, scale, errors)
         return (ps, poly), bound
 
-    (p_values, poly), bound, bits = run_adaptive(task, cfg)
+    cap = _BUDGET_BITS - cfg.guard_bits - 1 - cfg.working_bits
+    magnitude = max(min(_predicted_magnitude(forms, partners, n), cap), 0)
+    (p_values, poly), bound, bits = run_adaptive(task, cfg, magnitude)
     poly_int, residual = round_to_integers(poly, bound)
     pn, remainder = divmod(-poly_int[1], scale * scale)
     if remainder:

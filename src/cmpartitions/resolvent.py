@@ -173,32 +173,37 @@ def psi_from_cosets(z: mpc, cfg: PrecisionConfig) -> dict:
 
 class _Rounded:
     """A number whose ** is evaluate._ipow, so that the factored tables take
-    rounded powers, not mpmath's exact complex ones."""
+    rounded powers, not mpmath's exact complex ones; a power is formed once
+    per (value, exponent) in the powers dict its numbers share."""
 
-    def __init__(self, value):
-        self.value = value
+    def __init__(self, value, powers: dict):
+        self.value, self.powers = value, powers
 
     def __add__(self, other):
-        return _Rounded(self.value + getattr(other, "value", other))
+        return _Rounded(self.value + getattr(other, "value", other), self.powers)
 
     def __sub__(self, other):
-        return _Rounded(self.value - getattr(other, "value", other))
+        return _Rounded(self.value - getattr(other, "value", other), self.powers)
 
     def __mul__(self, other):
-        return _Rounded(self.value * getattr(other, "value", other))
+        return _Rounded(self.value * getattr(other, "value", other), self.powers)
 
     def __pow__(self, n: int):
-        return _Rounded(_ipow(self.value, n))
+        key = (self.value._mpc_, n)
+        power = self.powers.get(key)
+        if power is None:
+            power = self.powers[key] = _ipow(self.value, n)
+        return _Rounded(power, self.powers)
 
     __radd__, __rmul__ = __add__, __mul__
 
 
 def psi_tabulated(j_value) -> dict:
     """The tabulated coefficients of both resolvents evaluated in their
-    factored shape at a j-value, with rounded powers (ascending, with the
-    monic leading 1), keyed "aprime" and "b"."""
+    factored shape at a j-value, with rounded powers shared within the call
+    (ascending, with the monic leading 1), keyed "aprime" and "b"."""
     with mpmath.workprec(_carried_bits([j_value]) + 32):
-        j_value = _Rounded(mpc(j_value))
+        j_value = _Rounded(mpc(j_value), {})
         return {key: [c.value for c in table(j_value)] + [mpc(1)]
                 for key, table in (("aprime", _aprime_coefficients), ("b", _b_coefficients))}
 

@@ -230,9 +230,9 @@ class TestKernelCounts:
         code, _, _ = run_cli(capsys, "pn", "--n", str(n), "--no-cache")
         assert code == 0
         per_rung = Counter(kernel_calls)
-        # the first rung closes for n = 1 and 2; for n = 30 it sizes one
-        # more, at the orbit polynomial's magnitude plus 256 bits
-        assert len(per_rung) == {1: 1, 2: 1, 30: 2}[n]
+        # the first rung, at the magnitude predicted from the forms plus
+        # 256 bits, closes for every n
+        assert len(per_rung) == {1: 1, 2: 1, 30: 1}[n]
         assert set(per_rung.values()) == {classes}
 
     @pytest.mark.parametrize("n, classes", [(1, 37), (2, 121)])

@@ -81,12 +81,35 @@ class TestRunAdaptive:
         assert bits == [256, 1257, 1513]
         assert achieved == 1513 and bound == mpf(2) ** -213
 
+    def test_predicted_magnitude(self):
+        # with M = 1001 predicted as 1200 the one rung runs at 1200 + w, where
+        # the bound 2^(1300 - bits) is below 2^-128
+        task, bits = rungs_of(mpf(2) ** 1000 + 1, lambda b: mpf(2) ** (1300 - b))
+        assert run_adaptive(task, PrecisionConfig(256), 1200)[1:] == (mpf(2) ** -156, 1456)
+        assert bits == [1456]
+
+    def test_predicted_magnitude_too_low(self):
+        # predicted 900: the rung at 900 + w misses, and the next runs at the
+        # M = 1001 that rung measured plus 2w, as after a probe's M + w
+        value = mpf(2) ** 1000 + 1
+        task, bits = rungs_of(value, lambda b: mpf(2) ** (1300 - b))
+        assert run_adaptive(task, PrecisionConfig(256), 900) == (value, mpf(2) ** -213, 1513)
+        assert bits == [1156, 1513]
+
     def test_exhaustion(self):
         # excesses 256, 512, 1024 and the cap 1500 over M = 10, then refused
         task, bits = rungs_of(mpf(1000), lambda b: mpf(1))
         with pytest.raises(PrecisionExhausted, match="at 1510 bits"):
             run_adaptive(task, PrecisionConfig(256, 1500))
         assert bits == [256, 266, 522, 1034, 1510]
+
+    def test_exhaustion_with_a_predicted_magnitude(self):
+        # the predicted rung takes the excess 256, then 512, 1024 and the cap
+        # 1500 over the measured M = 10, and the refusal is the same
+        task, bits = rungs_of(mpf(1000), lambda b: mpf(1))
+        with pytest.raises(PrecisionExhausted, match="at 1510 bits"):
+            run_adaptive(task, PrecisionConfig(256, 1500), 5)
+        assert bits == [261, 522, 1034, 1510]
 
     def test_exhaustion_at_zero_tolerance(self):
         cfg = PrecisionConfig(128, 128, abs_tol=mpf(0))

@@ -6,8 +6,9 @@ import pytest
 from mpmath import mpc, mpf
 
 from cmpartitions.precision import PrecisionConfig
-from cmpartitions.quadforms import (QuadForm, cm_point, conjugate_partners,
-                                    enumerate_qn, gamma0_equivalent,
+from cmpartitions.quadforms import (ATKIN_LEHNER_MATRICES, QuadForm, cm_point,
+                                    conjugate_partners, enumerate_qn,
+                                    gamma0_equivalent, height,
                                     reduce_with_matrix, reduced_forms,
                                     transporter)
 
@@ -256,6 +257,39 @@ def _quotient_rounded(x: tuple, den: int, prec: int) -> tuple:
     rounded at prec."""
     man, exp = x[1], x[2]
     return _rounded(man << exp, den, prec) if exp >= 0 else _rounded(man, den << -exp, prec)
+
+
+class TestHeight:
+    def test_against_a_box_of_gamma0_matrices(self):
+        # the largest Im of gamma W_d alpha over the bottom rows (r, s) of
+        # Gamma_0(6) with 0 <= r, |s| <= 60, in floats: for every form of
+        # n = 1..8 the box attains the height and nothing in it exceeds it
+        box = [(r, s) for r in range(0, 61, 6) for s in range(-60, 61) if math.gcd(r, s) == 1]
+        for n in range(1, 9):
+            for form in enumerate_qn(n):
+                alpha = complex(-form.b, math.sqrt(-form.discriminant())) / (2 * form.a)
+                best = 0.0
+                for p, q, r, s in [(1, 0, 0, 1), *ATKIN_LEHNER_MATRICES.values()]:
+                    w = (p * alpha + q) / (r * alpha + s)
+                    best = max(best, *(w.imag / abs(r2 * w + s2) ** 2 for r2, s2 in box))
+                assert height(form) == pytest.approx(best, rel=1e-12), form
+
+    def test_conjugate_partners_share_it(self):
+        # W6 and conjugation carry the images of alpha onto those of its
+        # partner's root, so recognize measures one form of each pair
+        for n in [*range(1, 31), 100]:
+            forms = enumerate_qn(n)
+            for form, k in zip(forms, conjugate_partners(forms)):
+                assert height(form) == pytest.approx(height(forms[k]), rel=1e-12), form
+
+    def test_reached_through_a_row_below_the_first(self):
+        # [12, -11, 3] (n = 1): alpha has Im sqrt(23)/24, and the W_3 image
+        # form [414, -345, 72] of discriminant 9 * -23 has first coefficient
+        # 414 but takes the value 18 at (x, y) = (5, 12), so the height is
+        # sqrt(207)/36 = sqrt(23)/12
+        assert QuadForm(12, -11, 3).transform((3, -1, -6, 3)) == QuadForm(414, -345, 72)
+        assert 414 * 25 - 345 * 60 + 72 * 144 == 18
+        assert height(QuadForm(12, -11, 3)) == pytest.approx(math.sqrt(23) / 12, rel=1e-15)
 
 
 class TestCMPoint:

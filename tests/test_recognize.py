@@ -7,9 +7,9 @@ from mpmath import mpc, mpf
 
 from cmpartitions import recognize
 from cmpartitions.errors import NotNearIntegral
-from cmpartitions.evaluate import eval_P, eval_P_cm
+from cmpartitions.evaluate import _BUDGET_BITS, eval_P, eval_P_cm
 from cmpartitions.modpoly import j_norm
-from cmpartitions.precision import run_adaptive
+from cmpartitions.precision import _magnitude, run_adaptive
 from cmpartitions.quadforms import cm_point, conjugate_partners, enumerate_qn
 from cmpartitions.recognize import (compute_pn, norm_6unit_check,
                                     orbit_product, pentagonal_pn,
@@ -206,8 +206,8 @@ class TestBound:
         # 256 bits higher
         runs = []
 
-        def spy(task, cfg):
-            result = run_adaptive(task, cfg)
+        def spy(task, cfg, magnitude=None):
+            result = run_adaptive(task, cfg, magnitude)
             runs.append((task, result))
             return result
 
@@ -219,6 +219,39 @@ class TestBound:
             assert bound <= cfg256.abs_tol
             for lo, hi in zip([*ps, *poly], [*ps_hi, *poly_hi]):
                 assert abs(lo - hi) <= bound, n
+
+    def test_one_rung_at_the_predicted_magnitude(self, cfg256, monkeypatch):
+        # n = 1..60, 100, 200 and 300: the magnitude predicted from the
+        # forms is at least the magnitude M of the accepted value and at most
+        # w/2 above it, and the rung at the prediction plus w is the only one
+        runs = []
+
+        def spy(task, cfg, magnitude=None):
+            rungs = []
+
+            def counted(bits):
+                rungs.append(bits)
+                return task(bits)
+
+            result = run_adaptive(counted, cfg, magnitude)
+            runs.append((magnitude, rungs, result))
+            return result
+
+        monkeypatch.setattr(recognize, "run_adaptive", spy)
+        w = cfg256.working_bits
+        for n in [*range(1, 61), 100, 200, 300]:
+            compute_pn(n, cfg256)
+            magnitude, rungs, (value, _, bits) = runs[-1]
+            assert _magnitude(value) <= magnitude <= _magnitude(value) + w // 2, n
+            assert rungs == [bits] == [magnitude + w], n
+
+    def test_prediction_too_high_is_capped_at_the_kernels_budget(self, cfg256, monkeypatch):
+        # the one rung runs at the last precision the kernels accept, and
+        # p(1) is found, not refused
+        monkeypatch.setattr(recognize, "_predicted_magnitude", lambda *args: 10**6)
+        record = compute_pn(1, cfg256)
+        assert record.pn == 1
+        assert record.achieved_bits + cfg256.guard_bits == _BUDGET_BITS - 1
 
     def test_unbounded_values_give_no_bound(self):
         _, bound = orbit_product([mpc(1), mpc(2)], 1, [-100, math.inf])
