@@ -12,12 +12,11 @@ j and of the singular-moduli products behind them.
 from .errors import (CMPartitionsError, FractionalPower, NearSingularity,
                      NoFixingClass, NotNearIntegral, NotUpperHalfPlane,
                      PrecisionExhausted, ZeroLeadingCoefficient)
-from .evaluate import (ALCheck, atkin_lehner_check, eval_A, eval_Aprime,
-                       eval_B, eval_C, eval_eisenstein, eval_eta, eval_form,
-                       eval_j, eval_P, eval_P_cm, eval_theta_form,
+from .evaluate import (eval_A, eval_Aprime, eval_B, eval_C, eval_eisenstein,
+                       eval_eta, eval_form, eval_j, eval_P, eval_P_cm,
                        eval_theta_j)
 from .modpoly import (MatrixClass, TaylorData, beta_norm, beta_product,
-                      class_count, fixing_class, hnf_classes, j_norm, masser_c,
+                      fixing_class, hnf_classes, j_norm, masser_c,
                       taylor_coeffs, taylor_fd_fit)
 from .precision import PrecisionConfig, run_adaptive
 from .quadforms import (QuadForm, cm_point, enumerate_qn, gamma0_equivalent,

@@ -174,14 +174,6 @@ def _cnstr(z, digits: int):
     return [mpmath.nstr(mpmath.re(z), digits), mpmath.nstr(mpmath.im(z), digits)]
 
 
-def _emit(document: dict, args, human_lines) -> None:
-    if args.as_json:
-        print(json.dumps(document, sort_keys=True, indent=2))
-    else:
-        for line in human_lines:
-            print(line)
-
-
 # ---------------------------------------------------------------- cache ----
 
 def _cache_path(args) -> str:
@@ -299,45 +291,50 @@ def _get_record_entry(args) -> dict:
 
 
 # ------------------------------------------------------------- commands ----
+# Each command returns (document, human lines, passed): main prints the JSON
+# document under --json and the lines otherwise, and exits 0 when passed, 2
+# when not.  A command with no document (None) prints its lines either way.
 
-def _cmd_pn(args) -> int:
+def _cmd_pn(args):
     entry = _get_record_entry(args)
-    _emit(entry, args, [entry["pn"]])
-    return EXIT_OK
+    return entry, [entry["pn"]], True
 
 
-def _cmd_orbit(args) -> int:
-    entry = _get_record_entry(args)
-    poly = entry["scaled_poly"]
-    _emit({"n": args.n, "scaled_poly": poly}, args,
-          ["scaled orbit polynomial (leading coefficient first):",
-           " ".join(poly)])
-    return EXIT_OK
+def _cmd_orbit(args):
+    poly = _get_record_entry(args)["scaled_poly"]
+    return ({"n": args.n, "scaled_poly": poly},
+            ["scaled orbit polynomial (leading coefficient first):", " ".join(poly)], True)
 
 
-def _cmd_forms(args) -> int:
+def _cmd_forms(args):
     cfg = _config(args)
     rows = [{"a": form.a, "b": form.b, "c": form.c,
              "im_alpha": _nstr(mpmath.im(cm_point(form, cfg)), 40)}
             for form in enumerate_qn(args.n)]
-    print(json.dumps(rows, sort_keys=True, indent=2))
-    return EXIT_OK
+    # the rows are printed as JSON with or without --json
+    return rows, [json.dumps(rows, sort_keys=True, indent=2)], True
 
 
-def _cmd_eval(args) -> int:
+def _digits(value, bound, achieved: int) -> int:
+    """Digits to print of value: 0.30103 achieved (at least 20), but no more
+    than the bound on its error supports, and at least 1."""
+    digits = max(20, int(achieved * 0.30103))
+    size = max(abs(mpmath.re(value)), abs(mpmath.im(value)))
+    if size and bound:
+        digits = min(digits, int(mpmath.floor(mpmath.log10(size / bound))))
+    return max(1, digits)
+
+
+def _cmd_eval(args):
     cfg = _config(args)
     # every rung sees the same binary point, the one its bound refers to
     z = _point(args.z, cfg.max_bits + cfg.guard_bits)
-    value, _, achieved = run_adaptive(
+    value, bound, achieved = run_adaptive(
         lambda bits: _eval_bounded(args.what, z, cfg.with_bits(bits)), cfg)
-    digits = max(20, int(achieved * 0.30103))
     doc = {"what": args.what, "z": _cnstr(z, 30),
-           "value": _cnstr(value, digits), "achieved_bits": achieved}
-    _emit(doc, args, [f"{args.what}({mpmath.nstr(z, 20)}) =",
-                      f"  re: {doc['value'][0]}",
-                      f"  im: {doc['value'][1]}",
-                      f"  achieved_bits: {achieved}"])
-    return EXIT_OK
+           "value": _cnstr(value, _digits(value, bound, achieved)), "achieved_bits": achieved}
+    return doc, [f"{args.what}({mpmath.nstr(z, 20)}) =", f"  re: {doc['value'][0]}",
+                 f"  im: {doc['value'][1]}", f"  achieved_bits: {achieved}"], True
 
 
 def _random_points(seed: int, count: int):
@@ -347,7 +344,16 @@ def _random_points(seed: int, count: int):
                 for _ in range(count)]
 
 
-def _cmd_verify_decomp(args) -> int:
+def _verdict(doc: dict, worst, cfg: PrecisionConfig) -> bool:
+    """Whether the largest deviation worst is within the tolerance; doc
+    records both and the verdict."""
+    passed = bool(worst < cfg.abs_tol)
+    doc.update({"max_deviation": _nstr(worst, 20), "tolerance": _nstr(cfg.abs_tol, 20),
+                "pass": passed})
+    return passed
+
+
+def _cmd_verify_decomp(args):
     cfg = _config(args)
     worst, worst_at, table = mpf(0), None, _kernel_table(cfg.eval_bits)
     points = [("random", _form(z)) for z in _random_points(args.seed, args.trials)]
@@ -359,19 +365,16 @@ def _cmd_verify_decomp(args) -> int:
             dev = abs(v["p"] - (v["a"] + v["b"] * v["c"]))
             if dev > worst:
                 worst, worst_at = dev, [label] + _cnstr(_form_root(form, cfg.eval_bits), 20)
-    passed = bool(worst < cfg.abs_tol)
     doc = {"check": "P = A + B*C", "seed": args.seed, "trials": args.trials,
-           "n_max": args.n_max, "points": len(points),
-           "max_deviation": _nstr(worst, 20), "tolerance": _nstr(cfg.abs_tol, 20),
-           "worst_at": worst_at, "pass": passed}
-    _emit(doc, args, [f"P = A + B*C over {len(points)} points "
-                      f"(seed {args.seed}): max deviation {_nstr(worst, 10)} "
-                      f"{'<' if passed else '>='} tol {_nstr(cfg.abs_tol, 10)}",
-                      "PASS" if passed else "FAIL"])
-    return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
+           "n_max": args.n_max, "points": len(points), "worst_at": worst_at}
+    passed = _verdict(doc, worst, cfg)
+    return doc, [f"P = A + B*C over {len(points)} points "
+                 f"(seed {args.seed}): max deviation {_nstr(worst, 10)} "
+                 f"{'<' if passed else '>='} tol {_nstr(cfg.abs_tol, 10)}",
+                 "PASS" if passed else "FAIL"], passed
 
 
-def _cmd_verify_appendix(args) -> int:
+def _cmd_verify_appendix(args):
     cfg = _config(args)
     if args.z is not None:
         points = [_point(args.z, cfg.eval_bits)]
@@ -385,15 +388,12 @@ def _cmd_verify_appendix(args) -> int:
             per_poly[which].append({"z": _cnstr(z, 20),
                                     "max_deviation": _nstr(max(devs), 20),
                                     "per_coefficient": [_nstr(d, 10) for d in devs]})
-    passed = bool(worst < cfg.abs_tol)
     doc = {"check": "tabulated resolvents", "seed": args.seed,
-           "points": len(points), "per_polynomial": per_poly,
-           "max_deviation": _nstr(worst, 20), "tolerance": _nstr(cfg.abs_tol, 20),
-           "pass": passed}
-    _emit(doc, args, [f"resolvent tables at {len(points)} points "
-                      f"(seed {args.seed}): max deviation {_nstr(worst, 10)}",
-                      "PASS" if passed else "FAIL"])
-    return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
+           "points": len(points), "per_polynomial": per_poly}
+    passed = _verdict(doc, worst, cfg)
+    return doc, [f"resolvent tables at {len(points)} points "
+                 f"(seed {args.seed}): max deviation {_nstr(worst, 10)}",
+                 "PASS" if passed else "FAIL"], passed
 
 
 def _masser_rows(n: int, cfg: PrecisionConfig):
@@ -422,70 +422,66 @@ def _masser_rows(n: int, cfg: PrecisionConfig):
     return rows
 
 
-def _cmd_masser(args) -> int:
+def _cmd_masser(args):
     cfg = _config(args)
-    rows = _masser_rows(args.n, cfg)
-    worst = max(mpf(r["deviation"]) for r in rows)
-    passed = bool(worst < cfg.abs_tol)
-    doc = {"n": args.n, "rows": rows, "max_deviation": _nstr(worst, 20),
-           "tolerance": _nstr(cfg.abs_tol, 20), "pass": passed}
-    lines = [f"n = {args.n}: Taylor-quotient C vs direct C"]
-    for r in rows:
-        lines.append(f"  form {tuple(r['form'])}: deviation {r['deviation']}")
-    lines.append("PASS" if passed else "FAIL")
-    _emit(doc, args, lines)
-    return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
+    doc = {"n": args.n, "rows": _masser_rows(args.n, cfg)}
+    passed = _verdict(doc, max(mpf(r["deviation"]) for r in doc["rows"]), cfg)
+    return doc, ([f"n = {args.n}: Taylor-quotient C vs direct C"]
+                 + [f"  form {tuple(r['form'])}: deviation {r['deviation']}" for r in doc["rows"]]
+                 + ["PASS" if passed else "FAIL"]), passed
 
 
-def _cmd_norms(args) -> int:
-    cfg = _config(args)
-    norm, coprime, achieved = modpoly.j_norm(args.n, cfg)
-    doc = {"n": args.n,
-           "j_norm": {"value": str(norm), "coprime_to_6": coprime,
-                      "achieved_bits": achieved}}
-    lines = [f"j-norm(n={args.n}) = {norm}",
-             f"  coprime to 6: {coprime}"]
-    ok = coprime
-    if not args.skip_beta:
-        bnorm, bcoprime, bachieved = modpoly.beta_norm(args.n, cfg)
-        doc["beta_norm"] = {"value": str(bnorm), "coprime_to_6": bcoprime,
-                            "achieved_bits": bachieved,
-                            "digits": len(str(abs(bnorm)))}
-        lines.append(f"beta-norm(n={args.n}): {len(str(abs(bnorm)))} digits, "
-                     f"coprime to 6: {bcoprime}")
-        ok = ok and bcoprime
-    _emit(doc, args, lines + ["PASS" if ok else "FAIL"])
-    return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
+def _norms(n: int, cfg: PrecisionConfig, beta: bool) -> dict:
+    """The j-norm block of n, and its beta-norm block when beta."""
+    norm, coprime, achieved = modpoly.j_norm(n, cfg)
+    blocks = {"j_norm": {"value": str(norm), "coprime_to_6": coprime,
+                         "achieved_bits": achieved}}
+    if beta:
+        norm, coprime, achieved = modpoly.beta_norm(n, cfg)
+        blocks["beta_norm"] = {"value": str(norm), "coprime_to_6": coprime,
+                               "achieved_bits": achieved}
+    return blocks
 
 
-def _cmd_hypothesis(args) -> int:
-    series = fp_series(args.order + 2)
-    report = hypothesis_check(series, args.order)
-    doc = {"order": args.order,
-           "f_integral": report.f_integral,
+def _cmd_norms(args):
+    blocks = _norms(args.n, _config(args), not args.skip_beta)
+    j, beta = blocks["j_norm"], blocks.get("beta_norm")
+    lines = [f"j-norm(n={args.n}) = {j['value']}", f"  coprime to 6: {j['coprime_to_6']}"]
+    if beta:
+        beta["digits"] = len(beta["value"].lstrip("-"))
+        lines.append(f"beta-norm(n={args.n}): {beta['digits']} digits, "
+                     f"coprime to 6: {beta['coprime_to_6']}")
+    passed = all(block["coprime_to_6"] for block in blocks.values())
+    return {"n": args.n, **blocks}, lines + ["PASS" if passed else "FAIL"], passed
+
+
+def _hypothesis(order: int, dump: bool = False) -> dict:
+    """The integrality flags of the series pair through order, and the exact
+    series when dump."""
+    series = fp_series(order + 2)
+    report = hypothesis_check(series, order)
+    doc = {"order": order, "f_integral": report.f_integral,
            "companion_integral": report.companion_integral,
            "first_failure": report.first_failure}
-    if args.dump_series:
+    if dump:
         doc["series"] = series.to_json_dict()
-    ok = report.f_integral and report.companion_integral
-    _emit(doc, args, [f"series integral through order {args.order}: "
-                      f"F={report.f_integral} "
-                      f"companion={report.companion_integral}",
-                      "PASS" if ok else f"FAIL at {report.first_failure}"])
-    return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
+    return doc
+
+
+def _cmd_hypothesis(args):
+    doc = _hypothesis(args.order, args.dump_series)
+    passed = doc["f_integral"] and doc["companion_integral"]
+    return doc, [f"series integral through order {args.order}: "
+                 f"F={doc['f_integral']} companion={doc['companion_integral']}",
+                 "PASS" if passed else f"FAIL at {doc['first_failure']}"], passed
 
 
 def _per_n_block(n: int, cfg: PrecisionConfig, cached) -> dict:
     """One n's worth of the report."""
     block = dict(cached) if cached is not None else _record_entry(n, cfg)
     block["pn_oracle"] = str(recognize.pentagonal_pn(n))
-    norm, coprime, achieved = modpoly.j_norm(n, cfg)
-    block["j_norm"] = {"value": str(norm), "coprime_to_6": coprime,
-                       "achieved_bits": achieved}
+    block.update(_norms(n, cfg, beta=n <= 3))
     if n <= 3:
-        bnorm, bcoprime, bachieved = modpoly.beta_norm(n, cfg)
-        block["beta_norm"] = {"value": str(bnorm), "coprime_to_6": bcoprime,
-                              "achieved_bits": bachieved}
         rows = _masser_rows(n, cfg)
         block["masser"] = [{"form": r["form"], "deviation": r["deviation"]}
                            for r in rows]
@@ -506,19 +502,11 @@ def report_bundle(n_max: int, cfg: PrecisionConfig, hypothesis_order: int,
     verbatim so a warm cache is recompute-free for that part."""
     blocks = [_per_n_block(n, cfg, cached_entries.get(n))
               for n in range(1, n_max + 1)]
-    hyp = hypothesis_check(fp_series(hypothesis_order + 2), hypothesis_order)
-    return {
-        "n_max": n_max,
-        "working_bits": cfg.working_bits,
-        "per_n": blocks,
-        "hypothesis": {"order": hypothesis_order,
-                       "f_integral": hyp.f_integral,
-                       "companion_integral": hyp.companion_integral,
-                       "first_failure": hyp.first_failure},
-    }
+    return {"n_max": n_max, "working_bits": cfg.working_bits, "per_n": blocks,
+            "hypothesis": _hypothesis(hypothesis_order)}
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args):
     cfg = _config(args)
     cached_entries = {}
     cache = warning = None
@@ -542,40 +530,31 @@ def _cmd_report(args) -> int:
             doc["cache_warning"] = warning
         if warning:
             print(warning, file=sys.stderr)
-    lines = []
-    for block in doc["per_n"]:
-        match = "ok" if block["pn"] == block["pn_oracle"] else "MISMATCH"
-        lines.append(f"n={block['n']}: p(n)={block['pn']} [{match}] "
-                     f"residual={block['residual']}")
+    lines = [f"n={b['n']}: p(n)={b['pn']} [{'ok' if b['pn'] == b['pn_oracle'] else 'MISMATCH'}] "
+             f"residual={b['residual']}" for b in doc["per_n"]]
     lines.append(f"hypothesis: F={doc['hypothesis']['f_integral']} "
                  f"companion={doc['hypothesis']['companion_integral']}")
-    _emit(doc, args, lines)
-    mismatched = any(b["pn"] != b["pn_oracle"] for b in doc["per_n"])
-    return EXIT_VERIFICATION_FAILED if mismatched else EXIT_OK
+    return doc, lines, all(b["pn"] == b["pn_oracle"] for b in doc["per_n"])
 
 
-def _cmd_cache(args) -> int:
+def _cmd_cache(args):
     path = _cache_path(args)
     if args.action == "clear":
         try:
             if os.path.exists(path):
                 os.unlink(path)
         except OSError as exc:
-            print(f"error: cannot clear cache {path}: {exc.strerror}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        print(f"cache cleared: {path}")
-        return EXIT_OK
+            raise _UsageError(f"cannot clear cache {path}: {exc.strerror}") from None
+        return None, [f"cache cleared: {path}"], True
     cache, warning = _load_cache(path)
     if warning:
         print(warning, file=sys.stderr)
     doc = {"path": path, "version": cache["version"],
            "entries": [{"n": e["n"], "working_bits": e["working_bits"],
                         "pn": e["pn"]} for e in cache["entries"]]}
-    _emit(doc, args, [f"cache at {path}: {len(cache['entries'])} entries"]
-          + [f"  n={e['n']} bits={e['working_bits']} pn={e['pn']}"
-             for e in doc["entries"]])
-    return EXIT_OK
+    return doc, ([f"cache at {path}: {len(cache['entries'])} entries"]
+                 + [f"  n={e['n']} bits={e['working_bits']} pn={e['pn']}"
+                    for e in doc["entries"]]), True
 
 
 _COMMANDS = {
@@ -594,14 +573,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command: print its document or lines to stdout, or one line
+    for a failure to stderr, and return the exit code."""
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return _COMMANDS[args.command](args)
+        args = _build_parser().parse_args(argv)
+        doc, lines, passed = _COMMANDS[args.command](args)
     except PrecisionExhausted as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return EXIT_PRECISION_EXHAUSTED
@@ -614,6 +590,12 @@ def main(argv=None) -> int:
     except CMPartitionsError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
+    if args.as_json and doc is not None:
+        print(json.dumps(doc, sort_keys=True, indent=2))
+    else:
+        for line in lines:
+            print(line)
+    return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
 
 
 def console_main() -> None:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math as _math
-from dataclasses import dataclass
 
 import mpmath
 from mpmath import mpc, mpf
@@ -32,7 +31,7 @@ from mpmath.libmp import (from_man_exp, mpf_cos_sin_pi, mpf_div, mpf_neg, pi_fix
 
 from .errors import NearSingularity, NotUpperHalfPlane, PrecisionExhausted
 from .precision import PrecisionConfig
-from .quadforms import ATKIN_LEHNER_MATRICES, QuadForm, reduce_with_matrix
+from .quadforms import QuadForm, reduce_with_matrix
 from .series import (FP_E2_COMBINATION, FP_ETA_FACTORS, FP_PREFACTOR,
                      _pentagonal_exponents, _power)
 
@@ -549,10 +548,6 @@ def eval_form(z: mpc, cfg: PrecisionConfig) -> mpc:
     return _form_and_theta(_form(z), _kernel_table(cfg.eval_bits), cfg.eval_bits)[0]["f"][0]
 
 
-def eval_theta_form(z: mpc, cfg: PrecisionConfig) -> mpc:
-    return _form_and_theta(_form(z), _kernel_table(cfg.eval_bits), cfg.eval_bits)[0]["theta_f"][0]
-
-
 def eval_P(z: mpc, cfg: PrecisionConfig) -> mpc:
     return _form_and_theta(_form(z), _kernel_table(cfg.eval_bits), cfg.eval_bits)[0]["p"][0]
 
@@ -719,32 +714,3 @@ def _eval_bounded(what: str, z: mpc, cfg: PrecisionConfig):
     finally:
         iv.prec = saved
 
-
-@dataclass(frozen=True)
-class ALCheck:
-    deviation: mpf
-    sign: int
-
-
-def al_deviation(fn, d: int, z: mpc, cfg: PrecisionConfig) -> ALCheck:
-    """Deviation of fn from being a weight -2 eigenfunction of the level-6
-    Atkin-Lehner involution W_d, minimized over both signs."""
-    p, q, r, s = ATKIN_LEHNER_MATRICES[d]
-    with mpmath.workprec(cfg.eval_bits):
-        z = mpc(z)
-        wz = (p * z + q) / (r * z + s)
-        fw = fn(wz)
-        rz = r * z + s
-        base = d / (rz * rz) * fn(z)
-        scale = 1 + abs(base)
-        dev_plus = abs(fw - base) / scale
-        dev_minus = abs(fw + base) / scale
-    if dev_plus <= dev_minus:
-        return ALCheck(deviation=dev_plus, sign=1)
-    return ALCheck(deviation=dev_minus, sign=-1)
-
-
-def atkin_lehner_check(d: int, z: mpc, cfg: PrecisionConfig) -> ALCheck:
-    if d not in ATKIN_LEHNER_MATRICES:
-        raise ValueError(f"d = {d} is not an exact divisor of level 6")
-    return al_deviation(lambda w: eval_form(w, cfg), d, z, cfg)

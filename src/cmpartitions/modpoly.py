@@ -55,22 +55,6 @@ def hnf_classes(m: int) -> list[MatrixClass]:
                   key=lambda c: (c.s, c.q))
 
 
-def class_count(m: int) -> int:
-    """m * prod(1 + 1/p) over primes p | m (the classical index formula)."""
-    count = m
-    rest = m
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            count += count // p
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    if rest > 1:
-        count += count // rest
-    return count
-
-
 def _image_form(form: QuadForm, cl: MatrixClass) -> tuple[QuadForm, int]:
     """(F, g): the primitive form F whose root is (p alpha + q)/s for alpha
     the root of form [a, b, c], and the content g of

@@ -18,6 +18,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def significant_digits(text: str) -> int:
+    """The digits of a printed number's mantissa."""
+    return len(text.partition("e")[0].lstrip("-").replace(".", "").lstrip("0"))
+
+
 class TestBasicCommands:
     def test_pn(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "pn", "--n", "5",
@@ -135,6 +140,25 @@ class TestBasicCommands:
         assert json.loads(out)["value"][0].startswith(
             {"0,1e30": "-1.94294085181633010802630009404",
              "0.1,1e-3000": "2.15789572701612505548883214036"}[z])
+
+    def test_eval_prints_only_the_digits_its_bound_supports(self, capsys):
+        # at 0.1 + 10^-3000 i, C is accepted at 2048 bits, but its bound
+        # supports about 116 digits, not 0.30103 * 2048
+        code, out, _ = run_cli(capsys, "eval", "--what", "C", "--z", "0.1,1e-3000",
+                               "--no-cache", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        cfg = PrecisionConfig(256, 4096)  # the default flags
+        z = cli._point("0.1,1e-3000", cfg.max_bits + cfg.guard_bits)
+        value, bound = evaluate._eval_bounded("C", z, cfg.with_bits(doc["achieved_bits"]))
+        size = max(abs(value.real), abs(value.imag))
+        supported = int(mpmath.floor(mpmath.log10(size / bound)))
+        assert 1 <= significant_digits(doc["value"][0]) <= supported < 200
+        # where the bound supports more, the digits stay 0.30103 achieved_bits
+        code, out, _ = run_cli(capsys, "eval", "--what", "P", "--z", "0.1,1",
+                               "--no-cache", "--json")
+        assert code == 0
+        assert significant_digits(json.loads(out)["value"][0]) == 77
 
     def test_norms_beyond_kernel_budget_refused(self, capsys):
         # the n = 4 beta-norm needs about 53000 bits, past the kernels'
@@ -313,6 +337,37 @@ class TestVerification:
         assert doc["j_norm"]["coprime_to_6"] is True
 
 
+# Whether a command's document passes, by command
+VERDICT = {
+    "verify-decomp": lambda doc: doc["pass"],
+    "verify-appendix": lambda doc: doc["pass"],
+    "masser": lambda doc: doc["pass"],
+    "hypothesis": lambda doc: doc["f_integral"] and doc["companion_integral"],
+    "norms": lambda doc: doc["j_norm"]["coprime_to_6"] and doc["beta_norm"]["coprime_to_6"],
+    "report": lambda doc: all(b["pn"] == b["pn_oracle"] for b in doc["per_n"]),
+}
+
+
+@pytest.mark.parametrize("argv, passes", [
+    (("verify-decomp", "--trials", "2", "--n-max", "1"), True),
+    (("verify-decomp", "--trials", "2", "--n-max", "1", "--tol", "1e-200"), False),
+    (("verify-appendix", "--trials", "1", "--tol", "1e-30"), True),
+    (("verify-appendix", "--trials", "1", "--tol", "1e-300"), False),
+    (("masser", "--n", "1", "--tol", "1e-15"), True),
+    (("masser", "--n", "1", "--tol", "1e-300"), False),
+    (("hypothesis", "--order", "20"), True),
+    (("norms", "--n", "1"), True),
+    (("report", "--n-max", "1", "--hypothesis-order", "20"), True),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_exit_code_agrees_with_verdict(capsys, argv, passes):
+    code, out, _ = run_cli(capsys, *argv, "--no-cache", "--json")
+    doc = json.loads(out)
+    assert bool(VERDICT[argv[0]](doc)) is passes
+    assert code == (0 if passes else 2)
+    if "pass" in doc:
+        assert doc["pass"] is passes
+
+
 class TestExits:
     """Library failures map to an exit code and one line of stderr, never a
     traceback."""
@@ -393,8 +448,15 @@ class TestCache:
         run_cli(capsys, "pn", "--n", "1", "--cache-path", path)
         code, out, _ = run_cli(capsys, "cache", "show", "--cache-path", path)
         assert code == 0 and "n=1" in out
-        code, _, _ = run_cli(capsys, "cache", "clear", "--cache-path", path)
-        assert code == 0
+        code, out, _ = run_cli(capsys, "cache", "clear", "--cache-path", path)
+        assert (code, out) == (0, f"cache cleared: {path}\n")
+        assert not os.path.exists(path)
+
+    def test_clear_prints_its_line_under_json(self, capsys, tmp_path):
+        path = str(tmp_path / "cache.json")
+        run_cli(capsys, "pn", "--n", "1", "--cache-path", path)
+        code, out, err = run_cli(capsys, "cache", "clear", "--json", "--cache-path", path)
+        assert (code, out, err) == (0, f"cache cleared: {path}\n", "")
         assert not os.path.exists(path)
 
     @pytest.mark.parametrize("content", [

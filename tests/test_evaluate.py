@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -10,14 +11,14 @@ from mpmath.libmp import to_rational
 from cmpartitions import evaluate, recognize
 from cmpartitions.errors import NearSingularity, NotUpperHalfPlane
 from cmpartitions.evaluate import (_as_mpc, _ClassTable, _eta_k, _eval_bounded, _form,
-                                   _form_root, _j_reduced, _nterms, _reduced_basics,
-                                   _reducing, _t, al_deviation,
-                                   atkin_lehner_check, eval_A, eval_Aprime,
-                                   eval_B, eval_C, eval_eisenstein, eval_eta,
-                                   eval_form, eval_j, eval_P, eval_P_cm,
-                                   eval_theta_form, eval_theta_j)
+                                   _form_and_theta, _form_root, _j_reduced,
+                                   _kernel_table, _nterms, _reduced_basics,
+                                   _reducing, _t, eval_A, eval_Aprime, eval_B,
+                                   eval_C, eval_eisenstein, eval_eta, eval_form,
+                                   eval_j, eval_P, eval_P_cm, eval_theta_j)
 from cmpartitions.precision import PrecisionConfig
-from cmpartitions.quadforms import QuadForm, _root, cm_point, enumerate_qn
+from cmpartitions.quadforms import (ATKIN_LEHNER_MATRICES, QuadForm, _root, cm_point,
+                                    enumerate_qn)
 from cmpartitions.recognize import compute_pn
 from cmpartitions.series import eisenstein_series, fp_series
 
@@ -27,6 +28,11 @@ def random_points(seed, count, im_low=0.1, im_high=3.0):
     with mpmath.workprec(128):
         return [mpc(mpf(rng.uniform(-0.5, 0.5)), mpf(rng.uniform(im_low, im_high)))
                 for _ in range(count)]
+
+
+def eval_theta_form(z, cfg):
+    """theta F = q dF/dq at z, as eval_form gives F."""
+    return _form_and_theta(_form(z), _kernel_table(cfg.eval_bits), cfg.eval_bits)[0]["theta_f"][0]
 
 
 def apply_moebius(mat, z):
@@ -555,6 +561,36 @@ class TestDecomposition:
             jval = eval_j(z, cfg256)
             expected = a * jval * (jval - 1728)
             assert abs(eval_Aprime(z, cfg256) - expected) < mpf(2) ** -180 * (1 + abs(expected))
+
+
+@dataclass(frozen=True)
+class ALCheck:
+    deviation: mpf
+    sign: int
+
+
+def al_deviation(fn, d: int, z: mpc, cfg: PrecisionConfig) -> ALCheck:
+    """Deviation of fn from being a weight -2 eigenfunction of the level-6
+    Atkin-Lehner involution W_d, minimized over both signs."""
+    p, q, r, s = ATKIN_LEHNER_MATRICES[d]
+    with mpmath.workprec(cfg.eval_bits):
+        z = mpc(z)
+        wz = (p * z + q) / (r * z + s)
+        fw = fn(wz)
+        rz = r * z + s
+        base = d / (rz * rz) * fn(z)
+        scale = 1 + abs(base)
+        dev_plus = abs(fw - base) / scale
+        dev_minus = abs(fw + base) / scale
+    if dev_plus <= dev_minus:
+        return ALCheck(deviation=dev_plus, sign=1)
+    return ALCheck(deviation=dev_minus, sign=-1)
+
+
+def atkin_lehner_check(d: int, z: mpc, cfg: PrecisionConfig) -> ALCheck:
+    if d not in ATKIN_LEHNER_MATRICES:
+        raise ValueError(f"d = {d} is not an exact divisor of level 6")
+    return al_deviation(lambda w: eval_form(w, cfg), d, z, cfg)
 
 
 class TestAtkinLehner:

@@ -8,7 +8,8 @@ rounded to an mpc (``cm_point``, ``quadforms._root``) only where a number is
 printed or an independent oracle needs one, so no evaluator reads a rounded
 point back as a form.  The README's
 global flags are the options every command takes, so a flag cannot be
-added or removed on one side only."""
+added or removed on one side only.  In ``cli``, only ``main`` writes stdout
+and names an exit code: a command returns its document, lines and verdict."""
 
 import argparse
 import ast
@@ -218,3 +219,37 @@ def test_detects_a_flag_on_one_side_only():
     readme = "Global flags: `--json`, `--threads`.\n\nExit codes: `--n`.\n"
     assert common_options(parser) == {"--json"}
     assert readme_global_flags(readme) == {"--json", "--threads"}
+
+
+def stdout_and_exit_uses(source: str) -> list[str]:
+    """What a function of source other than main does that only main may:
+    a print without file=sys.stderr, a call of _emit, or a name (or
+    attribute) EXIT_*."""
+    found = []
+    for top in ast.parse(source).body:
+        if not isinstance(top, ast.FunctionDef) or top.name == "main":
+            continue
+        for node in ast.walk(top):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None)
+                to_stderr = any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr"
+                                for k in node.keywords)
+                if name == "_emit" or (name == "print" and not to_stderr):
+                    found.append(f"{name} ({top.name} line {node.lineno})")
+            elif isinstance(name, str) and name.startswith("EXIT_"):
+                found.append(f"{name} ({top.name} line {node.lineno})")
+    return found
+
+
+def test_only_main_prints_and_picks_the_exit_code():
+    assert stdout_and_exit_uses((PACKAGE / "cli.py").read_text()) == []
+
+
+def test_detects_a_command_that_prints_or_exits():
+    source = ("def _cmd_a(args):\n    print(args)\n    return EXIT_OK\n\n\n"
+              "def _cmd_b(args):\n    print(args, file=sys.stderr)\n    _emit(args)\n\n\n"
+              "def _cmd_c(args):\n    return cli.EXIT_USAGE\n\n\n"
+              "def main(argv):\n    print(argv)\n    return EXIT_OK\n")
+    assert stdout_and_exit_uses(source) == ["print (_cmd_a line 2)", "EXIT_OK (_cmd_a line 3)",
+                                            "_emit (_cmd_b line 8)", "EXIT_USAGE (_cmd_c line 12)"]

@@ -11,13 +11,28 @@ from cmpartitions.errors import (NoFixingClass, NotNearIntegral,
                                   PrecisionExhausted)
 from cmpartitions.evaluate import _form, _j_from_eta, _nomes, _reducing, eval_C, eval_j
 from cmpartitions.modpoly import (MatrixClass, beta_norm, beta_product,
-                                  class_count, fixing_class, hnf_classes,
-                                  j_norm, masser_c, taylor_coeffs,
-                                  taylor_fd_fit, _image_form, _j_table,
-                                  _norm_rung)
+                                  fixing_class, hnf_classes, j_norm, masser_c,
+                                  taylor_coeffs, taylor_fd_fit, _image_form,
+                                  _j_table, _norm_rung)
 from cmpartitions.precision import PrecisionConfig, run_adaptive
 from cmpartitions.quadforms import (QuadForm, _root, cm_point, enumerate_qn,
                                     reduce_with_matrix)
+
+
+def class_count(m: int) -> int:
+    """m * prod(1 + 1/p) over primes p | m (the classical index formula)."""
+    count = m
+    rest = m
+    p = 2
+    while p * p <= rest:
+        if rest % p == 0:
+            count += count // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        count += count // rest
+    return count
 
 
 def _xgcd(a: int, b: int):
