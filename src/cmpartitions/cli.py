@@ -8,6 +8,7 @@ round-trip byte-identically.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -91,7 +92,10 @@ def _parse_point(text: str) -> str:
     return text
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser of every command, built on first use and kept: a parse
+    reads it and leaves it as it was."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--precision-bits", type=_positive_int, default=256)
     common.add_argument("--max-precision-bits", type=_positive_int, default=4096)
@@ -520,14 +524,14 @@ def _cmd_report(args):
     doc = report_bundle(args.n_max, cfg, hypothesis_order=args.hypothesis_order,
                         cached_entries=cached_entries)
     if not args.no_cache:
-        for block in doc["per_n"]:
-            entry = {k: block[k] for k in _RECORD_TYPES}
-            _cache_store(cache, entry)
-        if warning is None:
-            # a failed write is reported but leaves the document as it is
-            warning = _save_cache(cache, path)
-        else:
+        if warning is not None:
             doc["cache_warning"] = warning
+        elif len(cached_entries) < args.n_max:
+            # written only when a block was computed; a failed write is
+            # reported but leaves the document as it is
+            for block in doc["per_n"]:
+                _cache_store(cache, {k: block[k] for k in _RECORD_TYPES})
+            warning = _save_cache(cache, path)
         if warning:
             print(warning, file=sys.stderr)
     lines = [f"n={b['n']}: p(n)={b['pn']} [{'ok' if b['pn'] == b['pn_oracle'] else 'MISMATCH'}] "

@@ -495,11 +495,13 @@ def eval_eisenstein(k: int, z: mpc, cfg: PrecisionConfig) -> mpc:
 
 
 def _j_and_theta_j(form: QuadForm, table, cfg: PrecisionConfig):
-    """(j, theta j) at the root of form from the basics there (_at in table),
-    theta j = -E4^2 E6 / Delta."""
+    """(j, theta j) at the root of form from the basics there (_at in table):
+    j = E4^3 / Delta as in _j_of and theta j = -E4^2 E6 / Delta, over one
+    Delta."""
     with mpmath.workprec(cfg.eval_bits):
         v = _as_mpc(_at(form, table, cfg.eval_bits), cfg.eval_bits)
-        return _j_of(v), -(v["e4"] * v["e4"]) * v["e6"] / _ipow(v["eta2"], 12)
+        delta = _ipow(v["eta2"], 12)
+        return _ipow(v["e4"], 3) / delta, -(v["e4"] * v["e4"]) * v["e6"] / delta
 
 
 def eval_j(z: mpc, cfg: PrecisionConfig) -> mpc:

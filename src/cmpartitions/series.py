@@ -152,25 +152,44 @@ class FormalSeries:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "FormalSeries":
-        """Multiplicative inverse; requires a nonzero leading coefficient."""
-        if self.is_zero():
-            raise ZeroLeadingCoefficient("cannot invert the zero series")
-        lead = self.coeffs[0]
-        n = self.order - self.start  # number of valid unit-part terms
-        a = self.coeffs
+    def __truediv__(self, other) -> "FormalSeries":
+        """Exact quotient by one recurrence over the divisor's nonzero terms:
+        q_k = (a_k - sum_{j >= 1, b_j != 0} b_j q_{k-j}) / b_0, in ints when
+        b_0 is +-1 and through Fractions otherwise.  Valid wherever the
+        product with the inverse would be (__mul__, inverse())."""
+        if not isinstance(other, FormalSeries):
+            return NotImplemented
+        if other.is_zero():
+            raise ZeroLeadingCoefficient("cannot divide by the zero series")
+        start = self.start - other.start
+        order = min(self.order - other.start, other.order - 2 * other.start + self.start)
+        n = max(0, order - start)
+        lead, a = other.coeffs[0], self.coeffs
         unit_lead = lead == 1 or lead == -1  # fast path: no Fraction churn
-        inv_lead = lead if unit_lead else Fraction(1) / Fraction(lead)
-        b = [0] * n
-        b[0] = _norm_coeff(Fraction(inv_lead)) if not unit_lead else lead
-        for k in range(1, n):
-            acc = 0
-            for i in range(1, min(k, len(a) - 1) + 1):
-                if a[i]:
-                    acc += a[i] * b[k - i]
-            if acc:
-                b[k] = -acc * lead if unit_lead else _norm_coeff(-Fraction(acc) * inv_lead)
-        return FormalSeries(-self.start, b, n - self.start)
+        inv_lead = lead if unit_lead else Fraction(1) / lead
+        terms = [(j, c) for j, c in enumerate(other.coeffs[1:n], 1) if c]
+        out = [0] * n
+        live = 0  # terms[:live] are the divisor terms with j <= k
+        for k in range(n):
+            while live < len(terms) and terms[live][0] <= k:
+                live += 1
+            acc = a[k] if k < len(a) else 0
+            for j, c in terms[:live]:
+                acc -= c * out[k - j]
+            out[k] = acc * lead if unit_lead else _norm_coeff(acc * inv_lead)
+        return FormalSeries(start, out, order)
+
+    def __rtruediv__(self, other) -> "FormalSeries":
+        # a numerator known as far as self's unit part makes the quotient
+        # valid as far as the inverse (order 1 for a zero self, which the
+        # division refuses)
+        return FormalSeries.constant(other, max(1, self.order - self.start)) / self
+
+    def inverse(self) -> "FormalSeries":
+        """Multiplicative inverse as 1 / self: the one exact division, a
+        recurrence over self's nonzero terms that stays in ints when the
+        leading coefficient is +-1; requires a nonzero series."""
+        return 1 / self
 
     def __pow__(self, n: int) -> "FormalSeries":
         if not isinstance(n, int):
@@ -270,6 +289,11 @@ def euler_product_series(order: int) -> FormalSeries:
     return FormalSeries(0, coeffs, order)
 
 
+def _euler_factor(d: int, order: int) -> FormalSeries:
+    """prod_{n>=1} (1 - q^(dn)) below ``order``: the unit part of eta(d z)."""
+    return euler_product_series(order).rescale_exponents(d).truncate(order)
+
+
 def eta_quotient_series(factors, order: int) -> FormalSeries:
     """Exact expansion of prod eta(d z)^e over the (d, e) factors; the
     q-power sum(d*e)/24 in front must be an integer."""
@@ -282,8 +306,7 @@ def eta_quotient_series(factors, order: int) -> FormalSeries:
         raise ValueError("order too small for this eta quotient")
     result = FormalSeries.constant(1, unit_order)
     for d, e in factors:
-        p = euler_product_series(unit_order).rescale_exponents(d).truncate(unit_order)
-        result = result * (p ** e)
+        result = result * (_euler_factor(d, unit_order) ** e)
     return FormalSeries(result.start + shift, result.coeffs, result.order + shift)
 
 
@@ -296,7 +319,10 @@ def fp_series(order: int) -> FormalSeries:
     """The weight -2 eta-quotient form whose CM values encode partition numbers.
 
     Exact expansion of (E2(z) - 2E2(2z) - 3E2(3z) + 6E2(6z)) / 2 divided by
-    eta(z)^2 eta(2z)^2 eta(3z)^2 eta(6z)^2; starts q^-1 - 10 - 29q - ...
+    eta(z)^2 eta(2z)^2 eta(3z)^2 eta(6z)^2 = q prod (1 - q^(dn))^2 over
+    d = 1, 2, 3, 6: eight exact divisions, each one recurrence over the
+    Euler factor's pentagonal terms (about 2 sqrt(order) of them), all in
+    ints since every factor is monic; starts q^-1 - 10 - 29q - ...
     """
     if order < 2:
         raise ValueError("order must be >= 2")
@@ -305,9 +331,14 @@ def fp_series(order: int) -> FormalSeries:
     num = FormalSeries.zero(margin)
     for d, c in FP_E2_COMBINATION:
         num = num + e2.rescale_exponents(d).truncate(margin) * c
-    num = num * FP_PREFACTOR
-    den = eta_quotient_series(FP_ETA_FACTORS, margin)
-    return (num * den.inverse()).truncate(order)
+    quotient = num * FP_PREFACTOR
+    for d, e in FP_ETA_FACTORS:
+        factor = _euler_factor(d, margin)
+        for _ in range(e):
+            quotient = quotient / factor
+    shift = sum(d * e for d, e in FP_ETA_FACTORS) // 24
+    return FormalSeries(quotient.start - shift, quotient.coeffs,
+                        quotient.order - shift).truncate(order)
 
 
 def delta_series(order: int) -> FormalSeries:
@@ -321,7 +352,7 @@ def j_series(order: int) -> FormalSeries:
         raise ValueError("order must be >= 2")
     margin = order + 4
     e4 = eisenstein_series(4, margin)
-    return ((e4 ** 3) * delta_series(margin).inverse()).truncate(order)
+    return ((e4 ** 3) / delta_series(margin)).truncate(order)
 
 
 @dataclass(frozen=True)
@@ -331,21 +362,27 @@ class HypothesisReport:
     first_failure: int | None
 
 
-def hypothesis_check(f: FormalSeries, order: int) -> HypothesisReport:
-    """Integrality at infinity of F and of theta(F) + F*(E2*E4 - E6)/(6*E4).
-
-    Both series are computed exactly over the rationals through exponents
-    below ``order``; division by 6*E4 is performed on rationals so that
-    integrality is a post-hoc finding, never an assumption.
-    """
+def _companion(f: FormalSeries, order: int) -> FormalSeries:
+    """theta(F) + F*(E2*E4 - E6)/(6*E4), exact through exponents below order:
+    F*(E2*E4 - E6) divided by E4 in one recurrence (in ints when F is, E4
+    being monic), then the 1/6 as a Fraction."""
     margin = order - min(0, f.start) + 4
     e2 = eisenstein_series(2, margin)
     e4 = eisenstein_series(4, margin)
     e6 = eisenstein_series(6, margin)
-    multiplier = (e2 * e4 - e6) * e4.inverse() * Fraction(1, 6)
-    companion = f.theta() + f * multiplier
+    return f.theta() + f * (e2 * e4 - e6) / e4 * Fraction(1, 6)
+
+
+def hypothesis_check(f: FormalSeries, order: int) -> HypothesisReport:
+    """Integrality at infinity of F and of theta(F) + F*(E2*E4 - E6)/(6*E4).
+
+    Both series are computed exactly through exponents below ``order``; the
+    division by E4 is exact and the 1/6 exact rational arithmetic
+    (_companion), so that integrality is a post-hoc finding, never an
+    assumption.
+    """
     f_fail = f.first_nonintegral(order)
-    c_fail = companion.first_nonintegral(order)
+    c_fail = _companion(f, order).first_nonintegral(order)
     failures = [e for e in (f_fail, c_fail) if e is not None]
     return HypothesisReport(f_integral=f_fail is None,
                             companion_integral=c_fail is None,

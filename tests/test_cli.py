@@ -368,6 +368,30 @@ def test_exit_code_agrees_with_verdict(capsys, argv, passes):
         assert doc["pass"] is passes
 
 
+class TestParser:
+    """The parser is built once per process, and a parse leaves it as it was."""
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_back_to_back_calls_print_what_fresh_calls_print(self, capsys):
+        calls = [("verify-decomp", "--trials", "2", "--n-max", "1", "--tol", "1e-200",
+                  "--json"),
+                 ("verify-decomp", "--trials", "2", "--n-max", "1"),
+                 ("eval", "--what", "P", "--z", "0.1,1", "--tol", "2^-100", "--json"),
+                 ("eval", "--what", "P", "--z", "0.1,1"),
+                 ("hypothesis", "--order", "20", "--json"),
+                 ("hypothesis", "--order", "20"),
+                 ("forms", "--n", "2")]
+        in_turn = [run_cli(capsys, *argv, "--no-cache") for argv in calls]
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv, "--no-cache"))
+        assert in_turn == fresh
+        assert [code for code, _, _ in in_turn] == [2, 0, 0, 0, 0, 0, 0]
+
+
 class TestExits:
     """Library failures map to an exit code and one line of stderr, never a
     traceback."""
@@ -545,6 +569,27 @@ class TestReport:
         assert json.loads(out)["cache_warning"] == warning
         assert err == warning + "\n"
         assert path.read_text() == '{"version": 1, "entries": [1]}'
+
+    def test_warm_cache_is_not_rewritten(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        args = ("report", "--n-max", "1", "--hypothesis-order", "20",
+                "--cache-path", str(path))
+        assert run_cli(capsys, *args)[0] == 0
+        before = os.stat(path)
+        code, _, err = run_cli(capsys, *args)
+        after = os.stat(path)
+        assert (code, err) == (0, "")
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    def test_failed_write_warns(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        path = str(blocker / "cache.json")
+        code, out, err = run_cli(capsys, "report", "--n-max", "1",
+                                 "--hypothesis-order", "20", "--json",
+                                 "--cache-path", path)
+        assert code == 0 and "cache_warning" not in json.loads(out)
+        assert err == f"cannot write cache {path}: {blocker} is not a directory\n"
 
     def test_cache_reuse_identical_output(self, capsys, tmp_path):
         path = str(tmp_path / "cache.json")

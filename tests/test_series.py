@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from cmpartitions.errors import FractionalPower, ZeroLeadingCoefficient
-from cmpartitions.series import (FormalSeries, delta_series,
-                                 eisenstein_series, eta_quotient_series,
-                                 euler_product_series, fp_series,
-                                 hypothesis_check, j_series)
+from cmpartitions.series import (FP_E2_COMBINATION, FP_ETA_FACTORS,
+                                 FP_PREFACTOR, FormalSeries, _companion,
+                                 delta_series, eisenstein_series,
+                                 eta_quotient_series, euler_product_series,
+                                 fp_series, hypothesis_check, j_series)
 
 
 def sigma(n, k):
@@ -27,6 +28,38 @@ def newton_inverse_oracle(series, order):
         x = x * (FormalSeries(0, [2], length) - a * x).truncate(length)
         x = x.truncate(length)
     return x
+
+
+def recurrence_inverse_oracle(series):
+    """The dense inverse b_k = -(sum_{i=1..k} a_i b_{k-i}) / a_0 over every
+    term, as FormalSeries.inverse computed it before the sparse division."""
+    lead = Fraction(series.coeffs[0])
+    n = series.order - series.start  # number of valid unit-part terms
+    a = series.coeffs
+    b = [1 / lead] + [0] * (n - 1)
+    for k in range(1, n):
+        acc = sum(a[i] * b[k - i] for i in range(1, min(k, len(a) - 1) + 1))
+        b[k] = -acc / lead
+    return FormalSeries(-series.start, b, n - series.start)
+
+
+def random_series(rng, zero_share):
+    """A series with a random start in -3..3, 1..12 valid terms and
+    coefficients of which about zero_share vanish, some of them Fractions;
+    its leading coefficient is nonzero."""
+    start = rng.randint(-3, 3)
+    length = rng.randint(1, 12)
+
+    def coeff():
+        if rng.random() < zero_share:
+            return 0
+        if rng.random() < 0.25:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        return rng.randint(-9, 9)
+
+    lead = rng.choice([1, -1, 2, -3, Fraction(2, 3), Fraction(-5, 4)])
+    return FormalSeries(start, [lead] + [coeff() for _ in range(length - 1)],
+                        start + length)
 
 
 def product_delta_oracle(order):
@@ -83,6 +116,27 @@ class TestArithmetic:
     def test_inverse_zero_rejected(self):
         with pytest.raises(ZeroLeadingCoefficient):
             FormalSeries.zero(5).inverse()
+
+    def test_division_against_inverse_times_product(self):
+        rng = random.Random(23)
+        for case in range(200):
+            # every fourth divisor is sparse, every fifth numerator zero
+            num = random_series(rng, 0.3)
+            if case % 5 == 0:
+                num = FormalSeries.zero(rng.randint(-2, 12))
+            den = random_series(rng, 0.85 if case % 4 == 0 else 0.2)
+            assert num / den == num * recurrence_inverse_oracle(den), case
+
+    def test_inverse_against_recurrence_oracle(self):
+        rng = random.Random(24)
+        for _ in range(50):
+            series = random_series(rng, 0.3)
+            assert series.inverse() == recurrence_inverse_oracle(series)
+            assert 1 / series == series.inverse()
+
+    def test_division_by_zero_rejected(self):
+        with pytest.raises(ZeroLeadingCoefficient):
+            FormalSeries(0, [1, 2], 5) / FormalSeries.zero(5)
 
     def test_inverse_mul_roundtrip_random(self):
         rng = random.Random(9)
@@ -156,6 +210,15 @@ class TestNamedSeries:
         assert f.coeff(0) == -10
         assert f.coeff(1) == -29
 
+    def test_fp_equals_numerator_times_dense_inverse(self):
+        order, margin = 120, 124
+        e2 = eisenstein_series(2, margin)
+        num = FormalSeries.zero(margin)
+        for d, c in FP_E2_COMBINATION:
+            num = num + e2.rescale_exponents(d).truncate(margin) * c
+        den = eta_quotient_series(FP_ETA_FACTORS, margin)
+        assert fp_series(order) == (num * FP_PREFACTOR * den.inverse()).truncate(order)
+
     def test_j_leading_coefficients(self):
         j = j_series(4)
         assert j.coeff(-1) == 1
@@ -199,6 +262,25 @@ class TestRamanujanIdentities:
 
 
 class TestHypothesisCheck:
+    def test_companion_equals_the_inverse_formula_through_200(self):
+        f = fp_series(202)
+        margin = 200 - f.start + 4
+        e2, e4, e6 = (eisenstein_series(k, margin) for k in (2, 4, 6))
+        multiplier = (e2 * e4 - e6) * recurrence_inverse_oracle(e4) * Fraction(1, 6)
+        old = f.theta() + f * multiplier
+        new = _companion(f, 200)
+        assert new.order == old.order >= 200
+        assert all(new.coeff(k) == old.coeff(k) for k in range(-1, 200))
+
+    @pytest.mark.parametrize("k", [-1, 0, 1, 37, 150])
+    def test_half_shift_fails_at_its_exponent(self, k):
+        f = fp_series(202)
+        coeffs = list(f.coeffs)
+        coeffs[k - f.start] += Fraction(1, 2)
+        report = hypothesis_check(FormalSeries(f.start, coeffs, f.order), 200)
+        assert not report.f_integral
+        assert report.first_failure == k
+
     def test_fp_through_200(self):
         report = hypothesis_check(fp_series(205), 200)
         assert report.f_integral and report.companion_integral
