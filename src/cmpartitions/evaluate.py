@@ -13,9 +13,9 @@ keeps its relative precision.  _transport carries values back by the
 reducing matrix and t = i/(cz + d), in integers (_t), eta^2 with a twelfth
 root of unity from Rademacher's integer k (_eta_k).  Derivatives are
 analytic: theta(E2) = (E2^2 - E4)/12, theta(log eta) = E2/24.  Every
-fixed-point value carries an integer error exponent (_emul, _esum, _ediv),
-seeded by the kernel's budget: the bound of P at CM points (eval_P_cm) and
-of the eval command (_eval_bounded).
+fixed-point value carries an integer error exponent (_emul, _esum, _ediv,
+_eprod), seeded by the kernels' budgets: the bounds of P at CM points
+(eval_P_cm), of the eval command (_eval_bounded) and of j (_j_reduced).
 """
 
 from __future__ import annotations
@@ -218,10 +218,34 @@ def _emul(a, b, prec: int):
 
 def _esum(terms):
     """_csum over (integer weight, (value, error exponent)) pairs, with its
-    error exponent: the bit length of sum |c| 2^e."""
+    error exponent: the bit length of sum |c| 2^e, inf if any e is."""
     terms = list(terms)
+    inf = any(e == _math.inf for _, (_, e) in terms)
     return (_csum((c, z) for c, (z, _) in terms),
-            sum(abs(c) << max(e, 0) for c, (_, e) in terms).bit_length())
+            _math.inf if inf else sum(abs(c) << max(e, 0) for c, (_, e) in terms).bit_length())
+
+
+def _eprod(pairs, prec: int):
+    """The product P of (value, error exponent) pairs by _cmul, with its
+    error exponent.  The exact product is P prod (1 + d_i) prod (1 - t_k/Q_k),
+    |d_i| <= 2^e_i/|x_i| for the factors x_i and |t_k| < 2 the truncation of
+    the k-th partial product Q_k: within (exp(rho) - 1)|P| < 2 rho |P| of P
+    for rho = sum 2^e_i/|x_i| + sum 2/|Q_k| <= 1, else inf.  rho is summed,
+    rounded up, in one integer at scale 2^s (|x| >= max(|Re x|, |Im x|),
+    |Q_k| >= 2^(size Q_k - 1)); an _emul chain gives up 1-2 bits a product."""
+    (acc, _), *rest = pairs
+    sizes = []
+    for x, _ in rest:
+        acc = _cmul(acc, x, prec)
+        sizes.append(_size(acc))
+    if any(e == _math.inf for _, e in pairs):
+        return acc, _math.inf
+    s = max(_size(x) - max(e, 0) for x, e in pairs) + 20
+    rho = sum(1 << max(s + 2 - size, 0) for size in sizes) + sum(
+        (1 << max(e, 0) + s) // max(abs(x[0]), abs(x[1]), 1) + 1 for x, e in pairs)
+    if rho > 1 << s:
+        return acc, _math.inf
+    return acc, ((rho * (abs(acc[0]) + abs(acc[1])) >> s - 1) + 1).bit_length()
 
 
 def _ediv(a, b, prec: int):
@@ -240,10 +264,13 @@ def _ediv(a, b, prec: int):
 
 def _rounded(z, prec: int, bits: int):
     """(mpc, error exponent): the pair z at scale 2^prec rounded to a
-    bits-bit mpc, within 2^e absolute of the exact value (its error, and
-    the rounding under 2^(size z - bits) units); inf stays inf, whatever prec."""
+    bits-bit mpc (exact for bits = 0), within 2^e absolute of the exact
+    value: its error and the rounding, under 2^(size z - bits) units; inf
+    stays inf, whatever prec."""
     (x, e) = z
-    return _to_mpc(x, prec, bits), e if e == _math.inf else max(e, _size(x) - bits) + 1 - prec
+    if e != _math.inf:
+        e = (max(e, _size(x) - bits) + 1 if bits else e) - prec
+    return _to_mpc(x, prec, bits), e
 
 
 def _cmul_within(a: tuple[int, int], b: tuple[int, int], prec: int,
@@ -361,61 +388,66 @@ def _reduced_basics(w: mpc, bits: int) -> dict:
     }
 
 
-def _j_reduced(w: mpc, bits: int, q: mpc | None = None) -> tuple[mpc, mpf]:
-    """(j, eps): j at a fundamental-domain point w via the eta quotient
-    u = 2^12 (eta(2w)/eta(w))^24 = 2^12 q prod (1 + q^k)^24 and
-    j = (u + 16)^3 / u, with a bound eps on its relative error.
+def _j_reduced(w: mpc, bits: int, q: mpc | None = None):
+    """j at a fundamental-domain point w as a (value, error exponent) pair
+    at scale 2^prec, prec = bits + _GUARD (_emul), from the eta quotient
+    u = 2^12 (eta(2w)/eta(w))^24 = 2^12 q r^24, r = p2/p1 = prod (1 + q^k)
+    for the pentagonal sums p1 = prod (1 - q^k) and p2 = prod (1 - q^2k):
+        j = (u + 16)^3 / u = q^-1 / r^24 + 768 + 48 u + u^2,
+    its leading q^-1 the reciprocal of the mpc q, so that it keeps its
+    relative precision at small |q|.  One exponential and two sparse sums
+    on one table of q powers (fewer products at very high precision than
+    E4^3 / Delta from the theta constants); refused at bits >= 2^15.
+    q = exp(2 pi i w) is computed here unless passed (_nomes).
 
-    One exponential and two sparse pentagonal sums sharing one table of q
-    powers give j (fewer products at very high precision than E4^3 / Delta
-    from the theta constants).  The table and sums run in fixed point under
-    the budget of _reduced_basics (|q| < 0.005 here); u and j are formed in
-    mpc at the guarded precision too, since the 24th power and, near rho,
-    the cancellation in u + 16 would cost up to 10 bits.  It is refused at
-    bits >= 2^15.  q = exp(2 pi i w) is computed here unless passed (_nomes).
-
-    Error budget.  Let prec = bits + _GUARD and K = (2|u| + 16)/|u + 16| >= 1,
-    a bound on |d log j / d log u| = |2u - 16|/|u + 16|; |w| >= 1 on the
-    fundamental domain.  Relative errors of j, for the exact j at any point
-    within |w| 2^(2-bits) of w:
-      - the root, off by up to |w| 2^(2-bits) (_j_from_eta rounds it within
-        |w| 2^-prec), with |d log u / dw| = 2 pi |1 + 24 sum k q^k/(1 + q^k)|
-        < 7: under 28 K |w| 2^-bits;
-      - the exponential: its argument off by 2 pi |w| 2^(2-prec), plus exp's
-        rounding, so q off by under 2^(5-prec) |w| relative (2^(18-prec) |w|
-        from _nomes), weighted by d log u / d log q < 1.2 and K;
-      - the fixed-point sums, off by under 2^(-prec+11) each and of modulus
-        above 0.99, so p2/p1 is off by under 2^(-prec+13) relative;
-      - the 24th power: 24 times that, five roundings and the factor 2^12 q,
-        so u is off by under 2^(-prec+18) relative;
-      - the cancellation |u|/|u + 16|: u + 16, its cube and the quotient
-        carry u's error times at most 2K, plus four roundings.
-    With 32 guard bits all but the first are under 2^(-bits-12) K |w|, so
-    the total is under 2^(5-bits) K |w|.  eps is twice that, so the bound
-    holds with K and |w| taken at 53 bits at the computed u, relative to the
-    computed j.
+    Error budget, against j at the root w* of the form (|w* - w| <= 4|w|
+    2^-prec, _form_root; |w| >= 1 and |q^-1| >= 230), as two parts.  With a and b the fixed
+    points of q^-1 and q, the tail is J(a, b) = a R(b)^-1 + 768 + 48 U +
+    U^2, U = 2^12 b R(b), R(b) = prod (1 + b^k)^24, and j(w*) = J(1/q*,
+    q*) at q* = exp(2 pi i w*).
+      - The arithmetic: the sums are within 2^11 units of the full products
+        at b (the budget of _reduced_basics, under 400 products of 2 units,
+        and a tail below 2^(-prec-30)); _ediv, _emul and _esum carry that
+        through r, r^24, u and J(a, b).
+      - The inputs: q is within eta = 2^(18-prec) |w| relative of q*
+        (the bound of _nomes; exp here, after the root's rounding, is
+        within 2^(6-prec) |w|), so |a - 1/q*| < (2^18 |w| + 3) |q^-1|
+        units (1/q rounded, a truncated) and |b - q*| < 0.00434 * 2^18 |w|
+        + 1.5 < 1140 |w| units.  Along b, |beta| <= 0.00434 (exp(-pi sqrt 3)
+        = 0.004333 on the domain), so sum |beta|^k < 0.00436, |R| and |R^-1|
+        < exp(24 * 0.00436/0.9957) < 1.111, sum k |beta|^(k-1)/|1 + beta^k|
+        < 0.9956^-3 < 1.0132, |d R^-1/d beta| < 1.111 * 24 * 1.0132 < 27.1,
+        |U| < 19.8 and |dU/d beta| < 2^12 * 1.111 (1 + 24 * 0.00434 *
+        1.0132) < 5040; so |dJ/db| < 27.1 |q^-1| + (48 + 2 * 19.8) 5040 <
+        27.1 |q^-1| + 2^18.76.  In all |J(a, b) - j(w*)| < 1.111 (2^18 |w| +
+        3) |q^-1| + 1140 |w| (27.1 |q^-1| + 2^18.76) < (|q^-1| + 2^10) 2^19
+        |w| units, under 2^(max(size a - prec + 1, 10) + 20 + mag w).
     """
     _check_budget(bits)
     n = _nterms(bits, mpmath.im(w))
     prec = bits + _GUARD
     t1 = list(_pentagonal_exponents(n))
     t2 = [(2 * e, s) for e, s in _pentagonal_exponents((n + 1) // 2)]
-    one = [(1, (1 << prec, 0))]
+    one = (1 << prec, 0)
     with mpmath.workprec(prec):
         if q is None:
             q = mpmath.exp(mpmath.pi * mpc(0, 2) * w)
-        power = _power_table(_fixed(q, prec), [e for e, _ in t1 + t2], prec)
-        p1 = _to_mpc(_csum(one + [(s, power[e]) for e, s in t1]), prec, prec)
-        p2 = _to_mpc(_csum(one + [(s, power[e]) for e, s in t2]), prec, prec)
-        u = 4096 * q * _ipow(p2 / p1, 24)
-        shifted = u + 16
-        j = _ipow(shifted, 3) / u
-    with mpmath.workprec(53):
-        eps = abs(w) * (2 * abs(u) + 16) / abs(shifted) * mpf(2) ** (6 - bits)
-    return j, eps
+        a, b = _fixed(1 / q, prec), _fixed(q, prec)
+    power = _power_table(b, [e for e, _ in t1 + t2], prec)
+    p1 = (_csum([(1, one)] + [(s, power[e]) for e, s in t1]), 11)
+    p2 = (_csum([(1, one)] + [(s, power[e]) for e, s in t2]), 11)
+    r8 = _ediv(p2, p1, prec)
+    for _ in range(3):
+        r8 = _emul(r8, r8, prec)
+    r24 = _emul(_emul(r8, r8, prec), r8, prec)
+    u = _emul(((4096 * b[0], 4096 * b[1]), 0), r24, prec)
+    j, err = _esum([(1, _ediv((a, 0), r24, prec)), (768, (one, 0)), (48, u),
+                    (1, _emul(u, u, prec))])
+    inputs = max(_size(a) - prec + 1, 10) + 20 + int(mpmath.mag(w))
+    return j, max(err, inputs) + 1
 
 
-def _j_from_eta(red: QuadForm, bits: int, q: mpc | None = None) -> tuple[mpc, mpf]:
+def _j_from_eta(red: QuadForm, bits: int, q: mpc | None = None):
     """_j_reduced at the root w of a reduced form, with q = exp(2 pi i w)
     if given (_nomes)."""
     return _j_reduced(_form_root(red, bits + _GUARD), bits, q)
@@ -574,7 +606,7 @@ def _nomes(forms, bits: int) -> list[mpc]:
     q = exp(-pi sqrt|D|/a) exp(-pi i/a)^b, one exponential and one root of
     unity for all, its powers by _ipow (conjugated for b < 0).  With
     |b| < 2^10 the power is off by under |b| (3 + 2 log2 |b|) 2^(1-prec) <
-    2^(16-prec) relative, and q by under 2^(18-prec) |w|."""
+    2^(16-prec) relative, and q by under 2^(18-prec) |w| relative."""
     a, d = forms[0].a, forms[0].discriminant()
     if any((f.a, f.discriminant()) != (a, d) or abs(f.b) >= 1 << 10 for f in forms):
         raise ValueError("forms must share a and D, with |b| < 2^10")

@@ -18,8 +18,8 @@ import mpmath
 from mpmath import mpc, mpf
 
 from .errors import NearSingularity, NoFixingClass
-from .evaluate import (_check_budget, _ClassTable, _j_and_theta_j, _j_from_eta,
-                       _kernel_table, _nomes, eval_j, eval_theta_j)
+from .evaluate import (_GUARD, _check_budget, _ClassTable, _eprod, _esum, _j_and_theta_j,
+                       _j_from_eta, _kernel_table, _nomes, _rounded, eval_j, eval_theta_j)
 from .precision import PrecisionConfig, _fork_map, run_adaptive
 from .quadforms import QuadForm, cm_point, enumerate_qn, reduce_with_matrix
 from .recognize import _carried_bits, norm_6unit_check
@@ -100,24 +100,23 @@ def _images(form: QuadForm, classes):
 
 
 def _j_classes(reds, bits: int) -> list:
-    """(j, relative error bound) at the roots of reduced forms that share a
-    and the discriminant, with one exponential for all of them (``_nomes``)
-    when there are several; the kernel runs through this module's
-    _j_from_eta."""
+    """j at the roots of reduced forms that share a and the discriminant,
+    as (value, error exponent) pairs at scale 2^(bits + _GUARD), with one
+    exponential for all of them (``_nomes``) when there are several; the
+    kernel runs through this module's _j_from_eta."""
     nomes = _nomes(reds, bits) if len(reds) > 1 else [None]
     return [_j_from_eta(red, bits, q) for red, q in zip(reds, nomes)]
 
 
 def _j_table(cfg: PrecisionConfig, forms=(), classes=()) -> _ClassTable:
-    """Reduced form -> (j, relative error bound) at its root, at cfg's
-    evaluation precision.  The kernel calls that the CM points of forms and
-    their images under classes need, one per class and its mirror, are made
-    at once over the CPUs (``_fork_map``), in groups that share a and the
+    """Reduced form -> j at its root (_j_classes), at cfg's evaluation
+    precision.  The kernel calls that the CM points of forms and their
+    images under classes need, one per class and its mirror, are made at
+    once over the CPUs (``_fork_map``), in groups that share a and the
     discriminant (one exponential), largest a (longest series) first; a
     mirror is conjugated and any other form computed on a miss.  The
-    kernel's budget is checked first, so a precision it refuses fails before
-    any process starts.
-    """
+    kernel's budget is checked first, so a precision it refuses fails
+    before any process starts."""
     bits = cfg.eval_bits
     _check_budget(bits)
     table = _ClassTable(lambda red: _j_classes([red], bits)[0])
@@ -137,37 +136,19 @@ def _j_table(cfg: PrecisionConfig, forms=(), classes=()) -> _ClassTable:
     return table
 
 
-def _magnitude(z) -> mpf:
-    """|z| to 53 bits, for error bounds."""
-    with mpmath.workprec(53):
-        return abs(+z)
-
-
-def beta_product(form: QuadForm, classes, cfg: PrecisionConfig,
-                 table) -> tuple[mpc, mpf]:
-    """(beta, rel): beta = prod over non-fixing classes of
-    (j(alpha) - j(class * alpha)) for alpha the CM point of form, and rel,
-    a bound on its relative error to first order.
-
-    Each (j, eps) is read from table (a _j_table at cfg's precision, shared
-    by the forms of one rung) at the reduced form of form or of the image.
-    With j0 and jk off by eps0 and epsk relative, j0 - jk is off by
-    (eps0 |j0| + epsk |jk|) / |j0 - jk| relative, plus 2^(1-p) for the
-    subtraction at p = cfg.eval_bits; _product sums that over the factors,
-    with 2^(1-p) per product.  j runs along the eta-only route, which takes
-    fewer products than E4^3 / Delta at the >30000 bits of n = 3.
+def beta_product(form: QuadForm, classes, cfg: PrecisionConfig, table):
+    """beta = prod over non-fixing classes of (j(alpha) - j(class * alpha))
+    for alpha the CM point of form, as a (value, error exponent) pair at
+    scale 2^(cfg.eval_bits + _GUARD): each j read from table (a _j_table at cfg's
+    precision, shared by the forms of one rung) at the reduced form of form
+    or of the image, each difference taken by _esum and the product by
+    _eprod.  j runs along the eta-only route, which takes fewer products
+    than E4^3 / Delta at the >30000 bits of n = 3.
     """
     fix, images = _images(form, classes)
-    j0, eps0 = table[reduce_with_matrix(form)[0]]
-    factors = []
-    for cl, image in images.items():
-        if cl != fix:
-            jk, epsk = table[reduce_with_matrix(image)[0]]
-            with mpmath.workprec(cfg.eval_bits):
-                diff = j0 - jk
-            rel = (eps0 * _magnitude(j0) + epsk * _magnitude(jk)) / _magnitude(diff)
-            factors.append((diff, rel + mpf(2) ** (1 - cfg.eval_bits)))
-    return _product(factors, cfg.eval_bits)
+    j0 = table[reduce_with_matrix(form)[0]]
+    return _eprod([_esum([(1, j0), (-1, table[reduce_with_matrix(image)[0]])])
+                   for cl, image in images.items() if cl != fix], cfg.eval_bits + _GUARD)
 
 
 @dataclass(frozen=True)
@@ -299,41 +280,29 @@ def _lstsq(rows, rhs, bits: int):
         return list(mpmath.lu_solve(at * a, at * b))
 
 
-def _product(pairs, bits: int) -> tuple[mpc, mpf]:
-    """(prod, rel) of (value, rel) pairs at bits bits, rel bounding relative
-    errors: theirs summed, plus 2^(1-bits) for each product."""
-    with mpmath.workprec(bits):
-        prod = mpc(1)
-        rel = mpf(2) ** (1 - bits) * len(pairs)
-        for value, value_rel in pairs:
-            prod *= value
-            rel += value_rel
-    return prod, rel
-
-
-def _norm_rung(product_at, bits: int):
-    """(prod, bound) of one norm rung from product_at(bits) = (prod, rel),
-    rel bounding prod's relative error to first order: bound = 2 rel |prod|
-    (rel <= 1/4; the 2 covers exp(rel) - 1 and the computed |prod|)."""
-    prod, rel = product_at(bits)
-    return prod, 2 * rel * _magnitude(prod) if rel <= 0.25 else mpmath.inf
+def _norm_rung(product, prec: int):
+    """(value, bound) of one norm rung from its product, a (value, error
+    exponent) pair at scale 2^prec: the value as an exact mpc (_rounded at
+    0 bits) and the bound 2^e on its absolute error."""
+    value, e = _rounded(product, prec, 0)
+    return value, mpf(2) ** e
 
 
 def j_norm(n: int, cfg: PrecisionConfig):
     """Product of j over the class representatives for n, as an integer,
     with the coprime-to-6 flag and its rung's working bits (run_adaptive,
     rounded with the rung's bound as the tolerance; at 256 working bits the
-    first rung closes for n <= 4).  Each (j, eps)
-    comes from a class table filled on a miss: 2 to 31 kernel calls per rung
-    for n <= 30 cost less than a fork."""
+    first rung closes for n <= 4).  Each j comes from a class table filled
+    on a miss: 2 to 31 kernel calls per rung for n <= 30 cost less than a
+    fork.  The product and its bound are _eprod's."""
     reduced = [reduce_with_matrix(f)[0] for f in enumerate_qn(n)]
 
-    def product_at(bits):
+    def rung(bits):
         sub = cfg.with_bits(bits)
-        table = _j_table(sub)
-        return _product([table[red] for red in reduced], sub.eval_bits)
+        table, prec = _j_table(sub), sub.eval_bits + _GUARD
+        return _norm_rung(_eprod([table[red] for red in reduced], prec), prec)
 
-    prod, bound, bits = run_adaptive(lambda b: _norm_rung(product_at, b), cfg)
+    prod, bound, bits = run_adaptive(rung, cfg)
     return (*norm_6unit_check(prod, f"j-norm(n={n})", bound), bits)
 
 
@@ -349,11 +318,11 @@ def beta_norm(n: int, cfg: PrecisionConfig):
     forms = [f for f in enumerate_qn(n) if f.content() == 1]
     classes = hnf_classes(24 * n - 1)
 
-    def product_at(bits):
+    def rung(bits):
         sub = cfg.with_bits(bits)
-        table = _j_table(sub, forms, classes)
-        return _product([beta_product(f, classes, sub, table) for f in forms],
-                        sub.eval_bits)
+        table, prec = _j_table(sub, forms, classes), sub.eval_bits + _GUARD
+        betas = [beta_product(f, classes, sub, table) for f in forms]
+        return _norm_rung(_eprod(betas, prec), prec)
 
-    prod, bound, bits = run_adaptive(lambda b: _norm_rung(product_at, b), cfg)
+    prod, bound, bits = run_adaptive(rung, cfg)
     return (*norm_6unit_check(prod, f"beta-norm(n={n})", bound), bits)

@@ -363,21 +363,19 @@ class HypothesisReport:
 
 
 def _companion(f: FormalSeries, order: int) -> FormalSeries:
-    """theta(F) + F*(E2*E4 - E6)/(6*E4), exact through exponents below order:
-    F*(E2*E4 - E6) divided by E4 in one recurrence (in ints when F is, E4
-    being monic), then the 1/6 as a Fraction."""
-    margin = order - min(0, f.start) + 4
-    e2 = eisenstein_series(2, margin)
-    e4 = eisenstein_series(4, margin)
-    e6 = eisenstein_series(6, margin)
-    return f.theta() + f * (e2 * e4 - e6) / e4 * Fraction(1, 6)
+    """theta(F) + F*(E2*E4 - E6)/(6*E4), exact through exponents below order,
+    as theta(F) + F*theta(E4)/(2*E4) by Ramanujan's theta(E4) = (E2*E4 -
+    E6)/3: F*theta(E4) divided by E4 in one recurrence (in ints when F is,
+    E4 being monic), then the 1/2 as a Fraction."""
+    e4 = eisenstein_series(4, order - min(0, f.start) + 4)
+    return f.theta() + f * e4.theta() / e4 * Fraction(1, 2)
 
 
 def hypothesis_check(f: FormalSeries, order: int) -> HypothesisReport:
     """Integrality at infinity of F and of theta(F) + F*(E2*E4 - E6)/(6*E4).
 
     Both series are computed exactly through exponents below ``order``; the
-    division by E4 is exact and the 1/6 exact rational arithmetic
+    division by E4 is exact and the 1/2 exact rational arithmetic
     (_companion), so that integrality is a post-hoc finding, never an
     assumption.
     """

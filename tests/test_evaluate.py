@@ -10,10 +10,10 @@ from mpmath.libmp import to_rational
 
 from cmpartitions import evaluate, recognize
 from cmpartitions.errors import NearSingularity, NotUpperHalfPlane
-from cmpartitions.evaluate import (_as_mpc, _ClassTable, _eta_k, _eval_bounded, _form,
-                                   _form_and_theta, _form_root, _j_reduced,
-                                   _kernel_table, _nterms, _reduced_basics,
-                                   _reducing, _t, eval_A, eval_Aprime, eval_B,
+from cmpartitions.evaluate import (_GUARD, _as_mpc, _ClassTable, _eprod, _esum, _eta_k,
+                                   _eval_bounded, _form, _form_and_theta, _form_root,
+                                   _j_reduced, _kernel_table, _nterms, _reduced_basics,
+                                   _reducing, _rounded, _t, _to_mpc, eval_A, eval_Aprime, eval_B,
                                    eval_C, eval_eisenstein, eval_eta, eval_form,
                                    eval_j, eval_P, eval_P_cm, eval_theta_j)
 from cmpartitions.precision import PrecisionConfig
@@ -287,6 +287,9 @@ class TestJ:
 
 # fundamental-domain points next to rho, at i and at Im w = 3
 KERNEL_POINTS = [("-0.49", "0.876"), ("0", "1"), ("0.25", "3")]
+# and for j, where the norms take it: the highest reduced root for n <= 30
+# (Im sqrt(719)/2), Im 24, and within 10^-3 of rho
+J_POINTS = KERNEL_POINTS + [("0.5", "13.4070876778"), ("0.1", "24"), ("-0.4995", "0.8665")]
 
 
 class TestFixedPointKernels:
@@ -296,15 +299,16 @@ class TestFixedPointKernels:
 
     @pytest.mark.parametrize("bits", [544, 3600])
     def test_j_against_kleinj(self, bits):
-        for x, y in KERNEL_POINTS:
+        for x, y in J_POINTS:
             with mpmath.workprec(bits):
                 w = mpc(mpf(x), mpf(y))
-                value, eps = _j_reduced(w, bits)
+                assert abs(w) >= 1 and abs(w.real) <= 0.5
+                value, err = _rounded(_j_reduced(w, bits), bits + _GUARD, 0)
             with mpmath.workprec(bits + 64):
                 ref = 1728 * mpmath.kleinj(w)
                 assert abs(value - ref) < mpf(2) ** (8 - bits) * abs(ref), (x, y)
-                # the stated budget covers the actual error
-                assert abs(value - ref) <= eps * abs(value), (x, y)
+                # the stated bound covers the actual error
+                assert abs(value - ref) <= mpf(2) ** err, (x, y)
 
     @pytest.mark.parametrize("bits", [256, 1024, 4096])
     def test_basics_against_divisor_sums(self, bits):
@@ -319,6 +323,41 @@ class TestFixedPointKernels:
                     ref = mpmath.polyval(eisenstein_series(k, n).coeffs[::-1], q)
                     err = abs(value[f"e{k}"] - ref)
                     assert err < mpf(2) ** (8 - bits) * max(1, abs(ref)), (k, x, y)
+
+
+class TestErrorExponents:
+    """The (value, error exponent) helpers at their edges."""
+
+    def test_sum_with_an_unbounded_term_is_unbounded(self):
+        # a j from an _ediv that gave up (inf) makes its beta difference, and
+        # so the rung's bound, inf: run_adaptive then takes the next rung
+        one = ((1 << 64, 0), 3)
+        assert _esum([(1, one), (-1, ((3 << 64, 5), math.inf))]) == ((-2 << 64, -5), math.inf)
+        assert _esum([(1, one), (-1, one)]) == ((0, 0), 5)
+
+    def test_exact_rounding_adds_no_error(self):
+        # at 0 bits _rounded converts exactly, so only the pair's error counts
+        x = (-(7 << 300) - 12345, 1 << 200)
+        value, err = _rounded((x, 40), 100, 0)
+        assert value == _to_mpc(x, 100, 0) and err == 40 - 100
+        assert _rounded((x, math.inf), 100, 0)[1] == math.inf
+
+    def test_product_bound_covers_perturbed_factors(self):
+        # the exact product of factors moved by up to their errors, against
+        # _eprod's value and bound; and one unbounded factor makes it inf
+        rng = random.Random(11)
+        prec = 200
+        for _ in range(20):
+            pairs = [((rng.randrange(-1 << 260, 1 << 260), rng.randrange(-1 << 230, 1 << 230)),
+                      rng.randrange(0, 40)) for _ in range(rng.randrange(1, 12))]
+            value, err = _eprod(pairs, prec)
+            with mpmath.workprec(2000):
+                exact = mpc(1)
+                for (re, im), e in pairs:
+                    move = mpmath.expjpi(mpf(rng.random()) * 2) * mpf(2) ** e
+                    exact *= (mpc(re, im) + move) / mpf(2) ** prec
+                assert abs(exact - _to_mpc(value, prec, 0)) <= mpf(2) ** (err - prec)
+        assert _eprod(pairs + [((1 << prec, 0), math.inf)], prec)[1] == math.inf
 
 
 class TestFormAndP:

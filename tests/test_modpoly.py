@@ -9,7 +9,8 @@ from mpmath import mpc, mpf
 from cmpartitions import modpoly
 from cmpartitions.errors import (NoFixingClass, NotNearIntegral,
                                   PrecisionExhausted)
-from cmpartitions.evaluate import _form, _j_from_eta, _nomes, _reducing, eval_C, eval_j
+from cmpartitions.evaluate import (_GUARD, _form, _j_from_eta, _nomes, _reducing, _to_mpc,
+                                   eval_C, eval_j)
 from cmpartitions.modpoly import (MatrixClass, beta_norm, beta_product,
                                   fixing_class, hnf_classes, j_norm, masser_c,
                                   taylor_coeffs, taylor_fd_fit, _image_form,
@@ -183,7 +184,7 @@ class TestBetaAndTaylor:
         table = _j_table(cfg512)
         for form in enumerate_qn(1):
             beta, _ = beta_product(form, classes, cfg512, table)
-            assert abs(beta) > 1
+            assert abs(_to_mpc(beta, cfg512.eval_bits + _GUARD, 0)) > 1
 
     def test_beta_error_bound_holds(self, cfg512):
         # beta at 512 bits is within its stated bound of beta at 1024 bits
@@ -191,11 +192,13 @@ class TestBetaAndTaylor:
         hi = cfg512.with_bits(1024)
         table_lo, table_hi = _j_table(cfg512), _j_table(hi)
         for form in enumerate_qn(1):
-            beta, rel = beta_product(form, classes, cfg512, table_lo)
-            exact, _ = beta_product(form, classes, hi, table_hi)
+            beta, err = beta_product(form, classes, cfg512, table_lo)
+            beta = _to_mpc(beta, cfg512.eval_bits + _GUARD, 0)
+            exact = _to_mpc(beta_product(form, classes, hi, table_hi)[0], hi.eval_bits + _GUARD, 0)
+            bound = mpf(2) ** (err - cfg512.eval_bits - _GUARD)
             with mpmath.workprec(hi.eval_bits):
-                assert abs(beta - exact) <= rel * abs(beta)
-            assert rel < mpf(2) ** -480
+                assert abs(beta - exact) <= bound
+                assert bound < mpf(2) ** -480 * abs(beta)
 
     def test_taylor_rejects_trivial(self, cfg256):
         with pytest.raises(ValueError):
@@ -251,7 +254,8 @@ class TestJFast:
             for _ in range(10):
                 z = mpc(mpf(rng.uniform(-0.5, 0.5)), mpf(rng.uniform(0.05, 3)))
                 a = eval_j(z, cfg256)
-                b, _ = _j_from_eta(_reducing(_form(z))[0], cfg256.eval_bits)
+                b = _to_mpc(_j_from_eta(_reducing(_form(z))[0], cfg256.eval_bits)[0],
+                            cfg256.eval_bits + _GUARD, 0)
                 assert abs(a - b) / (1 + abs(a)) < mpf(2) ** -240
 
 
@@ -268,9 +272,10 @@ class TestClassTable:
                 alpha = cm_point(form, cfg512)
                 for cl in classes:
                     image, _ = _image_form(form, cl)
-                    value, _ = table[reduce_with_matrix(image)[0]]
+                    value = _to_mpc(table[reduce_with_matrix(image)[0]][0], bits + _GUARD, 0)
                     image_z = (cl.p * alpha + cl.q) / cl.s
-                    direct, _ = _j_from_eta(_reducing(_form(image_z))[0], bits)
+                    direct = _to_mpc(_j_from_eta(_reducing(_form(image_z))[0], bits)[0],
+                                     bits + _GUARD, 0)
                     assert abs(value - direct) <= abs(direct) * mpf(2) ** -cfg512.working_bits
         assert len(table) == {1: 72, 2: 240}[n]
 
@@ -351,35 +356,36 @@ class TestBetaNorm:
 
 class TestCertifiedNorm:
     """The norms' rungs run through precision.run_adaptive, each a product
-    with its relative error bound rel, taken as the absolute bound
-    2 rel |prod| (_norm_rung)."""
+    as a (value, error exponent) pair at scale 2^prec, taken as the exact
+    value and the absolute bound 2^(e - prec) (_norm_rung)."""
 
     @staticmethod
-    def stub(prod, rel):
-        """A norm rung that returns (prod, rel) at every rung and records
-        the rung's bits."""
+    def stub(prod, err):
+        """A norm rung that returns prod within 2^err at every rung, as a
+        pair at scale 2^(b + 64), and records the rung's bits."""
         bits = []
 
-        def product_at(b):
+        def rung(b):
             bits.append(b)
-            return mpc(prod), mpf(rel)
+            return _norm_rung(((prod << b + 64, 0), err + b + 64), b + 64)
 
-        return lambda b: _norm_rung(product_at, b), bits
+        return rung, bits
 
     def test_first_rung_closes(self):
-        task, bits = self.stub(-7, mpf(2) ** -300)
-        assert run_adaptive(task, PrecisionConfig(256)) == (-7, 14 * mpf(2) ** -300, 256)
+        task, bits = self.stub(-7, -300)
+        assert run_adaptive(task, PrecisionConfig(256)) == (-7, mpf(2) ** -300, 256)
         assert bits == [256]
 
     def test_integer_farther_than_its_bound(self, monkeypatch):
         # a product within its bound of 5.5 is refused, not retried
-        monkeypatch.setattr(modpoly, "_product", lambda pairs, bits: (mpc(5.5), mpf(2) ** -300))
+        monkeypatch.setattr(modpoly, "_eprod",
+                            lambda pairs, prec: ((11 << prec - 1, 0), prec - 300))
         with pytest.raises(NotNearIntegral, match="j-norm"):
             j_norm(1, PrecisionConfig(256))
 
     def test_bound_never_closes(self):
         # magnitude 10, then 10 + 256, 512, 1024, 2048 and the cap 3000
-        task, bits = self.stub(1000, 1)
+        task, bits = self.stub(1000, 11)
         with pytest.raises(PrecisionExhausted, match="at 3010 bits"):
             run_adaptive(task, PrecisionConfig(256, 3000))
         assert bits == [256, 266, 522, 1034, 2058, 3010]
@@ -389,3 +395,8 @@ class TestCertifiedNorm:
         norm, coprime, achieved = j_norm(5, PrecisionConfig(256, 4096))
         assert norm == -11669920442373800031513478208679663025064587635901689887
         assert coprime and achieved == 440
+        # n = 4 closes at the first rung, its bound 2^-133 against the
+        # tolerance 2^-128 (a plain _emul chain for the product takes 404 bits)
+        norm, coprime, achieved = j_norm(4, PrecisionConfig(256, 4096))
+        assert norm == 107789694576540010002976771996177148681640625
+        assert coprime and achieved == 256
