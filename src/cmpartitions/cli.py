@@ -170,10 +170,6 @@ def _config(args) -> PrecisionConfig:
     return PrecisionConfig(args.precision_bits, max_bits, abs_tol=args.tol)
 
 
-def _nstr(x, digits: int) -> str:
-    return mpmath.nstr(mpf(x), digits)
-
-
 def _cnstr(z, digits: int):
     return [mpmath.nstr(mpmath.re(z), digits), mpmath.nstr(mpmath.im(z), digits)]
 
@@ -312,8 +308,10 @@ def _cmd_orbit(args):
 
 def _cmd_forms(args):
     cfg = _config(args)
+    # digits within a unit of their last place: the root is two roundings off
+    digits = min(40, int((cfg.eval_bits - 3) * 0.30103))
     rows = [{"a": form.a, "b": form.b, "c": form.c,
-             "im_alpha": _nstr(mpmath.im(cm_point(form, cfg)), 40)}
+             "im_alpha": mpmath.nstr(mpmath.im(cm_point(form, cfg)), digits)}
             for form in enumerate_qn(args.n)]
     # the rows are printed as JSON with or without --json
     return rows, [json.dumps(rows, sort_keys=True, indent=2)], True
@@ -352,7 +350,7 @@ def _verdict(doc: dict, worst, cfg: PrecisionConfig) -> bool:
     """Whether the largest deviation worst is within the tolerance; doc
     records both and the verdict."""
     passed = bool(worst < cfg.abs_tol)
-    doc.update({"max_deviation": _nstr(worst, 20), "tolerance": _nstr(cfg.abs_tol, 20),
+    doc.update({"max_deviation": mpmath.nstr(worst, 20), "tolerance": mpmath.nstr(cfg.abs_tol, 20),
                 "pass": passed})
     return passed
 
@@ -373,8 +371,8 @@ def _cmd_verify_decomp(args):
            "n_max": args.n_max, "points": len(points), "worst_at": worst_at}
     passed = _verdict(doc, worst, cfg)
     return doc, [f"P = A + B*C over {len(points)} points "
-                 f"(seed {args.seed}): max deviation {_nstr(worst, 10)} "
-                 f"{'<' if passed else '>='} tol {_nstr(cfg.abs_tol, 10)}",
+                 f"(seed {args.seed}): max deviation {mpmath.nstr(worst, 10)} "
+                 f"{'<' if passed else '>='} tol {mpmath.nstr(cfg.abs_tol, 10)}",
                  "PASS" if passed else "FAIL"], passed
 
 
@@ -390,13 +388,13 @@ def _cmd_verify_appendix(args):
         for which, devs in resolvent.tabulated_deviations(z, cfg).items():
             worst = max(worst, max(devs))
             per_poly[which].append({"z": _cnstr(z, 20),
-                                    "max_deviation": _nstr(max(devs), 20),
-                                    "per_coefficient": [_nstr(d, 10) for d in devs]})
+                                    "max_deviation": mpmath.nstr(max(devs), 20),
+                                    "per_coefficient": [mpmath.nstr(d, 10) for d in devs]})
     doc = {"check": "tabulated resolvents", "seed": args.seed,
            "points": len(points), "per_polynomial": per_poly}
     passed = _verdict(doc, worst, cfg)
     return doc, [f"resolvent tables at {len(points)} points "
-                 f"(seed {args.seed}): max deviation {_nstr(worst, 10)}",
+                 f"(seed {args.seed}): max deviation {mpmath.nstr(worst, 10)}",
                  "PASS" if passed else "FAIL"], passed
 
 
@@ -421,7 +419,7 @@ def _masser_rows(n: int, cfg: PrecisionConfig):
             "beta20": _cnstr(data.beta20, digits),
             "masser_C": _cnstr(from_taylor, digits),
             "eval_C": _cnstr(direct, digits),
-            "deviation": _nstr(deviation, 20),
+            "deviation": mpmath.nstr(deviation, 20),
         })
     return rows
 
@@ -429,7 +427,9 @@ def _masser_rows(n: int, cfg: PrecisionConfig):
 def _cmd_masser(args):
     cfg = _config(args)
     doc = {"n": args.n, "rows": _masser_rows(args.n, cfg)}
-    passed = _verdict(doc, max(mpf(r["deviation"]) for r in doc["rows"]), cfg)
+    with mpmath.workprec(128):  # the rows' 20 digits, read back exactly
+        worst = max(mpf(r["deviation"]) for r in doc["rows"])
+    passed = _verdict(doc, worst, cfg)
     return doc, ([f"n = {args.n}: Taylor-quotient C vs direct C"]
                  + [f"  form {tuple(r['form'])}: deviation {r['deviation']}" for r in doc["rows"]]
                  + ["PASS" if passed else "FAIL"]), passed
@@ -493,8 +493,8 @@ def _per_n_block(n: int, cfg: PrecisionConfig, cached) -> dict:
         for form in enumerate_qn(n):
             residuals = resolvent.psi_root_check(form, cfg)
             roots.append({"form": [form.a, form.b, form.c],
-                          "aprime_residual": _nstr(residuals["aprime"], 20),
-                          "b_residual": _nstr(residuals["b"], 20)})
+                          "aprime_residual": mpmath.nstr(residuals["aprime"], 20),
+                          "b_residual": mpmath.nstr(residuals["b"], 20)})
         block["resolvent_roots"] = roots
     return block
 
@@ -581,6 +581,7 @@ def main(argv=None) -> int:
     for a failure to stderr, and return the exit code."""
     try:
         args = _build_parser().parse_args(argv)
+        args.no_cache |= args.tol is not None  # cached records are the default tolerance's
         doc, lines, passed = _COMMANDS[args.command](args)
     except PrecisionExhausted as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)

@@ -18,7 +18,8 @@ import mpmath
 from mpmath import mpc, mpf
 
 from .errors import NotNearIntegral, PrecisionExhausted
-from .evaluate import _BUDGET_BITS, _cmul, _conj, _csum, _fixed, _to_mpc, eval_P_cm
+from .evaluate import (_BUDGET_BITS, _cmul, _conj, _csum, _eprod, _fixed, _to_mpc,
+                       eval_P_cm)
 from .precision import PrecisionConfig, _magnitude, run_adaptive
 from .quadforms import QuadForm, conjugate_partners, enumerate_qn, height
 from .series import _pentagonal_exponents
@@ -37,11 +38,6 @@ def _carried_bits(values) -> int:
     return best
 
 
-def _log2_sum(a: float, b: float) -> float:
-    """log2(2^a + 2^b)."""
-    return max(a, b) + math.log2(1 + 2 ** -abs(a - b))
-
-
 def orbit_product(values, scale: int = 1, errors=None):
     """Monic polynomial prod(x - scale*v) over the values, coefficients
     leading-first as exact mpc, on Gaussian ints scaled by 2^(32 + the bits
@@ -52,14 +48,19 @@ def orbit_product(values, scale: int = 1, errors=None):
 
     With errors, one exponent per value (|v - exact| < 2^e; a conjugate pair
     must have exactly conjugate exact values), (coefficients, bound), bound
-    at least every coefficient's error.  With x_i = scale v_i off by eps_i
-    (its error and the conversion), U_i = |x_i| + eps_i and rho = sum
-    eps_i/U_i <= 1, the exact coefficients e_k of prod(x - x_i) move by
-    under (exp(rho) - 1) e_k(U) <= 2 rho prod(1 + U_i), and the truncations
-    here add under 8 h (h + 1) 2^-prec prod(1 + U_i) for h values (their
-    1-norms grow by at most the factors' own).  It is summed in log2 floats,
-    2^(10^-6) up for their roundings.  Values whose magnitudes sum to 2^15
-    bits or more would need a rung beyond the kernels' budget: refused."""
+    at least every coefficient's error.  The roots x_i = scale v_i formed
+    here are off by eps_i < scale (2^e_i + 2^(1 - prec)) (the error and the
+    conversion), so the exact coefficients e_k of prod(x - x_i) move by at
+    most prod(1 + |x_i| + eps_i) - prod(1 + |x_i|), and the truncations here
+    add under t prod(1 + |x_i| + eps_i), t = 8 h (h + 1) 2^-prec for h values
+    (their 1-norms grow by at most the factors' own).  Both together are at
+    most prod(X_i + eps_i) (1 + t) - prod X_i for any X_i >= 1 + |x_i|, since
+    that grows with each |x_i|.  _eprod of the factors X_i (|x_i| rounded up)
+    with errors eps_i and of 1 with error t bounds it by 2^(e - prec), since
+    its truncated product of non-negative reals is at most prod X_i (inf
+    where _eprod's relative errors sum beyond 1).  Values whose magnitudes
+    sum to 2^15 bits or more would need a rung beyond the kernels' budget:
+    refused."""
     if not values:
         raise ValueError("orbit product needs at least one value")
     magnitude = sum(_magnitude(v) for v in values)
@@ -70,15 +71,16 @@ def orbit_product(values, scale: int = 1, errors=None):
     with mpmath.workprec(prec):
         values = [mpc(v) for v in values]
     unpaired = Counter(v._mpc_ for v in values)
-    coeffs = [(1 << prec, 0)]
+    roots, coeffs = {}, [(1 << prec, 0)]
     for v in values:
         if not unpaired[v._mpc_]:
             continue  # entered with its conjugate
         unpaired[v._mpc_] -= 1
-        x = _csum([(scale, _fixed(v, prec))])
+        x = roots[v._mpc_] = _csum([(scale, _fixed(v, prec))])
         conj = _conj(v)._mpc_
         if v.imag and unpaired[conj]:
             unpaired[conj] -= 1
+            roots[conj] = x  # the root conj(x), of the same modulus
             lower = [(-2 * x[0], 0), ((x[0] * x[0] + x[1] * x[1]) >> prec, 0)]
         else:
             lower = [(-x[0], -x[1])]
@@ -93,20 +95,12 @@ def orbit_product(values, scale: int = 1, errors=None):
         return coeffs
     if math.inf in errors:
         return coeffs, mpmath.inf
-    h, log_scale = len(values), math.log2(scale)
-    log_rho, log_pi = -math.inf, 0.0
-    for v, e in zip(values, errors):
-        x = _fixed(v, prec)
-        log_eps = log_scale + _log2_sum(e, 1 - prec)
-        log_u = _log2_sum(log_scale + math.log2(math.isqrt(x[0] ** 2 + x[1] ** 2) + 1) - prec,
-                          log_eps)
-        log_rho = _log2_sum(log_rho, log_eps - log_u)
-        log_pi += _log2_sum(0, log_u)
-    if log_rho > 0:
-        return coeffs, mpmath.inf
-    log_bound = _log2_sum(1 + log_rho, math.log2(8 * h * (h + 1)) - prec) + log_pi
-    with mpmath.workprec(53):
-        return coeffs, mpf(2) ** (log_bound + 1e-6)
+    one, h = 1 << prec, len(values)
+    factors = [((one + math.isqrt(x[0] ** 2 + x[1] ** 2) + 1, 0),
+                (scale * ((1 << max(e + prec, 0)) + 2)).bit_length())
+               for x, e in zip([roots[v._mpc_] for v in values], errors)]
+    _, e = _eprod([((one, 0), (8 * h * (h + 1)).bit_length()), *factors], prec)
+    return coeffs, mpf(2) ** (e - prec)
 
 
 def round_to_integers(poly, tol):

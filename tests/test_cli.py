@@ -59,6 +59,20 @@ class TestBasicCommands:
         assert [r["a"] for r in rows] == [6, 12, 18]
         assert all(set(r) == {"a", "b", "c", "im_alpha"} for r in rows)
 
+    @pytest.mark.parametrize("bits, digits", [("8", 11), ("256", 40)])
+    def test_forms_prints_only_correct_digits(self, capsys, bits, digits):
+        # im_alpha = sqrt(23)/(2a): at 8 working bits the root carries 40
+        # bits, and every digit printed is within a unit of its last place
+        code, out, _ = run_cli(capsys, "forms", "--n", "1", "--precision-bits", bits)
+        assert code == 0
+        rows = json.loads(out)
+        assert significant_digits(rows[0]["im_alpha"]) == digits
+        with mpmath.workprec(300):
+            for row in rows:
+                printed, exact = mpf(row["im_alpha"]), mpmath.sqrt(23) / (2 * row["a"])
+                last = mpmath.floor(mpmath.log10(printed)) - significant_digits(row["im_alpha"]) + 1
+                assert abs(printed - exact) <= mpf(10) ** last, row
+
     def test_eval_j_at_i(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--what", "j", "--z", "0,1",
                                "--no-cache", "--json")
@@ -328,6 +342,19 @@ class TestVerification:
         assert doc["pass"] is True
         assert len(doc["rows"]) == 3
 
+    def test_fields_printed_at_their_own_precision(self, capsys):
+        # the tolerance is read at 128 bits, the deviations computed at 544:
+        # neither is rounded to 53 bits before its 20 digits are printed
+        code, out, _ = run_cli(capsys, "verify-appendix", "--trials", "1", "--tol", "1e-30",
+                               "--no-cache", "--json")
+        assert code == 0
+        assert json.loads(out)["tolerance"] == "1.0e-30"
+        code, out, _ = run_cli(capsys, "masser", "--n", "1", "--precision-bits", "512",
+                               "--tol", "1e-15", "--no-cache", "--json")
+        doc = json.loads(out)
+        assert code == 0 and doc["tolerance"] == "1.0e-15"
+        assert doc["max_deviation"] in [row["deviation"] for row in doc["rows"]]
+
     def test_norms_skip_beta(self, capsys):
         code, out, _ = run_cli(capsys, "norms", "--n", "1", "--skip-beta",
                                "--no-cache", "--json")
@@ -467,6 +494,21 @@ class TestCache:
         assert code == 0 and out.strip() == "1"
         assert open(path, "rb").read() == before
 
+    def test_tol_neither_reads_nor_writes(self, capsys, tmp_path):
+        # records are kept for the default tolerance alone: a --tol run
+        # computes its own, as under --no-cache, and stores nothing
+        path = tmp_path / "cache.json"
+        tight = ("pn", "--n", "3", "--tol", "2^-1000", "--json")
+        _, fresh, _ = run_cli(capsys, *tight, "--no-cache")
+        assert run_cli(capsys, *tight, "--cache-path", str(path)) == (0, fresh, "")
+        assert not path.exists()
+        run_cli(capsys, "pn", "--n", "3", "--cache-path", str(path))
+        before = path.read_bytes()
+        assert run_cli(capsys, *tight, "--cache-path", str(path)) == (0, fresh, "")
+        assert path.read_bytes() == before
+        stored = json.loads(before)["entries"][0]
+        assert stored["achieved_bits"] < json.loads(fresh)["achieved_bits"]
+
     def test_show_and_clear(self, capsys, tmp_path):
         path = str(tmp_path / "cache.json")
         run_cli(capsys, "pn", "--n", "1", "--cache-path", path)
@@ -590,6 +632,16 @@ class TestReport:
                                  "--cache-path", path)
         assert code == 0 and "cache_warning" not in json.loads(out)
         assert err == f"cannot write cache {path}: {blocker} is not a directory\n"
+
+    def test_tol_neither_reads_nor_writes(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        args = ("report", "--n-max", "1", "--hypothesis-order", "20", "--json")
+        run_cli(capsys, *args, "--cache-path", str(path))
+        before = path.read_bytes()
+        tight = (*args, "--tol", "2^-1000")
+        _, fresh, _ = run_cli(capsys, *tight, "--no-cache")
+        assert run_cli(capsys, *tight, "--cache-path", str(path)) == (0, fresh, "")
+        assert path.read_bytes() == before
 
     def test_cache_reuse_identical_output(self, capsys, tmp_path):
         path = str(tmp_path / "cache.json")

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -255,6 +256,80 @@ class TestBound:
 
     def test_unbounded_values_give_no_bound(self):
         _, bound = orbit_product([mpc(1), mpc(2)], 1, [-100, math.inf])
+        assert bound == mpmath.inf
+
+
+def fraction(x) -> Fraction:
+    """An mpf as the exact rational it is (mpf(x) would round it)."""
+    sign, man, exp, _ = x._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+def exact_poly(roots):
+    """Coefficients, leading first, of prod(x - r) over roots given as (re,
+    im) pairs of Fractions, in exact arithmetic."""
+    coeffs = [(Fraction(1), Fraction(0))]
+    for a, b in roots:
+        out = coeffs + [(Fraction(0), Fraction(0))]
+        for k, (c, d) in enumerate(coeffs, 1):
+            out[k] = (out[k][0] - (c * a - d * b), out[k][1] - (c * b + d * a))
+        coeffs = out
+    return coeffs
+
+
+def seeded_roots(rng):
+    """Up to 20 values and error exponents, of three kinds: real values,
+    exact conjugate pairs and unpaired complex values, of magnitudes 2^-40
+    (below the fixed point's exact range) and 2^-8 to 2^10, with errors from
+    2^-80 to 2^-40 relative, of one unit of the fixed point (2^-85 for
+    53-bit values) or far below it."""
+    values, errors, kinds = [], [], []
+    while len(values) < rng.randint(1, 20):
+        kind = rng.choice(["real", "pair", "complex"])
+        size = 2.0 ** rng.choice([rng.randint(-8, 8), -40])
+        v = mpc(rng.uniform(-4, 4) * size, 0 if kind == "real" else rng.uniform(-4, 4) * size)
+        e = rng.choice([rng.randint(-80, -40) + mpmath.mag(v), -85, -400])
+        values.append(v)
+        errors.append(e)
+        kinds.append(kind)
+        if kind == "pair":
+            values.append(mpmath.conj(v))
+            errors.append(e)
+            kinds.append("partner")
+    return values, errors, kinds
+
+
+class TestOrbitBound:
+    """orbit_product's bound against exact arithmetic: each root moved within
+    its stated error in a random direction, a conjugate pair's partner by the
+    conjugate move, and the exact polynomial of the moved roots expanded in
+    Fractions."""
+
+    @pytest.mark.parametrize("scale", [1, 47])
+    def test_every_coefficient_moves_by_at_most_the_bound(self, scale):
+        for seed in range(12):
+            rng = random.Random(seed)
+            values, errors, kinds = seeded_roots(rng)
+            coeffs, bound = orbit_product(values, scale, errors)
+            moved = []
+            for v, e, kind in zip(values, errors, kinds):
+                if kind == "partner":
+                    re, im = moved[-1]
+                    moved.append((re, -im))
+                    continue
+                # a random direction on the unit circle, exactly rational
+                t = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+                sign = rng.choice([1, -1])
+                radius = Fraction(2) ** e * (1 - Fraction(1, 2**20)) * sign
+                moved.append((fraction(v.real) + radius * (1 - t * t) / (1 + t * t),
+                              fraction(v.imag) + radius * 2 * t / (1 + t * t)))
+            exact = exact_poly([(scale * re, scale * im) for re, im in moved])
+            limit = fraction(bound) ** 2
+            for c, (re, im) in zip(coeffs, exact):
+                assert (fraction(c.real) - re) ** 2 + (fraction(c.imag) - im) ** 2 <= limit, seed
+
+    def test_errors_above_the_values_give_no_bound(self):
+        _, bound = orbit_product([mpc(1), mpc(2)], 1, [4, -100])
         assert bound == mpmath.inf
 
 

@@ -7,8 +7,8 @@ from mpmath import mpc, mpf
 
 from cmpartitions import resolvent
 from cmpartitions.cli import _random_points
-from cmpartitions.evaluate import eval_Aprime, eval_B
-from cmpartitions.quadforms import cm_point, enumerate_qn
+from cmpartitions.evaluate import _kernel_table, _values, eval_Aprime, eval_B
+from cmpartitions.quadforms import QuadForm, cm_point, conjugate_partners, enumerate_qn
 from cmpartitions.recognize import orbit_product
 from cmpartitions.resolvent import (_aprime_coefficients, _b_coefficients,
                                     _psi_and_j, coset_reps, psi_from_cosets,
@@ -195,3 +195,18 @@ class TestRootCheck:
         for n in (2, 3):
             for form in enumerate_qn(n):
                 assert max(psi_root_check(form, cfg512).values()) < mpf("1e-25")
+
+    def test_partners_take_no_conjugate_values(self, cfg256):
+        # P takes conjugate values on a form and its W6-conj partner, so
+        # compute_pn evaluates one of each pair; A' and B do not, so the root
+        # check evaluates every form.  n = 2, [6, 1, 2]: the partner's A' is
+        # 1.0e21 from conj A'(alpha), |A'(alpha)| = 1.4e11, and its B 3.8e11
+        # from conj B(alpha), |B(alpha)| = 4.0e6
+        forms = enumerate_qn(2)
+        i = forms.index(QuadForm(6, 1, 2))
+        table = _kernel_table(cfg256.eval_bits)
+        own, partner = (_values(forms[k], table, cfg256) for k in (i, conjugate_partners(forms)[i]))
+        with mpmath.workprec(cfg256.eval_bits):
+            assert abs(partner["p"] - mpmath.conj(own["p"])) < mpf(2) ** -200
+            assert abs(partner["aprime"] - mpmath.conj(own["aprime"])) > 10**9 * abs(own["aprime"])
+            assert abs(partner["b"] - mpmath.conj(own["b"])) > 10**4 * abs(own["b"])
