@@ -3,10 +3,10 @@ weight -2 / weight 0 pair (F, P) with its A + B*C split.
 
 Every caller hands over the integer form whose root is its point: a CM form,
 an exact image of one, or at the public eval_*(z, cfg) the form of z's exact
-binary value (_form); Im = sqrt|D|/(2a) is read off the form (_im).  One
-sparse kernel gives eta^2, E2, E4 and E6 at the reduced root (_reducing)
-from one exponential q^(1/12) and a table of powers of q^(1/2), once per
-class of the caller's _ClassTable.  From the kernel to F, thetaF and P values
+binary value (_form); 1/(2 pi Im) = a/(pi sqrt|D|) is read off the form
+(_form_and_theta).  One sparse kernel gives eta^2, E2, E4 and E6 at the
+reduced root (_reducing) from one exponential q^(1/12) and a table of
+powers of q^(1/2), once per class of the caller's _ClassTable.  From the kernel to F, thetaF and P values
 are fixed-point Gaussian ints (Python ints scaled by 2^prec, _cmul); eta^2
 carries its own power of two, so a product of them (2^-1800 at Im z = 200)
 keeps its relative precision.  _transport carries values back by the
@@ -16,6 +16,15 @@ analytic: theta(E2) = (E2^2 - E4)/12, theta(log eta) = E2/24.  Every
 fixed-point value carries an integer error exponent (_emul, _esum, _ediv,
 _eprod), seeded by the kernels' budgets: the bounds of P at CM points
 (eval_P_cm), of the eval command (_eval_bounded) and of j (_j_reduced).
+
+Two tails take the basics on to j, theta j, A, B, C and A' = A j (j - 1728)
+with one statement of each formula (_j_of, _j_and_theta, _abc), in whatever
+arithmetic their numbers carry.  The verify commands' internal callers
+(_values, _j_and_theta_j) stay on the pairs (_Pair: _emul, _ediv, _esum)
+and round to mpc once at the end; the public eval_* and the eval command
+round the basics to mpc first and bound the mpc tail in mpmath.iv, whose
+relative boxes stay tight where a fixed-point bound is absolute (C near
+2^-1700 at 200i).
 """
 
 from __future__ import annotations
@@ -82,13 +91,6 @@ def _form_root(form: QuadForm, prec: int) -> mpc:
     _, im, ex, _ = _quotient(_sqrt_disc(form.discriminant(), prec)[0], -prec, 1, prec)
     return mpmath.mp.make_mpc((_quotient(-form.b, 0, 2 * form.a, prec),
                                _quotient(im, ex, 2 * form.a, prec)))
-
-
-def _im(form: QuadForm, prec: int) -> mpf:
-    """Im of the root of form, sqrt|D|/(2a): exact at the form of a binary
-    point (_form: the isqrt exact, the quotient dyadic), else rounded at prec."""
-    root, exact = _sqrt_disc(form.discriminant(), prec)
-    return mpmath.mp.make_mpf(_quotient(root, -prec, 2 * form.a, prec + exact * root.bit_length()))
 
 
 def _t(form: QuadForm, red: QuadForm, m, prec: int):
@@ -219,10 +221,11 @@ def _emul(a, b, prec: int):
 def _esum(terms):
     """_csum over (integer weight, (value, error exponent)) pairs, with its
     error exponent: the bit length of sum |c| 2^e, inf if any e is."""
-    terms = list(terms)
-    inf = any(e == _math.inf for _, (_, e) in terms)
-    return (_csum((c, z) for c, (z, _) in terms),
-            _math.inf if inf else sum(abs(c) << max(e, 0) for c, (_, e) in terms).bit_length())
+    re = im = err = 0
+    for c, ((x, y), e) in terms:
+        re, im = re + c * x, im + c * y
+        err = _math.inf if e == _math.inf else err + (abs(c) << max(e, 0))
+    return (re, im), err if err == _math.inf else err.bit_length()
 
 
 def _eprod(pairs, prec: int):
@@ -502,9 +505,17 @@ def _as_mpc(v: dict, bits: int) -> dict:
             **{key: _to_mpc(v[key][0], prec, bits) for key in ("e2", "e4", "e6")}}
 
 
-def _j_of(v: dict) -> mpc:
-    """j = E4^3 / Delta from the mpc basics at one point."""
+def _j_of(v: dict):
+    """j = E4^3 / Delta from the basics at one point, in their arithmetic
+    (mpc, mpmath.iv or _Pair)."""
     return _ipow(v["e4"], 3) / _ipow(v["eta2"], 12)
+
+
+def _j_and_theta(v: dict):
+    """(j, theta j) from the basics at one point, in their arithmetic: j as
+    in _j_of and theta j = -E4^2 E6 / Delta, over one Delta."""
+    delta = _ipow(v["eta2"], 12)
+    return _ipow(v["e4"], 3) / delta, -(v["e4"] * v["e4"]) * v["e6"] / delta
 
 
 def eval_eta(z: mpc, cfg: PrecisionConfig) -> mpc:
@@ -526,28 +537,22 @@ def eval_eisenstein(k: int, z: mpc, cfg: PrecisionConfig) -> mpc:
     return _as_mpc(_at(_form(z), _kernel_table(bits), bits), bits)[f"e{k}"]
 
 
-def _j_and_theta_j(form: QuadForm, table, cfg: PrecisionConfig):
-    """(j, theta j) at the root of form from the basics there (_at in table):
-    j = E4^3 / Delta as in _j_of and theta j = -E4^2 E6 / Delta, over one
-    Delta."""
-    with mpmath.workprec(cfg.eval_bits):
-        v = _as_mpc(_at(form, table, cfg.eval_bits), cfg.eval_bits)
-        delta = _ipow(v["eta2"], 12)
-        return _ipow(v["e4"], 3) / delta, -(v["e4"] * v["e4"]) * v["e6"] / delta
-
-
 def eval_j(z: mpc, cfg: PrecisionConfig) -> mpc:
-    return _j_and_theta_j(_form(z), _kernel_table(cfg.eval_bits), cfg)[0]
+    return _eval_mp("j", z, cfg)[0]
 
 
 def eval_theta_j(z: mpc, cfg: PrecisionConfig) -> mpc:
-    """theta applied to j, analytically."""
-    return _j_and_theta_j(_form(z), _kernel_table(cfg.eval_bits), cfg)[1]
+    """theta applied to j, analytically (_j_and_theta on the mpc basics)."""
+    bits = cfg.eval_bits
+    with mpmath.workprec(bits):
+        return _j_and_theta(_as_mpc(_at(_form(z), _kernel_table(bits), bits), bits))[1]
 
 
 def _form_and_theta(form: QuadForm, table, bits: int, keys=("f", "theta_f", "p")):
-    """({"f": F, "theta_f": thetaF, "p": P} for the keys asked, the basics at
-    alpha), each an (mpc, error exponent) pair (_rounded), at the root alpha
+    """({"f": F, "theta_f": thetaF, "p": P} for the keys asked, ex, the
+    basics at alpha with "e2star": E2* = E2 - 6g), the parts (value, error
+    exponent) pairs at scale 2^(prec + ex) (F 2^ex at scale 2^prec; _rounded
+    there gives F as an mpc), the basics at scale 2^prec, at the root alpha
     of a form [a, b, c] with 6 | a, from table: F of series.fp_series, P =
     -thetaF - F g, g = 1/(2 pi Im alpha) = a/(pi sqrt|D|) in integers.  With
     s = 2^-prec isqrt(|D| 2^2prec) (_sqrt_disc; s >= sqrt 3 - 2^-prec), g is
@@ -574,16 +579,16 @@ def _form_and_theta(form: QuadForm, table, bits: int, keys=("f", "theta_f", "p")
     theta_f = _esum([(pre.numerator, theta), (-pre.numerator, drift)])
     den = _esum([(24 * pre.denominator, den)])
     parts = {"f": f, "theta_f": theta_f, "p": _esum([(-1, theta_f), (-1, _emul(f, g, prec))])}
-    return ({key: _rounded(_ediv(x, den, prec), prec + ex, bits) for key, x in parts.items()
-             if key in keys}, at[1])
+    return ({key: _ediv(x, den, prec) for key, x in parts.items() if key in keys}, ex,
+            dict(at[1], e2star=_esum([(1, at[1]["e2"]), (-6, g)])))
 
 
 def eval_form(z: mpc, cfg: PrecisionConfig) -> mpc:
-    return _form_and_theta(_form(z), _kernel_table(cfg.eval_bits), cfg.eval_bits)[0]["f"][0]
+    return _eval_mp("F", z, cfg)[0]
 
 
 def eval_P(z: mpc, cfg: PrecisionConfig) -> mpc:
-    return _form_and_theta(_form(z), _kernel_table(cfg.eval_bits), cfg.eval_bits)[0]["p"][0]
+    return _eval_mp("P", z, cfg)[0]
 
 
 def _conj(value):
@@ -643,13 +648,65 @@ def eval_P_cm(forms, cfg: PrecisionConfig) -> tuple[list, list]:
     for form in forms:
         if form.a % 6:
             raise ValueError(f"form {form} has 6 not dividing a")
-        pairs.append(_form_and_theta(form, table, bits, ("p",))[0]["p"])
+        parts, ex, _ = _form_and_theta(form, table, bits, ("p",))
+        pairs.append(_rounded(parts["p"], bits + _GUARD + ex, bits))
     return [value for value, _ in pairs], [err for _, err in pairs]
 
 
+class _Pair:
+    """A (value, error exponent) pair at scale 2^prec (_emul) as a number,
+    so that _j_of, _j_and_theta and _abc state their formulas once for mpc,
+    mpmath.iv and pairs: two pairs add by _esum, multiply by _emul and
+    divide by _ediv; an int adds exactly, weights by _esum and divides by
+    the floor, within 2^e/|k| + 1 <= 2^max(e, 1) units."""
+
+    __slots__ = ("pair", "prec")
+
+    def __init__(self, pair, prec: int):
+        self.pair, self.prec = pair, prec
+
+    def __add__(self, other):
+        if isinstance(other, _Pair):
+            return _Pair(_esum([(1, self.pair), (1, other.pair)]), self.prec)
+        (x, y), e = self.pair
+        return _Pair(((x + (other << self.prec), y), e), self.prec)
+
+    def __neg__(self):
+        (x, y), e = self.pair
+        return _Pair(((-x, -y), e), self.prec)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if isinstance(other, _Pair):
+            return _Pair(_emul(self.pair, other.pair, self.prec), self.prec)
+        return _Pair(_esum([(other, self.pair)]), self.prec)
+
+    def __truediv__(self, other):
+        if isinstance(other, _Pair):
+            return _Pair(_ediv(self.pair, other.pair, self.prec), self.prec)
+        (x, y), e = self.pair
+        return _Pair(((x // other, y // other), max(e, 1)), self.prec)
+
+    __rmul__ = __mul__
+
+
+def _shift(pair, s: int):
+    """The pair times 2^s, s >= 0: F or j with the eta product's binary
+    exponent taken out.  Refused before the shift when s reaches the
+    kernels' budget of 2^15 bits (j(10^30 i) is about 2^(9 10^30))."""
+    if s >= _BUDGET_BITS:
+        shown = s if s < 10**6 else mpmath.nstr(mpf(s), 3)
+        raise PrecisionExhausted(f"a value of magnitude 2^{shown}, at or beyond the "
+                                 f"kernels' budget of {_BUDGET_BITS} bits")
+    (x, y), e = pair
+    return (x << s, y << s), e + s
+
+
 def _guarded_j(v: dict, cfg: PrecisionConfig) -> mpc:
-    """j from the basics at a point, refused within 2^(-working_bits/4) of a
-    zero of j, j - 1728, E4 or E6, where A, B and C have poles."""
+    """j from the mpc basics at a point, refused within 2^(-working_bits/4)
+    of a zero of j, j - 1728, E4 or E6, where A, B and C have poles."""
     jval = _j_of(v)
     threshold = mpf(2) ** (-(cfg.working_bits // 4))
     for name, x in (("j", jval), ("j_1728", jval - 1728), ("e4", v["e4"]), ("e6", v["e6"])):
@@ -658,14 +715,23 @@ def _guarded_j(v: dict, cfg: PrecisionConfig) -> mpc:
     return jval
 
 
-def _abc(ctx, f, theta_f, v: dict, jval, y):
-    """A, B and C from F, thetaF, the basics and j at a point of imaginary
-    part y, in the arithmetic of ctx (mpmath.mp, or mpmath.iv for
-    enclosures); f and theta_f are not read for C alone:
+def _guard(values: dict, cfg: PrecisionConfig) -> None:
+    """_guarded_j's refusal for _Pair values at scale 2^prec, compared
+    exactly in integers: |x|^2 < 2^(2 (prec - working_bits/4))."""
+    for name, x in values.items():
+        (re, im), _ = x.pair
+        if re * re + im * im < 1 << 2 * (x.prec - cfg.working_bits // 4):
+            size = abs(_to_mpc((re, im), x.prec, 53))
+            raise NearSingularity(f"|{name}| = {mpmath.nstr(size, 5)} below guard")
+
+
+def _abc(f, theta_f, v: dict, jval, e2star):
+    """A, B and C from F, thetaF, the basics, j and E2* = E2 - 3/(pi y) at a
+    point of imaginary part y, in their arithmetic (mpc, mpmath.iv for
+    enclosures, or _Pair); f and theta_f are not read for C alone:
         A = -thetaF - F E2/6 + F E6 (7j - 6912)/(6 E4 (j - 1728)),
         B = F E6 j / E4,
-        C = E4/(6 E6 j) (E2 - 3/(pi y)) - (7j - 6912)/(6 j (j - 1728))."""
-    e2star = v["e2"] - 3 / (ctx.pi * y)
+        C = E4 E2*/(6 E6 j) - (7j - 6912)/(6 j (j - 1728))."""
     c = (v["e4"] * e2star / (6 * v["e6"] * jval)
          - (7 * jval - 6912) / (6 * jval * (jval - 1728)))
     if f is None:
@@ -675,64 +741,110 @@ def _abc(ctx, f, theta_f, v: dict, jval, y):
     return a, f * v["e6"] * jval / v["e4"], c
 
 
+def _tail(form: QuadForm, table, cfg: PrecisionConfig) -> dict:
+    """P, A, B, C, A' = A j (j - 1728) and j at the root alpha of form
+    (6 | a), keyed "p", "a", "b", "c", "aprime" and "j", as (value, error
+    exponent) pairs at scale 2^prec, prec = eval_bits + _GUARD, from one
+    evaluation in table (_form_and_theta): _j_of and _abc on _Pair, with
+    E2* = E2 - 6g, g = 1/(2 pi Im alpha), and F, thetaF, P and j shifted
+    out of the eta product's exponent (_shift).  P = A + B C, and A' is
+    regular at CM points."""
+    bits, prec = cfg.eval_bits, cfg.eval_bits + _GUARD
+    parts, ex, basics = _form_and_theta(form, table, bits)
+    f, theta_f, p = (_Pair(_shift(parts[key], -ex), prec) for key in ("f", "theta_f", "p"))
+    v = {key: _Pair(basics[key], prec) for key in ("eta2", "e2", "e4", "e6", "e2star")}
+    jval = _Pair(_shift(_j_of(v).pair, -12 * basics["eta2_exp"]), prec)
+    _guard({"j": jval, "j_1728": jval - 1728, "e4": v["e4"], "e6": v["e6"]}, cfg)
+    a, b, c = _abc(f, theta_f, v, jval, v["e2star"])
+    out = {"p": p, "a": a, "b": b, "c": c, "aprime": a * jval * (jval - 1728), "j": jval}
+    return {key: x.pair for key, x in out.items()}
+
+
 def _values(form: QuadForm, table, cfg: PrecisionConfig) -> dict:
-    """P, A, B, C, A' = A j (j - 1728) and j at the root of form (6 | a),
-    keyed "p", "a", "b", "c", "aprime" and "j", from one evaluation in table
-    at cfg's precision (_abc): P = A + B C, and A' is regular at CM points."""
+    """_tail's values as eval_bits-bit mpc (_rounded), P exactly as
+    eval_P_cm gives it."""
     bits = cfg.eval_bits
-    parts, basics = _form_and_theta(form, table, bits)
+    return {key: _rounded(x, bits + _GUARD, bits)[0] for key, x in _tail(form, table, cfg).items()}
+
+
+def _j_pairs(form: QuadForm, table, cfg: PrecisionConfig):
+    """(j, theta j) at the root of form as (value, error exponent) pairs at
+    scale 2^prec: _j_and_theta on _Pair from the basics there (_at in
+    table), shifted out of eta^2's exponent (_shift)."""
+    bits, prec = cfg.eval_bits, cfg.eval_bits + _GUARD
+    basics = _at(form, table, bits)
+    pairs = _j_and_theta({key: _Pair(basics[key], prec) for key in ("eta2", "e4", "e6")})
+    return tuple(_shift(x.pair, -12 * basics["eta2_exp"]) for x in pairs)
+
+
+def _j_and_theta_j(form: QuadForm, table, cfg: PrecisionConfig):
+    """(j, theta j) at the root of form as eval_bits-bit mpc (_j_pairs)."""
+    bits = cfg.eval_bits
+    return tuple(_rounded(x, bits + _GUARD, bits)[0] for x in _j_pairs(form, table, cfg))
+
+
+def _tail_of(what: str, ctx, v: dict, f, theta_f, jval, y):
+    """what ("A", "B", "C", "Aprime" or "j") from the basics v, F, thetaF
+    and j at a point of imaginary part y, in the arithmetic of ctx
+    (mpmath.mp, or mpmath.iv for enclosures)."""
+    if what == "j":
+        return jval
+    a, b, c = _abc(f, theta_f, v, jval, v["e2"] - 3 / (ctx.pi * y))
+    return a * jval * (jval - 1728) if what == "Aprime" else {"A": a, "B": b, "C": c}[what]
+
+
+def _eval_mp(what: str, z: mpc, cfg: PrecisionConfig):
+    """(value, parts, basics): what ("F", "P", "A", "B", "C", "Aprime" or
+    "j") at z as the public eval_* give it, by the mpc tail (_tail_of) at
+    eval_bits; the (mpc, error exponent) pairs of F, thetaF and P (_rounded;
+    none for C and j) and the fixed-point basics at z it came from."""
+    bits, form = cfg.eval_bits, _form(z)
+    table = _kernel_table(bits)
+    parts, ex, basics = (({}, 0, _at(form, table, bits)) if what in ("C", "j")
+                         else _form_and_theta(form, table, bits))
+    parts = {key: _rounded(x, bits + _GUARD + ex, bits) for key, x in parts.items()}
+    if what in ("F", "P"):
+        return parts[what.lower()][0], parts, basics
     with mpmath.workprec(bits):
         v = _as_mpc(basics, bits)
-        jval = _guarded_j(v, cfg)
-        a, b, c = _abc(mpmath.mp, parts["f"][0], parts["theta_f"][0], v, jval,
-                       _im(form, bits + _GUARD))
-        return {"p": parts["p"][0], "a": a, "b": b, "c": c,
-                "aprime": a * jval * (jval - 1728), "j": jval}
+        jval = _j_of(v) if what == "j" else _guarded_j(v, cfg)
+        f, theta_f = (parts.get(key, (None,))[0] for key in ("f", "theta_f"))
+        return _tail_of(what, mpmath.mp, v, f, theta_f, jval, mpmath.im(z)), parts, basics
 
 
 def eval_A(z: mpc, cfg: PrecisionConfig) -> mpc:
-    return _values(_form(z), _kernel_table(cfg.eval_bits), cfg)["a"]
+    return _eval_mp("A", z, cfg)[0]
 
 
 def eval_B(z: mpc, cfg: PrecisionConfig) -> mpc:
-    return _values(_form(z), _kernel_table(cfg.eval_bits), cfg)["b"]
+    return _eval_mp("B", z, cfg)[0]
 
 
 def eval_C(z: mpc, cfg: PrecisionConfig) -> mpc:
     """C from the basics at z alone; level-1 invariant, so the value at a CM
     point only depends on its class."""
-    with mpmath.workprec(cfg.eval_bits):
-        v = _as_mpc(_at(_form(z), _kernel_table(cfg.eval_bits), cfg.eval_bits), cfg.eval_bits)
-        return _abc(mpmath.mp, None, None, v, _guarded_j(v, cfg), mpmath.im(z))[2]
+    return _eval_mp("C", z, cfg)[0]
 
 
 def eval_Aprime(z: mpc, cfg: PrecisionConfig) -> mpc:
-    return _values(_form(z), _kernel_table(cfg.eval_bits), cfg)["aprime"]
+    return _eval_mp("Aprime", z, cfg)[0]
 
 
 def _eval_bounded(what: str, z: mpc, cfg: PrecisionConfig):
     """(value, bound) for the eval command: what ("F", "P", "A", "B", "C"
-    or "j") at z as eval_form, eval_P, eval_A, ... give it, and a bound on
-    its absolute error at z's exact binary value.  F and P carry their
-    fixed-point error exponents; A, B, C and j repeat their mpc tail in
-    complex interval arithmetic (mpmath.iv) from boxes around F, thetaF and
-    the basics at z, and the bound is the farthest point of the result's
-    box from the value."""
-    bits, y, form = cfg.eval_bits, mpmath.im(z), _form(z)
-    prec, iv, table = bits + _GUARD, mpmath.iv, _kernel_table(bits)
-    parts, basics = (({}, _at(form, table, bits)) if what in ("C", "j")
-                     else _form_and_theta(form, table, bits))
+    or "j") at z as eval_form, eval_P, eval_A, ... give it (_eval_mp), and
+    a bound on its absolute error at z's exact binary value.  F and P carry
+    their fixed-point error exponents; A, B, C and j repeat their mpc tail
+    in complex interval arithmetic (mpmath.iv) from boxes around F, thetaF
+    and the basics at z, and the bound is the farthest point of the
+    result's box from the value.  On _Pair (_tail) the bounds came out 4-15
+    bits looser, and supported no digit of C at 200i (C near 2^-1700, its
+    absolute bound 2^-314)."""
+    value, parts, basics = _eval_mp(what, z, cfg)
     if what in ("F", "P"):
-        value, err = parts[what.lower()]
-        return value, mpf(2) ** err
-    with mpmath.workprec(bits):
-        def tail(ctx, v, f, theta_f, jval):
-            return jval if what == "j" else dict(zip("ABC", _abc(ctx, f, theta_f, v, jval, y)))[what]
-
-        v = _as_mpc(basics, bits)
-        jval = _j_of(v) if what == "j" else _guarded_j(v, cfg)
-        value = tail(mpmath.mp, v, *(parts.get(key, (None,))[0] for key in ("f", "theta_f")), jval)
-    saved, iv.prec = iv.prec, bits
+        return value, mpf(2) ** parts[what.lower()][1]
+    bits, iv = cfg.eval_bits, mpmath.iv
+    prec, saved, iv.prec = bits + _GUARD, iv.prec, bits
 
     def box(x, err):
         r = iv.mpf([-mpf(2) ** err, mpf(2) ** err])
@@ -743,8 +855,8 @@ def _eval_bounded(what: str, z: mpc, cfg: PrecisionConfig):
                          basics[key][1] - prec + basics.get(key + "_exp", 0))
                 for key in ("eta2", "e2", "e4", "e6")}
         fbox = [box(*parts[key]) if parts else None for key in ("f", "theta_f")]
-        bound = abs(iv.mpc(value.real, value.imag) - tail(iv, vbox, *fbox, _j_of(vbox)))
+        tail = _tail_of(what, iv, vbox, *fbox, _j_of(vbox), mpmath.im(z))
+        bound = abs(iv.mpc(value.real, value.imag) - tail)
         return value, mpmath.mp.make_mpf(bound._mpi_[1])
     finally:
         iv.prec = saved
-

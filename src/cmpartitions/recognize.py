@@ -205,11 +205,24 @@ def compute_pn(n: int, cfg: PrecisionConfig) -> OrbitRecord:
     from it exactly, and the full scale 24n - 1 is the sharpness divisor it
     has just confirmed.
 
+    Rounding proves the other coefficients integral only against what is
+    known of them in advance.  By Bruinier and Ono, 6 (24n - 1) P(alpha_Q)
+    is an algebraic integer, so the coefficient c_k of x^(h-k) lies in
+    6^-k Z, and a c_k of N + 6^-k would round to N all the same unless
+    2 bound < 6^-k.  So a rung is accepted only when its bound is also at
+    most 2^-(ceil(h log2 6) + 2) < 6^-h/2 for the h forms.
+
     The polynomial's magnitude is predicted from the forms
     (_predicted_magnitude), so the first rung runs at it plus the working
     bits, with no probe rung before it; it is capped below the kernels'
     budget, so a prediction too high cannot refuse an n that a probe would
-    have sized within it, and one too low costs a further rung.
+    have sized within it, and one too low costs a further rung.  The first
+    rung's bound has come out near 2^-(w + 16 + 0.7 h), the prediction
+    over-counting about 0.7 bits a form (2^-274 at h = 3 to 2^-503 at
+    h = 320, n = 2000).  Where w + 32 + h/2, below that from h = 114 on,
+    falls short of ceil(h log2 6) + 2, the shortfall is added to the
+    prediction, so the one rung clears 6^-h as well; it is 0 through
+    n = 600 (h = 130).
 
     P is evaluated once per conjugate pair, in one ``eval_P_cm`` call per
     rung.  The partner of [a, b, c] is the class of [6c, b, a/6]
@@ -231,9 +244,14 @@ def compute_pn(n: int, cfg: PrecisionConfig) -> OrbitRecord:
         poly, bound = orbit_product(ps, scale, errors)
         return (ps, poly), bound
 
+    h = len(forms)
+    integral = (6**h - 1).bit_length() + 2  # ceil(h log2 6) + 2
+    shortfall = max(integral - cfg.working_bits - cfg.guard_bits - h // 2, 0)
     cap = _BUDGET_BITS - cfg.guard_bits - 1 - cfg.working_bits
-    magnitude = max(min(_predicted_magnitude(forms, partners, n), cap), 0)
-    (p_values, poly), bound, bits = run_adaptive(task, cfg, magnitude)
+    magnitude = max(min(_predicted_magnitude(forms, partners, n) + shortfall, cap), 0)
+    tol = min(cfg.abs_tol, mpf(2) ** -integral)
+    (p_values, poly), bound, bits = run_adaptive(
+        task, PrecisionConfig(cfg.working_bits, cfg.max_bits, tol), magnitude)
     poly_int, residual = round_to_integers(poly, bound)
     pn, remainder = divmod(-poly_int[1], scale * scale)
     if remainder:

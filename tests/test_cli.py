@@ -355,6 +355,24 @@ class TestVerification:
         assert code == 0 and doc["tolerance"] == "1.0e-15"
         assert doc["max_deviation"] in [row["deviation"] for row in doc["rows"]]
 
+    def test_verify_commands_keep_their_precision(self, capsys):
+        # at 512 bits the masser rows sit near 2^-548, P - (A + BC) near
+        # 2^-514 and the resolvents near 2^-532: a tail value rounded at 53
+        # bits passes the commands' tolerances (1e-15, 2^-160, 1e-30), not 2^-448
+        common = ("--precision-bits", "512", "--seed", "1", "--no-cache", "--json")
+        deviations = []
+        for n in ("1", "2"):
+            code, out, _ = run_cli(capsys, "masser", "--n", n, *common)
+            assert code == 0
+            deviations += [row["deviation"] for row in json.loads(out)["rows"]]
+        for argv in (("verify-decomp", "--trials", "100", "--n-max", "6"),
+                     ("verify-appendix", "--trials", "25")):
+            code, out, _ = run_cli(capsys, *argv, *common)
+            assert code == 0
+            deviations.append(json.loads(out)["max_deviation"])
+        with mpmath.workprec(128):
+            assert max(mpf(d) for d in deviations) < mpf(2) ** -448, deviations
+
     def test_norms_skip_beta(self, capsys):
         code, out, _ = run_cli(capsys, "norms", "--n", "1", "--skip-beta",
                                "--no-cache", "--json")

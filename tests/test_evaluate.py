@@ -12,8 +12,9 @@ from cmpartitions import evaluate, recognize
 from cmpartitions.errors import NearSingularity, NotUpperHalfPlane
 from cmpartitions.evaluate import (_GUARD, _as_mpc, _ClassTable, _eprod, _esum, _eta_k,
                                    _eval_bounded, _form, _form_and_theta, _form_root,
-                                   _j_reduced, _kernel_table, _nterms, _reduced_basics,
-                                   _reducing, _rounded, _t, _to_mpc, eval_A, eval_Aprime, eval_B,
+                                   _j_pairs, _j_reduced, _kernel_table, _nterms,
+                                   _reduced_basics, _reducing, _rounded, _t, _tail, _to_mpc,
+                                   _values, eval_A, eval_Aprime, eval_B,
                                    eval_C, eval_eisenstein, eval_eta, eval_form,
                                    eval_j, eval_P, eval_P_cm, eval_theta_j)
 from cmpartitions.precision import PrecisionConfig
@@ -32,7 +33,8 @@ def random_points(seed, count, im_low=0.1, im_high=3.0):
 
 def eval_theta_form(z, cfg):
     """theta F = q dF/dq at z, as eval_form gives F."""
-    return _form_and_theta(_form(z), _kernel_table(cfg.eval_bits), cfg.eval_bits)[0]["theta_f"][0]
+    parts, ex, _ = _form_and_theta(_form(z), _kernel_table(cfg.eval_bits), cfg.eval_bits)
+    return _rounded(parts["theta_f"], cfg.eval_bits + _GUARD + ex, cfg.eval_bits)[0]
 
 
 def apply_moebius(mat, z):
@@ -600,6 +602,58 @@ class TestDecomposition:
             jval = eval_j(z, cfg256)
             expected = a * jval * (jval - 1728)
             assert abs(eval_Aprime(z, cfg256) - expected) < mpf(2) ** -180 * (1 + abs(expected))
+
+
+class TestPairTail:
+    """j, theta j, P, A, B, C and A' on (value, error exponent) pairs
+    (_tail, _j_pairs), the tail of the verify commands."""
+
+    @staticmethod
+    def forms():
+        # verify-decomp's seed-1 points, the 12 coset images of 3 random
+        # points and the Hecke images of the CM forms of n = 1
+        from cmpartitions import cli, modpoly
+        from cmpartitions.resolvent import coset_reps
+        forms = [_form(z) for z in cli._random_points(1, 20)]
+        forms += [f for n in range(1, 7) for f in enumerate_qn(n)]
+        forms += [_form(z).transform((d, -b, -c, a)) for z in random_points(3, 3, 0.8, 3.0)
+                  for a, b, c, d in coset_reps()]
+        classes = modpoly.hnf_classes(23)
+        return forms + [image for f in enumerate_qn(1) if f.content() == 1
+                        for image in modpoly._images(f, classes)[1].values()]
+
+    def test_error_exponents_hold_against_256_more_bits(self):
+        lo, hi = PrecisionConfig(256), PrecisionConfig(512)
+        tables = {cfg: _kernel_table(cfg.eval_bits) for cfg in (lo, hi)}
+
+        def exact(form, cfg):
+            prec, table = cfg.eval_bits + _GUARD, tables[cfg]
+            pairs = dict(_tail(form, table, cfg), theta_j=_j_pairs(form, table, cfg)[1])
+            assert _j_pairs(form, table, cfg)[0] == pairs["j"]
+            return {key: _rounded(x, prec, 0) for key, x in pairs.items()}
+
+        forms = self.forms()
+        assert len(forms) > 150
+        with mpmath.workprec(4096):
+            for form in forms:
+                low, high = exact(form, lo), exact(form, hi)
+                for key, (value, e) in low.items():
+                    assert e < max(mpmath.mag(value), 0) - 240, (form, key)
+                    assert abs(value - high[key][0]) <= mpf(2) ** e, (form, key)
+
+    @pytest.mark.parametrize("form", [QuadForm(6, 0, 6), QuadForm(6, 6, 6)])
+    def test_refused_at_i_and_rho(self, cfg256, form):
+        # j - 1728 and E6 vanish at i, j and E4 at rho
+        with pytest.raises(NearSingularity):
+            _values(form, _kernel_table(cfg256.eval_bits), cfg256)
+
+    def test_values_round_the_pairs(self, cfg256):
+        form, table = enumerate_qn(2)[0], _kernel_table(cfg256.eval_bits)
+        prec = cfg256.eval_bits + _GUARD
+        values = _values(form, table, cfg256)
+        for key, x in _tail(form, table, cfg256).items():
+            assert values[key] == _rounded(x, prec, cfg256.eval_bits)[0]
+        assert values["p"] == eval_P_cm([form], cfg256)[0][0]
 
 
 @dataclass(frozen=True)

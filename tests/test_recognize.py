@@ -246,6 +246,23 @@ class TestBound:
             assert _magnitude(value) <= magnitude <= _magnitude(value) + w // 2, n
             assert rungs == [bits] == [magnitude + w], n
 
+    def test_bound_proves_every_coefficient_integral(self, cfg256, monkeypatch):
+        # 6 (24n - 1) P is an algebraic integer (Bruinier-Ono), so the
+        # coefficient of x^(h-k) lies in 6^-k Z and rounding proves it
+        # integral only when 2 bound < 6^-k, for k up to h; n = 1000 failed
+        # with 2^-445 against 6^-242 before the rung was sized for it
+        bounds = []
+
+        def spy(task, cfg, magnitude=None):
+            result = run_adaptive(task, cfg, magnitude)
+            bounds.append(result[1])
+            return result
+
+        monkeypatch.setattr(recognize, "run_adaptive", spy)
+        for n in [*range(1, 61), 300, 1000]:
+            h = len(compute_pn(n, cfg256).forms)
+            assert fraction(2 * bounds[-1]) < Fraction(1, 6**h), n
+
     def test_prediction_too_high_is_capped_at_the_kernels_budget(self, cfg256, monkeypatch):
         # the one rung runs at the last precision the kernels accept, and
         # p(1) is found, not refused
