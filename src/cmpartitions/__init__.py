@@ -11,7 +11,7 @@ j and of the singular-moduli products behind them.
 
 from .errors import (CMPartitionsError, FractionalPower, NearSingularity,
                      NoFixingClass, NotNearIntegral, NotUpperHalfPlane,
-                     PrecisionExhausted, ZeroLeadingCoefficient)
+                     PrecisionExhausted, WorkerLost, ZeroLeadingCoefficient)
 from .evaluate import (eval_A, eval_Aprime, eval_B, eval_C, eval_eisenstein,
                        eval_eta, eval_form, eval_j, eval_P, eval_P_cm,
                        eval_theta_j)

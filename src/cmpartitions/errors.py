@@ -36,6 +36,11 @@ class NotNearIntegral(CMPartitionsError):
         self.residual = residual
 
 
+class WorkerLost(CMPartitionsError):
+    """A forked worker of precision._fork_map ended without handing back a
+    result or an exception (killed, for instance, when memory ran out)."""
+
+
 class NoFixingClass(CMPartitionsError):
     """Not exactly one matrix class of the requested determinant fixes the
     CM point: none, or several (only for |D| = 3 k^2)."""

@@ -35,8 +35,7 @@ import math as _math
 
 import mpmath
 from mpmath import mpc, mpf
-from mpmath.libmp import (from_man_exp, mpf_cos_sin_pi, mpf_div, mpf_neg, pi_fixed,
-                          to_fixed)
+from mpmath.libmp import from_man_exp, mpf_div, mpf_neg, pi_fixed, to_fixed
 
 from .errors import NearSingularity, NotUpperHalfPlane, PrecisionExhausted
 from .precision import PrecisionConfig
@@ -295,33 +294,58 @@ _TAPER_BITS = 1 << 11
 
 def _power_table(x: tuple[int, int], exponents, prec: int) -> dict:
     """{e: x^e} in fixed point over a sparse set of exponents, ascending.
-    The gaps are short (~sqrt of the largest exponent), so a table of x^gap,
-    extended as larger gaps come up, makes each power one product.
+    The gaps are short (~sqrt of the largest exponent), so a table of x^gap
+    makes each power one product.
 
-    From prec = _TAPER_BITS on, the powers (shrinking, |x| < 1) are formed
-    only to the accuracy they can contribute: each step x^e = x^prev x^gap
-    keeps of x^gap what reaches 2^-_TAPER of its last place, and a gap first
-    needed at a step is formed to 2^-(_TAPER + 10) of what the current power
-    can use (under 400 products add up to less than 2^-_TAPER of it).  A
-    step adds under 2^(-_TAPER + 1) of its last place to its truncation,
-    within the 2 ulp per product of the _reduced_basics budget; at 30000
-    bits the table takes about half the time.
+    Below prec = _TAPER_BITS every gap up to the largest is formed, as
+    x^gap = x^(gap - 1) x.  From _TAPER_BITS on, the powers (shrinking,
+    |x| < 1) are formed only to the accuracy they can contribute, and only
+    the gaps that occur: at the step that first needs a gap, it and the
+    smaller gaps that occur are formed in ascending order, each as x^h
+    x^(gap - h) from two gaps already held (one unused gap more where no two
+    add up to it), to 2^-(_TAPER + 10) of what the current power can use,
+    and each step x^e = x^prev x^gap keeps of x^gap what reaches 2^-_TAPER
+    of its last place.  By induction x^gap carries at most gap - 1
+    truncations, each made with no more room than the step that first uses
+    it has, and gaps stay under 400, so they add up to less than 2^-_TAPER
+    of that step's last place.  A step thus adds under 2^(-_TAPER + 1) of
+    its last place to its truncation, within the 2 ulp per product of the
+    _reduced_basics budget; at 30000 bits the table takes about half the
+    time.
     """
     acc = one = (1 << prec, 0)
-    gap_pow, powers, prev, taper = [one, x], {}, 0, prec >= _TAPER_BITS
-    for e in sorted(set(exponents)):
-        if taper:
-            room = prec - _size(acc)
-            while len(gap_pow) <= e - prev:
-                gap_pow.append(_cmul_within(gap_pow[-1], x, prec, room - _TAPER - 10))
-            acc = _cmul_within(acc, gap_pow[e - prev], prec, -_TAPER)
-        else:
+    powers, prev = {}, 0
+    if prec < _TAPER_BITS:
+        gap_pow = [one, x]
+        for e in sorted(set(exponents)):
             while len(gap_pow) <= e - prev:
                 gap_pow.append(_cmul(gap_pow[-1], x, prec))
-            acc = _cmul(acc, gap_pow[e - prev], prec)
+            powers[e] = acc = _cmul(acc, gap_pow[e - prev], prec)
+            prev = e
+        return powers
+    exponents = sorted(set(exponents))
+    gaps = sorted({e - p for p, e in zip([0] + exponents, exponents)}, reverse=True)
+    gap_pow = {1: x}
+    for e in exponents:
+        while gaps and gaps[-1] <= e - prev:
+            _form_gap(gap_pow, gaps.pop(), prec, prec - _size(acc) - _TAPER - 10)
+        acc = gap_pow[e] if not prev else _cmul_within(acc, gap_pow[e - prev], prec, -_TAPER)
         powers[e] = acc
         prev = e
     return powers
+
+
+def _form_gap(gap_pow: dict, gap: int, prec: int, m: int) -> None:
+    """Put x^gap into gap_pow (gap -> x^gap, holding x^1) unless held: the
+    product, within 2^m units (_cmul_within), of the largest held x^h whose
+    x^(gap - h) is held too, or else of the largest held x^h below gap and
+    x^(gap - h), formed first."""
+    if gap in gap_pow:
+        return
+    below = sorted((h for h in gap_pow if h < gap), reverse=True)
+    h = next((h for h in below if gap - h in gap_pow), below[0])
+    _form_gap(gap_pow, gap - h, prec, m)
+    gap_pow[gap] = _cmul_within(gap_pow[h], gap_pow[gap - h], prec, m)
 
 
 def _reduced_basics(w: mpc, bits: int) -> dict:
@@ -391,17 +415,18 @@ def _reduced_basics(w: mpc, bits: int) -> dict:
     }
 
 
-def _j_reduced(w: mpc, bits: int, q: mpc | None = None):
+def _j_reduced(w: mpc, bits: int, nome=None):
     """j at a fundamental-domain point w as a (value, error exponent) pair
     at scale 2^prec, prec = bits + _GUARD (_emul), from the eta quotient
     u = 2^12 (eta(2w)/eta(w))^24 = 2^12 q r^24, r = p2/p1 = prod (1 + q^k)
     for the pentagonal sums p1 = prod (1 - q^k) and p2 = prod (1 - q^2k):
         j = (u + 16)^3 / u = q^-1 / r^24 + 768 + 48 u + u^2,
-    its leading q^-1 the reciprocal of the mpc q, so that it keeps its
-    relative precision at small |q|.  One exponential and two sparse sums
-    on one table of q powers (fewer products at very high precision than
-    E4^3 / Delta from the theta constants); refused at bits >= 2^15.
-    q = exp(2 pi i w) is computed here unless passed (_nomes).
+    its leading q^-1 read from a fixed point of 1/q, so that it keeps its
+    relative precision at small |q|.  One nome and two sparse sums on one
+    table of q powers (fewer products at very high precision than E4^3 /
+    Delta from the theta constants); refused at bits >= 2^15.  nome, the
+    fixed points (1/q, q) at scale 2^prec (_nomes), is formed here from
+    the mpc exp(2 pi i w) unless passed.
 
     Error budget, against j at the root w* of the form (|w* - w| <= 4|w|
     2^-prec, _form_root; |w| >= 1 and |q^-1| >= 230), as two parts.  With a and b the fixed
@@ -413,11 +438,12 @@ def _j_reduced(w: mpc, bits: int, q: mpc | None = None):
         and a tail below 2^(-prec-30)); _ediv, _emul and _esum carry that
         through r, r^24, u and J(a, b).
       - The inputs: q is within eta = 2^(18-prec) |w| relative of q*
-        (the bound of _nomes; exp here, after the root's rounding, is
-        within 2^(6-prec) |w|), so |a - 1/q*| < (2^18 |w| + 3) |q^-1|
-        units (1/q rounded, a truncated) and |b - q*| < 0.00434 * 2^18 |w|
-        + 1.5 < 1140 |w| units.  Along b, |beta| <= 0.00434 (exp(-pi sqrt 3)
-        = 0.004333 on the domain), so sum |beta|^k < 0.00436, |R| and |R^-1|
+        (_nomes' root is within 2^(6-prec) |w|, and so is exp here after
+        the root's rounding), so |a - 1/q*| < (2^18 |w| + 3) |q^-1| units
+        (1/q rounded, a truncated) and |b - q*| < 0.00434 * 2^18 |w| + 1.5
+        < 1140 |w| units (0.28 |w| + 3 from _nomes' fixed points).  Along
+        b, |beta| <= 0.00434 (exp(-pi sqrt 3) = 0.004333 on the domain), so
+        sum |beta|^k < 0.00436, |R| and |R^-1|
         < exp(24 * 0.00436/0.9957) < 1.111, sum k |beta|^(k-1)/|1 + beta^k|
         < 0.9956^-3 < 1.0132, |d R^-1/d beta| < 1.111 * 24 * 1.0132 < 27.1,
         |U| < 19.8 and |dU/d beta| < 2^12 * 1.111 (1 + 24 * 0.00434 *
@@ -432,10 +458,11 @@ def _j_reduced(w: mpc, bits: int, q: mpc | None = None):
     t1 = list(_pentagonal_exponents(n))
     t2 = [(2 * e, s) for e, s in _pentagonal_exponents((n + 1) // 2)]
     one = (1 << prec, 0)
-    with mpmath.workprec(prec):
-        if q is None:
+    if nome is None:
+        with mpmath.workprec(prec):
             q = mpmath.exp(mpmath.pi * mpc(0, 2) * w)
-        a, b = _fixed(1 / q, prec), _fixed(q, prec)
+            nome = _fixed(1 / q, prec), _fixed(q, prec)
+    a, b = nome
     power = _power_table(b, [e for e, _ in t1 + t2], prec)
     p1 = (_csum([(1, one)] + [(s, power[e]) for e, s in t1]), 11)
     p2 = (_csum([(1, one)] + [(s, power[e]) for e, s in t2]), 11)
@@ -450,10 +477,10 @@ def _j_reduced(w: mpc, bits: int, q: mpc | None = None):
     return j, max(err, inputs) + 1
 
 
-def _j_from_eta(red: QuadForm, bits: int, q: mpc | None = None):
-    """_j_reduced at the root w of a reduced form, with q = exp(2 pi i w)
+def _j_from_eta(red: QuadForm, bits: int, nome=None):
+    """_j_reduced at the root w of a reduced form, with its nome (1/q, q)
     if given (_nomes)."""
-    return _j_reduced(_form_root(red, bits + _GUARD), bits, q)
+    return _j_reduced(_form_root(red, bits + _GUARD), bits, nome)
 
 
 def _transport(v: dict, m, t, prec: int) -> dict:
@@ -605,21 +632,75 @@ def _conj(value):
     return value
 
 
-def _nomes(forms, bits: int) -> list[mpc]:
-    """q = exp(2 pi i w) at the roots w of reduced forms [a, b, c] sharing a
-    and the discriminant D, at the guarded precision of a bits-bit kernel:
-    q = exp(-pi sqrt|D|/a) exp(-pi i/a)^b, one exponential and one root of
-    unity for all, its powers by _ipow (conjugated for b < 0).  With
-    |b| < 2^10 the power is off by under |b| (3 + 2 log2 |b|) 2^(1-prec) <
-    2^(16-prec) relative, and q by under 2^(18-prec) |w| relative."""
-    a, d = forms[0].a, forms[0].discriminant()
-    if any((f.a, f.discriminant()) != (a, d) or abs(f.b) >= 1 << 10 for f in forms):
-        raise ValueError("forms must share a and D, with |b| < 2^10")
+def _disc_exp(d: int, bits: int) -> mpf:
+    """E_D = exp(-pi sqrt|D|) at the guarded precision P = bits + _GUARD of
+    a bits-bit kernel, within (3.1 pi sqrt|D| + 2) 2^-P relative (sqrt, pi
+    and their product rounded once each, and exp's own rounding)."""
     with mpmath.workprec(bits + _GUARD):
-        modulus = mpmath.exp(-mpmath.pi * mpmath.sqrt(-d) / a)
-        root = mpmath.mp.make_mpc(mpf_cos_sin_pi((mpf(-1) / a)._mpf_, bits + _GUARD, "n"))
-        return [modulus * (_ipow(root, f.b) if f.b >= 0 else _conj(_ipow(root, -f.b)))
-                for f in forms]
+        return mpmath.exp(-mpmath.pi * mpmath.sqrt(-d))
+
+
+def _nomes(forms, bits: int, exps=None) -> list:
+    """(1/q, q) as fixed-point complexes at scale 2^prec, prec = bits +
+    _GUARD, for q = exp(2 pi i w) at the roots w of reduced forms [a, b, c]
+    with a < 2^20, from one exponential E_D per discriminant (_disc_exp;
+    exps, if given, maps D to E_D and keeps those computed here).
+
+    With y = -log2 |q| = pi sqrt|D|/(a ln 2) and k = floor(y), v = 2^-k/q
+    = 2^(y - k) exp(pi i b/a), of modulus in [1, 2), is the root of
+    C v^a = 1, C = (-1)^b E_D 2^(k a), near the start v0 formed from y and
+    b/a at 64 + (bit length of |D|) bits, within 2^-58 + 2^(2 - p0) relative
+    once held at scale 2^p0.  Newton's v <- v + v (1 - C v^a)/a maps
+    v_C (1 + delta) to v_C (1 + delta') with |delta'| <= 2a |delta|^2 while
+    a |delta| <= 1/4, so it contracts that disc about the root v_C it
+    started near; the other roots v_C exp(2 pi i j/a) are at least 4/a
+    relative away, so the start picks the branch of the point.  Each step at
+    precision p (C truncated at scale 2^(p + a), v^a by binary powering, its
+    truncations raised by at most a and divided by a again) adds under
+    2^(4 - p) relative, so the error stays under 2^(5 - p) when the
+    precision doubles from p' to p <= 2 p' - bitlen(a) - 7, and v ends
+    within 2^(5 - prec) of v_C.  E_D's error moves v_C by its a-th part,
+    under (19.5 Im w + 2) 2^-prec.  So 1/q = 2^k v (exact) is within
+    (19.5 Im w + 34) 2^-prec < 2^(6 - prec) |w| relative of its exact value,
+    and q = 2^-k/v (_cdiv, then shifted) within as much relative and 3
+    units more.
+    """
+    exps = {} if exps is None else exps
+    for form in forms:
+        if form.a >> 20:
+            raise ValueError(f"{form} has a >= 2^20")
+        d = form.discriminant()
+        if d not in exps:
+            exps[d] = _disc_exp(d, bits)
+    return [_nome(form, exps[form.discriminant()], bits + _GUARD) for form in forms]
+
+
+def _nome(form: QuadForm, e_d: mpf, prec: int):
+    """(1/q, q) at the root of form from E_D, by _nomes' Newton root."""
+    a, b, d = form.a, form.b, form.discriminant()
+    with mpmath.workprec(64 + (-d).bit_length()):
+        y = mpmath.pi * mpmath.sqrt(-d) / (a * mpmath.ln2)
+        k = int(y)
+        v0 = mpmath.exp(mpc((y - k) * mpmath.ln2, mpmath.pi * b / a))
+    precs = [prec]
+    while precs[-1] > 64:
+        precs.append((precs[-1] + a.bit_length() + 8) // 2 + 1)
+    sign, man, ex, _ = e_d._mpf_
+    v = _fixed(v0, precs[-1])
+    for p, p_next in zip(precs[::-1], precs[-2::-1] + [prec]):
+        shift = ex + k * a + p + a
+        c = man << shift if shift >= 0 else man >> -shift
+        c = -c if (b + sign) % 2 else c
+        power = v
+        for bit in bin(a)[3:]:
+            power = _cmul(power, power, p)
+            if bit == "1":
+                power = _cmul(power, v, p)
+        rest = ((1 << p) - (c * power[0] >> p + a), -(c * power[1] >> p + a))
+        step = _cmul(v, rest, p)
+        v = ((v[0] + step[0] // a) << p_next - p, (v[1] + step[1] // a) << p_next - p)
+    q = _cdiv((1 << prec, 0), v, prec)
+    return (v[0] << k, v[1] << k), (q[0] >> k, q[1] >> k)
 
 
 class _ClassTable(dict):

@@ -11,6 +11,7 @@ independent finite-difference fit over a local inversion of j checks them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,8 +19,9 @@ import mpmath
 from mpmath import mpc, mpf
 
 from .errors import NearSingularity, NoFixingClass
-from .evaluate import (_GUARD, _check_budget, _ClassTable, _eprod, _esum, _j_and_theta_j,
-                       _j_from_eta, _kernel_table, _nomes, _rounded, eval_j, eval_theta_j)
+from .evaluate import (_GUARD, _check_budget, _ClassTable, _disc_exp, _eprod, _esum,
+                       _j_and_theta_j, _j_from_eta, _kernel_table, _nomes, _rounded, eval_j,
+                       eval_theta_j)
 from .precision import PrecisionConfig, _fork_map, run_adaptive
 from .quadforms import QuadForm, cm_point, enumerate_qn, reduce_with_matrix
 from .recognize import _carried_bits, norm_6unit_check
@@ -99,40 +101,48 @@ def _images(form: QuadForm, classes):
         cl: _image_form(form, cl)[0] for cl in classes}
 
 
-def _j_classes(reds, bits: int) -> list:
-    """j at the roots of reduced forms that share a and the discriminant,
-    as (value, error exponent) pairs at scale 2^(bits + _GUARD), with one
-    exponential for all of them (``_nomes``) when there are several; the
-    kernel runs through this module's _j_from_eta."""
-    nomes = _nomes(reds, bits) if len(reds) > 1 else [None]
-    return [_j_from_eta(red, bits, q) for red, q in zip(reds, nomes)]
+@functools.lru_cache(maxsize=64)
+def _reduced_images(form: QuadForm, classes: tuple) -> tuple:
+    """(R, images): the reduced forms of form and of its images under the
+    classes that do not fix its CM point (_images), once per form and class
+    tuple."""
+    fix, images = _images(form, classes)
+    return reduce_with_matrix(form)[0], tuple(
+        reduce_with_matrix(image)[0] for cl, image in images.items() if cl != fix)
 
 
-def _j_table(cfg: PrecisionConfig, forms=(), classes=()) -> _ClassTable:
-    """Reduced form -> j at its root (_j_classes), at cfg's evaluation
-    precision.  The kernel calls that the CM points of forms and their
-    images under classes need, one per class and its mirror, are made at
-    once over the CPUs (``_fork_map``), in groups that share a and the
-    discriminant (one exponential), largest a (longest series) first; a
-    mirror is conjugated and any other form computed on a miss.  The
-    kernel's budget is checked first, so a precision it refuses fails
-    before any process starts."""
+def _log2_j(red: QuadForm) -> float:
+    """2 pi Im(w)/ln 2 = pi sqrt|D|/(a ln 2) = -log2 |q| at the root w of a
+    reduced form [a, b, c]: log2 |j(w)| but for log2 |q j(w)|."""
+    return math.pi * math.sqrt(-red.discriminant()) / (red.a * math.log(2))
+
+
+def _j_class(red: QuadForm, bits: int, exps: dict):
+    """j at the root of a reduced form as a (value, error exponent) pair at
+    scale 2^(bits + _GUARD), from its nome (1/q, q), a Newton root of the
+    one exponential of its discriminant in exps (_nomes); the kernel runs
+    through this module's _j_from_eta."""
+    return _j_from_eta(red, bits, _nomes([red], bits, exps)[0])
+
+
+def _j_table(cfg: PrecisionConfig, reds=()) -> _ClassTable:
+    """Reduced form -> j at its root (_j_class), at cfg's evaluation
+    precision.  The kernel calls for the reduced forms reds, one per class
+    and its mirror, are made at once over the CPUs (``_fork_map``), longest
+    series (least Im w) first, after one exponential E_D per discriminant
+    (_disc_exp) taken here; a mirror is conjugated and any other form
+    computed on a miss.  The kernel's budget is checked first, so a
+    precision it refuses fails before any process starts."""
     bits = cfg.eval_bits
     _check_budget(bits)
-    table = _ClassTable(lambda red: _j_classes([red], bits)[0])
     wanted = {}
-    for form in forms:
-        for image in [form] + [_image_form(form, cl)[0] for cl in classes]:
-            red = reduce_with_matrix(image)[0]
-            if QuadForm(red.a, -red.b, red.c) not in wanted:
-                wanted[red] = None
-    groups = {}
-    for red in wanted:
-        groups.setdefault((red.a, red.discriminant()), []).append(red)
-    groups = sorted(groups.values(), key=lambda group: -group[0].a)
-    values = _fork_map(_j_classes, [(group, bits) for group in groups])
-    for group, group_values in zip(groups, values):
-        table.update(zip(group, group_values))
+    for red in reds:
+        if QuadForm(red.a, -red.b, red.c) not in wanted:
+            wanted[red] = None
+    exps = {d: _disc_exp(d, bits) for d in {red.discriminant() for red in wanted}}
+    table = _ClassTable(lambda red: _j_class(red, bits, exps))
+    order = sorted(wanted, key=lambda red: -red.discriminant() / red.a ** 2)
+    table.update(zip(order, _fork_map(_j_class, [(red, bits, exps) for red in order])))
     return table
 
 
@@ -141,14 +151,13 @@ def beta_product(form: QuadForm, classes, cfg: PrecisionConfig, table):
     for alpha the CM point of form, as a (value, error exponent) pair at
     scale 2^(cfg.eval_bits + _GUARD): each j read from table (a _j_table at cfg's
     precision, shared by the forms of one rung) at the reduced form of form
-    or of the image, each difference taken by _esum and the product by
-    _eprod.  j runs along the eta-only route, which takes fewer products
-    than E4^3 / Delta at the >30000 bits of n = 3.
+    or of the image (_reduced_images), each difference taken by _esum and
+    the product by _eprod.  j runs along the eta-only route, which takes
+    fewer products than E4^3 / Delta at the >30000 bits of n = 3.
     """
-    fix, images = _images(form, classes)
-    j0 = table[reduce_with_matrix(form)[0]]
-    return _eprod([_esum([(1, j0), (-1, table[reduce_with_matrix(image)[0]])])
-                   for cl, image in images.items() if cl != fix], cfg.eval_bits + _GUARD)
+    red, images = _reduced_images(form, tuple(classes))
+    return _eprod([_esum([(1, table[red]), (-1, table[image])]) for image in images],
+                  cfg.eval_bits + _GUARD)
 
 
 @dataclass(frozen=True)
@@ -308,21 +317,39 @@ def j_norm(n: int, cfg: PrecisionConfig):
 
 def beta_norm(n: int, cfg: PrecisionConfig):
     """Product of beta over the primitive class representatives for n, as an
-    integer, with the coprime-to-6 flag and its rung's working bits.  The
-    first rung measures the magnitude (about 9000 digits at n = 3), and the
-    next, at the magnitude plus cfg.working_bits, is accepted on its bound
-    (run_adaptive; about 2^-270 for n = 1, 2 and 3).  A rung's kernel
-    calls, one per class pair, are split over the CPUs (_j_table).
+    integer, with the coprime-to-6 flag and its rung's working bits.  One
+    rung, at the magnitude predicted from the forms plus cfg.working_bits,
+    is accepted on its bound (run_adaptive; about 2^-270 for n = 1, 2 and
+    3).  A rung's kernel calls, one per class pair, are split over the CPUs
+    (_j_table).
+
+    The magnitude is the sum over the forms' non-fixing classes of
+    max(log2 |j(alpha)|, log2 |j(M alpha)|), each log2 |j| taken as
+    _log2_j at the reduced form (3281, 13256 and 30428 bits for n = 1, 2
+    and 3, against 3280, 13258 and 30432 in the norms).  With j = q^-1 (1 +
+    eps), |eps| <= q j(iy) - 1 at Im w = y (j's coefficients are positive),
+    under 9.01 * 2^(Y0 - Y) for Y = _log2_j >= Y0 = pi sqrt 3/ln 2, a factor
+    j1 - j2 with Y1 >= Y2 has log2 |j1 - j2| at most Y1 + log2(1 + eps1 +
+    2^(Y2 - Y1) (1 + eps2)): the norm's magnitude exceeds the prediction by
+    at most the sum of those, 26, 72 and 162 bits for n = 1, 2 and 3.  Too
+    low a prediction by s bits raises the rung's bound 2^s times; beyond
+    the rung's margin below the tolerance it costs a rung, never a result.
+    Nothing bounds the magnitude from below (a j near its zero at rho makes
+    a factor small), and too high a prediction costs only precision.
     """
     # only primitive forms have a fixing class of determinant 24n - 1
     forms = [f for f in enumerate_qn(n) if f.content() == 1]
-    classes = hnf_classes(24 * n - 1)
+    classes = tuple(hnf_classes(24 * n - 1))
+    reduced = [_reduced_images(f, classes) for f in forms]
+    magnitude = math.ceil(sum(max(_log2_j(red), _log2_j(image))
+                              for red, images in reduced for image in images))
+    reds = [red for own, images in reduced for red in (own, *images)]
 
     def rung(bits):
         sub = cfg.with_bits(bits)
-        table, prec = _j_table(sub, forms, classes), sub.eval_bits + _GUARD
+        table, prec = _j_table(sub, reds), sub.eval_bits + _GUARD
         betas = [beta_product(f, classes, sub, table) for f in forms]
         return _norm_rung(_eprod(betas, prec), prec)
 
-    prod, bound, bits = run_adaptive(rung, cfg)
+    prod, bound, bits = run_adaptive(rung, cfg, magnitude)
     return (*norm_6unit_check(prod, f"beta-norm(n={n})", bound), bits)

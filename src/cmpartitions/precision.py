@@ -18,7 +18,7 @@ from typing import Callable, ClassVar
 import mpmath
 from mpmath import mpf
 
-from .errors import PrecisionExhausted
+from .errors import PrecisionExhausted, WorkerLost
 
 DEFAULT_WORKING_BITS = 256
 DEFAULT_MAX_BITS = 8192
@@ -65,7 +65,8 @@ def _fork_map(fn, arg_tuples) -> list:
     k, k + p, ... (a list sorted by falling cost splits evenly).  Forked
     workers see the caller's modules as they are (the library starts no
     threads), and only the results are pickled.  The first exception a
-    worker raised is raised here.  Serial when there is one process to use.
+    worker raised is raised here, and WorkerLost for a worker that ended
+    without a result.  Serial when there is one process to use.
     """
     tasks = list(arg_tuples)
     processes = min(len(os.sched_getaffinity(0)), len(tasks))
@@ -114,7 +115,7 @@ def _collect(pid: int, out) -> tuple:
         try:
             return pickle.load(out)
         except (EOFError, pickle.UnpicklingError):
-            return True, RuntimeError(f"worker process {pid} ended without a result")
+            return True, WorkerLost(f"worker process {pid} ended without a result")
 
 
 def _magnitude(value) -> int:

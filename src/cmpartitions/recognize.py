@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mpc, mpf
+from mpmath.libmp import from_man_exp, fzero
 
 from .errors import NotNearIntegral, PrecisionExhausted
 from .evaluate import (_BUDGET_BITS, _cmul, _conj, _csum, _eprod, _fixed, _to_mpc,
@@ -107,16 +108,33 @@ def round_to_integers(poly, tol):
     """Round complex coefficients to integers; fails loudly above tolerance.
 
     Returns (integer coefficients, residual) where the residual is the max
-    distance to the rounded value including imaginary parts.
+    distance to the rounded value including imaginary parts.  Each
+    coefficient (mpc or mpf) is read as its exact binary parts, mantissa
+    and exponent; the real part is rounded in integers, half to even as
+    mpmath.nint rounds, and the squared distances are compared exactly.
+    The residual is the square root of the largest, rounded 32 bits above
+    the carried precision.
     """
     rounded = []
-    residual = mpf(0)
+    worst, worst_exp = 0, 0  # the largest squared distance, worst 2^worst_exp
+    for c in poly:
+        re, im = c._mpc_ if isinstance(c, mpc) else (c._mpf_, fzero)
+        (sign, man, e, _), (isign, iman, ie, _) = re, im
+        x = -man if sign else man
+        if e >= 0 or not x:
+            n, dist, e = x << max(e, 0), 0, ie
+        else:
+            n, rest = divmod(x, 1 << -e)
+            if 2 * rest + (n & 1) > 1 << -e:
+                n, rest = n + 1, rest - (1 << -e)
+            dist = rest
+        low = min(e, ie)
+        d = (dist << e - low) ** 2 + (iman << ie - low) ** 2
+        if d and (not worst or d << max(2 * low - worst_exp, 0) > worst << max(worst_exp - 2 * low, 0)):
+            worst, worst_exp = d, 2 * low
+        rounded.append(n)
     with mpmath.workprec(_carried_bits(poly) + 32):
-        for c in poly:
-            c = mpc(c)
-            n = int(mpmath.nint(mpmath.re(c)))
-            residual = max(residual, abs(c - n))
-            rounded.append(n)
+        residual = mpmath.sqrt(mpmath.mp.make_mpf(from_man_exp(worst, worst_exp)))
     if not residual < tol:
         raise NotNearIntegral(
             f"residual {mpmath.nstr(residual, 5)} above tolerance {mpmath.nstr(mpf(tol), 5)}",

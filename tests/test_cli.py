@@ -184,6 +184,17 @@ class TestBasicCommands:
         assert err.startswith("precision exhausted:") and err.count("\n") == 1
         assert "Traceback" not in err and "32768" in err
 
+    def test_dead_worker_is_a_library_error(self, capsys, monkeypatch):
+        # a forked worker that ends without a result (as when it is killed)
+        # is one "error:" line and exit 2, not a traceback out of main
+        from cmpartitions import precision
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(precision, "_work", lambda fn, tasks, out: os._exit(0))
+        code, out, err = run_cli(capsys, "norms", "--n", "1", "--no-cache")
+        assert code == 2 and out == ""
+        assert err.startswith("error: WorkerLost: worker process ") and err.count("\n") == 1
+        assert "ended without a result" in err
+
     def test_start_at_ceiling_still_confirms(self, capsys):
         # the ceiling is raised to twice the start
         code, out, _ = run_cli(capsys, "eval", "--what", "j", "--z", "0,1",
@@ -278,11 +289,11 @@ class TestKernelCounts:
                                                            tmp_path, n, classes):
         # the beta-norm's alphas and their non-fixing images meet this many
         # SL2(Z) classes, counting a class and its mirror once: 2 + 35 for
-        # n = 1 and 3 + 118 for n = 2, in the first rung and in the one
-        # certified rung.  The j-norm's alphas (2 classes for n = 1, 3 for
-        # n = 2) take one more call each, in its one rung at the working
-        # precision.  The beta-norm's calls run in forked processes, so each
-        # call appends to a file.
+        # n = 1 and 3 + 118 for n = 2, in its one certified rung, sized by
+        # the predicted magnitude with no probe rung before it.  The j-norm's
+        # alphas (2 classes for n = 1, 3 for n = 2) take one call each, in
+        # its one rung at the working precision.  The beta-norm's calls run
+        # in forked processes, so each call appends to a file.
         j_classes = {1: 2, 2: 3}[n]
         original = modpoly._j_from_eta
         log = tmp_path / "calls"
@@ -297,7 +308,7 @@ class TestKernelCounts:
         assert code == 0
         per_rung = Counter(map(int, log.read_text().split()))
         assert len(per_rung) == 2
-        assert per_rung[256 + 32] == j_classes + classes
+        assert per_rung[256 + 32] == j_classes
         assert max(per_rung) > 256 + 32 and per_rung[max(per_rung)] == classes
 
 

@@ -327,6 +327,79 @@ class TestFixedPointKernels:
                     assert err < mpf(2) ** (8 - bits) * max(1, abs(ref)), (k, x, y)
 
 
+def j_exponents(bits, im_w):
+    """The exponents of _j_reduced's table of q powers at Im w."""
+    from cmpartitions.series import _pentagonal_exponents
+    n = _nterms(bits, im_w)
+    return ([e for e, _ in _pentagonal_exponents(n)]
+            + [2 * e for e, _ in _pentagonal_exponents((n + 1) // 2)])
+
+
+def full_table(x, exponents, prec):
+    """Every gap up to the largest, x^gap = x^(gap - 1) x, each power one
+    _cmul further: the table _power_table builds below _TAPER_BITS."""
+    acc = one = (1 << prec, 0)
+    gap_pow, powers, prev = [one, x], {}, 0
+    for e in sorted(set(exponents)):
+        while len(gap_pow) <= e - prev:
+            gap_pow.append(evaluate._cmul(gap_pow[-1], x, prec))
+        powers[e] = acc = evaluate._cmul(acc, gap_pow[e - prev], prec)
+        prev = e
+    return powers
+
+
+class TestPowerTable:
+    @staticmethod
+    def nome(prec, w):
+        with mpmath.workprec(prec):
+            return evaluate._fixed(mpmath.exp(2j * mpmath.pi * w), prec)
+
+    @pytest.mark.parametrize("bits, gaps", [(3568, 21), (30720, 60)])
+    def test_tapered_table_forms_only_the_used_gaps(self, monkeypatch, bits, gaps):
+        # j's table at Im w = 0.866: 21 of 28 gaps occur at 3568 bits and
+        # 60 of 95 at 30720; one product a power and one a used gap past x
+        prec = bits + _GUARD
+        assert prec >= evaluate._TAPER_BITS
+        exponents = sorted(set(j_exponents(bits, 0.866)))
+        used = {e - prev for prev, e in zip([0] + exponents, exponents)}
+        assert len(used) == gaps and 1 in used
+        products = []
+        original = evaluate._cmul_within
+
+        def counting(a, b, prec, m):
+            products.append(m)
+            return original(a, b, prec, m)
+
+        monkeypatch.setattr(evaluate, "_cmul_within", counting)
+        x = self.nome(prec, mpc(mpf("0.3"), mpf("0.866")))
+        powers = evaluate._power_table(x, exponents, prec)
+        assert sorted(powers) == exponents
+        assert len(products) == (len(exponents) - 1) + (gaps - 1)
+
+    @pytest.mark.parametrize("bits", [3568, 13500])
+    def test_tapered_powers_within_the_taper_budget(self, bits):
+        # each step adds under 2 + 2^(1 - _TAPER) units to its power's
+        # error, against the exact powers (64 bits more, cut back)
+        prec = bits + _GUARD
+        w = mpc(mpf("-0.4"), mpf("0.9"))
+        exponents = j_exponents(bits, 0.9)
+        x = self.nome(prec, w)
+        powers = evaluate._power_table(x, exponents, prec)
+        exact = full_table(self.nome(prec + 64, w), exponents, prec + 64)
+        for k, e in enumerate(sorted(powers)):
+            error = max(abs(u - (v >> 64)) for u, v in zip(powers[e], exact[e]))
+            assert error <= 3 * (k + 1), e
+
+    @pytest.mark.parametrize("bits", [256, 1024, 1984])
+    def test_full_table_below_the_taper(self, bits):
+        # below _TAPER_BITS the table is the full one, bit for bit
+        prec = bits + _GUARD
+        assert prec < evaluate._TAPER_BITS
+        x = self.nome(prec, mpc(mpf("0.1"), mpf("0.95")))
+        exponents = j_exponents(bits, 0.95) + [m * m for m in range(1, 9)]
+        assert evaluate._power_table(x, exponents, prec) == full_table(x, exponents, prec)
+
+
 class TestErrorExponents:
     """The (value, error exponent) helpers at their edges."""
 

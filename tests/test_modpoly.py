@@ -280,21 +280,31 @@ class TestClassTable:
         assert len(table) == {1: 72, 2: 240}[n]
 
     def test_shared_exponential_within_its_bound(self):
-        # the n = 1 image classes that share a and D take one exponential
-        bits = 3600
-        groups = {}
-        for form in enumerate_qn(1):
-            for cl in hnf_classes(23):
-                red = reduce_with_matrix(_image_form(form, cl)[0])[0]
-                groups.setdefault((red.a, red.discriminant()), set()).add(red)
-        groups = [sorted(g, key=lambda f: f.b) for g in groups.values() if len(g) > 1]
-        assert len(groups) >= 5
-        with mpmath.workprec(bits + 32):
-            for group in groups:
-                for form, q in zip(group, _nomes(group, bits)):
-                    w = _root(form)
-                    direct = mpmath.exp(2j * mpmath.pi * w)
-                    assert abs(q - direct) <= mpf(2) ** (18 - bits - 32) * abs(w * direct)
+        # the nomes of n = 1 and n = 3's forms and images, one exponential
+        # per discriminant and a Newton root each, against exp(2 pi i w):
+        # 1/q within 2^(6 - prec) |w| relative, q within as much relative
+        # and 3 units more
+        forms = sorted({reduce_with_matrix(image)[0]
+                        for n in (1, 3) for f in enumerate_qn(n)
+                        for image in [f] + [_image_form(f, cl)[0]
+                                            for cl in hnf_classes(24 * n - 1)[::7]]},
+                       key=lambda f: (f.discriminant(), f.a, f.b))
+        assert len({f.discriminant() for f in forms}) == 4
+        assert {f.a for f in forms} >= {1, 2, 3, 4, 6} and any(f.b < 0 for f in forms)
+        for bits in (544, 3568, 13500):
+            self.nomes_within_their_bound(forms, bits)
+
+    @staticmethod
+    def nomes_within_their_bound(forms, bits):
+        prec = bits + _GUARD
+        unit = mpf(2) ** -prec
+        with mpmath.workprec(prec + 64):
+            for form, (inv_q, q) in zip(forms, _nomes(forms, bits)):
+                w = _root(form)
+                exact = mpmath.exp(2j * mpmath.pi * w)
+                rel = mpf(2) ** 6 * unit * abs(w)
+                assert abs(_to_mpc(inv_q, prec, 0) - 1 / exact) <= rel / abs(exact), form
+                assert abs(_to_mpc(q, prec, 0) - exact) <= rel * abs(exact) + 3 * unit, form
 
     def test_image_form_root(self, cfg256):
         # the root of the image form is the image of the root
@@ -317,7 +327,7 @@ class TestBetaNorm:
         norm, coprime, achieved = beta_norm(1, PrecisionConfig(256, 8192))
         assert coprime
         assert norm % 2 != 0 and norm % 3 != 0
-        assert len(str(abs(norm))) == 987
+        assert len(str(abs(norm))) == 987 and abs(norm).bit_length() == 3279
         assert hashlib.sha256(str(norm).encode()).hexdigest() == self.SHA256[1]
 
     @pytest.fixture
@@ -334,23 +344,73 @@ class TestBetaNorm:
         return bits
 
     def test_n1_one_certified_rung(self, rungs):
-        # the rung at magnitude + 256 bits is bounded well below 2^-128
+        # no probe rung: the one rung, at the magnitude predicted from the
+        # forms (3281) + 256 bits, is bounded well below 2^-128
         _, _, achieved = beta_norm(1, PrecisionConfig(256, 8192))
-        assert rungs == [256, 3536] and achieved == 3536
+        assert rungs == [3281 + 256] and achieved == 3537
 
     def test_ladder_when_the_bound_does_not_close(self, rungs):
-        # one rung at magnitude + 256 bits cannot be certified to 2^-400,
-        # the next, at magnitude + 512, can
+        # one rung at the predicted magnitude + 256 bits cannot be certified
+        # to 2^-400, the next, at the measured magnitude 3280 + 512, can
         cfg = PrecisionConfig(256, 8192, abs_tol=mpf(2) ** -400)
         norm, coprime, achieved = beta_norm(1, cfg)
-        assert rungs == [256, 3536, 3792] and achieved == 3792
+        assert rungs == [3537, 3792] and achieved == 3792
         assert coprime
         assert hashlib.sha256(str(norm).encode()).hexdigest() == self.SHA256[1]
+
+    # the bit lengths of the norms: n = 1 and 2 as test_n1 and test_n2
+    # compute them, n = 3 that of the 9161-digit norm (SHA-256 prefix
+    # 2beafe00631e9ce5) that criterion 5 computes
+    BIT_LENGTHS = {1: 3279, 2: 13257, 3: 30431}
+
+    @staticmethod
+    def slack(n):
+        """The derived excess of the norm's log2 over the prediction
+        (beta_norm's docstring): per factor log2(1 + eps1 + 2^(Y2 - Y1)
+        (1 + eps2)), eps <= q j(iy) - 1 scaled down from y = sqrt 3/2 by
+        q/q0, q j(iy) - 1 taken at y = sqrt 3/2 from mpmath's kleinj."""
+        y0 = math.sqrt(3) / 2
+        eps0 = float(mpmath.re(mpmath.exp(-2 * mpmath.pi * y0)
+                               * 1728 * mpmath.kleinj(mpc(0, y0)))) - 1
+        big_y0 = 2 * math.pi * y0 / math.log(2)
+        classes = tuple(hnf_classes(24 * n - 1))
+        total = 0.0
+        for form in enumerate_qn(n):
+            red, images = modpoly._reduced_images(form, classes)
+            for image in images:
+                y2, y1 = sorted([modpoly._log2_j(red), modpoly._log2_j(image)])
+                eps1, eps2 = (eps0 * 2 ** (big_y0 - y) for y in (y1, y2))
+                total += math.log2(1 + eps1 + 2 ** (y2 - y1) * (1 + eps2))
+        return eps0, total
+
+    @pytest.mark.parametrize("n, predicted", [(1, 3281), (2, 13256), (3, 30428)])
+    def test_predicted_magnitude_within_its_slack(self, monkeypatch, n, predicted):
+        # the prediction, from the forms alone (no kernel call), against
+        # the norm's measured magnitude
+        magnitudes = []
+
+        def record(task, cfg, magnitude):
+            magnitudes.append(magnitude)
+            raise StopIteration  # before any rung runs
+
+        monkeypatch.setattr(modpoly, "run_adaptive", record)
+        with pytest.raises(StopIteration):
+            beta_norm(n, PrecisionConfig(256, 8192))
+        assert magnitudes == [predicted]
+        eps0, slack = self.slack(n)
+        assert 9.0 < eps0 < 9.01
+        assert round(slack) == {1: 26, 2: 72, 3: 162}[n]
+        measured = self.BIT_LENGTHS[n] + 1  # run_adaptive's _magnitude
+        # the derived side: the magnitude exceeds the prediction by at most
+        # the slack; the other side has no bound from the forms, and the
+        # prediction came out within 4 bits
+        assert measured <= predicted + slack
+        assert abs(measured - predicted) <= 4
 
     def test_n2(self):
         norm, coprime, _ = beta_norm(2, PrecisionConfig(256, 8192))
         assert coprime
-        assert len(str(abs(norm))) == 3991
+        assert len(str(abs(norm))) == 3991 and abs(norm).bit_length() == 13257
         assert hashlib.sha256(str(norm).encode()).hexdigest() == self.SHA256[2]
 
 

@@ -62,6 +62,21 @@ class TestRounding:
         with pytest.raises(NotNearIntegral):
             round_to_integers([mpc(1), mpf("-0.5")], mpf("1e-6"))
 
+    def test_integers_as_nint_and_residual_as_abs(self):
+        # the rounding in integers gives mpmath.nint's integers (ties to
+        # even) and the largest |c - n|, rounded 32 bits above the 72 bits
+        # the coefficients carry
+        rng = random.Random(3)
+        with mpmath.workprec(300):
+            poly = [mpc(mpf(rng.randrange(-2**40, 2**40)) / 2**rng.randrange(0, 60),
+                        mpf(rng.randrange(-9, 9)) / 2**rng.randrange(0, 80))
+                    for _ in range(40)]
+            poly += [mpf(5) / 2, mpf(-7) / 2, mpc(mpf(2)**70 + 1, 0), mpf(0)]
+            rounded, residual = round_to_integers(poly, mpf(100))
+            assert rounded == [int(mpmath.nint(mpmath.re(c))) for c in poly]
+            worst = max(abs(mpc(c) - n) for c, n in zip(poly, rounded))
+            assert abs(residual - worst) <= mpf(2) ** -100 * worst
+
     def test_imaginary_counts(self):
         with pytest.raises(NotNearIntegral):
             round_to_integers([mpc(1, mpf("1e-3"))], mpf("1e-6"))
