@@ -363,7 +363,7 @@ def _cmd_verify_decomp(args):
         points += [(f"cm(n={n})", form) for form in enumerate_qn(n)]
     with mpmath.workprec(cfg.eval_bits):
         for label, form in points:
-            v = _values(form, table, cfg)
+            v = _values(form, table, cfg, ("p", "a", "b", "c"))
             dev = abs(v["p"] - (v["a"] + v["b"] * v["c"]))
             if dev > worst:
                 worst, worst_at = dev, [label] + _cnstr(_form_root(form, cfg.eval_bits), 20)
@@ -408,7 +408,7 @@ def _masser_rows(n: int, cfg: PrecisionConfig):
     for form in [f for f in enumerate_qn(n) if f.content() == 1]:
         data = modpoly._taylor(form, classes, cfg, table)
         from_taylor = data.masser_c()
-        direct = _values(form, table, cfg)["c"]
+        direct = _values(form, table, cfg, ("c",))["c"]
         with mpmath.workprec(cfg.eval_bits):
             deviation = abs(from_taylor - direct)
         rows.append({

@@ -17,14 +17,12 @@ fixed-point value carries an integer error exponent (_emul, _esum, _ediv,
 _eprod), seeded by the kernels' budgets: the bounds of P at CM points
 (eval_P_cm), of the eval command (_eval_bounded) and of j (_j_reduced).
 
-Two tails take the basics on to j, theta j, A, B, C and A' = A j (j - 1728)
-with one statement of each formula (_j_of, _j_and_theta, _abc), in whatever
-arithmetic their numbers carry.  The verify commands' internal callers
-(_values, _j_and_theta_j) stay on the pairs (_Pair: _emul, _ediv, _esum)
-and round to mpc once at the end; the public eval_* and the eval command
-round the basics to mpc first and bound the mpc tail in mpmath.iv, whose
-relative boxes stay tight where a fixed-point bound is absolute (C near
-2^-1700 at 200i).
+One tail (_tail) takes the basics, F, thetaF and P on to j, theta j, A, B,
+C and A' = A j (j - 1728), forming only the values asked for, on pairs that
+carry their own power of two (_Pair: _emul, _ediv, _esum), so that a value
+keeps its relative precision however small (C near 2^-1813 at 200i) or
+large.  The verify commands (_values) and the public eval_* and the eval
+command (_eval_bounded) round its pairs to mpc once, at the end.
 """
 
 from __future__ import annotations
@@ -126,8 +124,9 @@ def _nterms(bits: int, im_w) -> int:
     return max(int(bits * _math.log(2) / (2 * _math.pi * float(im_w))) + 9, 4)
 
 
-def _ipow(x: mpc, n: int) -> mpc:
-    """x**n for n >= 0 by binary squaring (series._power)."""
+def _ipow(x, n: int):
+    """x**n for n >= 0 by binary squaring (series._power), for an mpc or a
+    _Pair (n >= 1)."""
     return _power(x, n) if n else mpc(1)
 
 
@@ -532,19 +531,6 @@ def _as_mpc(v: dict, bits: int) -> dict:
             **{key: _to_mpc(v[key][0], prec, bits) for key in ("e2", "e4", "e6")}}
 
 
-def _j_of(v: dict):
-    """j = E4^3 / Delta from the basics at one point, in their arithmetic
-    (mpc, mpmath.iv or _Pair)."""
-    return _ipow(v["e4"], 3) / _ipow(v["eta2"], 12)
-
-
-def _j_and_theta(v: dict):
-    """(j, theta j) from the basics at one point, in their arithmetic: j as
-    in _j_of and theta j = -E4^2 E6 / Delta, over one Delta."""
-    delta = _ipow(v["eta2"], 12)
-    return _ipow(v["e4"], 3) / delta, -(v["e4"] * v["e4"]) * v["e6"] / delta
-
-
 def eval_eta(z: mpc, cfg: PrecisionConfig) -> mpc:
     """eta(z): the square root of eta^2(z) that exp(pi i k/12) turns into
     the principal root of t eta^2(w) (argument within pi/3 of 0), so a
@@ -565,33 +551,36 @@ def eval_eisenstein(k: int, z: mpc, cfg: PrecisionConfig) -> mpc:
 
 
 def eval_j(z: mpc, cfg: PrecisionConfig) -> mpc:
-    return _eval_mp("j", z, cfg)[0]
+    return _eval_bounded("j", z, cfg)[0]
 
 
 def eval_theta_j(z: mpc, cfg: PrecisionConfig) -> mpc:
-    """theta applied to j, analytically (_j_and_theta on the mpc basics)."""
-    bits = cfg.eval_bits
-    with mpmath.workprec(bits):
-        return _j_and_theta(_as_mpc(_at(_form(z), _kernel_table(bits), bits), bits))[1]
+    """theta applied to j, analytically (_tail)."""
+    return _eval_bounded("theta_j", z, cfg)[0]
+
+
+def _g(form: QuadForm, prec: int):
+    """g = 1/(2 pi Im alpha) = a/(pi sqrt|D|) at the root alpha of form,
+    in integers, as a (value, error exponent) pair at scale 2^prec.  With
+    s = 2^-prec isqrt(|D| 2^2prec) (_sqrt_disc; s >= sqrt 3 - 2^-prec), g is
+    off by under 2a/s units from 1/pi (within 2), a/(5s) from the isqrt and 1
+    from the floor: in all under 3a/s + 1 units."""
+    root = _sqrt_disc(form.discriminant(), prec)[0]
+    return (((form.a * _constants(prec)[1] << prec) // root, 0),
+            (((3 * form.a << prec) // root) + 2).bit_length())
 
 
 def _form_and_theta(form: QuadForm, table, bits: int, keys=("f", "theta_f", "p")):
     """({"f": F, "theta_f": thetaF, "p": P} for the keys asked, ex, the
-    basics at alpha with "e2star": E2* = E2 - 6g), the parts (value, error
-    exponent) pairs at scale 2^(prec + ex) (F 2^ex at scale 2^prec; _rounded
-    there gives F as an mpc), the basics at scale 2^prec, at the root alpha
-    of a form [a, b, c] with 6 | a, from table: F of series.fp_series, P =
-    -thetaF - F g, g = 1/(2 pi Im alpha) = a/(pi sqrt|D|) in integers.  With
-    s = 2^-prec isqrt(|D| 2^2prec) (_sqrt_disc; s >= sqrt 3 - 2^-prec), g is
-    off by under 2a/s units from 1/pi (within 2), a/(5s) from the isqrt and 1
-    from the floor: in all under 3a/s + 1 units.  d alpha (d = 1, 2, 3, 6) is
-    the root of [a/d, b, dc] (_at); F = f/den 2^-ex and thetaF = theta_f/den
-    2^-ex by the chain rule, theta E2 = (E2^2 - E4)/12, theta log eta =
-    E2/24, and den 2^ex is the eta^2 product times 24/FP_PREFACTOR."""
-    prec, pre = bits + _GUARD, FP_PREFACTOR
-    root = _sqrt_disc(form.discriminant(), prec)[0]
-    g = (((form.a * _constants(prec)[1] << prec) // root, 0),
-         (((3 * form.a << prec) // root) + 2).bit_length())
+    basics at alpha), the parts (value, error exponent) pairs at scale
+    2^(prec + ex) (F 2^ex at scale 2^prec; _rounded there gives F as an
+    mpc), the basics at scale 2^prec, at the root alpha of a form [a, b, c]
+    with 6 | a, from table: F of series.fp_series, P = -thetaF - F g (_g).
+    d alpha (d = 1, 2, 3, 6) is the root of [a/d, b, dc] (_at); F = f/den
+    2^-ex and thetaF = theta_f/den 2^-ex by the chain rule, theta E2 = (E2^2
+    - E4)/12, theta log eta = E2/24, and den 2^ex is the eta^2 product times
+    24/FP_PREFACTOR."""
+    prec, pre, g = bits + _GUARD, FP_PREFACTOR, _g(form, bits + _GUARD)
     at = {d: _at(QuadForm(form.a // d, form.b, d * form.c), table, bits)
           for d, _ in FP_ETA_FACTORS}
     num = _esum((c, at[d]["e2"]) for d, c in FP_E2_COMBINATION)
@@ -606,16 +595,15 @@ def _form_and_theta(form: QuadForm, table, bits: int, keys=("f", "theta_f", "p")
     theta_f = _esum([(pre.numerator, theta), (-pre.numerator, drift)])
     den = _esum([(24 * pre.denominator, den)])
     parts = {"f": f, "theta_f": theta_f, "p": _esum([(-1, theta_f), (-1, _emul(f, g, prec))])}
-    return ({key: _ediv(x, den, prec) for key, x in parts.items() if key in keys}, ex,
-            dict(at[1], e2star=_esum([(1, at[1]["e2"]), (-6, g)])))
+    return {key: _ediv(x, den, prec) for key, x in parts.items() if key in keys}, ex, at[1]
 
 
 def eval_form(z: mpc, cfg: PrecisionConfig) -> mpc:
-    return _eval_mp("F", z, cfg)[0]
+    return _eval_bounded("F", z, cfg)[0]
 
 
 def eval_P(z: mpc, cfg: PrecisionConfig) -> mpc:
-    return _eval_mp("P", z, cfg)[0]
+    return _eval_bounded("P", z, cfg)[0]
 
 
 def _conj(value):
@@ -735,209 +723,157 @@ def eval_P_cm(forms, cfg: PrecisionConfig) -> tuple[list, list]:
 
 
 class _Pair:
-    """A (value, error exponent) pair at scale 2^prec (_emul) as a number,
-    so that _j_of, _j_and_theta and _abc state their formulas once for mpc,
-    mpmath.iv and pairs: two pairs add by _esum, multiply by _emul and
-    divide by _ediv; an int adds exactly, weights by _esum and divides by
-    the floor, within 2^e/|k| + 1 <= 2^max(e, 1) units."""
+    """The number z 2^(s - prec) within 2^(e + s - prec): a (value, error
+    exponent) pair (z, e) at scale 2^prec (_emul) with its own binary
+    exponent s, as eta^2 carries one.  Two pairs multiply and divide by
+    _emul and _ediv, which add and subtract s, and the result is shifted to
+    about prec bits (_normal), so that it keeps its relative precision
+    however small or large; they add by _esum at the larger s, the other
+    cut to it (cut).  An int adds exactly where it reaches the pair's last
+    place (else within 1 unit), weights by _esum and divides by the floor,
+    within 2^e/|k| + sqrt 2 <= 2^max(e, 1) units for |k| >= 4."""
 
-    __slots__ = ("pair", "prec")
+    __slots__ = ("pair", "s", "prec")
 
-    def __init__(self, pair, prec: int):
-        self.pair, self.prec = pair, prec
+    def __init__(self, pair, s: int, prec: int):
+        self.pair, self.s, self.prec = pair, s, prec
+
+    def cut(self, s: int):
+        """The pair at the exponent s >= self.s: cut by d = s - self.s bits,
+        within 2^(e - d) + 2 units."""
+        ((x, y), e), d = self.pair, s - self.s
+        return self.pair if not d else ((x >> d, y >> d), max(e - d, 1) + 1)
 
     def __add__(self, other):
         if isinstance(other, _Pair):
-            return _Pair(_esum([(1, self.pair), (1, other.pair)]), self.prec)
-        (x, y), e = self.pair
-        return _Pair(((x + (other << self.prec), y), e), self.prec)
+            s = max(self.s, other.s)
+            return _Pair(_esum([(1, self.cut(s)), (1, other.cut(s))]), s, self.prec)
+        ((x, y), e), k = self.pair, self.prec - self.s
+        if k >= 0:
+            return _Pair(((x + (other << k), y), e), self.s, self.prec)
+        return _Pair(_esum([(1, self.pair), (1, ((other >> -k, 0), 0))]), self.s, self.prec)
 
     def __neg__(self):
         (x, y), e = self.pair
-        return _Pair(((-x, -y), e), self.prec)
+        return _Pair(((-x, -y), e), self.s, self.prec)
 
     def __sub__(self, other):
         return self + -other
 
     def __mul__(self, other):
         if isinstance(other, _Pair):
-            return _Pair(_emul(self.pair, other.pair, self.prec), self.prec)
-        return _Pair(_esum([(other, self.pair)]), self.prec)
-
-    def __truediv__(self, other):
-        if isinstance(other, _Pair):
-            return _Pair(_ediv(self.pair, other.pair, self.prec), self.prec)
-        (x, y), e = self.pair
-        return _Pair(((x // other, y // other), max(e, 1)), self.prec)
+            return _normal(_emul(self.pair, other.pair, self.prec), self.s + other.s, self.prec)
+        return _Pair(_esum([(other, self.pair)]), self.s, self.prec)
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        if isinstance(other, _Pair):
+            return _normal(_ediv(self.pair, other.pair, self.prec), self.s - other.s, self.prec)
+        (x, y), e = self.pair
+        return _Pair(((x // other, y // other), max(e, 1)), self.s, self.prec)
 
-def _shift(pair, s: int):
-    """The pair times 2^s, s >= 0: F or j with the eta product's binary
-    exponent taken out.  Refused before the shift when s reaches the
-    kernels' budget of 2^15 bits (j(10^30 i) is about 2^(9 10^30))."""
-    if s >= _BUDGET_BITS:
-        shown = s if s < 10**6 else mpmath.nstr(mpf(s), 3)
-        raise PrecisionExhausted(f"a value of magnitude 2^{shown}, at or beyond the "
-                                 f"kernels' budget of {_BUDGET_BITS} bits")
+    def rounded(self, bits: int):
+        """(mpc, error exponent): the pair rounded to a bits-bit mpc (_rounded)."""
+        return _rounded(self.pair, self.prec - self.s, bits)
+
+
+def _normal(pair, s: int, prec: int) -> _Pair:
+    """The (value, error exponent) pair at exponent s as a _Pair of about
+    prec bits: shifted left exactly, or right within 2 units more (_Pair.cut)."""
     (x, y), e = pair
-    return (x << s, y << s), e + s
-
-
-def _guarded_j(v: dict, cfg: PrecisionConfig) -> mpc:
-    """j from the mpc basics at a point, refused within 2^(-working_bits/4)
-    of a zero of j, j - 1728, E4 or E6, where A, B and C have poles."""
-    jval = _j_of(v)
-    threshold = mpf(2) ** (-(cfg.working_bits // 4))
-    for name, x in (("j", jval), ("j_1728", jval - 1728), ("e4", v["e4"]), ("e6", v["e6"])):
-        if abs(x) < threshold:
-            raise NearSingularity(f"|{name}| = {mpmath.nstr(abs(x), 5)} below guard")
-    return jval
+    t = _size(pair[0]) - prec if x or y else 0
+    if t > 0:
+        return _Pair(((x >> t, y >> t), max(e - t, 1) + 1), s + t, prec)
+    return _Pair(((x << -t, y << -t), e - t), s + t, prec)
 
 
 def _guard(values: dict, cfg: PrecisionConfig) -> None:
-    """_guarded_j's refusal for _Pair values at scale 2^prec, compared
-    exactly in integers: |x|^2 < 2^(2 (prec - working_bits/4))."""
+    """Refuse (NearSingularity) _Pairs within 2^(-working_bits/4) of zero,
+    compared exactly in integers: |z|^2 < 2^k, k = 2 (prec - s -
+    working_bits/4)."""
     for name, x in values.items():
-        (re, im), _ = x.pair
-        if re * re + im * im < 1 << 2 * (x.prec - cfg.working_bits // 4):
-            size = abs(_to_mpc((re, im), x.prec, 53))
+        ((re, im), _), k = x.pair, 2 * (x.prec - x.s - cfg.working_bits // 4)
+        if (re * re + im * im).bit_length() <= max(k, 0):
+            size = abs(x.rounded(53)[0])
             raise NearSingularity(f"|{name}| = {mpmath.nstr(size, 5)} below guard")
 
 
-def _abc(f, theta_f, v: dict, jval, e2star):
-    """A, B and C from F, thetaF, the basics, j and E2* = E2 - 3/(pi y) at a
-    point of imaginary part y, in their arithmetic (mpc, mpmath.iv for
-    enclosures, or _Pair); f and theta_f are not read for C alone:
+# The parts of _form_and_theta and the keys of _tail that read them.
+_READ_BY = {"f": ("f", "a", "b", "aprime"), "theta_f": ("a", "aprime"), "p": ("p",)}
+
+
+def _tail(form: QuadForm, table, cfg: PrecisionConfig, keys) -> dict:
+    """The keys asked for of F, P, A, B, C, A' = A j (j - 1728), j and theta j
+    ("f", "p", "a", "b", "c", "aprime", "j" and "theta_j") at the root alpha
+    of form (6 | a), as _Pairs at prec = eval_bits + _GUARD from table: F,
+    thetaF and P at s = -ex (_form_and_theta, read only for the keys that
+    use them; C, j and theta j alone read the basics at alpha, _at), the
+    basics at s = 0, eta^2 at its eta2_exp, and
+        j = E4^3 / Delta,   theta j = -E4^2 E6 / Delta,   Delta = eta^24,
         A = -thetaF - F E2/6 + F E6 (7j - 6912)/(6 E4 (j - 1728)),
         B = F E6 j / E4,
-        C = E4 E2*/(6 E6 j) - (7j - 6912)/(6 j (j - 1728))."""
-    c = (v["e4"] * e2star / (6 * v["e6"] * jval)
-         - (7 * jval - 6912) / (6 * jval * (jval - 1728)))
-    if f is None:
-        return None, None, c
-    a = (-theta_f - f * v["e2"] / 6
-         + f * v["e6"] * (7 * jval - 6912) / (6 * v["e4"] * (jval - 1728)))
-    return a, f * v["e6"] * jval / v["e4"], c
+        C = E4 E2*/(6 E6 j) - (7j - 6912)/(6 j (j - 1728)),
+    E2* = E2 - 6g (_g).  P = A + B C, and A' is regular at CM points.  Asked
+    for A, B, C or A', it refuses within 2^(-working_bits/4) of a zero of j,
+    j - 1728, E4 or E6, where they have poles (_guard)."""
+    bits, prec, asked = cfg.eval_bits, cfg.eval_bits + _GUARD, set(keys)
+    parts = [part for part, readers in _READ_BY.items() if asked.intersection(readers)]
+    parts, ex, basics = (_form_and_theta(form, table, bits, parts) if parts
+                         else ({}, 0, _at(form, table, bits)))
+    out = {key: _Pair(x, -ex, prec) for key, x in parts.items()}
+    if asked <= {"f", "p"}:
+        return {key: out[key] for key in keys}
+    e2, e4, e6 = (_Pair(basics[key], 0, prec) for key in ("e2", "e4", "e6"))
+    delta = _ipow(_Pair(basics["eta2"], basics["eta2_exp"], prec), 12)
+    out["j"] = j = _ipow(e4, 3) / delta
+    if "theta_j" in keys:
+        out["theta_j"] = -(e4 * e4) * e6 / delta
+    if asked.intersection(("a", "b", "c", "aprime")):
+        _guard({"j": j, "j_1728": j - 1728, "e4": e4, "e6": e6}, cfg)
+    if "c" in keys:
+        e2star = _Pair(_esum([(1, basics["e2"]), (-6, _g(form, prec))]), 0, prec)
+        out["c"] = e4 * e2star / (6 * e6 * j) - (7 * j - 6912) / (6 * j * (j - 1728))
+    if "b" in keys:
+        out["b"] = out["f"] * e6 * j / e4
+    if "theta_f" in out:
+        f = out["f"]
+        out["a"] = a = (-out["theta_f"] - f * e2 / 6
+                        + f * e6 * (7 * j - 6912) / (6 * e4 * (j - 1728)))
+        out["aprime"] = a * j * (j - 1728)
+    return {key: out[key] for key in keys}
 
 
-def _tail(form: QuadForm, table, cfg: PrecisionConfig) -> dict:
-    """P, A, B, C, A' = A j (j - 1728) and j at the root alpha of form
-    (6 | a), keyed "p", "a", "b", "c", "aprime" and "j", as (value, error
-    exponent) pairs at scale 2^prec, prec = eval_bits + _GUARD, from one
-    evaluation in table (_form_and_theta): _j_of and _abc on _Pair, with
-    E2* = E2 - 6g, g = 1/(2 pi Im alpha), and F, thetaF, P and j shifted
-    out of the eta product's exponent (_shift).  P = A + B C, and A' is
-    regular at CM points."""
-    bits, prec = cfg.eval_bits, cfg.eval_bits + _GUARD
-    parts, ex, basics = _form_and_theta(form, table, bits)
-    f, theta_f, p = (_Pair(_shift(parts[key], -ex), prec) for key in ("f", "theta_f", "p"))
-    v = {key: _Pair(basics[key], prec) for key in ("eta2", "e2", "e4", "e6", "e2star")}
-    jval = _Pair(_shift(_j_of(v).pair, -12 * basics["eta2_exp"]), prec)
-    _guard({"j": jval, "j_1728": jval - 1728, "e4": v["e4"], "e6": v["e6"]}, cfg)
-    a, b, c = _abc(f, theta_f, v, jval, v["e2star"])
-    out = {"p": p, "a": a, "b": b, "c": c, "aprime": a * jval * (jval - 1728), "j": jval}
-    return {key: x.pair for key, x in out.items()}
+def _values(form: QuadForm, table, cfg: PrecisionConfig, keys) -> dict:
+    """_tail's pairs for keys, in the order asked, as eval_bits-bit mpc, P
+    exactly as eval_P_cm gives it."""
+    return {key: x.rounded(cfg.eval_bits)[0] for key, x in _tail(form, table, cfg, keys).items()}
 
 
-def _values(form: QuadForm, table, cfg: PrecisionConfig) -> dict:
-    """_tail's values as eval_bits-bit mpc (_rounded), P exactly as
-    eval_P_cm gives it."""
-    bits = cfg.eval_bits
-    return {key: _rounded(x, bits + _GUARD, bits)[0] for key, x in _tail(form, table, cfg).items()}
-
-
-def _j_pairs(form: QuadForm, table, cfg: PrecisionConfig):
-    """(j, theta j) at the root of form as (value, error exponent) pairs at
-    scale 2^prec: _j_and_theta on _Pair from the basics there (_at in
-    table), shifted out of eta^2's exponent (_shift)."""
-    bits, prec = cfg.eval_bits, cfg.eval_bits + _GUARD
-    basics = _at(form, table, bits)
-    pairs = _j_and_theta({key: _Pair(basics[key], prec) for key in ("eta2", "e4", "e6")})
-    return tuple(_shift(x.pair, -12 * basics["eta2_exp"]) for x in pairs)
-
-
-def _j_and_theta_j(form: QuadForm, table, cfg: PrecisionConfig):
-    """(j, theta j) at the root of form as eval_bits-bit mpc (_j_pairs)."""
-    bits = cfg.eval_bits
-    return tuple(_rounded(x, bits + _GUARD, bits)[0] for x in _j_pairs(form, table, cfg))
-
-
-def _tail_of(what: str, ctx, v: dict, f, theta_f, jval, y):
-    """what ("A", "B", "C", "Aprime" or "j") from the basics v, F, thetaF
-    and j at a point of imaginary part y, in the arithmetic of ctx
-    (mpmath.mp, or mpmath.iv for enclosures)."""
-    if what == "j":
-        return jval
-    a, b, c = _abc(f, theta_f, v, jval, v["e2"] - 3 / (ctx.pi * y))
-    return a * jval * (jval - 1728) if what == "Aprime" else {"A": a, "B": b, "C": c}[what]
-
-
-def _eval_mp(what: str, z: mpc, cfg: PrecisionConfig):
-    """(value, parts, basics): what ("F", "P", "A", "B", "C", "Aprime" or
-    "j") at z as the public eval_* give it, by the mpc tail (_tail_of) at
-    eval_bits; the (mpc, error exponent) pairs of F, thetaF and P (_rounded;
-    none for C and j) and the fixed-point basics at z it came from."""
-    bits, form = cfg.eval_bits, _form(z)
-    table = _kernel_table(bits)
-    parts, ex, basics = (({}, 0, _at(form, table, bits)) if what in ("C", "j")
-                         else _form_and_theta(form, table, bits))
-    parts = {key: _rounded(x, bits + _GUARD + ex, bits) for key, x in parts.items()}
-    if what in ("F", "P"):
-        return parts[what.lower()][0], parts, basics
-    with mpmath.workprec(bits):
-        v = _as_mpc(basics, bits)
-        jval = _j_of(v) if what == "j" else _guarded_j(v, cfg)
-        f, theta_f = (parts.get(key, (None,))[0] for key in ("f", "theta_f"))
-        return _tail_of(what, mpmath.mp, v, f, theta_f, jval, mpmath.im(z)), parts, basics
+def _eval_bounded(what: str, z: mpc, cfg: PrecisionConfig):
+    """(value, bound): what ("F", "P", "A", "B", "C", "Aprime", "j" or
+    "theta_j") at z as every public eval_* gives it, _tail at z's form
+    (_form) in a table of its own rounded to eval_bits, and a bound on its
+    absolute error at z's exact binary value."""
+    key = what.lower()
+    table = _kernel_table(cfg.eval_bits)
+    value, e = _tail(_form(z), table, cfg, (key,))[key].rounded(cfg.eval_bits)
+    return value, mpf(2) ** e
 
 
 def eval_A(z: mpc, cfg: PrecisionConfig) -> mpc:
-    return _eval_mp("A", z, cfg)[0]
+    return _eval_bounded("A", z, cfg)[0]
 
 
 def eval_B(z: mpc, cfg: PrecisionConfig) -> mpc:
-    return _eval_mp("B", z, cfg)[0]
+    return _eval_bounded("B", z, cfg)[0]
 
 
 def eval_C(z: mpc, cfg: PrecisionConfig) -> mpc:
     """C from the basics at z alone; level-1 invariant, so the value at a CM
     point only depends on its class."""
-    return _eval_mp("C", z, cfg)[0]
+    return _eval_bounded("C", z, cfg)[0]
 
 
 def eval_Aprime(z: mpc, cfg: PrecisionConfig) -> mpc:
-    return _eval_mp("Aprime", z, cfg)[0]
-
-
-def _eval_bounded(what: str, z: mpc, cfg: PrecisionConfig):
-    """(value, bound) for the eval command: what ("F", "P", "A", "B", "C"
-    or "j") at z as eval_form, eval_P, eval_A, ... give it (_eval_mp), and
-    a bound on its absolute error at z's exact binary value.  F and P carry
-    their fixed-point error exponents; A, B, C and j repeat their mpc tail
-    in complex interval arithmetic (mpmath.iv) from boxes around F, thetaF
-    and the basics at z, and the bound is the farthest point of the
-    result's box from the value.  On _Pair (_tail) the bounds came out 4-15
-    bits looser, and supported no digit of C at 200i (C near 2^-1700, its
-    absolute bound 2^-314)."""
-    value, parts, basics = _eval_mp(what, z, cfg)
-    if what in ("F", "P"):
-        return value, mpf(2) ** parts[what.lower()][1]
-    bits, iv = cfg.eval_bits, mpmath.iv
-    prec, saved, iv.prec = bits + _GUARD, iv.prec, bits
-
-    def box(x, err):
-        r = iv.mpf([-mpf(2) ** err, mpf(2) ** err])
-        return iv.mpc(x.real, x.imag) + iv.mpc(r, r)
-
-    try:
-        vbox = {key: box(_to_mpc(basics[key][0], prec - basics.get(key + "_exp", 0), 0),
-                         basics[key][1] - prec + basics.get(key + "_exp", 0))
-                for key in ("eta2", "e2", "e4", "e6")}
-        fbox = [box(*parts[key]) if parts else None for key in ("f", "theta_f")]
-        tail = _tail_of(what, iv, vbox, *fbox, _j_of(vbox), mpmath.im(z))
-        bound = abs(iv.mpc(value.real, value.imag) - tail)
-        return value, mpmath.mp.make_mpf(bound._mpi_[1])
-    finally:
-        iv.prec = saved
+    return _eval_bounded("Aprime", z, cfg)[0]

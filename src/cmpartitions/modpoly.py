@@ -20,7 +20,7 @@ from mpmath import mpc, mpf
 
 from .errors import NearSingularity, NoFixingClass
 from .evaluate import (_GUARD, _check_budget, _ClassTable, _disc_exp, _eprod, _esum,
-                       _j_and_theta_j, _j_from_eta, _kernel_table, _nomes, _rounded, eval_j,
+                       _j_from_eta, _kernel_table, _nomes, _rounded, _values, eval_j,
                        eval_theta_j)
 from .precision import PrecisionConfig, _fork_map, run_adaptive
 from .quadforms import QuadForm, cm_point, enumerate_qn, reduce_with_matrix
@@ -198,7 +198,7 @@ def _taylor(form: QuadForm, classes, cfg: PrecisionConfig, table) -> TaylorData:
     if len(classes) < 2:
         raise ValueError("need a non-trivial class list (determinant > 1)")
     fix, images = _images(form, classes)
-    j0, theta_j0 = _j_and_theta_j(form, table, cfg)
+    j0, theta_j0 = _values(form, table, cfg, ("j", "theta_j")).values()
     with mpmath.workprec(cfg.eval_bits):
         two_pi_i = 2j * mpmath.pi
         jprime_alpha = two_pi_i * theta_j0
@@ -208,7 +208,7 @@ def _taylor(form: QuadForm, classes, cfg: PrecisionConfig, table) -> TaylorData:
         inv_sum = mpc(0)
         deriv_sum = mpc(0)
         for cl in classes:
-            jk, theta_jk = _j_and_theta_j(images[cl], table, cfg)
+            jk, theta_jk = _values(images[cl], table, cfg, ("j", "theta_j")).values()
             fk_prime = (two_pi_i * theta_jk * cl.p) / cl.s
             if cl == fix:
                 ffix_prime = fk_prime

@@ -159,7 +159,8 @@ def _psi_and_j(z: mpc, cfg: PrecisionConfig):
     image gamma z at its exact form z's form.transform(gamma^-1) (_form; 6 | a
     kept), in one class table: with 2, 3 and 6 times each, 48 points in 20 classes."""
     form, table = _form(z), _kernel_table(cfg.eval_bits)
-    values = [_values(form.transform((d, -b, -c, a)), table, cfg) for a, b, c, d in coset_reps()]
+    values = [_values(form.transform((d, -b, -c, a)), table, cfg, ("aprime", "b", "j"))
+              for a, b, c, d in coset_reps()]
     return ({key: list(reversed(orbit_product([v[key] for v in values], 1)))
              for key in ("aprime", "b")}, values[0]["j"])
 
@@ -245,6 +246,6 @@ def psi_root_check(form: QuadForm, cfg: PrecisionConfig) -> dict:
     resolvents at j(alpha), alpha the CM point of form, keyed "aprime" and
     "b": the numerical witness that both values are algebraic integers."""
     with mpmath.workprec(cfg.eval_bits):
-        v = _values(form, _kernel_table(cfg.eval_bits), cfg)
+        v = _values(form, _kernel_table(cfg.eval_bits), cfg, ("aprime", "b", "j"))
         tables = psi_tabulated(v["j"])
         return {key: _residual_at(tables[key], v[key]) for key in tables}

@@ -261,6 +261,15 @@ class TestKernelCounts:
         assert len(json.loads(out)["rows"]) == 3
         assert len(kernel_calls) == 37
 
+    @pytest.mark.parametrize("what, calls", [("C", 1), ("j", 1), ("F", 4), ("P", 4),
+                                             ("A", 4), ("B", 4)])
+    def test_eval(self, capsys, kernel_calls, what, calls):
+        # C and j alone read the basics at z; F, P, A and B those at z, 2z,
+        # 3z and 6z, four classes at this point
+        code, _, _ = run_cli(capsys, "eval", "--what", what, "--z", "0.1,1.3")
+        assert code == 0
+        assert len(kernel_calls) == calls
+
     def test_verify_appendix(self, capsys, kernel_calls):
         # 12 coset images, each at four multiples, meet 20 classes; j(z) is
         # the identity's

@@ -12,7 +12,7 @@ from cmpartitions import evaluate, recognize
 from cmpartitions.errors import NearSingularity, NotUpperHalfPlane
 from cmpartitions.evaluate import (_GUARD, _as_mpc, _ClassTable, _eprod, _esum, _eta_k,
                                    _eval_bounded, _form, _form_and_theta, _form_root,
-                                   _j_pairs, _j_reduced, _kernel_table, _nterms,
+                                   _j_reduced, _kernel_table, _nterms,
                                    _reduced_basics, _reducing, _rounded, _t, _tail, _to_mpc,
                                    _values, eval_A, eval_Aprime, eval_B,
                                    eval_C, eval_eisenstein, eval_eta, eval_form,
@@ -678,16 +678,19 @@ class TestDecomposition:
 
 
 class TestPairTail:
-    """j, theta j, P, A, B, C and A' on (value, error exponent) pairs
-    (_tail, _j_pairs), the tail of the verify commands."""
+    """F, P, A, B, C, A', j and theta j on pairs with their own power of two
+    (_tail), the one tail of the verify commands and of eval."""
+
+    KEYS = ("f", "p", "a", "b", "c", "aprime", "j", "theta_j")
 
     @staticmethod
     def forms():
-        # verify-decomp's seed-1 points, the 12 coset images of 3 random
+        # verify-decomp's seed-1 points, the eval bound's points at 200i,
+        # +-0.5 + 1.25i and 0.13 + 0.021i, the 12 coset images of 3 random
         # points and the Hecke images of the CM forms of n = 1
         from cmpartitions import cli, modpoly
         from cmpartitions.resolvent import coset_reps
-        forms = [_form(z) for z in cli._random_points(1, 20)]
+        forms = [_form(z) for z in cli._random_points(1, 20) + TestEvalBound.points()[8:]]
         forms += [f for n in range(1, 7) for f in enumerate_qn(n)]
         forms += [_form(z).transform((d, -b, -c, a)) for z in random_points(3, 3, 0.8, 3.0)
                   for a, b, c, d in coset_reps()]
@@ -700,10 +703,11 @@ class TestPairTail:
         tables = {cfg: _kernel_table(cfg.eval_bits) for cfg in (lo, hi)}
 
         def exact(form, cfg):
-            prec, table = cfg.eval_bits + _GUARD, tables[cfg]
-            pairs = dict(_tail(form, table, cfg), theta_j=_j_pairs(form, table, cfg)[1])
-            assert _j_pairs(form, table, cfg)[0] == pairs["j"]
-            return {key: _rounded(x, prec, 0) for key, x in pairs.items()}
+            table = tables[cfg]
+            pairs = {key: x.rounded(0) for key, x in _tail(form, table, cfg, self.KEYS).items()}
+            for key in ("j", "c", "theta_j"):  # read from the basics at alpha alone
+                assert _tail(form, table, cfg, (key,))[key].rounded(0) == pairs[key]
+            return pairs
 
         forms = self.forms()
         assert len(forms) > 150
@@ -711,21 +715,20 @@ class TestPairTail:
             for form in forms:
                 low, high = exact(form, lo), exact(form, hi)
                 for key, (value, e) in low.items():
-                    assert e < max(mpmath.mag(value), 0) - 240, (form, key)
+                    assert value and e < mpmath.mag(value) - 240, (form, key)
                     assert abs(value - high[key][0]) <= mpf(2) ** e, (form, key)
 
     @pytest.mark.parametrize("form", [QuadForm(6, 0, 6), QuadForm(6, 6, 6)])
     def test_refused_at_i_and_rho(self, cfg256, form):
         # j - 1728 and E6 vanish at i, j and E4 at rho
         with pytest.raises(NearSingularity):
-            _values(form, _kernel_table(cfg256.eval_bits), cfg256)
+            _values(form, _kernel_table(cfg256.eval_bits), cfg256, ("p", "a", "b", "c"))
 
     def test_values_round_the_pairs(self, cfg256):
         form, table = enumerate_qn(2)[0], _kernel_table(cfg256.eval_bits)
-        prec = cfg256.eval_bits + _GUARD
-        values = _values(form, table, cfg256)
-        for key, x in _tail(form, table, cfg256).items():
-            assert values[key] == _rounded(x, prec, cfg256.eval_bits)[0]
+        values = _values(form, table, cfg256, self.KEYS)
+        for key, x in _tail(form, table, cfg256, self.KEYS).items():
+            assert values[key] == x.rounded(cfg256.eval_bits)[0]
         assert values["p"] == eval_P_cm([form], cfg256)[0][0]
 
 

@@ -11,8 +11,7 @@ global flags are the options every command takes, so a flag cannot be
 added or removed on one side only.  In ``cli``, only ``main`` writes stdout
 and names an exit code: a command returns its document, lines and verdict.
 Every bound is kept in one calculus: no module opens a 53-bit context for
-float bookkeeping, and interval arithmetic (``mpmath.iv``) is named only in
-``evaluate._eval_bounded``, for eval's tails."""
+float bookkeeping or names interval arithmetic (``mpmath.iv``)."""
 
 import argparse
 import ast
@@ -258,26 +257,18 @@ def test_detects_a_command_that_prints_or_exits():
                                             "_emit (_cmd_b line 8)", "EXIT_USAGE (_cmd_c line 12)"]
 
 
-# The one function that may use interval arithmetic: eval's A/B/C/j tails
-# reach magnitudes that no fixed scale holds.
-MAY_USE_INTERVALS = ("evaluate.py", "_eval_bounded")
-
-
 def calculus_breaches(sources: dict[str, str]) -> list[str]:
     """A 53-bit context opened by workprec(53), and mpmath.iv named (as an
-    attribute or an imported name) outside MAY_USE_INTERVALS, found by the
-    module-level statement that holds them."""
+    attribute or an imported name), found by the module-level statement
+    that holds them."""
     found = []
     for module, source in sources.items():
         for top in ast.parse(source).body:
-            intervals_allowed = (module, getattr(top, "name", None)) == MAY_USE_INTERVALS
             for node in ast.walk(top):
                 if isinstance(node, ast.Call):
                     name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                     if name == "workprec" and [ast.unparse(a) for a in node.args] == ["53"]:
                         found.append(f"workprec(53) ({module} line {node.lineno})")
-                elif intervals_allowed:
-                    continue
                 elif ((isinstance(node, ast.Attribute) and node.attr == "iv")
                       or (isinstance(node, ast.ImportFrom)
                           and "iv" in [a.name for a in node.names])):
@@ -297,5 +288,6 @@ def test_detects_a_float_bound_and_intervals_outside_eval():
                "recognize.py": ("from mpmath import iv, workprec\n\n\n"
                                 "def orbit_product(v):\n    with mpmath.workprec(53):\n"
                                 "        return workprec(54)\n")}
-    assert calculus_breaches(sources) == ["iv (evaluate.py line 10)", "iv (recognize.py line 1)",
+    assert calculus_breaches(sources) == ["iv (evaluate.py line 5)", "iv (evaluate.py line 10)",
+                                          "iv (recognize.py line 1)",
                                           "workprec(53) (recognize.py line 5)"]

@@ -156,7 +156,7 @@ class TestCosetForms:
         # computed
         forms = []
 
-        def record(form, table, cfg):
+        def record(form, table, cfg, keys):
             forms.append(form)
             return {"aprime": mpc(1), "b": mpc(1), "j": mpc(0)}
 
@@ -205,7 +205,8 @@ class TestRootCheck:
         forms = enumerate_qn(2)
         i = forms.index(QuadForm(6, 1, 2))
         table = _kernel_table(cfg256.eval_bits)
-        own, partner = (_values(forms[k], table, cfg256) for k in (i, conjugate_partners(forms)[i]))
+        own, partner = (_values(forms[k], table, cfg256, ("p", "aprime", "b"))
+                        for k in (i, conjugate_partners(forms)[i]))
         with mpmath.workprec(cfg256.eval_bits):
             assert abs(partner["p"] - mpmath.conj(own["p"])) < mpf(2) ** -200
             assert abs(partner["aprime"] - mpmath.conj(own["aprime"])) > 10**9 * abs(own["aprime"])
