@@ -4,10 +4,14 @@ weight -2 / weight 0 pair (F, P) with its A + B*C split.
 Every caller hands over the integer form whose root is its point: a CM form,
 an exact image of one, or at the public eval_*(z, cfg) the form of z's exact
 binary value (_form); 1/(2 pi Im) = a/(pi sqrt|D|) is read off the form
-(_form_and_theta).  One sparse kernel gives eta^2, E2, E4 and E6 at the
-reduced root (_reducing) from one exponential q^(1/12) and a table of
-powers of q^(1/2), once per class of the caller's _ClassTable.  From the kernel to F, thetaF and P values
-are fixed-point Gaussian ints (Python ints scaled by 2^prec, _cmul); eta^2
+(_form_and_theta).  Two kernels share one table of q powers at the
+pentagonal exponents (_series): P = prod (1 - q^n) and its theta-derivatives
+give E2, E4 and E6 by Ramanujan's identities, eta^2 = q^(1/12) P^2
+(_reduced_basics, at the reduced root (_reducing), q^(1/12) from the form
+in integers and one exponential, once per class of the caller's
+_ClassTable) and j = (1/q) E4^3 P^-24 (_j_from_eta, from the nome pair of
+_nomes).  From the kernel to F, thetaF and P values are fixed-point
+Gaussian ints (Python ints scaled by 2^prec, _cmul); eta^2
 carries its own power of two, so a product of them (2^-1800 at Im z = 200)
 keeps its relative precision.  _transport carries values back by the
 reducing matrix and t = i/(cz + d), in integers (_t), eta^2 with a twelfth
@@ -15,7 +19,7 @@ root of unity from Rademacher's integer k (_eta_k).  Derivatives are
 analytic: theta(E2) = (E2^2 - E4)/12, theta(log eta) = E2/24.  Every
 fixed-point value carries an integer error exponent (_emul, _esum, _ediv,
 _eprod), seeded by the kernels' budgets: the bounds of P at CM points
-(eval_P_cm), of the eval command (_eval_bounded) and of j (_j_reduced).
+(eval_P_cm), of the eval command (_eval_bounded) and of j (_j_from_eta).
 
 One tail (_tail) takes the basics, F, thetaF and P on to j, theta j, A, B,
 C and A' = A j (j - 1728), forming only the values asked for, on pairs that
@@ -33,7 +37,8 @@ import math as _math
 
 import mpmath
 from mpmath import mpc, mpf
-from mpmath.libmp import from_man_exp, mpf_div, mpf_neg, pi_fixed, to_fixed
+from mpmath.libmp import (from_int, from_man_exp, mpf_cos_sin, mpf_div, mpf_exp, mpf_mul,
+                          mpf_neg, mpf_pi, pi_fixed, to_fixed)
 
 from .errors import NearSingularity, NotUpperHalfPlane, PrecisionExhausted
 from .precision import PrecisionConfig
@@ -119,9 +124,16 @@ def _eta_k(m) -> int:
     return (a + d - 2 * _dedekind6(d, c)) // c if c else b
 
 
-def _nterms(bits: int, im_w) -> int:
-    """Series length so the geometric tail exp(-2 pi Im(w) N) is below 2^-bits."""
-    return max(int(bits * _math.log(2) / (2 * _math.pi * float(im_w))) + 9, 4)
+# ln 2/pi at scale 2^32, rounded up.
+_LN2_BY_PI = 947622687
+
+
+def _nterms(bits: int, red: QuadForm) -> int:
+    """Series length N with exp(-2 pi Im(w) N) below 2^-(bits + 62) at the
+    root w of a reduced form [a, b, c], in integers: with Im w = sqrt|D|/(2a)
+    and s = isqrt(|D| 2^64) <= sqrt|D| 2^32, bits ln 2/(2 pi Im w) <= bits a
+    (ln 2/pi) 2^32/s, and 8 terms more take exp(-8 pi sqrt 3) < 2^-62."""
+    return max(bits * red.a * _LN2_BY_PI // _math.isqrt(-red.discriminant() << 64) + 9, 4)
 
 
 def _ipow(x, n: int):
@@ -131,7 +143,7 @@ def _ipow(x, n: int):
 
 
 # Guard bits of the fixed-point kernels below, and the precision below which
-# their error budget (in _reduced_basics) holds.
+# their error budget (in _series) holds.
 _GUARD = 32
 _BUDGET_BITS = 1 << 15
 
@@ -171,12 +183,6 @@ def _cdiv(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
     norm = b[0] * b[0] + b[1] * b[1]
     return (((a[0] * b[0] + a[1] * b[1]) << prec) // norm,
             ((a[1] * b[0] - a[0] * b[1]) << prec) // norm)
-
-
-def _fourth(a: tuple[int, int], prec: int) -> tuple[int, int]:
-    """a^4 in fixed point, by two squarings."""
-    a2 = _cmul(a, a, prec)
-    return _cmul(a2, a2, prec)
 
 
 @functools.lru_cache(maxsize=32)
@@ -309,7 +315,7 @@ def _power_table(x: tuple[int, int], exponents, prec: int) -> dict:
     it has, and gaps stay under 400, so they add up to less than 2^-_TAPER
     of that step's last place.  A step thus adds under 2^(-_TAPER + 1) of
     its last place to its truncation, within the 2 ulp per product of the
-    _reduced_basics budget; at 30000 bits the table takes about half the
+    kernels' budget (_series); at 30000 bits the table takes about half the
     time.
     """
     acc = one = (1 << prec, 0)
@@ -347,139 +353,167 @@ def _form_gap(gap_pow: dict, gap: int, prec: int, m: int) -> None:
     gap_pow[gap] = _cmul_within(gap_pow[h], gap_pow[gap - h], prec, m)
 
 
-def _reduced_basics(w: mpc, bits: int) -> dict:
-    """eta^2, E2, E4 and E6 at a fundamental-domain point as fixed-point
-    Gaussian ints at scale 2^prec, prec = bits + _GUARD, with eta^2 =
-    v["eta2"][0] 2^v["eta2_exp"].  With x 2^ex = q^(1/12), the one exponential
-    (ex <= 0, the larger part of x in [1/2, 1)), r = q^(1/2) = x^6 2^(6 ex)
-    and P = sum s q^e:
-        eta^2 = q^(1/12) P^2,   E2 = 1 + 24 (sum s e q^e) / P,
-        E4 = (th2^8 + th3^8 + th4^8) / 2,
-        E6 = (th2^4 + th3^4) (th3^4 + th4^4) (th4^4 - th2^4) / 2,
-    th3, th4 = sum (+-1)^m r^(m^2) and th2^4 = 16 r (sum r^(m(m+1)))^4,
-    every power of r from one sparse table, each sum O(sqrt n) terms long.
+@functools.lru_cache(maxsize=256)
+def _lift(n: int, k: int) -> int:
+    """Guard bits g a kernel adds to _GUARD for the weights e^k of its sums
+    (k = 2 or 3): with W = sum e^k over the pentagonal e < n, an exact
+    integer, g = bitlen(W) + 2, so that 4 W < 2^g <= 8 W (about 3 log2 n
+    bits for k = 3)."""
+    return sum(e ** k for e, _ in _pentagonal_exponents(n)).bit_length() + 2
 
-    Error budget.  |r| <= exp(-pi sqrt(3)/2) ~ 0.066 on the fundamental
-    domain, so the factors of the table and sums have modulus below 1 and a
-    product adds its truncation (under 2 ulp = 2^(-prec+1)) to its factors'
-    errors without magnifying them.  r is off by under 2^3 ulp: |x| < sqrt 2,
-    and the shift by 6|ex| >= 6 bits absorbs what x^6 magnifies, unless
-    ex = 0 and |x| < 0.64.  So a table entry or unweighted sum is off by
-    under (#products) 2^(-prec+2), with under 400 products for bits < 2^15;
-    the weights e raise the bound of sum s e q^e to (sum e) 2^(-prec+2) <
-    2^(-prec+20), and the fourth powers, E4 and E6 (of modulus below 3)
-    magnify the theta sums' errors by under 2^6.  After E2's factor 24, 32
-    guard bits keep eta^2 (relative to 2^ex), E2, E4 and E6 within
-    2^(-bits-8) for bits < 2^15; a call at or above that raises
-    PrecisionExhausted.
 
-    Each comes as a (value, error exponent) pair (units of 2^-prec, see
-    _emul) whose exponent also covers the value at any point within
-    4 |w| 2^-prec of w (_form_root rounds w within |w| 2^-prec): |d/dw| of
-    each is under 2^5 on the fundamental domain (|E2| < 1.2, |E4| < 2.1,
-    |E6| < 3.3, d/dw = 2 pi i theta).
-    """
-    _check_budget(bits)
-    n = _nterms(bits, mpmath.im(w))
-    prec = bits + _GUARD
-    with mpmath.workprec(prec):
-        q12 = mpmath.exp(mpmath.pi * mpc(0, 1) * w / 6)
-    ex = max(part[2] + part[3] for part in q12._mpc_ if part[1])
-    x = _fixed(q12, prec - ex)
-    x3 = _cmul(_cmul(x, x, prec), x, prec)
-    r = _cmul(x3, x3, prec)
-    r = (r[0] >> -6 * ex, r[1] >> -6 * ex)
+def _series(q: tuple[int, int], n: int, prec: int, e6: bool):
+    """(P, R = 1/P, E2, E4, E6 or None) in fixed point at scale 2^prec from
+    one table of q powers at the pentagonal exponents e < n (_power_table):
+    P = 1 + sum s q^e and its theta-derivatives S_k = sum s e^k q^e (k <= 3,
+    2 without E6) give L_k = S_k R by one reciprocal, and
+
+        E2 = 1 + 24 L1,   theta E2 = 24 (L2 - L1^2),   E4 = E2^2 - 12 theta E2,
+        E6 = E2 E4 - 3 (2 E2 theta E2 - 288 (L3 - 3 L1 L2 + 2 L1^3)),
+
+    by E2 = 1 + 24 theta log P and Ramanujan's theta E2 = (E2^2 - E4)/12
+    and theta E4 = (E2 E4 - E6)/3.
+
+    Error budget, in units of 2^-prec, for q within d units of the exact q*
+    at a fundamental-domain point (|q*| <= exp(-pi sqrt 3) < 0.00434), with
+    W = sum e^k over the table (k = 3, or 2 without E6) and prec = bits +
+    _GUARD + g for the kernel's bits < 2^15 and g = _lift(n, k).  A table
+    entry is off by under 2^11 units (under 400 products of 2^2,
+    _power_table), and d moves S_k by under sum e^(k+1) |q|^(e-1) d <
+    1.08 d.  The tail past n is under 1.04 n^k |q*|^n, with |q*|^n <
+    2^-(bits + 62) (_nterms) and 2^g <= 8W: under 2^-27.7 n^3 W < 2^8.4 W
+    units, as n < 4200.  So P and every S_k are off by under eta =
+    2^11.22 W + 1.08 d units.  |P| > 0.9956, |S_k| < 0.0046 and |L_k| <
+    0.0047 for k >= 1, and a product truncates by under 1.5: R is off by
+    under 1.009 eta + 1.5, each L_k by under lambda = 1.01 eta + 2, E2
+    (|E2| < 1.113) by 24 lambda, theta E2 (|theta E2| < 0.114) by 24.33
+    lambda, E4 (|E4| < 2.08) by 346 lambda, L3 - 3 L1 L2 + 2 L1^3 by 1.035
+    lambda, and E6 by under 436 + 179.4 + 894.2 < 1510 lambda."""
     pent = list(_pentagonal_exponents(n))
-    roots = range(1, _math.isqrt(2 * n - 1) + 1)  # r^(m^2) below r^(2n) = q^n
-    oblongs = [m * (m + 1) for m in roots if m * (m + 1) < 2 * n]
-    power = _power_table(r, [2 * e for e, _ in pent] + [m * m for m in roots] + oblongs,
-                         prec)
-    one = [(1, (1 << prec, 0))]
-    p = _csum(one + [(s, power[2 * e]) for e, s in pent])
-    theta_p = _csum((s * e, power[2 * e]) for e, s in pent)
-    th3_4 = _fourth(_csum(one + [(2, power[m * m]) for m in roots]), prec)
-    th4_4 = _fourth(_csum(one + [(2 - 4 * (m % 2), power[m * m]) for m in roots]), prec)
-    th2_4 = _cmul((16 * r[0], 16 * r[1]),
-                  _fourth(_csum(one + [(1, power[e]) for e in oblongs]), prec), prec)
-    e4 = _csum((1, _cmul(t, t, prec)) for t in (th2_4, th3_4, th4_4))
-    e6 = _cmul(_cmul(_csum([(1, th2_4), (1, th3_4)]), _csum([(1, th3_4), (1, th4_4)]), prec),
-               _csum([(1, th4_4), (-1, th2_4)]), prec)
-    e2 = _cdiv(theta_p, p, prec)
-    err = max(_GUARD - 8, int(mpmath.mag(w)) + 7) + 1
-    return {
-        "eta2": (_cmul(x, _cmul(p, p, prec), prec), err), "eta2_exp": ex,
-        "e2": (((1 << prec) + 24 * e2[0], 24 * e2[1]), err),
-        "e4": ((e4[0] >> 1, e4[1] >> 1), err),
-        "e6": ((e6[0] >> 1, e6[1] >> 1), err),
-    }
+    power = _power_table(q, [e for e, _ in pent], prec)
+    one = (1 << prec, 0)
+    p = _csum([(1, one)] + [(s, power[e]) for e, s in pent])
+    r = _cdiv(one, p, prec)
+    l1, l2, *l3 = (_cmul(_csum((s * e ** k, power[e]) for e, s in pent), r, prec)
+                   for k in range(1, 4 if e6 else 3))
+    l11 = _cmul(l1, l1, prec)
+    e2 = _csum([(1, one), (24, l1)])
+    theta_e2 = _csum([(24, l2), (-24, l11)])
+    e4 = _csum([(1, _cmul(e2, e2, prec)), (-12, theta_e2)])
+    if not e6:
+        return p, r, e2, e4, None
+    m = _csum([(1, l3[0]), (-3, _cmul(l1, l2, prec)), (2, _cmul(l11, l1, prec))])
+    return p, r, e2, e4, _csum([(1, _cmul(e2, e4, prec)), (-6, _cmul(e2, theta_e2, prec)),
+                                (864, m)])
 
 
-def _j_reduced(w: mpc, bits: int, nome=None):
-    """j at a fundamental-domain point w as a (value, error exponent) pair
-    at scale 2^prec, prec = bits + _GUARD (_emul), from the eta quotient
-    u = 2^12 (eta(2w)/eta(w))^24 = 2^12 q r^24, r = p2/p1 = prod (1 + q^k)
-    for the pentagonal sums p1 = prod (1 - q^k) and p2 = prod (1 - q^2k):
-        j = (u + 16)^3 / u = q^-1 / r^24 + 768 + 48 u + u^2,
-    its leading q^-1 read from a fixed point of 1/q, so that it keeps its
-    relative precision at small |q|.  One nome and two sparse sums on one
-    table of q powers (fewer products at very high precision than E4^3 /
-    Delta from the theta constants); refused at bits >= 2^15.  nome, the
-    fixed points (1/q, q) at scale 2^prec (_nomes), is formed here from
-    the mpc exp(2 pi i w) unless passed.
+def _arguments(form: QuadForm, d: int, prec: int):
+    """(t, phi) with 2 pi i w/d = -t + i phi at the root w of form [a, b, c],
+    t = pi sqrt|D|/(d a) and phi = -pi b/(d a), as mpf rounded at prec from
+    _sqrt_disc's isqrt (exact at 2^-prec, |D| >= 3): t within 3.6 t 2^-prec
+    and phi within 3 |phi| 2^-prec."""
+    pi, da = mpf_pi(prec, "n"), from_int(d * form.a)
+    root = from_man_exp(_sqrt_disc(form.discriminant(), prec)[0], -prec)
+    return (mpf_div(mpf_mul(pi, root, prec, "n"), da, prec, "n"),
+            mpf_div(mpf_mul(pi, from_int(-form.b), prec, "n"), da, prec, "n"))
 
-    Error budget, against j at the root w* of the form (|w* - w| <= 4|w|
-    2^-prec, _form_root; |w| >= 1 and |q^-1| >= 230), as two parts.  With a and b the fixed
-    points of q^-1 and q, the tail is J(a, b) = a R(b)^-1 + 768 + 48 U +
-    U^2, U = 2^12 b R(b), R(b) = prod (1 + b^k)^24, and j(w*) = J(1/q*,
-    q*) at q* = exp(2 pi i w*).
-      - The arithmetic: the sums are within 2^11 units of the full products
-        at b (the budget of _reduced_basics, under 400 products of 2 units,
-        and a tail below 2^(-prec-30)); _ediv, _emul and _esum carry that
-        through r, r^24, u and J(a, b).
-      - The inputs: q is within eta = 2^(18-prec) |w| relative of q*
-        (_nomes' root is within 2^(6-prec) |w|, and so is exp here after
-        the root's rounding), so |a - 1/q*| < (2^18 |w| + 3) |q^-1| units
-        (1/q rounded, a truncated) and |b - q*| < 0.00434 * 2^18 |w| + 1.5
-        < 1140 |w| units (0.28 |w| + 3 from _nomes' fixed points).  Along
-        b, |beta| <= 0.00434 (exp(-pi sqrt 3) = 0.004333 on the domain), so
-        sum |beta|^k < 0.00436, |R| and |R^-1|
-        < exp(24 * 0.00436/0.9957) < 1.111, sum k |beta|^(k-1)/|1 + beta^k|
-        < 0.9956^-3 < 1.0132, |d R^-1/d beta| < 1.111 * 24 * 1.0132 < 27.1,
-        |U| < 19.8 and |dU/d beta| < 2^12 * 1.111 (1 + 24 * 0.00434 *
-        1.0132) < 5040; so |dJ/db| < 27.1 |q^-1| + (48 + 2 * 19.8) 5040 <
-        27.1 |q^-1| + 2^18.76.  In all |J(a, b) - j(w*)| < 1.111 (2^18 |w| +
-        3) |q^-1| + 1140 |w| (27.1 |q^-1| + 2^18.76) < (|q^-1| + 2^10) 2^19
-        |w| units, under 2^(max(size a - prec + 1, 10) + 20 + mag w).
+
+def _reduced_basics(red: QuadForm, bits: int, e6: bool = True) -> dict:
+    """eta^2, E2, E4 and, if e6, E6 at the root w of a reduced form [a, b, c]
+    as (value, error exponent) pairs (_emul) at scale 2^prec, prec = bits +
+    _GUARD, with eta^2 = v["eta2"][0] 2^v["eta2_exp"]: q^(1/12) = exp(-t)
+    exp(i phi) (_arguments, d = 12: one mpf_exp, one mpf_cos_sin) is held
+    as x 2^ex with the larger part of x in [1/2, 1), q = x^12 2^(12 ex),
+    and _series gives P, E2, E4 and E6 at wp = prec + g bits (_lift);
+    eta^2 = q^(1/12) P^2.  Each is shifted back by g bits.
+
+    Error budget, in units of 2^-wp.  The real part of q^(1/12) is the
+    larger (|phi| <= pi/12), so |x| < 1.036, and x is off by under eps =
+    3.85 t + 7.6 units (t's 3.6 t 2^-wp moves exp(-t) by 3.64 t relative
+    while that is under 2^-10; the exp, cos, sin and phi 6 more, the
+    truncation 1.5).  As |q| t < 0.002 and |q| < 0.00434 on the domain, q
+    is off by under d = 22 (12 |q| 2 eps, four products and the shift; and
+    under 2 where t 2^-wp > 2^-12, both q and its computed value being
+    below 2^-wp there), so eta < 2^11.24 W and lambda < 2^11.26 W (_series).
+    So E2, E4 and E6 are off by under 24, 346 and 1510 lambda, and after
+    the shift by under 2^13.85 + 1, 2^17.69 + 1 and 2^19.82 + 1 units of
+    2^-prec: under 2^14, 2^18 and 2^20.  eta^2 (relative to 2^ex) is off by under
+    1.009 eps + 2.1 eta + 4.5, so by under 1.018 v 2^-g + 2^10.3 + 1 <
+    2^max(12, bitlen(v) - g + 1) units of 2^-prec after the shift, for the
+    integer v = isqrt|D| // a + 1 > 3.85 t; unbounded (inf) unless v <
+    2^(wp - 12).  A call at or above 2^15 bits raises PrecisionExhausted.
     """
     _check_budget(bits)
-    n = _nterms(bits, mpmath.im(w))
-    prec = bits + _GUARD
-    t1 = list(_pentagonal_exponents(n))
-    t2 = [(2 * e, s) for e, s in _pentagonal_exponents((n + 1) // 2)]
-    one = (1 << prec, 0)
-    if nome is None:
-        with mpmath.workprec(prec):
-            q = mpmath.exp(mpmath.pi * mpc(0, 2) * w)
-            nome = _fixed(1 / q, prec), _fixed(q, prec)
-    a, b = nome
-    power = _power_table(b, [e for e, _ in t1 + t2], prec)
-    p1 = (_csum([(1, one)] + [(s, power[e]) for e, s in t1]), 11)
-    p2 = (_csum([(1, one)] + [(s, power[e]) for e, s in t2]), 11)
-    r8 = _ediv(p2, p1, prec)
-    for _ in range(3):
-        r8 = _emul(r8, r8, prec)
-    r24 = _emul(_emul(r8, r8, prec), r8, prec)
-    u = _emul(((4096 * b[0], 4096 * b[1]), 0), r24, prec)
-    j, err = _esum([(1, _ediv((a, 0), r24, prec)), (768, (one, 0)), (48, u),
-                    (1, _emul(u, u, prec))])
-    inputs = max(_size(a) - prec + 1, 10) + 20 + int(mpmath.mag(w))
-    return j, max(err, inputs) + 1
+    n, prec = _nterms(bits, red), bits + _GUARD
+    g = _lift(n, 3 if e6 else 2)
+    wp = prec + g
+    t, phi = _arguments(red, 12, wp)
+    cos, sin = mpf_cos_sin(phi, wp, "n")
+    size = mpf_exp(mpf_neg(t), wp, "n")
+    re, im = mpf_mul(size, cos), mpf_mul(size, sin)
+    ex = re[2] + re[3]
+    x = to_fixed(re, wp - ex), to_fixed(im, wp - ex)
+    x3 = _cmul(_cmul(x, x, wp), x, wp)
+    x6 = _cmul(x3, x3, wp)
+    q = _cmul(x6, x6, wp)
+    p, _, *basics = _series((q[0] >> -12 * ex, q[1] >> -12 * ex), n, wp, e6)
+    v = (_math.isqrt(-red.discriminant()) // red.a + 1).bit_length()  # bitlen(v)
+
+    def back(z):
+        return z[0] >> g, z[1] >> g
+
+    out = {"eta2": (back(_cmul(x, _cmul(p, p, wp), wp)),
+                    max(12, v - g + 1) if v <= wp - 12 else _math.inf), "eta2_exp": ex}
+    out.update((key, (back(z), e)) for key, z, e in zip(("e2", "e4", "e6"), basics, (14, 18, 20))
+               if z is not None)
+    return out
+
+
+def _nome_of(red: QuadForm, prec: int):
+    """(1/q, q) at scale 2^prec at the root of red, from exp(+-t) and
+    cos, sin phi (_arguments, d = 1) at prec + 8 bits: within (3.64 t + 6)
+    2^-(prec + 8) relative and a unit, within what _nomes states of its own."""
+    t, phi = _arguments(red, 1, prec + 8)
+    cos, sin = mpf_cos_sin(phi, prec + 8, "n")
+    big, small = mpf_exp(t, prec + 8, "n"), mpf_exp(mpf_neg(t), prec + 8, "n")
+    return ((to_fixed(mpf_mul(big, cos), prec), -to_fixed(mpf_mul(big, sin), prec)),
+            (to_fixed(mpf_mul(small, cos), prec), to_fixed(mpf_mul(small, sin), prec)))
 
 
 def _j_from_eta(red: QuadForm, bits: int, nome=None):
-    """_j_reduced at the root w of a reduced form, with its nome (1/q, q)
-    if given (_nomes)."""
-    return _j_reduced(_form_root(red, bits + _GUARD), bits, nome)
+    """j at the root w of a reduced form [a, b, c] as a (value, error
+    exponent) pair at scale 2^prec, prec = bits + _GUARD (_emul), from the
+    nome pair (1/q, q) at scale 2^prec (_nomes; _nome_of unless passed):
+
+        j = E4^3 / Delta = (1/q) E4^3 P^-24 = (1/q) Y^3,   Y = E4 R^8,
+
+    with R = 1/P and E4 from _series at wp = prec + g bits (_lift, k = 2),
+    Y^3 shifted back by g bits, so that j keeps its relative precision at
+    small |q|.  Refused at bits >= 2^15.
+
+    Error budget, against j at the root (|w|^2 = c/a >= 1, |1/q| >= 230).
+    1/q is within 2^(6 - prec) |w| relative and q as much and 3 units more
+    (_nomes), so q lifted by g bits is within d < 3.32 2^g <= 27 W units of
+    2^-wp (|w q| < 0.005), and eta < 2^11.24 W (_series).  R is off by under
+    1.009 eta + 1.5 and E4 by under 346 lambda; R^8 (|R^8| < 1.037) by under
+    8.254 (1.009 eta + 1.5) + 10.7, Y (|Y| < 2.157) by under 377 lambda,
+    Y^2 by 1627 lambda and Y^3 (|Y^3| < 10.04) by under 5264 lambda <
+    2^23.62 W units, so by under 2^21.62 + 1 units of 2^-prec after the
+    shift.  With 1/q's own error, j is off by under |1/q| (10.04 2^6 |w| +
+    2^21.63) + 1.5 < 2^(size(1/q) - prec + 23 + m) units, |w| <= 2^m.
+    """
+    _check_budget(bits)
+    n, prec = _nterms(bits, red), bits + _GUARD
+    g = _lift(n, 2)
+    wp = prec + g
+    inv_q, q = _nome_of(red, prec) if nome is None else nome
+    _, r, _, e4, _ = _series((q[0] << g, q[1] << g), n, wp, False)
+    r2 = _cmul(r, r, wp)
+    r4 = _cmul(r2, r2, wp)
+    y = _cmul(e4, _cmul(r4, r4, wp), wp)
+    y3 = _cmul(_cmul(y, y, wp), y, wp)
+    m = (red.c.bit_length() - red.a.bit_length() + 2) // 2  # c/a < 4^m
+    return _cmul(inv_q, (y3[0] >> g, y3[1] >> g), prec), _size(inv_q) - prec + 23 + m
 
 
 def _transport(v: dict, m, t, prec: int) -> dict:
@@ -505,17 +539,10 @@ def _transport(v: dict, m, t, prec: int) -> dict:
 
 
 def _kernel_table(bits: int, e6: bool = True) -> _ClassTable:
-    """Reduced form -> the basics at its root (_reduced_basics), E6 dropped
-    unless e6; the budget is checked before any work at its precision."""
+    """Reduced form -> the basics at its root (_reduced_basics), E6 only if
+    e6; the budget is checked before any work at its precision."""
     _check_budget(bits)
-
-    def kernel(red: QuadForm) -> dict:
-        v = _reduced_basics(_form_root(red, bits + _GUARD), bits)
-        if not e6:
-            del v["e6"]
-        return v
-
-    return _ClassTable(kernel)
+    return _ClassTable(lambda red: _reduced_basics(red, bits, e6))
 
 
 def _at(form: QuadForm, table, bits: int) -> dict:
@@ -525,10 +552,11 @@ def _at(form: QuadForm, table, bits: int) -> dict:
 
 
 def _as_mpc(v: dict, bits: int) -> dict:
-    """eta^2, E2, E4 and E6 from the fixed-point basics v as bits-bit mpc."""
+    """eta^2, E2, E4 and E6 (if v has it) from the fixed-point basics v as
+    bits-bit mpc."""
     prec = bits + _GUARD
     return {"eta2": _to_mpc(v["eta2"][0], prec - v["eta2_exp"], bits),
-            **{key: _to_mpc(v[key][0], prec, bits) for key in ("e2", "e4", "e6")}}
+            **{key: _to_mpc(v[key][0], prec, bits) for key in ("e2", "e4", "e6") if key in v}}
 
 
 def eval_eta(z: mpc, cfg: PrecisionConfig) -> mpc:
@@ -537,7 +565,7 @@ def eval_eta(z: mpc, cfg: PrecisionConfig) -> mpc:
     53-bit root of unity tells the two apart."""
     bits, form = cfg.eval_bits, _form(z)
     with mpmath.workprec(bits):
-        root = mpmath.sqrt(_as_mpc(_at(form, _kernel_table(bits), bits), bits)["eta2"])
+        root = mpmath.sqrt(_as_mpc(_at(form, _kernel_table(bits, e6=False), bits), bits)["eta2"])
         k = _eta_k(_reducing(form)[1])
         unit = mpmath.mpmathify(cmath.exp(1j * _math.pi * (k % 24) / 12))
         return root if mpmath.re(root * unit) > 0 else -root
@@ -547,7 +575,7 @@ def eval_eisenstein(k: int, z: mpc, cfg: PrecisionConfig) -> mpc:
     if k not in (2, 4, 6):
         raise ValueError(f"unsupported Eisenstein weight {k}")
     bits = cfg.eval_bits
-    return _as_mpc(_at(_form(z), _kernel_table(bits), bits), bits)[f"e{k}"]
+    return _as_mpc(_at(_form(z), _kernel_table(bits, e6=k == 6), bits), bits)[f"e{k}"]
 
 
 def eval_j(z: mpc, cfg: PrecisionConfig) -> mpc:
@@ -856,7 +884,7 @@ def _eval_bounded(what: str, z: mpc, cfg: PrecisionConfig):
     (_form) in a table of its own rounded to eval_bits, and a bound on its
     absolute error at z's exact binary value."""
     key = what.lower()
-    table = _kernel_table(cfg.eval_bits)
+    table = _kernel_table(cfg.eval_bits, e6=key not in ("f", "p"))
     value, e = _tail(_form(z), table, cfg, (key,))[key].rounded(cfg.eval_bits)
     return value, mpf(2) ** e
 

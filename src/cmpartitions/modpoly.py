@@ -152,8 +152,8 @@ def beta_product(form: QuadForm, classes, cfg: PrecisionConfig, table):
     scale 2^(cfg.eval_bits + _GUARD): each j read from table (a _j_table at cfg's
     precision, shared by the forms of one rung) at the reduced form of form
     or of the image (_reduced_images), each difference taken by _esum and
-    the product by _eprod.  j runs along the eta-only route, which takes
-    fewer products than E4^3 / Delta at the >30000 bits of n = 3.
+    the product by _eprod.  j comes from _j_from_eta, (1/q) E4^3 P^-24 on
+    the pentagonal table that the basics kernel reads too.
     """
     red, images = _reduced_images(form, tuple(classes))
     return _eprod([_esum([(1, table[red]), (-1, table[image])]) for image in images],
@@ -319,9 +319,9 @@ def beta_norm(n: int, cfg: PrecisionConfig):
     """Product of beta over the primitive class representatives for n, as an
     integer, with the coprime-to-6 flag and its rung's working bits.  One
     rung, at the magnitude predicted from the forms plus cfg.working_bits,
-    is accepted on its bound (run_adaptive; about 2^-270 for n = 1, 2 and
-    3).  A rung's kernel calls, one per class pair, are split over the CPUs
-    (_j_table).
+    is accepted on its bound (run_adaptive; 2^-285, 2^-280 and 2^-277 for
+    n = 1, 2 and 3).  A rung's kernel calls, one per class pair, are split
+    over the CPUs (_j_table).
 
     The magnitude is the sum over the forms' non-fixing classes of
     max(log2 |j(alpha)|, log2 |j(M alpha)|), each log2 |j| taken as

@@ -235,10 +235,10 @@ def compute_pn(n: int, cfg: PrecisionConfig) -> OrbitRecord:
     bits, with no probe rung before it; it is capped below the kernels'
     budget, so a prediction too high cannot refuse an n that a probe would
     have sized within it, and one too low costs a further rung.  The first
-    rung's bound has come out near 2^-(w + 16 + 0.7 h), the prediction
-    over-counting about 0.7 bits a form (2^-274 at h = 3 to 2^-503 at
-    h = 320, n = 2000).  Where w + 32 + h/2, below that from h = 114 on,
-    falls short of ceil(h log2 6) + 2, the shortfall is added to the
+    rung's bound has come out near 2^-(w + 27 + 0.7 h), the prediction
+    over-counting about 0.7 bits a form (2^-286 at h = 3, 2^-307 at
+    h = 31).  Where w + 32 + h/2, below that for h > 25, falls short of
+    ceil(h log2 6) + 2, the shortfall is added to the
     prediction, so the one rung clears 6^-h as well; it is 0 through
     n = 600 (h = 130).
 

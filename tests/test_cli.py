@@ -233,9 +233,9 @@ class TestKernelCounts:
         original = evaluate._reduced_basics
         calls = []
 
-        def counting(w, b):
+        def counting(red, b, *e6):
             calls.append(b)
-            return original(w, b)
+            return original(red, b, *e6)
 
         monkeypatch.setattr(evaluate, "_reduced_basics", counting)
         return calls

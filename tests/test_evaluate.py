@@ -12,7 +12,7 @@ from cmpartitions import evaluate, recognize
 from cmpartitions.errors import NearSingularity, NotUpperHalfPlane
 from cmpartitions.evaluate import (_GUARD, _as_mpc, _ClassTable, _eprod, _esum, _eta_k,
                                    _eval_bounded, _form, _form_and_theta, _form_root,
-                                   _j_reduced, _kernel_table, _nterms,
+                                   _j_from_eta, _kernel_table, _nterms,
                                    _reduced_basics, _reducing, _rounded, _t, _tail, _to_mpc,
                                    _values, eval_A, eval_Aprime, eval_B,
                                    eval_C, eval_eisenstein, eval_eta, eval_form,
@@ -294,45 +294,80 @@ KERNEL_POINTS = [("-0.49", "0.876"), ("0", "1"), ("0.25", "3")]
 J_POINTS = KERNEL_POINTS + [("0.5", "13.4070876778"), ("0.1", "24"), ("-0.4995", "0.8665")]
 
 
+def kernel_form(x, y, bits):
+    """(w, the reduced form whose root is w's exact binary value) for the
+    point x + iy of the fundamental domain rounded at bits."""
+    with mpmath.workprec(bits):
+        w = mpc(mpf(x), mpf(y))
+    assert abs(w) >= 1 and abs(w.real) <= 0.5
+    return w, _reducing(_form(w))[0]
+
+
 class TestFixedPointKernels:
     """The integer kernels against oracles that share no code with them, to
     2^-(bits-8) relative; E2, E4 and E6 to 2^-(bits-8) absolute where they
-    are below 1, since E6(i) = 0."""
+    are below 1, since E6(i) = 0.  The stated error exponents cover the
+    measured errors.  The 13500-bit cases take 6-10 s in all on two cores
+    with mpmath's Python backend, nearly all of it the basics' reference
+    series."""
 
-    @pytest.mark.parametrize("bits", [544, 3600])
-    def test_j_against_kleinj(self, bits):
-        for x, y in J_POINTS:
-            with mpmath.workprec(bits):
-                w = mpc(mpf(x), mpf(y))
-                assert abs(w) >= 1 and abs(w.real) <= 0.5
-                value, err = _rounded(_j_reduced(w, bits), bits + _GUARD, 0)
+    @pytest.mark.parametrize("bits, points", [pytest.param(544, J_POINTS, id="544"),
+                                              pytest.param(3600, J_POINTS, id="3600"),
+                                              pytest.param(13500, J_POINTS[-2:], id="13500")])
+    def test_j_against_kleinj(self, bits, points):
+        for x, y in points:
+            w, red = kernel_form(x, y, bits)
+            value, err = _rounded(_j_from_eta(red, bits), bits + _GUARD, 0)
             with mpmath.workprec(bits + 64):
                 ref = 1728 * mpmath.kleinj(w)
                 assert abs(value - ref) < mpf(2) ** (8 - bits) * abs(ref), (x, y)
                 # the stated bound covers the actual error
                 assert abs(value - ref) <= mpf(2) ** err, (x, y)
 
-    @pytest.mark.parametrize("bits", [256, 1024, 4096])
+    @pytest.mark.parametrize("bits", [256, 1024, 4096, 13500])
     def test_basics_against_divisor_sums(self, bits):
-        for x, y in KERNEL_POINTS:
-            with mpmath.workprec(bits):
-                w = mpc(mpf(x), mpf(y))
-                value = _as_mpc(_reduced_basics(w, bits), bits)
-            n = _nterms(bits + 64, mpmath.im(w))
+        for x, y in KERNEL_POINTS + J_POINTS[-1:]:
+            w, red = kernel_form(x, y, bits)
+            basics = _reduced_basics(red, bits)
+            value = _as_mpc(basics, bits)
+            n = _nterms(bits + 64, red)
             with mpmath.workprec(bits + 64):
                 q = mpmath.exp(2j * mpmath.pi * w)
                 for k in (2, 4, 6):
                     ref = mpmath.polyval(eisenstein_series(k, n).coeffs[::-1], q)
                     err = abs(value[f"e{k}"] - ref)
                     assert err < mpf(2) ** (8 - bits) * max(1, abs(ref)), (k, x, y)
+                    # the pair's own exponent covers the error of its exact value
+                    exact, e = _rounded(basics[f"e{k}"], bits + _GUARD, 0)
+                    assert abs(exact - ref) <= mpf(2) ** e, (k, x, y)
+
+    @pytest.mark.parametrize("bits", [544, 3568, 13500])
+    def test_both_kernels_read_one_pentagonal_table(self, monkeypatch, bits):
+        # every kernel call asks for one table of q powers, at the pentagonal
+        # exponents below its series length: no powers of q^(1/2), no
+        # squares or oblongs and no doubled exponents
+        tables = []
+        original = evaluate._power_table
+
+        def spy(x, exponents, prec):
+            tables.append(list(exponents))
+            return original(x, exponents, prec)
+
+        monkeypatch.setattr(evaluate, "_power_table", spy)
+        for x, y in (KERNEL_POINTS[0], KERNEL_POINTS[2]):
+            _, red = kernel_form(x, y, bits)
+            for kernel in (_reduced_basics, _j_from_eta,
+                           lambda red, bits: _reduced_basics(red, bits, False)):
+                tables.clear()
+                kernel(red, bits)
+                assert tables == [j_exponents(bits, red)], (x, y)
 
 
-def j_exponents(bits, im_w):
-    """The exponents of _j_reduced's table of q powers at Im w."""
+def j_exponents(bits, red):
+    """The exponents of the kernels' table of q powers at the root of red:
+    the pentagonal exponents below the series length."""
     from cmpartitions.series import _pentagonal_exponents
-    n = _nterms(bits, im_w)
-    return ([e for e, _ in _pentagonal_exponents(n)]
-            + [2 * e for e, _ in _pentagonal_exponents((n + 1) // 2)])
+    return [e for e, _ in _pentagonal_exponents(_nterms(bits, red))]
 
 
 def full_table(x, exponents, prec):
@@ -354,13 +389,14 @@ class TestPowerTable:
         with mpmath.workprec(prec):
             return evaluate._fixed(mpmath.exp(2j * mpmath.pi * w), prec)
 
-    @pytest.mark.parametrize("bits, gaps", [(3568, 21), (30720, 60)])
+    @pytest.mark.parametrize("bits, gaps", [(3568, 25), (30720, 76)])
     def test_tapered_table_forms_only_the_used_gaps(self, monkeypatch, bits, gaps):
-        # j's table at Im w = 0.866: 21 of 28 gaps occur at 3568 bits and
-        # 60 of 95 at 30720; one product a power and one a used gap past x
+        # the kernels' table at rho (Im w = 0.866): 25 of 33 gaps occur at
+        # 3568 bits and 76 of 101 at 30720; one product a power and one a
+        # used gap past x
         prec = bits + _GUARD
         assert prec >= evaluate._TAPER_BITS
-        exponents = sorted(set(j_exponents(bits, 0.866)))
+        exponents = sorted(set(j_exponents(bits, QuadForm(1, 1, 1))))
         used = {e - prev for prev, e in zip([0] + exponents, exponents)}
         assert len(used) == gaps and 1 in used
         products = []
@@ -382,7 +418,7 @@ class TestPowerTable:
         # error, against the exact powers (64 bits more, cut back)
         prec = bits + _GUARD
         w = mpc(mpf("-0.4"), mpf("0.9"))
-        exponents = j_exponents(bits, 0.9)
+        exponents = j_exponents(bits, _reducing(_form(w))[0])
         x = self.nome(prec, w)
         powers = evaluate._power_table(x, exponents, prec)
         exact = full_table(self.nome(prec + 64, w), exponents, prec + 64)
@@ -395,8 +431,9 @@ class TestPowerTable:
         # below _TAPER_BITS the table is the full one, bit for bit
         prec = bits + _GUARD
         assert prec < evaluate._TAPER_BITS
-        x = self.nome(prec, mpc(mpf("0.1"), mpf("0.95")))
-        exponents = j_exponents(bits, 0.95) + [m * m for m in range(1, 9)]
+        w = mpc(mpf("0.1"), mpf("0.95"))
+        x = self.nome(prec, w)
+        exponents = j_exponents(bits, _reducing(_form(w))[0]) + [m * m for m in range(1, 9)]
         assert evaluate._power_table(x, exponents, prec) == full_table(x, exponents, prec)
 
 
