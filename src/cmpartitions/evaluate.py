@@ -5,19 +5,20 @@ Every caller hands over the integer form whose root is its point: a CM form,
 an exact image of one, or at the public eval_*(z, cfg) the form of z's exact
 binary value (_form); 1/(2 pi Im) = a/(pi sqrt|D|) is read off the form
 (_form_and_theta).  Two kernels share one table of q powers at the
-pentagonal exponents (_series): P = prod (1 - q^n) and its theta-derivatives
-give E2, E4 and E6 by Ramanujan's identities, eta^2 = q^(1/12) P^2
-(_reduced_basics, at the reduced root (_reducing), q^(1/12) from the form
-in integers and one exponential, once per class of the caller's
-_ClassTable) and j = (1/q) E4^3 P^-24 (_j_from_eta, from the nome pair of
-_nomes).  From the kernel to F, thetaF and P values are fixed-point
-Gaussian ints (Python ints scaled by 2^prec, _cmul); eta^2
-carries its own power of two, so a product of them (2^-1800 at Im z = 200)
-keeps its relative precision.  _transport carries values back by the
-reducing matrix and t = i/(cz + d), in integers (_t), eta^2 with a twelfth
-root of unity from Rademacher's integer k (_eta_k).  Derivatives are
-analytic: theta(E2) = (E2^2 - E4)/12, theta(log eta) = E2/24.  Every
-fixed-point value carries an integer error exponent (_emul, _esum, _ediv,
+pentagonal exponents, one product a power on an addition sequence
+(_power_table), and one real reciprocal of P (_recip, _series): P = prod
+(1 - q^n) and its theta-derivatives give E2, E4 and E6 by Ramanujan's
+identities, eta^2 = q^(1/12) P^2 (_reduced_basics, at the reduced root
+(_reducing), q^(1/12) from the form in integers and one exponential, once
+per class of the caller's _ClassTable) and j = (1/q) E4^3 P^-24
+(_j_from_eta, from the nome pair of _nomes).  From the kernel to F, thetaF
+and P values are fixed-point Gaussian ints (Python ints scaled by 2^prec,
+_cmul); eta^2 carries its own power of two, so a product of them (2^-1800
+at Im z = 200) keeps its relative precision.  _transport carries values
+back by the reducing matrix and t = i/(cz + d), in integers (_t), eta^2
+with a twelfth root of unity from Rademacher's integer k (_eta_k).
+Derivatives are analytic: theta(E2) = (E2^2 - E4)/12, theta(log eta) =
+E2/24.  Every fixed-point value carries an integer error exponent (_emul, _esum, _ediv,
 _eprod), seeded by the kernels' budgets: the bounds of P at CM points
 (eval_P_cm), of the eval command (_eval_bounded) and of j (_j_from_eta).
 
@@ -31,6 +32,7 @@ command (_eval_bounded) round its pairs to mpc once, at the end.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import math as _math
@@ -169,9 +171,13 @@ def _to_mpc(z: tuple[int, int], prec: int, bits: int) -> mpc:
 
 def _cmul(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
     """Product of two fixed-point complex numbers from three integer products
-    (Gauss), or two when b is real, truncated back to scale 2^prec."""
+    (Gauss), or two when b is real or is a itself (a square: (a0 + a1)(a0 -
+    a1) and 2 a0 a1, the same integers before the shift), truncated back to
+    scale 2^prec."""
     if not b[1]:
         return a[0] * b[0] >> prec, a[1] * b[0] >> prec
+    if a is b:
+        return (a[0] + a[1]) * (a[0] - a[1]) >> prec, a[0] * a[1] >> prec - 1
     k1 = b[0] * (a[0] + a[1])
     k2 = a[0] * (b[1] - b[0])
     k3 = a[1] * (b[0] + b[1])
@@ -183,6 +189,17 @@ def _cdiv(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
     norm = b[0] * b[0] + b[1] * b[1]
     return (((a[0] * b[0] + a[1] * b[1]) << prec) // norm,
             ((a[1] * b[0] - a[0] * b[1]) << prec) // norm)
+
+
+def _recip(b: tuple[int, int], prec: int) -> tuple[int, int]:
+    """1/b in fixed point for 1/2 <= |b| <= 2: conj(b) times one real
+    reciprocal of |b|^2, the norm cut to scale 2^prec.  The cut norm N is
+    within a unit below |b|^2 2^prec, so the floor of 2^2prec/N is within
+    max(1, 1.0001 |b|^-4) units of 1/|b|^2, and 1/b within |b| max(1,
+    1.0001 |b|^-4) + sqrt 2 units (the two truncations): under 2.5 for
+    |b| within 0.5% of 1, 3.5 for 1 <= |b| <= 2 and 9.5 at |b| = 1/2."""
+    inv = (1 << 2 * prec) // (b[0] * b[0] + b[1] * b[1] >> prec)
+    return b[0] * inv >> prec, -b[1] * inv >> prec
 
 
 @functools.lru_cache(maxsize=32)
@@ -284,10 +301,12 @@ def _cmul_within(a: tuple[int, int], b: tuple[int, int], prec: int,
                  m: int) -> tuple[int, int]:
     """_cmul(a, b, prec) to within a further 2^m units of its last place:
     each factor drops the low bits that, times the other factor, stay below
-    2^(prec + m - 2), so small factors make cheap products."""
+    2^(prec + m - 2), so small factors make cheap products (a square, b a,
+    stays one)."""
     ka = min(max(m + prec - 2 - _size(b), 0), prec)
     kb = min(max(m + prec - 2 - _size(a), 0), prec - ka)
-    return _cmul((a[0] >> ka, a[1] >> ka), (b[0] >> kb, b[1] >> kb), prec - ka - kb)
+    cut = (a[0] >> ka, a[1] >> ka)
+    return _cmul(cut, cut if a is b and ka == kb else (b[0] >> kb, b[1] >> kb), prec - ka - kb)
 
 
 # Bits below a product's last place that a cut factor keeps, and the
@@ -296,61 +315,63 @@ def _cmul_within(a: tuple[int, int], b: tuple[int, int], prec: int,
 _TAPER = 16
 _TAPER_BITS = 1 << 11
 
+# The one addition sequence over the generalised pentagonal numbers, grown
+# on demand (_sequence): (c, a, b, square) ascending in c, x^c = x^a x^b.
+_STEPS: list = []
+
+
+def _sequence(n: int) -> list:
+    """The steps of the addition sequence up to the generalised pentagonal
+    numbers below n, a prefix of _STEPS.  Each pentagonal c > 1 is a + b
+    for held exponents a <= b (the largest such a), else 2a + b (the
+    largest such a): then x^(2a) is held as well, formed first as the square
+    of x^a (square = True, a in the step is that 2a).  Every pentagonal c
+    >= 5 is 2a + b for smaller pentagonals a and b (Enge, Hart and Johansson,
+    "Short addition sequences for theta functions", 2018), so one of the two
+    exists.  About 1.2 products a pentagonal: 41 for the 34 below 463, 116
+    for the 101 below 3922."""
+    top = _STEPS[-1][0] if _STEPS else 1
+    if top < n:
+        held = {1} | {c for c, *_ in _STEPS} | {a for _, a, _, square in _STEPS if square}
+        for c, _ in _pentagonal_exponents(n):
+            if c <= top:
+                continue
+            pairs = [a for a in held if 2 * a <= c and c - a in held]
+            if pairs:
+                step = (c, max(pairs), c - max(pairs), False)
+            else:
+                a = max(a for a in held if 2 * a < c and c - 2 * a in held)
+                step = (c, 2 * a, c - 2 * a, True)
+                held.add(2 * a)
+            held.add(c)
+            _STEPS.append(step)
+    return _STEPS[:bisect.bisect_left(_STEPS, (n,))]
+
 
 def _power_table(x: tuple[int, int], exponents, prec: int) -> dict:
-    """{e: x^e} in fixed point over a sparse set of exponents, ascending.
-    The gaps are short (~sqrt of the largest exponent), so a table of x^gap
-    makes each power one product.
+    """{e: x^e} in fixed point over the generalised pentagonal numbers e in
+    exponents (those below some n), one product a power on the addition
+    sequence (_sequence), and one square more where the sequence holds
+    x^(2a).  Below prec = _TAPER_BITS each is a _cmul; from it on, the
+    powers (shrinking, |x| < 1) are formed only to the accuracy they can
+    contribute, each product within 2^-_TAPER of its last place
+    (_cmul_within).
 
-    Below prec = _TAPER_BITS every gap up to the largest is formed, as
-    x^gap = x^(gap - 1) x.  From _TAPER_BITS on, the powers (shrinking,
-    |x| < 1) are formed only to the accuracy they can contribute, and only
-    the gaps that occur: at the step that first needs a gap, it and the
-    smaller gaps that occur are formed in ascending order, each as x^h
-    x^(gap - h) from two gaps already held (one unused gap more where no two
-    add up to it), to 2^-(_TAPER + 10) of what the current power can use,
-    and each step x^e = x^prev x^gap keeps of x^gap what reaches 2^-_TAPER
-    of its last place.  By induction x^gap carries at most gap - 1
-    truncations, each made with no more room than the step that first uses
-    it has, and gaps stay under 400, so they add up to less than 2^-_TAPER
-    of that step's last place.  A step thus adds under 2^(-_TAPER + 1) of
-    its last place to its truncation, within the 2 ulp per product of the
-    kernels' budget (_series); at 30000 bits the table takes about half the
-    time.
-    """
-    acc = one = (1 << prec, 0)
-    powers, prev = {}, 0
-    if prec < _TAPER_BITS:
-        gap_pow = [one, x]
-        for e in sorted(set(exponents)):
-            while len(gap_pow) <= e - prev:
-                gap_pow.append(_cmul(gap_pow[-1], x, prec))
-            powers[e] = acc = _cmul(acc, gap_pow[e - prev], prec)
-            prev = e
-        return powers
+    Error, in units of 2^-prec against the exact powers of x: x^(a+b) is
+    off by |x^a| e_b + |x^b| e_a + e_a e_b 2^-prec and the product's
+    truncation, under sqrt 2 + 2^-_TAPER.  As |x| < 0.00434 on the
+    fundamental domain, entries within 2 units make entries within 0.0174 +
+    1.415 + 2^-16 < 1.44 units: every entry stays within 2 units, however
+    long the sequence."""
     exponents = sorted(set(exponents))
-    gaps = sorted({e - p for p, e in zip([0] + exponents, exponents)}, reverse=True)
-    gap_pow = {1: x}
-    for e in exponents:
-        while gaps and gaps[-1] <= e - prev:
-            _form_gap(gap_pow, gaps.pop(), prec, prec - _size(acc) - _TAPER - 10)
-        acc = gap_pow[e] if not prev else _cmul_within(acc, gap_pow[e - prev], prec, -_TAPER)
-        powers[e] = acc
-        prev = e
-    return powers
-
-
-def _form_gap(gap_pow: dict, gap: int, prec: int, m: int) -> None:
-    """Put x^gap into gap_pow (gap -> x^gap, holding x^1) unless held: the
-    product, within 2^m units (_cmul_within), of the largest held x^h whose
-    x^(gap - h) is held too, or else of the largest held x^h below gap and
-    x^(gap - h), formed first."""
-    if gap in gap_pow:
-        return
-    below = sorted((h for h in gap_pow if h < gap), reverse=True)
-    h = next((h for h in below if gap - h in gap_pow), below[0])
-    _form_gap(gap_pow, gap - h, prec, m)
-    gap_pow[gap] = _cmul_within(gap_pow[h], gap_pow[gap - h], prec, m)
+    product = (_cmul if prec < _TAPER_BITS
+               else lambda u, v, prec: _cmul_within(u, v, prec, -_TAPER))
+    powers = {1: x}
+    for c, a, b, square in _sequence(exponents[-1] + 1):
+        if square:
+            powers[a] = product(powers[a // 2], powers[a // 2], prec)
+        powers[c] = product(powers[a], powers[b], prec)
+    return {e: powers[e] for e in exponents}
 
 
 @functools.lru_cache(maxsize=256)
@@ -378,14 +399,14 @@ def _series(q: tuple[int, int], n: int, prec: int, e6: bool):
     at a fundamental-domain point (|q*| <= exp(-pi sqrt 3) < 0.00434), with
     W = sum e^k over the table (k = 3, or 2 without E6) and prec = bits +
     _GUARD + g for the kernel's bits < 2^15 and g = _lift(n, k).  A table
-    entry is off by under 2^11 units (under 400 products of 2^2,
-    _power_table), and d moves S_k by under sum e^(k+1) |q|^(e-1) d <
+    entry is off by under 2 units (_power_table), taken here as 2^11, and
+    d moves S_k by under sum e^(k+1) |q|^(e-1) d <
     1.08 d.  The tail past n is under 1.04 n^k |q*|^n, with |q*|^n <
     2^-(bits + 62) (_nterms) and 2^g <= 8W: under 2^-27.7 n^3 W < 2^8.4 W
     units, as n < 4200.  So P and every S_k are off by under eta =
     2^11.22 W + 1.08 d units.  |P| > 0.9956, |S_k| < 0.0046 and |L_k| <
-    0.0047 for k >= 1, and a product truncates by under 1.5: R is off by
-    under 1.009 eta + 1.5, each L_k by under lambda = 1.01 eta + 2, E2
+    0.0047 for k >= 1, and a product truncates by under 1.5: R (_recip) is
+    off by under 1.009 eta + 2.5, each L_k by under lambda = 1.01 eta + 2, E2
     (|E2| < 1.113) by 24 lambda, theta E2 (|theta E2| < 0.114) by 24.33
     lambda, E4 (|E4| < 2.08) by 346 lambda, L3 - 3 L1 L2 + 2 L1^3 by 1.035
     lambda, and E6 by under 436 + 179.4 + 894.2 < 1510 lambda."""
@@ -393,7 +414,7 @@ def _series(q: tuple[int, int], n: int, prec: int, e6: bool):
     power = _power_table(q, [e for e, _ in pent], prec)
     one = (1 << prec, 0)
     p = _csum([(1, one)] + [(s, power[e]) for e, s in pent])
-    r = _cdiv(one, p, prec)
+    r = _recip(p, prec)
     l1, l2, *l3 = (_cmul(_csum((s * e ** k, power[e]) for e, s in pent), r, prec)
                    for k in range(1, 4 if e6 else 3))
     l11 = _cmul(l1, l1, prec)
@@ -495,8 +516,9 @@ def _j_from_eta(red: QuadForm, bits: int, nome=None):
     1/q is within 2^(6 - prec) |w| relative and q as much and 3 units more
     (_nomes), so q lifted by g bits is within d < 3.32 2^g <= 27 W units of
     2^-wp (|w q| < 0.005), and eta < 2^11.24 W (_series).  R is off by under
-    1.009 eta + 1.5 and E4 by under 346 lambda; R^8 (|R^8| < 1.037) by under
-    8.254 (1.009 eta + 1.5) + 10.7, Y (|Y| < 2.157) by under 377 lambda,
+    1.009 eta + 2.5 and E4 by under 346 lambda; R^8 (|R^8| < 1.037) by under
+    8.254 (1.009 eta + 2.5) + 10.7, Y (|Y| < 2.157) by under 376 lambda + 67
+    < 377 lambda (lambda > 2^11),
     Y^2 by 1627 lambda and Y^3 (|Y^3| < 10.04) by under 5264 lambda <
     2^23.62 W units, so by under 2^21.62 + 1 units of 2^-prec after the
     shift.  With 1/q's own error, j is off by under |1/q| (10.04 2^6 |w| +
@@ -678,8 +700,9 @@ def _nomes(forms, bits: int, exps=None) -> list:
     within 2^(5 - prec) of v_C.  E_D's error moves v_C by its a-th part,
     under (19.5 Im w + 2) 2^-prec.  So 1/q = 2^k v (exact) is within
     (19.5 Im w + 34) 2^-prec < 2^(6 - prec) |w| relative of its exact value,
-    and q = 2^-k/v (_cdiv, then shifted) within as much relative and 3
-    units more.
+    and q = 2^-k/v within as much relative and 3 units more: 1/v (_recip,
+    |v| within 2^-58 of [1, 2)) is within 3.5 units, and the shift by k >= 7
+    bits (|q| < 0.00434) leaves under 3.5/2^7 + sqrt 2 < 1.5 of them.
     """
     exps = {} if exps is None else exps
     for form in forms:
@@ -715,7 +738,7 @@ def _nome(form: QuadForm, e_d: mpf, prec: int):
         rest = ((1 << p) - (c * power[0] >> p + a), -(c * power[1] >> p + a))
         step = _cmul(v, rest, p)
         v = ((v[0] + step[0] // a) << p_next - p, (v[1] + step[1] // a) << p_next - p)
-    q = _cdiv((1 << prec, 0), v, prec)
+    q = _recip(v, prec)
     return (v[0] << k, v[1] << k), (q[0] >> k, q[1] >> k)
 
 
@@ -842,7 +865,8 @@ def _tail(form: QuadForm, table, cfg: PrecisionConfig, keys) -> dict:
         A = -thetaF - F E2/6 + F E6 (7j - 6912)/(6 E4 (j - 1728)),
         B = F E6 j / E4,
         C = E4 E2*/(6 E6 j) - (7j - 6912)/(6 j (j - 1728)),
-    E2* = E2 - 6g (_g).  P = A + B C, and A' is regular at CM points.  Asked
+    E2* = E2 - 6g (_g).  P = A + B C, and A' is regular at CM points.  j
+    reads only eta^2 and E4, so a table for F, P and j needs no E6.  Asked
     for A, B, C or A', it refuses within 2^(-working_bits/4) of a zero of j,
     j - 1728, E4 or E6, where they have poles (_guard)."""
     bits, prec, asked = cfg.eval_bits, cfg.eval_bits + _GUARD, set(keys)
@@ -852,9 +876,12 @@ def _tail(form: QuadForm, table, cfg: PrecisionConfig, keys) -> dict:
     out = {key: _Pair(x, -ex, prec) for key, x in parts.items()}
     if asked <= {"f", "p"}:
         return {key: out[key] for key in keys}
-    e2, e4, e6 = (_Pair(basics[key], 0, prec) for key in ("e2", "e4", "e6"))
+    e4 = _Pair(basics["e4"], 0, prec)
     delta = _ipow(_Pair(basics["eta2"], basics["eta2_exp"], prec), 12)
     out["j"] = j = _ipow(e4, 3) / delta
+    if asked <= {"f", "p", "j"}:
+        return {key: out[key] for key in keys}
+    e2, e6 = (_Pair(basics[key], 0, prec) for key in ("e2", "e6"))
     if "theta_j" in keys:
         out["theta_j"] = -(e4 * e4) * e6 / delta
     if asked.intersection(("a", "b", "c", "aprime")):
@@ -884,7 +911,7 @@ def _eval_bounded(what: str, z: mpc, cfg: PrecisionConfig):
     (_form) in a table of its own rounded to eval_bits, and a bound on its
     absolute error at z's exact binary value."""
     key = what.lower()
-    table = _kernel_table(cfg.eval_bits, e6=key not in ("f", "p"))
+    table = _kernel_table(cfg.eval_bits, e6=key not in ("f", "p", "j"))
     value, e = _tail(_form(z), table, cfg, (key,))[key].rounded(cfg.eval_bits)
     return value, mpf(2) ** e
 

@@ -229,13 +229,14 @@ class TestKernelCounts:
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
-        # the working bits of each call of the basics kernel
+        # the working bits of each call of the basics kernel, and whether it
+        # asked for E6
         original = evaluate._reduced_basics
         calls = []
 
-        def counting(red, b, *e6):
-            calls.append(b)
-            return original(red, b, *e6)
+        def counting(red, b, e6=True):
+            calls.append((b, e6))
+            return original(red, b, e6)
 
         monkeypatch.setattr(evaluate, "_reduced_basics", counting)
         return calls
@@ -265,10 +266,12 @@ class TestKernelCounts:
                                              ("A", 4), ("B", 4)])
     def test_eval(self, capsys, kernel_calls, what, calls):
         # C and j alone read the basics at z; F, P, A and B those at z, 2z,
-        # 3z and 6z, four classes at this point
+        # 3z and 6z, four classes at this point.  F, P and j read no E6, so
+        # their table asks for none
         code, _, _ = run_cli(capsys, "eval", "--what", what, "--z", "0.1,1.3")
         assert code == 0
         assert len(kernel_calls) == calls
+        assert {e6 for _, e6 in kernel_calls} == {what not in ("F", "P", "j")}
 
     def test_verify_appendix(self, capsys, kernel_calls):
         # 12 coset images, each at four multiples, meet 20 classes; j(z) is

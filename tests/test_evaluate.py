@@ -389,16 +389,15 @@ class TestPowerTable:
         with mpmath.workprec(prec):
             return evaluate._fixed(mpmath.exp(2j * mpmath.pi * w), prec)
 
-    @pytest.mark.parametrize("bits, gaps", [(3568, 25), (30720, 76)])
-    def test_tapered_table_forms_only_the_used_gaps(self, monkeypatch, bits, gaps):
-        # the kernels' table at rho (Im w = 0.866): 25 of 33 gaps occur at
-        # 3568 bits and 76 of 101 at 30720; one product a power and one a
-        # used gap past x
+    @pytest.mark.parametrize("bits, count, gap_table", [(3568, 41, 57), (30720, 116, 175)])
+    def test_tapered_table_products_at_rho(self, monkeypatch, bits, count, gap_table):
+        # the kernels' table at rho (Im w = 0.866) on the addition sequence:
+        # one product a power past x and one square a held x^(2a), fewer
+        # than the table of gaps between exponents took (gap_table)
         prec = bits + _GUARD
         assert prec >= evaluate._TAPER_BITS
-        exponents = sorted(set(j_exponents(bits, QuadForm(1, 1, 1))))
-        used = {e - prev for prev, e in zip([0] + exponents, exponents)}
-        assert len(used) == gaps and 1 in used
+        exponents = j_exponents(bits, QuadForm(1, 1, 1))
+        squares = sum(square for *_, square in evaluate._sequence(exponents[-1] + 1))
         products = []
         original = evaluate._cmul_within
 
@@ -410,7 +409,8 @@ class TestPowerTable:
         x = self.nome(prec, mpc(mpf("0.3"), mpf("0.866")))
         powers = evaluate._power_table(x, exponents, prec)
         assert sorted(powers) == exponents
-        assert len(products) == (len(exponents) - 1) + (gaps - 1)
+        assert len(products) == (len(exponents) - 1) + squares == count < gap_table
+        assert set(products) == {-evaluate._TAPER}
 
     @pytest.mark.parametrize("bits", [3568, 13500])
     def test_tapered_powers_within_the_taper_budget(self, bits):
@@ -428,13 +428,62 @@ class TestPowerTable:
 
     @pytest.mark.parametrize("bits", [256, 1024, 1984])
     def test_full_table_below_the_taper(self, bits):
-        # below _TAPER_BITS the table is the full one, bit for bit
+        # below _TAPER_BITS every entry is within the 2 units _power_table
+        # states of the exact powers of x (formed with 64 bits more)
         prec = bits + _GUARD
         assert prec < evaluate._TAPER_BITS
         w = mpc(mpf("0.1"), mpf("0.95"))
         x = self.nome(prec, w)
-        exponents = j_exponents(bits, _reducing(_form(w))[0]) + [m * m for m in range(1, 9)]
-        assert evaluate._power_table(x, exponents, prec) == full_table(x, exponents, prec)
+        exponents = j_exponents(bits, _reducing(_form(w))[0])
+        powers = evaluate._power_table(x, exponents, prec)
+        exact = full_table((x[0] << 64, x[1] << 64), exponents, prec + 64)
+        assert sorted(powers) == exponents
+        for e in exponents:
+            re, im = ((u << 64) - v for u, v in zip(powers[e], exact[e]))
+            assert re * re + im * im < 4 << 128, e
+
+    def test_every_table_takes_a_prefix_of_one_sequence(self, monkeypatch):
+        # grown in any order, the sequence is the same, and the steps below
+        # n reach exactly the pentagonal numbers below n, each from two
+        # exponents held before it
+        from cmpartitions.series import _pentagonal_exponents
+        monkeypatch.setattr(evaluate, "_STEPS", [])
+        whole = list(evaluate._sequence(5000))
+        monkeypatch.setattr(evaluate, "_STEPS", [])
+        for n in (3, 100, 40, 463, 3922, 5000):
+            steps = evaluate._sequence(n)
+            assert steps == whole[:len(steps)]
+            assert [c for c, *_ in steps] == [e for e, _ in _pentagonal_exponents(n)][1:]
+        held = {1}
+        for c, a, b, square in whole:
+            if square:
+                assert a // 2 in held and a == a // 2 * 2
+                held.add(a)
+            assert a + b == c and a in held and b in held
+            held.add(c)
+
+    @pytest.mark.parametrize("bits", [288, 3568, 30720])
+    def test_square_matches_the_three_products(self, bits):
+        # _cmul(a, a) takes two products, bit for bit Gauss's three
+        rng = random.Random(bits)
+        for _ in range(20):
+            a = tuple(rng.randrange(-1 << bits, 1 << bits) >> rng.randrange(0, bits // 2)
+                      for _ in range(2))
+            assert evaluate._cmul(a, a, bits) == evaluate._cmul(a, (a[0], a[1]), bits)
+
+    @pytest.mark.parametrize("bits", [544, 3568, 30720])
+    @pytest.mark.parametrize("size", ["0.5", "0.5002", "0.9956", "1", "1.0044", "1.9998", "2"])
+    def test_reciprocal_within_its_units(self, bits, size):
+        # _recip's 1/b against the exact 1/b, within |b| max(1, 1.0001
+        # |b|^-4) + sqrt 2 units, at random arguments
+        rng = random.Random(bits)
+        for _ in range(5):
+            with mpmath.workprec(bits + 64):
+                b = evaluate._fixed(mpf(size) * mpmath.expjpi(mpf(rng.uniform(-1, 1))), bits)
+                exact = mpf(2) ** (2 * bits) / mpc(*b)
+                got = mpc(*evaluate._recip(b, bits))
+                size_b = abs(mpc(*b)) / mpf(2) ** bits
+                assert abs(got - exact) <= size_b * max(1, 1.0001 / size_b ** 4) + mpf(2).sqrt()
 
 
 class TestErrorExponents:

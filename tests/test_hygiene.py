@@ -11,7 +11,9 @@ global flags are the options every command takes, so a flag cannot be
 added or removed on one side only.  In ``cli``, only ``main`` writes stdout
 and names an exit code: a command returns its document, lines and verdict.
 Every bound is kept in one calculus: no module opens a 53-bit context for
-float bookkeeping or names interval arithmetic (``mpmath.iv``)."""
+float bookkeeping or names interval arithmetic (``mpmath.iv``).  Only
+``evaluate._ediv`` divides complex numbers by long division (``_cdiv``), so
+the kernels keep to one real reciprocal (``_recip``)."""
 
 import argparse
 import ast
@@ -291,3 +293,33 @@ def test_detects_a_float_bound_and_intervals_outside_eval():
     assert calculus_breaches(sources) == ["iv (evaluate.py line 5)", "iv (evaluate.py line 10)",
                                           "iv (recognize.py line 1)",
                                           "workprec(53) (recognize.py line 5)"]
+
+
+def long_division_callers(sources: dict[str, str]) -> list[str]:
+    """Calls of _cdiv (as a name or an attribute) anywhere but in _ediv,
+    found by the module-level statement that holds them."""
+    found = []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            if getattr(top, "name", None) == "_ediv":
+                continue
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and "_cdiv" in
+                        (getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+                    found.append(f"_cdiv ({module} line {node.lineno})")
+    return found
+
+
+def test_only_ediv_divides_by_long_division():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert long_division_callers(sources) == []
+
+
+def test_detects_a_long_division_outside_ediv():
+    sources = {"evaluate.py": ("def _cdiv(a, b):\n    return a / b\n\n\n"
+                               "def _ediv(a, b):\n    return _cdiv(a, b)\n\n\n"
+                               "def _series(p):\n    return _cdiv(1, p)\n"),
+               "modpoly.py": ("from . import evaluate\n\n\n"
+                              "def beta(x):\n    return evaluate._cdiv(1, x)\n")}
+    assert long_division_callers(sources) == ["_cdiv (evaluate.py line 10)",
+                                              "_cdiv (modpoly.py line 5)"]
