@@ -19,8 +19,7 @@ from .modpoly import (MatrixClass, TaylorData, beta_norm, beta_product,
                       fixing_class, hnf_classes, j_norm, masser_c,
                       taylor_coeffs, taylor_fd_fit)
 from .precision import PrecisionConfig, run_adaptive
-from .quadforms import (QuadForm, cm_point, enumerate_qn, gamma0_equivalent,
-                        reduced_forms)
+from .quadforms import QuadForm, cm_point, enumerate_qn, reduced_forms
 from .recognize import (OrbitRecord, compute_pn, norm_6unit_check,
                         orbit_product, pentagonal_pn, round_to_integers,
                         sharpness_divisor)

@@ -318,10 +318,11 @@ def j_norm(n: int, cfg: PrecisionConfig):
 def beta_norm(n: int, cfg: PrecisionConfig):
     """Product of beta over the primitive class representatives for n, as an
     integer, with the coprime-to-6 flag and its rung's working bits.  One
-    rung, at the magnitude predicted from the forms plus cfg.working_bits,
-    is accepted on its bound (run_adaptive; 2^-285, 2^-280 and 2^-277 for
-    n = 1, 2 and 3).  A rung's kernel calls, one per class pair, are split
-    over the CPUs (_j_table).
+    rung, at the magnitude predicted from the forms plus the tolerance's
+    ceil(-log2 abs_tol) bits (cfg.tol_bits, also the step of any later
+    rung), is accepted on its bound (run_adaptive; 2^-157, 2^-152 and
+    2^-149 for n = 1, 2 and 3 at the default 2^-128).  A rung's kernel
+    calls, one per class pair, are split over the CPUs (_j_table).
 
     The magnitude is the sum over the forms' non-fixing classes of
     max(log2 |j(alpha)|, log2 |j(M alpha)|), each log2 |j| taken as
@@ -351,5 +352,6 @@ def beta_norm(n: int, cfg: PrecisionConfig):
         betas = [beta_product(f, classes, sub, table) for f in forms]
         return _norm_rung(_eprod(betas, prec), prec)
 
-    prod, bound, bits = run_adaptive(rung, cfg, magnitude)
+    ladder = PrecisionConfig(cfg.tol_bits, cfg.max_bits, cfg.abs_tol)
+    prod, bound, bits = run_adaptive(rung, ladder, magnitude)
     return (*norm_6unit_check(prod, f"beta-norm(n={n})", bound), bits)

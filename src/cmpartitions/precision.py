@@ -58,6 +58,14 @@ class PrecisionConfig:
         return PrecisionConfig(working_bits, max(self.max_bits, working_bits),
                                self.abs_tol)
 
+    @property
+    def tol_bits(self) -> int:
+        """ceil(-log2 abs_tol), exactly 1 - mpmath.mag(abs_tol): the bits
+        past a value's magnitude at which a rung's bound can first meet the
+        tolerance, and the step of a ladder sized by it.  At least 1, and at
+        most max_bits, which a tolerance of 0 (met by no bound) takes."""
+        return int(min(max(1 - mpmath.mag(self.abs_tol), 1), self.max_bits))
+
 
 def _fork_map(fn, arg_tuples) -> list:
     """[fn(*args) for args in arg_tuples], in order, split over forked

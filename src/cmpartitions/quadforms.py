@@ -49,20 +49,6 @@ class QuadForm:
         return abs(b) <= a <= c and not ((abs(b) == a or a == c) and b < 0)
 
 
-def _mat_mul(m1, m2):
-    a, b, c, d = m1
-    e, f, g, h = m2
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
-def _mat_inv(m):
-    a, b, c, d = m
-    det = a * d - b * c
-    if det != 1:
-        raise ValueError("only determinant-1 matrices can be inverted here")
-    return (d, -b, -c, a)
-
-
 def reduce_with_matrix(q: QuadForm):
     """Reduce q under the full modular group, returning (reduced, g) with
     q.transform(g) == reduced.  The steps run on the integer triple and the
@@ -107,32 +93,43 @@ def reduced_forms(d: int) -> list[QuadForm]:
     return sorted(forms, key=lambda f: (f.a, abs(f.b), -f.b))
 
 
-def transporter(q1: QuadForm, q2: QuadForm):
-    """An SL2(Z) matrix g with q1.transform(g) == q2, or None.
+def _level6_pick(red: QuadForm, f: int) -> QuadForm:
+    """The (a, |b|, -b)-least form with 6 | a, b = 1 (mod 12) and -a < b <= a
+    in the SL2(Z) class of f times the reduced form red.
 
-    For discriminants below -4 the stabilizer of a form is {+-identity}, so
-    g is unique up to sign and the result is canonical.
-    """
-    if q1.discriminant() != q2.discriminant():
-        return None
-    r1, g1 = reduce_with_matrix(q1)
-    r2, g2 = reduce_with_matrix(q2)
-    if r1 != r2:
-        return None
-    return _mat_mul(g1, _mat_inv(g2))
-
-
-def gamma0_equivalent(q1: QuadForm, q2: QuadForm) -> bool:
-    """Whether some matrix in Gamma_0(6) carries q1 to q2.
-
-    Decided exactly: the transporter between the forms is unique up to sign
-    (discriminant < -4), and both signs share the same lower-left entry mod
-    6, so a single congruence settles membership.
-    """
-    if q1.discriminant() >= -4:
-        raise ValueError("equivalence test requires discriminant < -4")
-    g = transporter(q1, q2)
-    return g is not None and g[2] % 6 == 0
+    The images of red under (p, q; r, s) have first coefficient red(p, r),
+    and those of one coprime (p, r) up to sign are the translates of one
+    image, whose b run over one class mod 2a: so each (p, r) gives one form
+    with -a < b <= a, and 12 | 2a fixes b mod 12 on it.  The coprime (p, r)
+    with red(p, r) <= bound are walked (4 A red(p, r) = (2 A p + B r)^2 +
+    |D| r^2 for red = [A, B, C] of discriminant D), the bound doubled until
+    one gives such a form; every form of the class with a <= f bound was
+    then seen."""
+    big_a, big_b, big_c = red.a, red.b, red.c
+    disc = -red.discriminant()
+    bound = 6
+    while True:
+        picks = []
+        for r in range(math.isqrt(4 * big_a * bound // disc) + 1):
+            # |2 A p + B r| <= sqrt(4 A bound - |D| r^2)
+            width = math.isqrt(4 * big_a * bound - disc * r * r)
+            for p in range(-((width + big_b * r) // (2 * big_a)),
+                           (width - big_b * r) // (2 * big_a) + 1):
+                if math.gcd(p, r) != 1 or (r == 0 and p != 1):
+                    continue
+                a = big_a * p * p + big_b * p * r + big_c * r * r
+                if a % 6:  # f is prime to 6, as D is
+                    continue
+                # (q, s) with p s - q r = 1 completes (p, r) to SL2(Z)
+                s = pow(p, -1, r) if r else p
+                q = (p * s - 1) // r if r else 0
+                b = 2 * big_a * p * q + big_b * (p * s + q * r) + 2 * big_c * r * s
+                b = (b + a - 1) % (2 * a) - a + 1  # into (-a, a]
+                if (f * b) % 12 == 1:
+                    picks.append(QuadForm(f * a, f * b, f * ((b * b + disc) // (4 * a))))
+        if picks:
+            return min(picks, key=lambda g: (g.a, abs(g.b), -g.b))
+        bound *= 2
 
 
 def enumerate_qn(n: int) -> list[QuadForm]:
@@ -141,32 +138,20 @@ def enumerate_qn(n: int) -> list[QuadForm]:
 
     D = 1 - 24n is prime to 6, so each SL2(Z) class of discriminant D holds
     exactly one such level-6 class (Gross-Kohnen-Zagier, Math. Ann. 278
-    (1987), section I.1).  Rows a = 6, 12, ... are scanned with b in the order
-    (|b|, b < 0), the first form of each SL2(Z) class, keyed by its reduced
-    form, is kept, and the scan stops after the first row at which every
-    class has a form.  Imprimitive classes are counted and kept: the trace
-    formula for p(n) runs over every form of discriminant 1 - 24n, and they
-    occur only when 24n - 1 is not squarefree (first at n = 24).
+    (1987), section I.1).  For each f with f^2 | D and each reduced form of
+    discriminant D/f^2, the class of f times it gives its (a, |b|, -b)-least
+    such form with -a < b <= a (_level6_pick), and the picks are returned in
+    that order: the first form of each class in a scan of the rows a = 6,
+    12, ... with b in the order (|b|, b < 0).  Imprimitive classes are kept:
+    the trace formula for p(n) runs over every form of discriminant 1 - 24n,
+    and they occur only when 24n - 1 is not squarefree (first at n = 24).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     d = 1 - 24 * n
-    # h(D / f^2) classes of content f for each f^2 | D
-    classes = sum(len(reduced_forms(d // (f * f)))
-                  for f in range(1, math.isqrt(-d) + 1) if d % (f * f) == 0)
-    reps: dict[QuadForm, QuadForm] = {}
-    for a in range(6, 4 * (-d) + 1, 6):
-        # translation z -> z+1 shifts b by 2a and 12 | 2a, so one period
-        # of b mod 2a, b = 1 (mod 12) in (-a, a], meets every translate
-        # class exactly once
-        row = [QuadForm(a, b, (b * b - d) // (4 * a))
-               for b in range(1 - 12 * (a // 12), a + 1, 12) if (b * b - d) % (4 * a) == 0]
-        for form in sorted(row, key=lambda f: (abs(f.b), -f.b)):
-            reps.setdefault(reduce_with_matrix(form)[0], form)
-        if len(reps) == classes:
-            return list(reps.values())
-    raise ValueError(f"only {len(reps)} of the {classes} classes of "
-                     f"discriminant {d} have a form with a <= {4 * -d}")
+    picks = [_level6_pick(red, f) for f in range(1, math.isqrt(-d) + 1) if d % (f * f) == 0
+             for red in reduced_forms(d // (f * f))]
+    return sorted(picks, key=lambda g: (g.a, abs(g.b), -g.b))
 
 
 def conjugate_partners(forms) -> list[int]:

@@ -231,16 +231,17 @@ def compute_pn(n: int, cfg: PrecisionConfig) -> OrbitRecord:
     most 2^-(ceil(h log2 6) + 2) < 6^-h/2 for the h forms.
 
     The polynomial's magnitude is predicted from the forms
-    (_predicted_magnitude), so the first rung runs at it plus the working
-    bits, with no probe rung before it; it is capped below the kernels'
-    budget, so a prediction too high cannot refuse an n that a probe would
-    have sized within it, and one too low costs a further rung.  The first
-    rung's bound has come out near 2^-(w + 27 + 0.7 h), the prediction
-    over-counting about 0.7 bits a form (2^-286 at h = 3, 2^-307 at
-    h = 31).  Where w + 32 + h/2, below that for h > 25, falls short of
-    ceil(h log2 6) + 2, the shortfall is added to the
-    prediction, so the one rung clears 6^-h as well; it is 0 through
-    n = 600 (h = 130).
+    (_predicted_magnitude), so the first rung runs at it plus the
+    tolerance's t = ceil(-log2 abs_tol) bits (cfg.tol_bits, 128 at the
+    default 256 working bits), the ladder's step, with no probe rung before
+    it; it is capped below the kernels' budget, so a prediction too high
+    cannot refuse an n that a probe would have sized within it, and one too
+    low costs a further rung.  The first rung's bound has come out near
+    2^-(t + 27 + 0.7 h), the prediction over-counting about 0.7 bits a form
+    (2^-158 at h = 3, 2^-179 at h = 31).  Where t + 32 + h/2, below that
+    for h > 25, falls short of ceil(h log2 6) + 2, the shortfall is added to
+    the prediction, so the one rung clears 6^-h as well; at t = 128 it is 0
+    up to h = 75 (first taken at n = 128) and 80 bits at n = 300 (h = 114).
 
     P is evaluated once per conjugate pair, in one ``eval_P_cm`` call per
     rung.  The partner of [a, b, c] is the class of [6c, b, a/6]
@@ -262,14 +263,14 @@ def compute_pn(n: int, cfg: PrecisionConfig) -> OrbitRecord:
         poly, bound = orbit_product(ps, scale, errors)
         return (ps, poly), bound
 
-    h = len(forms)
+    h, step = len(forms), cfg.tol_bits
     integral = (6**h - 1).bit_length() + 2  # ceil(h log2 6) + 2
-    shortfall = max(integral - cfg.working_bits - cfg.guard_bits - h // 2, 0)
-    cap = _BUDGET_BITS - cfg.guard_bits - 1 - cfg.working_bits
+    shortfall = max(integral - step - cfg.guard_bits - h // 2, 0)
+    cap = _BUDGET_BITS - cfg.guard_bits - 1 - step
     magnitude = max(min(_predicted_magnitude(forms, partners, n) + shortfall, cap), 0)
     tol = min(cfg.abs_tol, mpf(2) ** -integral)
     (p_values, poly), bound, bits = run_adaptive(
-        task, PrecisionConfig(cfg.working_bits, cfg.max_bits, tol), magnitude)
+        task, PrecisionConfig(step, cfg.max_bits, tol), magnitude)
     poly_int, residual = round_to_integers(poly, bound)
     pn, remainder = divmod(-poly_int[1], scale * scale)
     if remainder:

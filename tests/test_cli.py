@@ -135,6 +135,15 @@ class TestBasicCommands:
         assert code == 3
         assert "precision exhausted" in err
 
+    @pytest.mark.parametrize("command", ["pn", "norms"])
+    def test_zero_tolerance_exhausts_precision(self, capsys, command):
+        # no bound meets 0: the p(n) ladder's step, ceil(-log2 tol), is
+        # capped at the maximum bits, and the one rung at it is refused;
+        # norms stops in the j-norm's ladder first
+        code, out, err = run_cli(capsys, command, "--n", "1", "--tol", "0", "--no-cache")
+        assert code == 3 and out == ""
+        assert err.startswith("precision exhausted") and "above 0.0" in err
+
     @pytest.mark.parametrize("z", ["0,1e30", "0.1,1e-3000"])
     def test_astronomical_value_exhausts_precision(self, capsys, z):
         # |j(10^30 i)| is about e^(2 pi 10^30), and 0.1 + 10^-3000 i reduces
@@ -292,7 +301,7 @@ class TestKernelCounts:
         assert code == 0
         per_rung = Counter(kernel_calls)
         # the first rung, at the magnitude predicted from the forms plus
-        # 256 bits, closes for every n
+        # the tolerance's 128 bits, closes for every n
         assert len(per_rung) == {1: 1, 2: 1, 30: 1}[n]
         assert set(per_rung.values()) == {classes}
 

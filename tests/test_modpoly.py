@@ -345,18 +345,36 @@ class TestBetaNorm:
 
     def test_n1_one_certified_rung(self, rungs):
         # no probe rung: the one rung, at the magnitude predicted from the
-        # forms (3281) + 256 bits, is bounded well below 2^-128
+        # forms (3281) + 128 bits for the tolerance 2^-128, is bounded below it
         _, _, achieved = beta_norm(1, PrecisionConfig(256, 8192))
-        assert rungs == [3281 + 256] and achieved == 3537
+        assert rungs == [3281 + 128] and achieved == 3409
 
-    def test_ladder_when_the_bound_does_not_close(self, rungs):
-        # one rung at the predicted magnitude + 256 bits cannot be certified
-        # to 2^-400, the next, at the measured magnitude 3280 + 512, can
+    def test_n1_one_rung_at_a_tight_tolerance(self, rungs):
+        # the rung at the prediction + 400 bits is certified to 2^-400
         cfg = PrecisionConfig(256, 8192, abs_tol=mpf(2) ** -400)
-        norm, coprime, achieved = beta_norm(1, cfg)
-        assert rungs == [3537, 3792] and achieved == 3792
+        norm, _, achieved = beta_norm(1, cfg)
+        assert rungs == [3281 + 400] and achieved == 3681
+        assert hashlib.sha256(str(norm).encode()).hexdigest() == self.SHA256[1]
+
+    def test_ladder_when_the_bound_does_not_close(self, rungs, monkeypatch):
+        # a prediction 100 bits too low: the rung at it + 128 bits cannot be
+        # certified to 2^-128, the next, at the measured magnitude 3280 +
+        # 256, can
+        def low(task, cfg, magnitude):
+            return run_adaptive(task, cfg, magnitude - 100)
+
+        monkeypatch.setattr(modpoly, "run_adaptive", low)
+        norm, coprime, achieved = beta_norm(1, PrecisionConfig(256, 8192))
+        assert rungs == [3309, 3536] and achieved == 3536
         assert coprime
         assert hashlib.sha256(str(norm).encode()).hexdigest() == self.SHA256[1]
+
+    def test_zero_tolerance_exhausts_precision(self, rungs):
+        # no bound meets 0: the step is capped at max_bits, and the one rung
+        # at the prediction plus it is refused
+        with pytest.raises(PrecisionExhausted):
+            beta_norm(1, PrecisionConfig(256, 512, abs_tol=mpf(0)))
+        assert rungs == [3281 + 512]
 
     # the bit lengths of the norms: n = 1 and 2 as test_n1 and test_n2
     # compute them, n = 3 that of the 9161-digit norm (SHA-256 prefix

@@ -7,10 +7,8 @@ from mpmath import mpc, mpf
 
 from cmpartitions.precision import PrecisionConfig
 from cmpartitions.quadforms import (ATKIN_LEHNER_MATRICES, QuadForm, cm_point,
-                                    conjugate_partners, enumerate_qn,
-                                    gamma0_equivalent, height,
-                                    reduce_with_matrix, reduced_forms,
-                                    transporter)
+                                    conjugate_partners, enumerate_qn, height,
+                                    reduce_with_matrix, reduced_forms)
 
 
 def brute_force_reduced(d):
@@ -48,6 +46,58 @@ def random_gamma0_element(rng, level=6):
         e, f, g, h = other
         mat = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
     return mat
+
+
+def transporter(q1, q2):
+    """An SL2(Z) matrix g with q1.transform(g) == q2, or None.
+
+    For discriminants below -4 the stabilizer of a form is {+-identity}, so
+    g is unique up to sign and the result is canonical.
+    """
+    if q1.discriminant() != q2.discriminant():
+        return None
+    r1, (a, b, c, d) = reduce_with_matrix(q1)
+    r2, (e, f, g, h) = reduce_with_matrix(q2)
+    if r1 != r2:
+        return None
+    # g1 times the inverse (h, -f, -g, e) of the determinant-1 g2
+    return (a * h - b * g, -a * f + b * e, c * h - d * g, -c * f + d * e)
+
+
+def gamma0_equivalent(q1, q2):
+    """Whether some matrix in Gamma_0(6) carries q1 to q2.
+
+    Decided exactly: the transporter between the forms is unique up to sign
+    (discriminant < -4), and both signs share the same lower-left entry mod
+    6, so a single congruence settles membership.
+    """
+    if q1.discriminant() >= -4:
+        raise ValueError("equivalence test requires discriminant < -4")
+    g = transporter(q1, q2)
+    return g is not None and g[2] % 6 == 0
+
+
+def row_scan_qn(n):
+    """The rows a = 6, 12, ... scanned with b = 1 (mod 12) in (-a, a] in the
+    order (|b|, b < 0), keeping the first form of each SL2(Z) class (keyed
+    by its reduced form) and stopping after the first row at which every
+    class, of every content f with f^2 | D, has a form: a reference for
+    enumerate_qn, which searches each class from its reduced form."""
+    d = 1 - 24 * n
+    classes = sum(len(reduced_forms(d // (f * f)))
+                  for f in range(1, math.isqrt(-d) + 1) if d % (f * f) == 0)
+    reps = {}
+    for a in range(6, 4 * (-d) + 1, 6):
+        # translation z -> z+1 shifts b by 2a and 12 | 2a, so one period
+        # of b mod 2a meets every translate class exactly once
+        row = [QuadForm(a, b, (b * b - d) // (4 * a))
+               for b in range(1 - 12 * (a // 12), a + 1, 12) if (b * b - d) % (4 * a) == 0]
+        for form in sorted(row, key=lambda f: (abs(f.b), -f.b)):
+            reps.setdefault(reduce_with_matrix(form)[0], form)
+        if len(reps) == classes:
+            return list(reps.values())
+    raise AssertionError(f"only {len(reps)} of the {classes} classes of "
+                         f"discriminant {d} have a form with a <= {4 * -d}")
 
 
 def exhaustive_qn(n):
@@ -180,10 +230,25 @@ class TestEnumerateQn:
             enumerate_qn(0)
 
     def test_matches_exhaustive_scan_through_60(self):
-        # the scan stops at the first row that completes the SL2(Z) classes;
         # the reference scans every a <= 4|D| and splits by the level-6 test
         for n in range(1, 61):
             assert enumerate_qn(n) == exhaustive_qn(n), n
+
+    def test_matches_the_row_scan_through_300(self):
+        # list for list, order included, against the rows scanned until
+        # every class has a form; n = 24, 49, 74, ... (24n - 1 divisible by
+        # 25, 49, ...) have imprimitive classes.  About 5.5 s, nearly all
+        # of it the scan
+        assert any(f.content() > 1 for f in enumerate_qn(24))
+        for n in range(1, 301):
+            assert enumerate_qn(n) == row_scan_qn(n), n
+
+    def test_matches_the_row_scan_at_1000(self):
+        # h = 242; the last class's first form lies in the row a = 18n, so
+        # the scan takes about 0.5 s here against 0.01 s for the search
+        forms = enumerate_qn(1000)
+        assert len(forms) == 242 and forms[-1] == QuadForm(18000, -11999, 2000)
+        assert forms == row_scan_qn(1000)
 
 
 class TestConjugatePartners:

@@ -10,7 +10,7 @@ from cmpartitions import recognize
 from cmpartitions.errors import NotNearIntegral
 from cmpartitions.evaluate import _BUDGET_BITS, eval_P, eval_P_cm
 from cmpartitions.modpoly import j_norm
-from cmpartitions.precision import _magnitude, run_adaptive
+from cmpartitions.precision import PrecisionConfig, _magnitude, run_adaptive
 from cmpartitions.quadforms import cm_point, conjugate_partners, enumerate_qn
 from cmpartitions.recognize import (compute_pn, norm_6unit_check,
                                     orbit_product, pentagonal_pn,
@@ -236,10 +236,9 @@ class TestBound:
             for lo, hi in zip([*ps, *poly], [*ps_hi, *poly_hi]):
                 assert abs(lo - hi) <= bound, n
 
-    def test_one_rung_at_the_predicted_magnitude(self, cfg256, monkeypatch):
-        # n = 1..60, 100, 200 and 300: the magnitude predicted from the
-        # forms is at least the magnitude M of the accepted value and at most
-        # w/2 above it, and the rung at the prediction plus w is the only one
+    @pytest.fixture
+    def ladders(self, monkeypatch):
+        # (magnitude, working bits of each rung, result) of each ladder
         runs = []
 
         def spy(task, cfg, magnitude=None):
@@ -254,12 +253,32 @@ class TestBound:
             return result
 
         monkeypatch.setattr(recognize, "run_adaptive", spy)
-        w = cfg256.working_bits
+        return runs
+
+    def test_one_rung_at_the_predicted_magnitude(self, cfg256, ladders):
+        # n = 1..60, 100, 200 and 300: the magnitude predicted from the
+        # forms is at least the magnitude M of the accepted value and at most
+        # w/2 above it, and the rung at the prediction plus the 6^-h
+        # shortfall (80 bits at n = 300, none below) plus t = 128 bits, the
+        # tolerance's, is the only one
+        w, t = cfg256.working_bits, cfg256.tol_bits
+        assert t == 128
         for n in [*range(1, 61), 100, 200, 300]:
-            compute_pn(n, cfg256)
-            magnitude, rungs, (value, _, bits) = runs[-1]
-            assert _magnitude(value) <= magnitude <= _magnitude(value) + w // 2, n
-            assert rungs == [bits] == [magnitude + w], n
+            h = len(compute_pn(n, cfg256).forms)
+            magnitude, rungs, (value, _, bits) = ladders[-1]
+            shortfall = max((6**h - 1).bit_length() + 2 - t - cfg256.guard_bits - h // 2, 0)
+            assert shortfall == (80 if n == 300 else 0), n
+            assert _magnitude(value) <= magnitude - shortfall <= _magnitude(value) + w // 2, n
+            assert rungs == [bits] == [magnitude + t], n
+
+    @pytest.mark.parametrize("n, k, rungs", [(3, 1000, [1079]), (30, 600, [1116])])
+    def test_one_rung_at_a_tight_tolerance(self, cfg256, ladders, n, k, rungs):
+        # the step is the k bits of the tolerance 2^-k, so the first rung
+        # meets it, and the record is the default tolerance's but for them
+        default = compute_pn(n, cfg256)
+        record = compute_pn(n, PrecisionConfig(256, 4096, mpf(2) ** -k))
+        assert ladders[-1][1] == rungs and record.achieved_bits == rungs[-1]
+        assert record.pn == default.pn and record.scaled_poly == default.scaled_poly
 
     def test_bound_proves_every_coefficient_integral(self, cfg256, monkeypatch):
         # 6 (24n - 1) P is an algebraic integer (Bruinier-Ono), so the
