@@ -17,14 +17,13 @@ from .evaluate import (eval_A, eval_Aprime, eval_B, eval_C, eval_eisenstein,
                        eval_theta_j)
 from .modpoly import (MatrixClass, TaylorData, beta_norm, beta_product,
                       fixing_class, hnf_classes, j_norm, masser_c,
-                      taylor_coeffs, taylor_fd_fit)
+                      taylor_coeffs)
 from .precision import PrecisionConfig, run_adaptive
 from .quadforms import QuadForm, cm_point, enumerate_qn, reduced_forms
 from .recognize import (OrbitRecord, compute_pn, norm_6unit_check,
                         orbit_product, pentagonal_pn, round_to_integers,
                         sharpness_divisor)
-from .resolvent import (coset_reps, psi_from_cosets, psi_root_check,
-                        psi_tabulated, verify_tabulated)
+from .resolvent import coset_reps, psi_root_check, psi_tabulated
 from .series import (FormalSeries, HypothesisReport, delta_series,
                      eisenstein_series, eta_quotient_series,
                      euler_product_series, fp_series, hypothesis_check,

@@ -21,7 +21,7 @@ from mpmath import mpc, mpf
 from . import modpoly, recognize, resolvent
 from .errors import (CMPartitionsError, NearSingularity, NotNearIntegral,
                      PrecisionExhausted)
-from .evaluate import _eval_bounded, _form, _form_root, _kernel_table, _values
+from .evaluate import _eval_bounded, _form, _kernel_table, _values
 from .precision import PrecisionConfig, run_adaptive
 from .quadforms import cm_point, enumerate_qn
 from .series import fp_series, hypothesis_check
@@ -366,7 +366,7 @@ def _cmd_verify_decomp(args):
             v = _values(form, table, cfg, ("p", "a", "b", "c"))
             dev = abs(v["p"] - (v["a"] + v["b"] * v["c"]))
             if dev > worst:
-                worst, worst_at = dev, [label] + _cnstr(_form_root(form, cfg.eval_bits), 20)
+                worst, worst_at = dev, [label] + _cnstr(cm_point(form, cfg), 20)
     doc = {"check": "P = A + B*C", "seed": args.seed, "trials": args.trials,
            "n_max": args.n_max, "points": len(points), "worst_at": worst_at}
     passed = _verdict(doc, worst, cfg)

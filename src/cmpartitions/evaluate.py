@@ -26,8 +26,9 @@ One tail (_tail) takes the basics, F, thetaF and P on to j, theta j, A, B,
 C and A' = A j (j - 1728), forming only the values asked for, on pairs that
 carry their own power of two (_Pair: _emul, _ediv, _esum), so that a value
 keeps its relative precision however small (C near 2^-1813 at 200i) or
-large.  The verify commands (_values) and the public eval_* and the eval
-command (_eval_bounded) round its pairs to mpc once, at the end.
+large.  The verify commands (_values), p(n) (eval_P_cm) and the public
+eval_* and the eval command (_eval_bounded) round its pairs to mpc once, at
+the end.
 """
 
 from __future__ import annotations
@@ -79,24 +80,6 @@ def _sqrt_disc(disc: int, prec: int) -> tuple[int, bool]:
     return root, root * root == -disc << 2 * prec
 
 
-def _quotient(n: int, e: int, d: int, prec: int):
-    """n 2^e / d rounded at prec, trailing zeros shifted out at once (libmp
-    strips them bytewise) and an exact dyadic quotient divided out first."""
-    j = (d & -d).bit_length() - 1
-    if not n % (d >> j):
-        n, e, d, j = n // (d >> j), e - j, 1, 0
-    k = max((n & -n).bit_length() - 1, 0)
-    return mpf_div(from_man_exp(n >> k, e + k), from_man_exp(d >> j, j), prec, "n")
-
-
-def _form_root(form: QuadForm, prec: int) -> mpc:
-    """The root (-b + i sqrt|D|)/(2a) of form, -b and the isqrt rounded at
-    prec over 2a (bit for bit mpc(-b, ldexp(isqrt, -prec))/(2a) at CM forms)."""
-    _, im, ex, _ = _quotient(_sqrt_disc(form.discriminant(), prec)[0], -prec, 1, prec)
-    return mpmath.mp.make_mpc((_quotient(-form.b, 0, 2 * form.a, prec),
-                               _quotient(im, ex, 2 * form.a, prec)))
-
-
 def _t(form: QuadForm, red: QuadForm, m, prec: int):
     """t = i/(c alpha + d) = (c sqrt|D| + iX)/(2A), X = 2ad - cb', at the root
     alpha of form [a, b, c'] for the normalised m = (p, q, c, d) that
@@ -136,12 +119,6 @@ def _nterms(bits: int, red: QuadForm) -> int:
     and s = isqrt(|D| 2^64) <= sqrt|D| 2^32, bits ln 2/(2 pi Im w) <= bits a
     (ln 2/pi) 2^32/s, and 8 terms more take exp(-8 pi sqrt 3) < 2^-62."""
     return max(bits * red.a * _LN2_BY_PI // _math.isqrt(-red.discriminant() << 64) + 9, 4)
-
-
-def _ipow(x, n: int):
-    """x**n for n >= 0 by binary squaring (series._power), for an mpc or a
-    _Pair (n >= 1)."""
-    return _power(x, n) if n else mpc(1)
 
 
 # Guard bits of the fixed-point kernels below, and the precision below which
@@ -490,21 +467,10 @@ def _reduced_basics(red: QuadForm, bits: int, e6: bool = True) -> dict:
     return out
 
 
-def _nome_of(red: QuadForm, prec: int):
-    """(1/q, q) at scale 2^prec at the root of red, from exp(+-t) and
-    cos, sin phi (_arguments, d = 1) at prec + 8 bits: within (3.64 t + 6)
-    2^-(prec + 8) relative and a unit, within what _nomes states of its own."""
-    t, phi = _arguments(red, 1, prec + 8)
-    cos, sin = mpf_cos_sin(phi, prec + 8, "n")
-    big, small = mpf_exp(t, prec + 8, "n"), mpf_exp(mpf_neg(t), prec + 8, "n")
-    return ((to_fixed(mpf_mul(big, cos), prec), -to_fixed(mpf_mul(big, sin), prec)),
-            (to_fixed(mpf_mul(small, cos), prec), to_fixed(mpf_mul(small, sin), prec)))
-
-
-def _j_from_eta(red: QuadForm, bits: int, nome=None):
+def _j_from_eta(red: QuadForm, bits: int, nome):
     """j at the root w of a reduced form [a, b, c] as a (value, error
     exponent) pair at scale 2^prec, prec = bits + _GUARD (_emul), from the
-    nome pair (1/q, q) at scale 2^prec (_nomes; _nome_of unless passed):
+    nome pair (1/q, q) at scale 2^prec that _nomes gives:
 
         j = E4^3 / Delta = (1/q) E4^3 P^-24 = (1/q) Y^3,   Y = E4 R^8,
 
@@ -528,7 +494,7 @@ def _j_from_eta(red: QuadForm, bits: int, nome=None):
     n, prec = _nterms(bits, red), bits + _GUARD
     g = _lift(n, 2)
     wp = prec + g
-    inv_q, q = _nome_of(red, prec) if nome is None else nome
+    inv_q, q = nome
     _, r, _, e4, _ = _series((q[0] << g, q[1] << g), n, wp, False)
     r2 = _cmul(r, r, wp)
     r4 = _cmul(r2, r2, wp)
@@ -573,21 +539,14 @@ def _at(form: QuadForm, table, bits: int) -> dict:
     return _transport(table[red], m, _t(form, red, m, bits + _GUARD), bits + _GUARD)
 
 
-def _as_mpc(v: dict, bits: int) -> dict:
-    """eta^2, E2, E4 and E6 (if v has it) from the fixed-point basics v as
-    bits-bit mpc."""
-    prec = bits + _GUARD
-    return {"eta2": _to_mpc(v["eta2"][0], prec - v["eta2_exp"], bits),
-            **{key: _to_mpc(v[key][0], prec, bits) for key in ("e2", "e4", "e6") if key in v}}
-
-
 def eval_eta(z: mpc, cfg: PrecisionConfig) -> mpc:
     """eta(z): the square root of eta^2(z) that exp(pi i k/12) turns into
     the principal root of t eta^2(w) (argument within pi/3 of 0), so a
     53-bit root of unity tells the two apart."""
     bits, form = cfg.eval_bits, _form(z)
     with mpmath.workprec(bits):
-        root = mpmath.sqrt(_as_mpc(_at(form, _kernel_table(bits, e6=False), bits), bits)["eta2"])
+        v = _at(form, _kernel_table(bits, e6=False), bits)
+        root = mpmath.sqrt(_rounded(v["eta2"], bits + _GUARD - v["eta2_exp"], bits)[0])
         k = _eta_k(_reducing(form)[1])
         unit = mpmath.mpmathify(cmath.exp(1j * _math.pi * (k % 24) / 12))
         return root if mpmath.re(root * unit) > 0 else -root
@@ -597,7 +556,8 @@ def eval_eisenstein(k: int, z: mpc, cfg: PrecisionConfig) -> mpc:
     if k not in (2, 4, 6):
         raise ValueError(f"unsupported Eisenstein weight {k}")
     bits = cfg.eval_bits
-    return _as_mpc(_at(_form(z), _kernel_table(bits, e6=k == 6), bits), bits)[f"e{k}"]
+    return _rounded(_at(_form(z), _kernel_table(bits, e6=k == 6), bits)[f"e{k}"],
+                    bits + _GUARD, bits)[0]
 
 
 def eval_j(z: mpc, cfg: PrecisionConfig) -> mpc:
@@ -760,16 +720,15 @@ class _ClassTable(dict):
 
 def eval_P_cm(forms, cfg: PrecisionConfig) -> tuple[list, list]:
     """(values, error exponents), |P - value| < 2^e, of P at the CM points
-    of forms [a, b, c] with 6 | a (_form_and_theta), one kernel call per
-    SL2(Z) class of one table, without E6."""
+    of forms [a, b, c] with 6 | a (_tail), one kernel call per SL2(Z) class
+    of one table, without E6."""
     bits = cfg.eval_bits
     table = _kernel_table(bits, e6=False)
     pairs = []
     for form in forms:
         if form.a % 6:
             raise ValueError(f"form {form} has 6 not dividing a")
-        parts, ex, _ = _form_and_theta(form, table, bits, ("p",))
-        pairs.append(_rounded(parts["p"], bits + _GUARD + ex, bits))
+        pairs.append(_tail(form, table, cfg, ("p",))["p"].rounded(bits))
     return [value for value, _ in pairs], [err for _, err in pairs]
 
 
@@ -877,8 +836,8 @@ def _tail(form: QuadForm, table, cfg: PrecisionConfig, keys) -> dict:
     if asked <= {"f", "p"}:
         return {key: out[key] for key in keys}
     e4 = _Pair(basics["e4"], 0, prec)
-    delta = _ipow(_Pair(basics["eta2"], basics["eta2_exp"], prec), 12)
-    out["j"] = j = _ipow(e4, 3) / delta
+    delta = _power(_Pair(basics["eta2"], basics["eta2_exp"], prec), 12)
+    out["j"] = j = _power(e4, 3) / delta
     if asked <= {"f", "p", "j"}:
         return {key: out[key] for key in keys}
     e2, e6 = (_Pair(basics[key], 0, prec) for key in ("e2", "e6"))
@@ -900,8 +859,7 @@ def _tail(form: QuadForm, table, cfg: PrecisionConfig, keys) -> dict:
 
 
 def _values(form: QuadForm, table, cfg: PrecisionConfig, keys) -> dict:
-    """_tail's pairs for keys, in the order asked, as eval_bits-bit mpc, P
-    exactly as eval_P_cm gives it."""
+    """_tail's pairs for keys, in the order asked, as eval_bits-bit mpc."""
     return {key: x.rounded(cfg.eval_bits)[0] for key, x in _tail(form, table, cfg, keys).items()}
 
 

@@ -5,8 +5,8 @@ expression for C.
 The modular polynomial itself is never built as an exact bivariate integer
 polynomial (its coefficients are enormous and nothing here needs them); only
 the first- and second-order Taylor coefficients at the CM point are computed,
-analytically from j and theta j at its image forms in one class table; an
-independent finite-difference fit over a local inversion of j checks them.
+analytically from j and theta j at its image forms in one class table (the
+tests check them against a finite-difference fit over a local inversion of j).
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ from mpmath import mpc, mpf
 
 from .errors import NearSingularity, NoFixingClass
 from .evaluate import (_GUARD, _check_budget, _ClassTable, _disc_exp, _eprod, _esum,
-                       _j_from_eta, _kernel_table, _nomes, _rounded, _values, eval_j,
-                       eval_theta_j)
+                       _j_from_eta, _kernel_table, _nomes, _rounded, _values)
 from .precision import PrecisionConfig, _fork_map, run_adaptive
-from .quadforms import QuadForm, cm_point, enumerate_qn, reduce_with_matrix
+from .quadforms import QuadForm, enumerate_qn, reduce_with_matrix
 from .recognize import _carried_bits, norm_6unit_check
 
 
@@ -187,7 +186,7 @@ def taylor_coeffs(form: QuadForm, classes, cfg: PrecisionConfig) -> TaylorData:
 
     all other terms vanishing because the factor through the fixing class is
     zero at the expansion point.  beta20 = beta02 by the symmetry of the
-    polynomial; the finite-difference fit checks that independently.  j and
+    polynomial, which the tests' finite-difference fit checks.  j and
     theta j at alpha and at each image form's own root (_image_form, so no
     weight factor) come from one class table, which _taylor shares.
     """
@@ -226,67 +225,6 @@ def masser_c(form: QuadForm, cfg: PrecisionConfig) -> mpc:
     """(beta02 - beta11 + beta20) / beta at form's CM point, m = |D|."""
     classes = hnf_classes(-form.discriminant())
     return taylor_coeffs(form, classes, cfg).masser_c()
-
-
-def taylor_fd_fit(form: QuadForm, classes, cfg: PrecisionConfig) -> TaylorData:
-    """Finite-difference oracle for the Taylor data at form's CM point.
-
-    j is inverted locally around alpha by Newton iteration, the polynomial
-    value is formed on a 5x5 grid of offsets (step |delta| = 1e-8 |j0|),
-    and a least-squares fit of a total-degree-4 model recovers the quadratic
-    coefficients.  Nothing is shared with the analytic chain-rule path, so
-    agreement between the two is meaningful.
-    """
-    alpha = cm_point(form, cfg)
-    j0 = eval_j(alpha, cfg)
-    bits = cfg.eval_bits
-    with mpmath.workprec(bits):
-        delta = mpf("1e-8") * abs(j0)
-        offsets = range(-2, 3)
-        # invert j on the X-grid: sigma(u) with j(sigma(u)) = j0 + u*delta
-        sigmas = {}
-        for u in offsets:
-            target = j0 + u * delta
-            sigma = alpha
-            for _ in range(80):
-                val = eval_j(sigma, cfg)
-                err = val - target
-                if abs(err) < mpf(2) ** (-bits + 8) * (1 + abs(target)):
-                    break
-                sigma -= err / (2j * mpmath.pi * eval_theta_j(sigma, cfg))
-            sigmas[u] = sigma
-        # polynomial values on the (u, v) grid
-        rows = []
-        rhs = []
-        monomials = [(mu, nu) for mu in range(5) for nu in range(5)
-                     if mu + nu <= 4]
-        for u in offsets:
-            roots = [eval_j((cl.p * sigmas[u] + cl.q) / cl.s, cfg) for cl in classes]
-            for v in offsets:
-                y = j0 + v * delta
-                phi = mpc(1)
-                for r in roots:
-                    phi *= y - r
-                rows.append([mpf(u) ** mu * mpf(v) ** nu for mu, nu in monomials])
-                rhs.append(phi)
-        coeffs = _lstsq(rows, rhs, bits)
-        by_mono = dict(zip(monomials, coeffs))
-        return TaylorData(
-            j0=j0,
-            beta=by_mono[(0, 1)] / delta,
-            beta02=by_mono[(0, 2)] / delta ** 2,
-            beta11=by_mono[(1, 1)] / delta ** 2,
-            beta20=by_mono[(2, 0)] / delta ** 2,
-        )
-
-
-def _lstsq(rows, rhs, bits: int):
-    """Least squares by normal equations at full precision (tiny systems)."""
-    with mpmath.workprec(bits):
-        a = mpmath.matrix(rows)
-        b = mpmath.matrix(rhs)
-        at = a.T
-        return list(mpmath.lu_solve(at * a, at * b))
 
 
 def _norm_rung(product, prec: int):

@@ -4,8 +4,8 @@ A' and B are weight-0 level-6 functions, so the monic product of
 (X - g(gamma z)) over the 12 cosets of the level-6 group has coefficients
 that are integer polynomials in j(z).  They are tabulated in their factored
 shape and evaluated in it (a formal series as j gives the exact polynomials),
-verified against the coset product over the exact image forms of z's form;
-at CM values of j they witness that A' and B are algebraic integers.
+compared with the coset product over the exact image forms of z's form; at
+CM values of j they witness that A' and B are algebraic integers.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ from __future__ import annotations
 import mpmath
 from mpmath import mpc, mpf
 
-from .evaluate import _form, _ipow, _kernel_table, _values
+from .evaluate import _form, _kernel_table, _values
 from .precision import PrecisionConfig
 from .quadforms import QuadForm
 from .recognize import _carried_bits, orbit_product
+from .series import _power
 
 
 def _aprime_coefficients(j) -> tuple:
@@ -155,9 +156,12 @@ def _coset_key(mat):
 
 
 def _psi_and_j(z: mpc, cfg: PrecisionConfig):
-    """(psi_from_cosets(z, cfg), j(z)), j the identity's, from each coset
-    image gamma z at its exact form z's form.transform(gamma^-1) (_form; 6 | a
-    kept), in one class table: with 2, 3 and 6 times each, 48 points in 20 classes."""
+    """(psi, j(z)): psi the coefficients (ascending, monic degree 12) of
+    prod(X - g(gamma z)) over the coset representatives, keyed "aprime" and
+    "b" for g = A' and B (level-6 invariant), and j the identity's, from each
+    coset image gamma z at its exact form z's form.transform(gamma^-1)
+    (_form; 6 | a kept), in one class table: with 2, 3 and 6 times each, 48
+    points in 20 classes."""
     form, table = _form(z), _kernel_table(cfg.eval_bits)
     values = [_values(form.transform((d, -b, -c, a)), table, cfg, ("aprime", "b", "j"))
               for a, b, c, d in coset_reps()]
@@ -165,15 +169,8 @@ def _psi_and_j(z: mpc, cfg: PrecisionConfig):
              for key in ("aprime", "b")}, values[0]["j"])
 
 
-def psi_from_cosets(z: mpc, cfg: PrecisionConfig) -> dict:
-    """Coefficients (ascending, monic degree 12) of prod(X - g(gamma z)) over
-    the coset representatives (g is level-6 invariant), for g = A' and B,
-    keyed "aprime" and "b", from one evaluation per coset image."""
-    return _psi_and_j(z, cfg)[0]
-
-
 class _Rounded:
-    """A number whose ** is evaluate._ipow, so that the factored tables take
+    """A number whose ** is series._power, so that the factored tables take
     rounded powers, not mpmath's exact complex ones; a power is formed once
     per (value, exponent) in the powers dict its numbers share."""
 
@@ -193,7 +190,7 @@ class _Rounded:
         key = (self.value._mpc_, n)
         power = self.powers.get(key)
         if power is None:
-            power = self.powers[key] = _ipow(self.value, n)
+            power = self.powers[key] = _power(self.value, n)
         return _Rounded(power, self.powers)
 
     __radd__, __rmul__ = __add__, __mul__
@@ -219,13 +216,6 @@ def tabulated_deviations(z: mpc, cfg: PrecisionConfig) -> dict:
         return {key: [abs(num - tab) / (1 + abs(tab))
                       for num, tab in zip(numeric[key], tabulated[key])]
                 for key in numeric}
-
-
-def verify_tabulated(z: mpc, cfg: PrecisionConfig) -> mpf:
-    """Max normalized deviation, over both resolvents, between the
-    numerically expanded resolvent and the tabulated polynomials specialized
-    at j(z)."""
-    return max(max(devs) for devs in tabulated_deviations(z, cfg).values())
 
 
 def _residual_at(coeffs: list, g: mpc) -> mpf:

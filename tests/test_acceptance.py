@@ -13,13 +13,13 @@ from mpmath import mpc, mpf
 
 from cmpartitions.evaluate import (eval_A, eval_B, eval_C, eval_eisenstein,
                                    eval_eta, eval_j, eval_P, eval_theta_j)
-from cmpartitions.modpoly import (beta_norm, hnf_classes, j_norm,
-                                  taylor_coeffs, taylor_fd_fit)
+from cmpartitions.modpoly import beta_norm, hnf_classes, j_norm, taylor_coeffs
 from cmpartitions.precision import PrecisionConfig
 from cmpartitions.quadforms import cm_point, enumerate_qn
 from cmpartitions.recognize import compute_pn, pentagonal_pn
-from cmpartitions.resolvent import psi_root_check, verify_tabulated
+from cmpartitions.resolvent import psi_root_check
 from cmpartitions.series import fp_series, hypothesis_check
+from oracles import taylor_fd_fit, verify_tabulated
 
 RIG = PrecisionConfig(256, 4096, abs_tol=mpf(2) ** -80)
 RIG512 = PrecisionConfig(512, 8192, abs_tol=mpf(2) ** -80)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import time
@@ -319,7 +320,7 @@ class TestKernelCounts:
         original = modpoly._j_from_eta
         log = tmp_path / "calls"
 
-        def counting(z, b, q=None):
+        def counting(z, b, q):
             with open(log, "a") as handle:
                 handle.write(f"{b}\n")
             return original(z, b, q)
@@ -620,6 +621,18 @@ class TestCache:
 
 
 class TestReport:
+    # SHA-256 of report --n-max 2 --json --no-cache's stdout: a change that
+    # moves one printed digit sets the new hash here and lists the move in
+    # CHANGES.md.  About 2 s on two cores with mpmath's Python backend.
+    REPORT_N2_SHA256 = "4795338f696e62aec2ca96e106c3eb4dfc3418493cb76ea8778c18ecc87727e5"
+
+    def test_n_max_2_output_is_pinned(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv(cli.CACHE_ENV_VAR, str(tmp_path / "c.json"))
+        code, out, err = run_cli(capsys, "report", "--n-max", "2", "--json", "--no-cache")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.REPORT_N2_SHA256
+        assert not (tmp_path / "c.json").exists()
+
     def test_n1_document(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "report", "--n-max", "1",
                                "--hypothesis-order", "60", "--json",

@@ -10,8 +10,8 @@ from mpmath.libmp import to_rational
 
 from cmpartitions import evaluate, recognize
 from cmpartitions.errors import NearSingularity, NotUpperHalfPlane
-from cmpartitions.evaluate import (_GUARD, _as_mpc, _ClassTable, _eprod, _esum, _eta_k,
-                                   _eval_bounded, _form, _form_and_theta, _form_root,
+from cmpartitions.evaluate import (_GUARD, _ClassTable, _eprod, _esum, _eta_k,
+                                   _eval_bounded, _form, _form_and_theta,
                                    _j_from_eta, _kernel_table, _nterms,
                                    _reduced_basics, _reducing, _rounded, _t, _tail, _to_mpc,
                                    _values, eval_A, eval_Aprime, eval_B,
@@ -21,7 +21,8 @@ from cmpartitions.precision import PrecisionConfig
 from cmpartitions.quadforms import (ATKIN_LEHNER_MATRICES, QuadForm, _root, cm_point,
                                     enumerate_qn)
 from cmpartitions.recognize import compute_pn
-from cmpartitions.series import eisenstein_series, fp_series
+from cmpartitions.series import _power, eisenstein_series, fp_series
+from oracles import nome_of
 
 
 def random_points(seed, count, im_low=0.1, im_high=3.0):
@@ -78,7 +79,6 @@ class TestReduction:
         red, matrix = _reducing(_form(mpc(5, 1)))
         assert matrix == (1, -5, 0, 1)
         assert red == QuadForm(36, 0, 36)
-        assert _form_root(red, self.PREC) == mpc(0, 1)
 
     def test_deep_point(self):
         with mpmath.workprec(self.PREC):
@@ -90,8 +90,6 @@ class TestReduction:
             assert a * d - b * c == 1
             assert c > 0 or (c == 0 and d > 0)
             assert abs(apply_moebius(matrix, z) - w) < mpf(2) ** -270
-            # the kernel's root, rounded once: within an ulp of _root's
-            assert abs(_form_root(red, self.PREC) - w) <= abs(w) * mpf(2) ** (1 - self.PREC)
             t, err = _t(_form(z), red, matrix, self.PREC)
             assert err == 1  # the isqrt of a binary form's |D| is exact
             assert abs(mpc(*t) / 2 ** self.PREC - 1j / (c * z + d)) < mpf(2) ** -280
@@ -317,7 +315,8 @@ class TestFixedPointKernels:
     def test_j_against_kleinj(self, bits, points):
         for x, y in points:
             w, red = kernel_form(x, y, bits)
-            value, err = _rounded(_j_from_eta(red, bits), bits + _GUARD, 0)
+            value, err = _rounded(_j_from_eta(red, bits, nome_of(red, bits + _GUARD)),
+                                  bits + _GUARD, 0)
             with mpmath.workprec(bits + 64):
                 ref = 1728 * mpmath.kleinj(w)
                 assert abs(value - ref) < mpf(2) ** (8 - bits) * abs(ref), (x, y)
@@ -329,7 +328,8 @@ class TestFixedPointKernels:
         for x, y in KERNEL_POINTS + J_POINTS[-1:]:
             w, red = kernel_form(x, y, bits)
             basics = _reduced_basics(red, bits)
-            value = _as_mpc(basics, bits)
+            value = {key: _rounded(basics[key], bits + _GUARD, bits)[0]
+                     for key in ("e2", "e4", "e6")}
             n = _nterms(bits + 64, red)
             with mpmath.workprec(bits + 64):
                 q = mpmath.exp(2j * mpmath.pi * w)
@@ -356,7 +356,9 @@ class TestFixedPointKernels:
         monkeypatch.setattr(evaluate, "_power_table", spy)
         for x, y in (KERNEL_POINTS[0], KERNEL_POINTS[2]):
             _, red = kernel_form(x, y, bits)
-            for kernel in (_reduced_basics, _j_from_eta,
+            for kernel in (_reduced_basics,
+                           lambda red, bits: _j_from_eta(red, bits,
+                                                         nome_of(red, bits + _GUARD)),
                            lambda red, bits: _reduced_basics(red, bits, False)):
                 tables.clear()
                 kernel(red, bits)
@@ -737,13 +739,15 @@ class TestDecomposition:
                     assert abs(lhs - rhs) < mpf(2) ** -160
 
     def test_b_definition_replay(self, cfg256):
-        from cmpartitions.evaluate import _at, _ipow, _kernel_table
+        from cmpartitions.evaluate import _at, _kernel_table
         alpha = cm_point(enumerate_qn(1)[0], cfg256)
-        with mpmath.workprec(cfg256.eval_bits):
+        bits = cfg256.eval_bits
+        with mpmath.workprec(bits):
             b = eval_B(alpha, cfg256)
-            v = _as_mpc(_at(_form(alpha), _kernel_table(cfg256.eval_bits), cfg256.eval_bits),
-                        cfg256.eval_bits)
-            jval = _ipow(v["e4"], 3) / _ipow(v["eta2"], 12)
+            basics = _at(_form(alpha), _kernel_table(bits), bits)
+            v = {key: _rounded(basics[key], bits + _GUARD, bits)[0] for key in ("e4", "e6")}
+            eta2 = _rounded(basics["eta2"], bits + _GUARD - basics["eta2_exp"], bits)[0]
+            jval = _power(v["e4"], 3) / _power(eta2, 12)
             raw = eval_form(alpha, cfg256) * v["e6"] * jval / v["e4"]
             assert abs(b - raw) < mpf(2) ** -200 * (1 + abs(b))
 

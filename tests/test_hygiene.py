@@ -2,11 +2,13 @@
 that removes the last use of an import cannot leave the import behind.
 ``__init__`` is exempt: its imports are the package's exports.  Every
 module-level private name is used somewhere in the package, so no dead
-helper stays behind either.  No module-level statement calls a function
-of the package, so importing it does no work of its own.  A CM point is
-rounded to an mpc (``cm_point``, ``quadforms._root``) only where a number is
-printed or an independent oracle needs one, so no evaluator reads a rounded
-point back as a form.  The README's
+helper stays behind either.  Every public module-level function is called
+by another function of the package or belongs to its named API, so a
+helper that only the tests run cannot land in the library.  No
+module-level statement calls a function of the package, so importing it
+does no work of its own.  A CM point is rounded to an mpc (``cm_point``,
+``quadforms._root``) only where a command prints it, so no evaluator reads
+a rounded point back as a form.  The README's
 global flags are the options every command takes, so a flag cannot be
 added or removed on one side only.  In ``cli``, only ``main`` writes stdout
 and names an exit code: a command returns its document, lines and verdict.
@@ -93,6 +95,71 @@ def test_detects_a_dead_private_name():
     assert dead_private_names(sources) == ["_dead (a.py line 5)", "_LIMIT (a.py line 8)"]
 
 
+# Public functions that no function of the package needs to call: the point
+# evaluators, the exact series, Masser's C at a form, the sharpness divisor
+# that perfbench/spans.py reads, and the command-line entry points.
+API = {"eval_A", "eval_Aprime", "eval_B", "eval_C", "eval_eisenstein", "eval_eta",
+       "eval_form", "eval_j", "eval_P", "eval_P_cm", "eval_theta_j",
+       "delta_series", "eisenstein_series", "eta_quotient_series", "euler_product_series",
+       "fp_series", "hypothesis_check", "j_series",
+       "masser_c", "sharpness_divisor", "main", "console_main"}
+
+
+def public_functions(sources: dict[str, str]) -> dict[tuple[str, str], int]:
+    """(module, name) -> line of each module-level public function."""
+    return {(module, top.name): top.lineno for module, source in sources.items()
+            for top in ast.parse(source).body
+            if isinstance(top, ast.FunctionDef) and not top.name.startswith("_")}
+
+
+def uncalled_public_functions(sources: dict[str, str], api: set[str]) -> list[str]:
+    """Module-level public functions that api does not name and that no
+    other module-level function or class of sources refers to: by the name
+    its module defines or a module imports (``from .m import f``), or as an
+    attribute of its module (``m.f``)."""
+    public = public_functions(sources)
+    reached = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        imported = {alias.asname or alias.name: (f"{node.module}.py", alias.name)
+                    for node in tree.body if isinstance(node, ast.ImportFrom) and node.module
+                    for alias in node.names}
+        for top in tree.body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    target = imported.get(node.id, (module, node.id))
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    target = (f"{node.value.id}.py", node.attr)
+                else:
+                    continue
+                if target != (module, top.name):
+                    reached.add(target)
+    return [f"{name} ({module} line {line})" for (module, name), line in public.items()
+            if (module, name) not in reached and name not in api]
+
+
+def test_every_public_function_is_called_or_api():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))
+               if p.name not in ("__init__.py", "__main__.py")}
+    assert uncalled_public_functions(sources, API) == []
+    # every API name is a public function, so the set cannot go stale
+    assert API <= {name for _, name in public_functions(sources)}
+
+
+def test_detects_an_uncalled_public_function():
+    sources = {"a.py": ("def used():\n    return 1\n\n\n"
+                        "def helper():\n    return used()\n\n\n"
+                        "def eval_x():\n    return helper()\n\n\n"
+                        "def recurse(n):\n    return recurse(n - 1) if n else 0\n"),
+               "b.py": ("from . import a\n\n\n"
+                        "def main():\n    return a.helper()\n\n\n"
+                        "def orphan(data):\n    return data.recurse(2)\n")}
+    assert uncalled_public_functions(sources, {"eval_x", "main"}) == [
+        "recurse (a.py line 13)", "orphan (b.py line 8)"]
+
+
 def _is_main_guard(node) -> bool:
     """Whether node is ``if __name__ == "__main__":``."""
     return (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
@@ -143,11 +210,10 @@ def test_detects_package_work_at_import():
                                           "_table (b.py line 5)"]
 
 
-# The only functions outside quadforms that may round a form to a point: the
-# forms command prints im_alpha, and the finite-difference fit is the oracle
-# that shares nothing with the analytic path.
+# The only functions outside quadforms that may round a form to a point, both
+# to print it: the forms command's im_alpha and verify-decomp's worst_at.
 ROUNDING = {"cm_point", "_root"}
-MAY_ROUND = {("cli.py", "_cmd_forms"), ("modpoly.py", "taylor_fd_fit")}
+MAY_ROUND = {("cli.py", "_cmd_forms"), ("cli.py", "_cmd_verify_decomp")}
 
 
 def rounded_point_uses(sources: dict[str, str]) -> list[str]:

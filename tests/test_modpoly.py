@@ -13,11 +13,12 @@ from cmpartitions.evaluate import (_GUARD, _form, _j_from_eta, _nomes, _reducing
                                    eval_C, eval_j)
 from cmpartitions.modpoly import (MatrixClass, beta_norm, beta_product,
                                   fixing_class, hnf_classes, j_norm, masser_c,
-                                  taylor_coeffs, taylor_fd_fit, _image_form,
+                                  taylor_coeffs, _image_form,
                                   _j_table, _norm_rung)
 from cmpartitions.precision import PrecisionConfig, run_adaptive
 from cmpartitions.quadforms import (QuadForm, _root, cm_point, enumerate_qn,
                                     reduce_with_matrix)
+from oracles import nome_of, taylor_fd_fit
 
 
 def class_count(m: int) -> int:
@@ -254,7 +255,9 @@ class TestJFast:
             for _ in range(10):
                 z = mpc(mpf(rng.uniform(-0.5, 0.5)), mpf(rng.uniform(0.05, 3)))
                 a = eval_j(z, cfg256)
-                b = _to_mpc(_j_from_eta(_reducing(_form(z))[0], cfg256.eval_bits)[0],
+                red = _reducing(_form(z))[0]
+                b = _to_mpc(_j_from_eta(red, cfg256.eval_bits,
+                                        nome_of(red, cfg256.eval_bits + _GUARD))[0],
                             cfg256.eval_bits + _GUARD, 0)
                 assert abs(a - b) / (1 + abs(a)) < mpf(2) ** -240
 
@@ -274,7 +277,8 @@ class TestClassTable:
                     image, _ = _image_form(form, cl)
                     value = _to_mpc(table[reduce_with_matrix(image)[0]][0], bits + _GUARD, 0)
                     image_z = (cl.p * alpha + cl.q) / cl.s
-                    direct = _to_mpc(_j_from_eta(_reducing(_form(image_z))[0], bits)[0],
+                    red = _reducing(_form(image_z))[0]
+                    direct = _to_mpc(_j_from_eta(red, bits, nome_of(red, bits + _GUARD))[0],
                                      bits + _GUARD, 0)
                     assert abs(value - direct) <= abs(direct) * mpf(2) ** -cfg512.working_bits
         assert len(table) == {1: 72, 2: 240}[n]
@@ -478,3 +482,77 @@ class TestCertifiedNorm:
         norm, coprime, achieved = j_norm(4, PrecisionConfig(256, 4096))
         assert norm == 107789694576540010002976771996177148681640625
         assert coprime and achieved == 256
+
+
+def prime_factors(m: int) -> dict[int, int]:
+    """{p: v_p(m)} for m >= 1, by trial division."""
+    found, p = {}, 2
+    while p * p <= m:
+        while m % p == 0:
+            found[p] = found.get(p, 0) + 1
+            m //= p
+        p += 1
+    if m > 1:
+        found[m] = 1
+    return found
+
+
+def kronecker(a: int, p: int) -> int:
+    """The Kronecker symbol (a/p) at a prime p: (a/2) is 0 for even a, 1 for
+    a = +-1 (mod 8) and -1 for a = +-3 (mod 8); an odd p by Euler's
+    criterion."""
+    if p == 2:
+        return 0 if a % 2 == 0 else (1 if a % 8 in (1, 7) else -1)
+    r = pow(a % p, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+def gross_zagier_f(m: int, d: int) -> int:
+    """F(m) = prod over n n' = m of n^eps(n'), for the pair (-3, d) of
+    discriminants: eps is multiplicative with eps(p) = (-3/p) for p != 3
+    and (d/3) for p = 3 (Gross and Zagier, "On singular moduli", J. reine
+    angew. Math. 355 (1985)).  Formed on the exponents of its primes, which
+    must come out non-negative, so F(m) is an integer."""
+    primes = prime_factors(m)
+    eps = {p: kronecker(-3 if p != 3 else d, p) for p in primes}
+    exponents = dict.fromkeys(primes, 0)
+    for own in product(*(range(k + 1) for k in primes.values())):
+        # n = prod p^e over own, n' = m/n
+        sign = math.prod(eps[p] ** (k - e) for (p, k), e in zip(primes.items(), own))
+        for p, e in zip(primes, own):
+            exponents[p] += sign * e
+    assert all(e >= 0 for e in exponents.values()), (m, exponents)
+    return math.prod(p ** e for p, e in exponents.items())
+
+
+def gross_zagier_product(n: int) -> int:
+    """prod F((3(24n - 1) - x^2)/4) over the odd x with x^2 < 3(24n - 1),
+    both signs of x.  Each m = (3(24n - 1) - x^2)/4 is odd, as 3(24n - 1) =
+    5 and x^2 = 1 (mod 8)."""
+    big = 3 * (24 * n - 1)
+    return math.prod(gross_zagier_f((big - x * x) // 4, 1 - 24 * n) ** 2
+                     for x in range(1, math.isqrt(big) + 1, 2))
+
+
+class TestJNormExactly:
+    """The j-norm against Gross and Zagier's formula, in integers.  For
+    24n - 1 squarefree, D = 1 - 24n is fundamental, the j-norm is the
+    product of j over one form per class of discriminant D, and j = 0 at
+    the one class of discriminant -3, whose order has 6 units: so the norm
+    is +-J(-3, D)^3 and J(-3, D)^2 = prod F (Theorem 1.3 of "On singular
+    moduli"), that is j-norm^2 = (prod F)^3.  The n with 24n - 1 not
+    squarefree are left to the numerics.  About 2 s on two cores with
+    mpmath's Python backend, nearly all of it j_norm."""
+
+    def test_worked_case_n1(self):
+        # x = 1, 3, 5, 7 give m = 17, 15, 11, 5, and F(15) = 3^-1 5 15 = 25
+        assert gross_zagier_f(15, -23) == 25
+        assert gross_zagier_product(1) == 17 ** 2 * 25 ** 2 * 11 ** 2 * 5 ** 2
+        assert j_norm(1, PrecisionConfig())[0] == -(5 ** 3 * 11 * 17) ** 3
+
+    def test_squarefree_n_through_120_and_300(self):
+        ns = [n for n in [*range(1, 121), 300]
+              if max(prime_factors(24 * n - 1).values()) == 1]
+        assert len(ns) == 114
+        for n in ns:
+            assert j_norm(n, PrecisionConfig())[0] ** 2 == gross_zagier_product(n) ** 3, n

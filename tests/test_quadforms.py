@@ -386,8 +386,9 @@ class TestCMPoint:
         # bit for bit against rounding done exactly in integers: the real
         # part is -b / (2a) correctly rounded; the imaginary part is the
         # correctly rounded quotient of sqrt(|D|), itself correctly rounded,
-        # by 2a.  The digits of every CM value (masser, forms, verify-decomp)
-        # depend on exactly these roundings.
+        # by 2a.  The printed digits of a CM point depend on exactly these
+        # roundings: the forms command's im_alpha, and verify-decomp's
+        # worst_at when its worst point is a CM point.
         forms = [f for n in range(1, 61) for f in enumerate_qn(n)]
         forms += [QuadForm(1, 0, 1), QuadForm(1, 1, 1)]
         for bits in (256, 512, 4096):

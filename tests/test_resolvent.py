@@ -11,9 +11,9 @@ from cmpartitions.evaluate import _kernel_table, _values, eval_Aprime, eval_B
 from cmpartitions.quadforms import QuadForm, cm_point, conjugate_partners, enumerate_qn
 from cmpartitions.recognize import orbit_product
 from cmpartitions.resolvent import (_aprime_coefficients, _b_coefficients,
-                                    _psi_and_j, coset_reps, psi_from_cosets,
-                                    psi_root_check, verify_tabulated)
+                                    _psi_and_j, coset_reps, psi_root_check)
 from cmpartitions.series import FormalSeries
+from oracles import psi_from_cosets, verify_tabulated
 
 # frozen checksums of the expanded integer coefficients: a second, textual
 # guard against accidental edits of the tables (the numerical guard is
