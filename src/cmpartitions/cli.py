@@ -22,7 +22,7 @@ from . import modpoly, recognize, resolvent
 from .errors import (CMPartitionsError, NearSingularity, NotNearIntegral,
                      PrecisionExhausted)
 from .evaluate import _eval_bounded, _form, _kernel_table, _values
-from .precision import PrecisionConfig, run_adaptive
+from .precision import DEFAULT_MAX_BITS, PrecisionConfig, run_adaptive
 from .quadforms import cm_point, enumerate_qn
 from .series import fp_series, hypothesis_check
 
@@ -98,7 +98,7 @@ def _build_parser() -> _Parser:
     reads it and leaves it as it was."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--precision-bits", type=_positive_int, default=256)
-    common.add_argument("--max-precision-bits", type=_positive_int, default=4096)
+    common.add_argument("--max-precision-bits", type=_positive_int, default=DEFAULT_MAX_BITS)
     common.add_argument("--tol", type=_parse_tol, default=None,
                         help="absolute tolerance (decimal or 2^-k)")
     common.add_argument("--json", action="store_true", dest="as_json")
@@ -406,7 +406,7 @@ def _masser_rows(n: int, cfg: PrecisionConfig):
     # Masser's formula needs a fixing class of determinant 24n - 1, which
     # only primitive forms (discriminant exactly 1 - 24n) have
     for form in [f for f in enumerate_qn(n) if f.content() == 1]:
-        data = modpoly._taylor(form, classes, cfg, table)
+        data = modpoly.taylor_coeffs(form, classes, cfg, table)
         from_taylor = data.masser_c()
         direct = _values(form, table, cfg, ("c",))["c"]
         with mpmath.workprec(cfg.eval_bits):

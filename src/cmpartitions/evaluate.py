@@ -10,13 +10,14 @@ pentagonal exponents, one product a power on an addition sequence
 (1 - q^n) and its theta-derivatives give E2, E4 and E6 by Ramanujan's
 identities, eta^2 = q^(1/12) P^2 (_reduced_basics, at the reduced root
 (_reducing), q^(1/12) from the form in integers and one exponential, once
-per class of the caller's _ClassTable) and j = (1/q) E4^3 P^-24
-(_j_from_eta, from the nome pair of _nomes).  From the kernel to F, thetaF
-and P values are fixed-point Gaussian ints (Python ints scaled by 2^prec,
-_cmul); eta^2 carries its own power of two, so a product of them (2^-1800
-at Im z = 200) keeps its relative precision.  _transport carries values
-back by the reducing matrix and t = i/(cz + d), in integers (_t), eta^2
-with a twelfth root of unity from Rademacher's integer k (_eta_k).
+per class of the caller's _ClassTable, which can fill itself over the CPUs)
+and j = (1/q) E4^3 P^-24 (_j_from_eta, from the nome pair of _nome).  From
+the kernel to F, thetaF and P values are fixed-point Gaussian ints (Python
+ints scaled by 2^prec, _cmul); eta^2 carries its own power of two, so a
+product of them (2^-1800 at Im z = 200) keeps its relative precision.
+_transport carries values back by the reducing matrix and t = i/(cz + d),
+in integers (_t), eta^2 with a twelfth root of unity from Rademacher's
+integer k (_eta_k).
 Derivatives are analytic: theta(E2) = (E2^2 - E4)/12, theta(log eta) =
 E2/24.  Every fixed-point value carries an integer error exponent (_emul, _esum, _ediv,
 _eprod), seeded by the kernels' budgets: the bounds of P at CM points
@@ -44,7 +45,7 @@ from mpmath.libmp import (from_int, from_man_exp, mpf_cos_sin, mpf_div, mpf_exp,
                           mpf_neg, mpf_pi, pi_fixed, to_fixed)
 
 from .errors import NearSingularity, NotUpperHalfPlane, PrecisionExhausted
-from .precision import PrecisionConfig
+from .precision import PrecisionConfig, _fork_map
 from .quadforms import QuadForm, reduce_with_matrix
 from .series import (FP_E2_COMBINATION, FP_ETA_FACTORS, FP_PREFACTOR,
                      _pentagonal_exponents, _power)
@@ -470,7 +471,7 @@ def _reduced_basics(red: QuadForm, bits: int, e6: bool = True) -> dict:
 def _j_from_eta(red: QuadForm, bits: int, nome):
     """j at the root w of a reduced form [a, b, c] as a (value, error
     exponent) pair at scale 2^prec, prec = bits + _GUARD (_emul), from the
-    nome pair (1/q, q) at scale 2^prec that _nomes gives:
+    nome pair (1/q, q) at scale 2^prec that _nome gives:
 
         j = E4^3 / Delta = (1/q) E4^3 P^-24 = (1/q) Y^3,   Y = E4 R^8,
 
@@ -480,7 +481,7 @@ def _j_from_eta(red: QuadForm, bits: int, nome):
 
     Error budget, against j at the root (|w|^2 = c/a >= 1, |1/q| >= 230).
     1/q is within 2^(6 - prec) |w| relative and q as much and 3 units more
-    (_nomes), so q lifted by g bits is within d < 3.32 2^g <= 27 W units of
+    (_nome), so q lifted by g bits is within d < 3.32 2^g <= 27 W units of
     2^-wp (|w q| < 0.005), and eta < 2^11.24 W (_series).  R is off by under
     1.009 eta + 2.5 and E4 by under 346 lambda; R^8 (|R^8| < 1.037) by under
     8.254 (1.009 eta + 2.5) + 10.7, Y (|Y| < 2.157) by under 376 lambda + 67
@@ -638,11 +639,10 @@ def _disc_exp(d: int, bits: int) -> mpf:
         return mpmath.exp(-mpmath.pi * mpmath.sqrt(-d))
 
 
-def _nomes(forms, bits: int, exps=None) -> list:
-    """(1/q, q) as fixed-point complexes at scale 2^prec, prec = bits +
-    _GUARD, for q = exp(2 pi i w) at the roots w of reduced forms [a, b, c]
-    with a < 2^20, from one exponential E_D per discriminant (_disc_exp;
-    exps, if given, maps D to E_D and keeps those computed here).
+def _nome(form: QuadForm, e_d: mpf, prec: int):
+    """(1/q, q) as fixed-point complexes at scale 2^prec for q = exp(2 pi i
+    w) at the root w of a reduced form [a, b, c] with a < 2^20, from the
+    exponential E_D of its discriminant (_disc_exp at prec - _GUARD bits).
 
     With y = -log2 |q| = pi sqrt|D|/(a ln 2) and k = floor(y), v = 2^-k/q
     = 2^(y - k) exp(pi i b/a), of modulus in [1, 2), is the root of
@@ -664,19 +664,9 @@ def _nomes(forms, bits: int, exps=None) -> list:
     |v| within 2^-58 of [1, 2)) is within 3.5 units, and the shift by k >= 7
     bits (|q| < 0.00434) leaves under 3.5/2^7 + sqrt 2 < 1.5 of them.
     """
-    exps = {} if exps is None else exps
-    for form in forms:
-        if form.a >> 20:
-            raise ValueError(f"{form} has a >= 2^20")
-        d = form.discriminant()
-        if d not in exps:
-            exps[d] = _disc_exp(d, bits)
-    return [_nome(form, exps[form.discriminant()], bits + _GUARD) for form in forms]
-
-
-def _nome(form: QuadForm, e_d: mpf, prec: int):
-    """(1/q, q) at the root of form from E_D, by _nomes' Newton root."""
     a, b, d = form.a, form.b, form.discriminant()
+    if a >> 20:
+        raise ValueError(f"{form} has a >= 2^20")
     with mpmath.workprec(64 + (-d).bit_length()):
         y = mpmath.pi * mpmath.sqrt(-d) / (a * mpmath.ln2)
         k = int(y)
@@ -716,6 +706,18 @@ class _ClassTable(dict):
         mirror = self.get(QuadForm(red.a, -red.b, red.c)) if self else None
         self[red] = value = self.kernel(red) if mirror is None else _conj(mirror)
         return value
+
+    def fill(self, reds) -> None:
+        """Run the kernel at the reduced forms reds at once over the CPUs
+        (_fork_map), longest series (least Im w) first: once per class and
+        its mirror, and not where the table holds either."""
+        wanted = {}
+        for red in reds:
+            mirror = QuadForm(red.a, -red.b, red.c)
+            if mirror not in wanted and red not in self and mirror not in self:
+                wanted[red] = None
+        order = sorted(wanted, key=lambda red: -red.discriminant() / red.a ** 2)
+        self.update(zip(order, _fork_map(self.kernel, [(red,) for red in order])))
 
 
 def eval_P_cm(forms, cfg: PrecisionConfig) -> tuple[list, list]:
@@ -829,7 +831,7 @@ def _tail(form: QuadForm, table, cfg: PrecisionConfig, keys) -> dict:
     for A, B, C or A', it refuses within 2^(-working_bits/4) of a zero of j,
     j - 1728, E4 or E6, where they have poles (_guard)."""
     bits, prec, asked = cfg.eval_bits, cfg.eval_bits + _GUARD, set(keys)
-    parts = [part for part, readers in _READ_BY.items() if asked.intersection(readers)]
+    parts = [part for part, readers in _READ_BY.items() if not asked.isdisjoint(readers)]
     parts, ex, basics = (_form_and_theta(form, table, bits, parts) if parts
                          else ({}, 0, _at(form, table, bits)))
     out = {key: _Pair(x, -ex, prec) for key, x in parts.items()}
@@ -843,7 +845,7 @@ def _tail(form: QuadForm, table, cfg: PrecisionConfig, keys) -> dict:
     e2, e6 = (_Pair(basics[key], 0, prec) for key in ("e2", "e6"))
     if "theta_j" in keys:
         out["theta_j"] = -(e4 * e4) * e6 / delta
-    if asked.intersection(("a", "b", "c", "aprime")):
+    if not asked.isdisjoint(("a", "b", "c", "aprime")):
         _guard({"j": j, "j_1728": j - 1728, "e4": e4, "e6": e6}, cfg)
     if "c" in keys:
         e2star = _Pair(_esum([(1, basics["e2"]), (-6, _g(form, prec))]), 0, prec)

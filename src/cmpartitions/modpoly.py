@@ -20,8 +20,8 @@ from mpmath import mpc, mpf
 
 from .errors import NearSingularity, NoFixingClass
 from .evaluate import (_GUARD, _check_budget, _ClassTable, _disc_exp, _eprod, _esum,
-                       _j_from_eta, _kernel_table, _nomes, _rounded, _values)
-from .precision import PrecisionConfig, _fork_map, run_adaptive
+                       _j_from_eta, _kernel_table, _nome, _rounded, _values)
+from .precision import PrecisionConfig, run_adaptive
 from .quadforms import QuadForm, enumerate_qn, reduce_with_matrix
 from .recognize import _carried_bits, norm_6unit_check
 
@@ -116,32 +116,28 @@ def _log2_j(red: QuadForm) -> float:
     return math.pi * math.sqrt(-red.discriminant()) / (red.a * math.log(2))
 
 
-def _j_class(red: QuadForm, bits: int, exps: dict):
-    """j at the root of a reduced form as a (value, error exponent) pair at
-    scale 2^(bits + _GUARD), from its nome (1/q, q), a Newton root of the
-    one exponential of its discriminant in exps (_nomes); the kernel runs
-    through this module's _j_from_eta."""
-    return _j_from_eta(red, bits, _nomes([red], bits, exps)[0])
-
-
 def _j_table(cfg: PrecisionConfig, reds=()) -> _ClassTable:
-    """Reduced form -> j at its root (_j_class), at cfg's evaluation
-    precision.  The kernel calls for the reduced forms reds, one per class
-    and its mirror, are made at once over the CPUs (``_fork_map``), longest
-    series (least Im w) first, after one exponential E_D per discriminant
-    (_disc_exp) taken here; a mirror is conjugated and any other form
-    computed on a miss.  The kernel's budget is checked first, so a
-    precision it refuses fails before any process starts."""
+    """Reduced form -> j at its root as a (value, error exponent) pair at
+    scale 2^(cfg.eval_bits + _GUARD): _j_from_eta at the nome pair (1/q, q)
+    that _nome takes from the one exponential E_D of its discriminant
+    (_disc_exp), both through this module's bindings.  E_D is taken once per
+    discriminant into one dict: here for the reduced forms reds, whose
+    kernel calls the table then makes at once over the CPUs
+    (_ClassTable.fill), and on a miss for any other form.  The kernel's
+    budget is checked first, so a precision it refuses fails before any
+    process starts."""
     bits = cfg.eval_bits
     _check_budget(bits)
-    wanted = {}
-    for red in reds:
-        if QuadForm(red.a, -red.b, red.c) not in wanted:
-            wanted[red] = None
-    exps = {d: _disc_exp(d, bits) for d in {red.discriminant() for red in wanted}}
-    table = _ClassTable(lambda red: _j_class(red, bits, exps))
-    order = sorted(wanted, key=lambda red: -red.discriminant() / red.a ** 2)
-    table.update(zip(order, _fork_map(_j_class, [(red, bits, exps) for red in order])))
+    exps = {d: _disc_exp(d, bits) for d in {red.discriminant() for red in reds}}
+
+    def j(red):
+        d = red.discriminant()
+        if d not in exps:
+            exps[d] = _disc_exp(d, bits)
+        return _j_from_eta(red, bits, _nome(red, exps[d], bits + _GUARD))
+
+    table = _ClassTable(j)
+    table.fill(reds)
     return table
 
 
@@ -174,7 +170,8 @@ class TaylorData:
             return (self.beta02 - self.beta11 + self.beta20) / self.beta
 
 
-def taylor_coeffs(form: QuadForm, classes, cfg: PrecisionConfig) -> TaylorData:
+def taylor_coeffs(form: QuadForm, classes, cfg: PrecisionConfig,
+                  table=None) -> TaylorData:
     """Analytic first/second-order Taylor coefficients of the determinant-m
     modular polynomial about (j(alpha), j(alpha)), alpha the CM point of
     form.  With f_i(s) = j(M_i s) and Phi(j(s), Y) = prod_i (Y - f_i(s)),
@@ -188,14 +185,12 @@ def taylor_coeffs(form: QuadForm, classes, cfg: PrecisionConfig) -> TaylorData:
     zero at the expansion point.  beta20 = beta02 by the symmetry of the
     polynomial, which the tests' finite-difference fit checks.  j and
     theta j at alpha and at each image form's own root (_image_form, so no
-    weight factor) come from one class table, which _taylor shares.
+    weight factor) come from one class table of the basics at cfg's
+    precision: table, which a caller shares over its forms, or a new one.
     """
-    return _taylor(form, classes, cfg, _kernel_table(cfg.eval_bits))
-
-
-def _taylor(form: QuadForm, classes, cfg: PrecisionConfig, table) -> TaylorData:
     if len(classes) < 2:
         raise ValueError("need a non-trivial class list (determinant > 1)")
+    table = _kernel_table(cfg.eval_bits) if table is None else table
     fix, images = _images(form, classes)
     j0, theta_j0 = _values(form, table, cfg, ("j", "theta_j")).values()
     with mpmath.workprec(cfg.eval_bits):

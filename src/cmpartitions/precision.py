@@ -21,7 +21,7 @@ from mpmath import mpf
 from .errors import PrecisionExhausted, WorkerLost
 
 DEFAULT_WORKING_BITS = 256
-DEFAULT_MAX_BITS = 8192
+DEFAULT_MAX_BITS = 4096
 
 
 @dataclass(frozen=True)

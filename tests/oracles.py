@@ -9,7 +9,7 @@ something.
   B, and their largest deviation from the tabulated resolvents.
 - ``nome_of``: the nome pair (1/q, q) at any reduced form from one
   exponential and one cosine and sine of its own, for the generic binary
-  points whose reduced a >= 2^20 ``evaluate._nomes`` refuses.
+  points whose reduced a >= 2^20 ``evaluate._nome`` refuses.
 """
 
 import mpmath
@@ -101,7 +101,7 @@ def nome_of(red, prec: int):
     """(1/q, q) at scale 2^prec at the root of red, from exp(+-t) and
     cos, sin phi (evaluate._arguments, d = 1) at prec + 8 bits: within
     (3.64 t + 6) 2^-(prec + 8) relative and a unit, within what
-    evaluate._nomes states of its own, as evaluate._j_from_eta takes it."""
+    evaluate._nome states of its own, as evaluate._j_from_eta takes it."""
     t, phi = _arguments(red, 1, prec + 8)
     cos, sin = mpf_cos_sin(phi, prec + 8, "n")
     big, small = mpf_exp(t, prec + 8, "n"), mpf_exp(mpf_neg(t), prec + 8, "n")

@@ -272,6 +272,21 @@ class TestKernelCounts:
         assert len(json.loads(out)["rows"]) == 3
         assert len(kernel_calls) == 37
 
+    def test_masser_runs_through_taylor_coeffs(self, capsys, monkeypatch):
+        # each of n = 1's 3 primitive forms takes its Taylor data from the
+        # public entry, with the one table the command shares
+        original, tables = modpoly.taylor_coeffs, []
+
+        def spy(form, classes, cfg, table=None):
+            tables.append(table)
+            return original(form, classes, cfg, table)
+
+        monkeypatch.setattr(modpoly, "taylor_coeffs", spy)
+        code, out, _ = run_cli(capsys, "masser", "--n", "1", "--no-cache", "--json")
+        assert code == 0 and len(json.loads(out)["rows"]) == 3
+        assert len(tables) == 3 and tables[0] is not None
+        assert all(table is tables[0] for table in tables)
+
     @pytest.mark.parametrize("what, calls", [("C", 1), ("j", 1), ("F", 4), ("P", 4),
                                              ("A", 4), ("B", 4)])
     def test_eval(self, capsys, kernel_calls, what, calls):
@@ -335,6 +350,25 @@ class TestKernelCounts:
 
 
 class TestVerification:
+    # SHA-256 of each command's stdout with --json --seed 1 --no-cache at
+    # the default 256 bits: masser's beta rows and both verify commands,
+    # which report does not print.  A change that moves one printed digit
+    # sets the new hash here and lists the move in CHANGES.md.
+    PINNED = {
+        ("masser", "--n", "1"):
+            "7c9272c048150378c33fc09565eb27e0f86c79b82a7f604cdbf286095b707b17",
+        ("verify-decomp", "--trials", "10", "--n-max", "2"):
+            "a57f76685de5943c0ce2d19f659f75bc321a6e26c2dd0c42b025f0f413e9fdf7",
+        ("verify-appendix", "--trials", "2"):
+            "76401619f4f22680f3ca59904fea41caf5ee93226b57b22371ac73b14fc727a0",
+    }
+
+    @pytest.mark.parametrize("argv", list(PINNED), ids=[argv[0] for argv in PINNED])
+    def test_output_is_pinned(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--json", "--seed", "1", "--no-cache")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[argv]
+
     def test_verify_decomp_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify-decomp", "--trials", "3",
                                "--n-max", "1", "--seed", "7", "--no-cache")

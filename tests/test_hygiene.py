@@ -2,11 +2,11 @@
 that removes the last use of an import cannot leave the import behind.
 ``__init__`` is exempt: its imports are the package's exports.  Every
 module-level private name is used somewhere in the package, so no dead
-helper stays behind either.  Every public module-level function is called
-by another function of the package or belongs to its named API, so a
-helper that only the tests run cannot land in the library.  No
-module-level statement calls a function of the package, so importing it
-does no work of its own.  A CM point is rounded to an mpc (``cm_point``,
+helper stays behind either.  Every module-level function is called by
+another function of the package (or through a module-level table that one
+reads), or is public and belongs to its named API, so a helper that only
+the tests run cannot land in the library.  No module-level statement calls
+a function of the package, so importing it does no work of its own.  A CM point is rounded to an mpc (``cm_point``,
 ``quadforms._root``) only where a command prints it, so no evaluator reads
 a rounded point back as a form.  The README's
 global flags are the options every command takes, so a flag cannot be
@@ -105,47 +105,62 @@ API = {"eval_A", "eval_Aprime", "eval_B", "eval_C", "eval_eisenstein", "eval_eta
        "masser_c", "sharpness_divisor", "main", "console_main"}
 
 
-def public_functions(sources: dict[str, str]) -> dict[tuple[str, str], int]:
-    """(module, name) -> line of each module-level public function."""
+def module_functions(sources: dict[str, str], private: bool = False) -> dict[tuple[str, str], int]:
+    """(module, name) -> line of each module-level function: the _private
+    ones if private, else the public ones."""
     return {(module, top.name): top.lineno for module, source in sources.items()
             for top in ast.parse(source).body
-            if isinstance(top, ast.FunctionDef) and not top.name.startswith("_")}
+            if isinstance(top, ast.FunctionDef) and top.name.startswith("_") == private}
 
 
-def uncalled_public_functions(sources: dict[str, str], api: set[str]) -> list[str]:
-    """Module-level public functions that api does not name and that no
-    other module-level function or class of sources refers to: by the name
-    its module defines or a module imports (``from .m import f``), or as an
-    attribute of its module (``m.f``)."""
-    public = public_functions(sources)
-    reached = set()
+def uncalled_functions(sources: dict[str, str], api: set[str], private: bool = False) -> list[str]:
+    """Module-level functions (module_functions) that api does not name and
+    that no other module-level function or class of sources refers to, nor
+    a module-level table (``_COMMANDS = {...}``) that one refers to: by the
+    name its module defines or a module imports (``from .m import f``), or
+    as an attribute of its module (``m.f``)."""
+    functions = module_functions(sources, private)
+    reached, tables = set(), []
     for module, source in sources.items():
         tree = ast.parse(source)
         imported = {alias.asname or alias.name: (f"{node.module}.py", alias.name)
                     for node in tree.body if isinstance(node, ast.ImportFrom) and node.module
                     for alias in node.names}
         for top in tree.body:
-            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                names = [top.name]
+            elif isinstance(top, ast.Assign):
+                names = [t.id for t in top.targets if isinstance(t, ast.Name)]
+            else:
                 continue
+            targets = set()
             for node in ast.walk(top):
                 if isinstance(node, ast.Name):
-                    target = imported.get(node.id, (module, node.id))
+                    targets.add(imported.get(node.id, (module, node.id)))
                 elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                    target = (f"{node.value.id}.py", node.attr)
-                else:
-                    continue
-                if target != (module, top.name):
-                    reached.add(target)
-    return [f"{name} ({module} line {line})" for (module, name), line in public.items()
+                    targets.add((f"{node.value.id}.py", node.attr))
+            targets -= {(module, name) for name in names}
+            if isinstance(top, ast.Assign):
+                tables.append(([(module, name) for name in names], targets))
+            else:
+                reached |= targets
+    for names, targets in tables:
+        if reached.intersection(names):
+            reached |= targets
+    return [f"{name} ({module} line {line})" for (module, name), line in functions.items()
             if (module, name) not in reached and name not in api]
 
 
+def function_sources() -> dict[str, str]:
+    return {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))
+            if p.name not in ("__init__.py", "__main__.py")}
+
+
 def test_every_public_function_is_called_or_api():
-    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))
-               if p.name not in ("__init__.py", "__main__.py")}
-    assert uncalled_public_functions(sources, API) == []
+    sources = function_sources()
+    assert uncalled_functions(sources, API) == []
     # every API name is a public function, so the set cannot go stale
-    assert API <= {name for _, name in public_functions(sources)}
+    assert API <= {name for _, name in module_functions(sources)}
 
 
 def test_detects_an_uncalled_public_function():
@@ -156,8 +171,28 @@ def test_detects_an_uncalled_public_function():
                "b.py": ("from . import a\n\n\n"
                         "def main():\n    return a.helper()\n\n\n"
                         "def orphan(data):\n    return data.recurse(2)\n")}
-    assert uncalled_public_functions(sources, {"eval_x", "main"}) == [
+    assert uncalled_functions(sources, {"eval_x", "main"}) == [
         "recurse (a.py line 13)", "orphan (b.py line 8)"]
+
+
+def test_every_private_function_is_called():
+    assert uncalled_functions(function_sources(), set(), private=True) == []
+
+
+def test_detects_an_uncalled_private_function():
+    # _helper is called by a function of another module and _listed through
+    # a table that one reads; _tested is read only by a table that no
+    # function reads, as a test would reach it, and _recurse only by itself
+    sources = {"a.py": ("def _helper():\n    return 1\n\n\n"
+                        "def _listed():\n    return 2\n\n\n"
+                        "def _tested():\n    return 3\n\n\n"
+                        "def _recurse(n):\n    return _recurse(n - 1) if n else 0\n"),
+               "b.py": ("from .a import _helper, _listed, _tested\n\n"
+                        "_TABLE = {\"x\": _listed}\n"
+                        "CHECKED = [_tested]\n\n\n"
+                        "def main():\n    return _helper() + _TABLE[\"x\"]()\n")}
+    assert uncalled_functions(sources, set(), private=True) == [
+        "_tested (a.py line 9)", "_recurse (a.py line 13)"]
 
 
 def _is_main_guard(node) -> bool:

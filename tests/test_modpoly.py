@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 from itertools import product
 
 import mpmath
@@ -9,8 +10,8 @@ from mpmath import mpc, mpf
 from cmpartitions import modpoly
 from cmpartitions.errors import (NoFixingClass, NotNearIntegral,
                                   PrecisionExhausted)
-from cmpartitions.evaluate import (_GUARD, _form, _j_from_eta, _nomes, _reducing, _to_mpc,
-                                   eval_C, eval_j)
+from cmpartitions.evaluate import (_GUARD, _disc_exp, _form, _j_from_eta, _nome, _reducing,
+                                   _to_mpc, eval_C, eval_j)
 from cmpartitions.modpoly import (MatrixClass, beta_norm, beta_product,
                                   fixing_class, hnf_classes, j_norm, masser_c,
                                   taylor_coeffs, _image_form,
@@ -302,13 +303,19 @@ class TestClassTable:
     def nomes_within_their_bound(forms, bits):
         prec = bits + _GUARD
         unit = mpf(2) ** -prec
+        exps = {d: _disc_exp(d, bits) for d in {form.discriminant() for form in forms}}
         with mpmath.workprec(prec + 64):
-            for form, (inv_q, q) in zip(forms, _nomes(forms, bits)):
+            for form in forms:
+                inv_q, q = _nome(form, exps[form.discriminant()], prec)
                 w = _root(form)
                 exact = mpmath.exp(2j * mpmath.pi * w)
                 rel = mpf(2) ** 6 * unit * abs(w)
                 assert abs(_to_mpc(inv_q, prec, 0) - 1 / exact) <= rel / abs(exact), form
                 assert abs(_to_mpc(q, prec, 0) - exact) <= rel * abs(exact) + 3 * unit, form
+
+    def test_nome_refuses_a_from_2_20(self):
+        with pytest.raises(ValueError, match="a >= 2"):
+            _nome(QuadForm(1 << 20, 1, 1 << 20), mpf(1), 256)
 
     def test_image_form_root(self, cfg256):
         # the root of the image form is the image of the root
@@ -352,6 +359,24 @@ class TestBetaNorm:
         # forms (3281) + 128 bits for the tolerance 2^-128, is bounded below it
         _, _, achieved = beta_norm(1, PrecisionConfig(256, 8192))
         assert rungs == [3281 + 128] and achieved == 3409
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_n1_one_exponential_per_discriminant(self, monkeypatch, tmp_path, cpus):
+        # the rung's 37 kernel calls, serial or forked, share the exponential
+        # E_D of each of the two discriminants, -23 and -23^3, taken before
+        # any fork; each call appends to a file, so a worker's would show
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        original, log = modpoly._disc_exp, tmp_path / "calls"
+
+        def counting(d, bits):
+            with open(log, "a") as handle:
+                handle.write(f"{d}\n")
+            return original(d, bits)
+
+        monkeypatch.setattr(modpoly, "_disc_exp", counting)
+        norm, _, _ = beta_norm(1, PrecisionConfig(256, 4096))
+        assert sorted(map(int, log.read_text().split())) == [-23 ** 3, -23]
+        assert hashlib.sha256(str(norm).encode()).hexdigest() == self.SHA256[1]
 
     def test_n1_one_rung_at_a_tight_tolerance(self, rungs):
         # the rung at the prediction + 400 bits is certified to 2^-400

@@ -32,7 +32,7 @@ class TestConfig:
     def test_defaults(self):
         cfg = PrecisionConfig()
         assert cfg.working_bits == 256
-        assert cfg.max_bits == 8192
+        assert cfg.max_bits == 4096
         assert cfg.abs_tol == mpf(2) ** -128
 
     def test_invalid(self):
