@@ -22,7 +22,7 @@ from . import modpoly, recognize, resolvent
 from .errors import (CMPartitionsError, NearSingularity, NotNearIntegral,
                      PrecisionExhausted)
 from .evaluate import _eval_bounded, _form, _kernel_table, _values
-from .precision import DEFAULT_MAX_BITS, PrecisionConfig, run_adaptive
+from .precision import DEFAULT_MAX_BITS, DEFAULT_WORKING_BITS, PrecisionConfig, run_adaptive
 from .quadforms import cm_point, enumerate_qn
 from .series import fp_series, hypothesis_check
 
@@ -97,7 +97,7 @@ def _build_parser() -> _Parser:
     """The parser of every command, built on first use and kept: a parse
     reads it and leaves it as it was."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision-bits", type=_positive_int, default=256)
+    common.add_argument("--precision-bits", type=_positive_int, default=DEFAULT_WORKING_BITS)
     common.add_argument("--max-precision-bits", type=_positive_int, default=DEFAULT_MAX_BITS)
     common.add_argument("--tol", type=_parse_tol, default=None,
                         help="absolute tolerance (decimal or 2^-k)")

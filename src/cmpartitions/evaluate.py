@@ -4,9 +4,9 @@ weight -2 / weight 0 pair (F, P) with its A + B*C split.
 Every caller hands over the integer form whose root is its point: a CM form,
 an exact image of one, or at the public eval_*(z, cfg) the form of z's exact
 binary value (_form); 1/(2 pi Im) = a/(pi sqrt|D|) is read off the form
-(_form_and_theta).  Two kernels share one table of q powers at the
-pentagonal exponents, one product a power on an addition sequence
-(_power_table), and one real reciprocal of P (_recip, _series): P = prod
+(_g).  Two kernels share one table of q powers at the pentagonal
+exponents, one product a power on an addition sequence (_power_table),
+and one real reciprocal of P (_recip, _series): P = prod
 (1 - q^n) and its theta-derivatives give E2, E4 and E6 by Ramanujan's
 identities, eta^2 = q^(1/12) P^2 (_reduced_basics, at the reduced root
 (_reducing), q^(1/12) from the form in integers and one exponential, once
@@ -23,13 +23,13 @@ E2/24.  Every fixed-point value carries an integer error exponent (_emul, _esum,
 _eprod), seeded by the kernels' budgets: the bounds of P at CM points
 (eval_P_cm), of the eval command (_eval_bounded) and of j (_j_from_eta).
 
-One tail (_tail) takes the basics, F, thetaF and P on to j, theta j, A, B,
-C and A' = A j (j - 1728), forming only the values asked for, on pairs that
-carry their own power of two (_Pair: _emul, _ediv, _esum), so that a value
-keeps its relative precision however small (C near 2^-1813 at 200i) or
-large.  The verify commands (_values), p(n) (eval_P_cm) and the public
-eval_* and the eval command (_eval_bounded) round its pairs to mpc once, at
-the end.
+One tail (_tail) takes the basics at a form on to F, thetaF, P, j, theta
+j, A, B, C and A' = A j (j - 1728), forming only the values asked for, on
+pairs that carry their own power of two (_Pair: _emul, _ediv, _esum), so
+that a value keeps its relative precision however small (C near 2^-1813
+at 200i) or large.  The verify commands (_values), p(n) (eval_P_cm) and
+the public eval_* and the eval command (_eval_bounded) round its pairs to
+mpc once, at the end.
 """
 
 from __future__ import annotations
@@ -275,23 +275,23 @@ def _rounded(z, prec: int, bits: int):
     return _to_mpc(x, prec, bits), e
 
 
-def _cmul_within(a: tuple[int, int], b: tuple[int, int], prec: int,
-                 m: int) -> tuple[int, int]:
-    """_cmul(a, b, prec) to within a further 2^m units of its last place:
-    each factor drops the low bits that, times the other factor, stay below
-    2^(prec + m - 2), so small factors make cheap products (a square, b a,
-    stays one)."""
-    ka = min(max(m + prec - 2 - _size(b), 0), prec)
-    kb = min(max(m + prec - 2 - _size(a), 0), prec - ka)
-    cut = (a[0] >> ka, a[1] >> ka)
-    return _cmul(cut, cut if a is b and ka == kb else (b[0] >> kb, b[1] >> kb), prec - ka - kb)
-
-
 # Bits below a product's last place that a cut factor keeps, and the
 # precision from which _power_table cuts (below it the bookkeeping costs more:
 # _reduced_basics 23% slower at 288 bits, 6% faster at 1056, 9% at 4128).
 _TAPER = 16
 _TAPER_BITS = 1 << 11
+
+
+def _cmul_within(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
+    """_cmul(a, b, prec) to within a further 2^-_TAPER units of its last
+    place: each factor drops the low bits that, times the other factor, stay
+    below 2^(prec - _TAPER - 2), so small factors make cheap products (a
+    square, b a, stays one)."""
+    ka = min(max(prec - _TAPER - 2 - _size(b), 0), prec)
+    kb = min(max(prec - _TAPER - 2 - _size(a), 0), prec - ka)
+    cut = (a[0] >> ka, a[1] >> ka)
+    return _cmul(cut, cut if a is b and ka == kb else (b[0] >> kb, b[1] >> kb), prec - ka - kb)
+
 
 # The one addition sequence over the generalised pentagonal numbers, grown
 # on demand (_sequence): (c, a, b, square) ascending in c, x^c = x^a x^b.
@@ -342,8 +342,7 @@ def _power_table(x: tuple[int, int], exponents, prec: int) -> dict:
     1.415 + 2^-16 < 1.44 units: every entry stays within 2 units, however
     long the sequence."""
     exponents = sorted(set(exponents))
-    product = (_cmul if prec < _TAPER_BITS
-               else lambda u, v, prec: _cmul_within(u, v, prec, -_TAPER))
+    product = _cmul if prec < _TAPER_BITS else _cmul_within
     powers = {1: x}
     for c, a, b, square in _sequence(exponents[-1] + 1):
         if square:
@@ -581,34 +580,6 @@ def _g(form: QuadForm, prec: int):
             (((3 * form.a << prec) // root) + 2).bit_length())
 
 
-def _form_and_theta(form: QuadForm, table, bits: int, keys=("f", "theta_f", "p")):
-    """({"f": F, "theta_f": thetaF, "p": P} for the keys asked, ex, the
-    basics at alpha), the parts (value, error exponent) pairs at scale
-    2^(prec + ex) (F 2^ex at scale 2^prec; _rounded there gives F as an
-    mpc), the basics at scale 2^prec, at the root alpha of a form [a, b, c]
-    with 6 | a, from table: F of series.fp_series, P = -thetaF - F g (_g).
-    d alpha (d = 1, 2, 3, 6) is the root of [a/d, b, dc] (_at); F = f/den
-    2^-ex and thetaF = theta_f/den 2^-ex by the chain rule, theta E2 = (E2^2
-    - E4)/12, theta log eta = E2/24, and den 2^ex is the eta^2 product times
-    24/FP_PREFACTOR."""
-    prec, pre, g = bits + _GUARD, FP_PREFACTOR, _g(form, bits + _GUARD)
-    at = {d: _at(QuadForm(form.a // d, form.b, d * form.c), table, bits)
-          for d, _ in FP_ETA_FACTORS}
-    num = _esum((c, at[d]["e2"]) for d, c in FP_E2_COMBINATION)
-    theta = _esum((2 * c * d, _esum([(1, _emul(at[d]["e2"], at[d]["e2"], prec)),
-                                     (-1, at[d]["e4"])])) for d, c in FP_E2_COMBINATION)
-    drift = _emul(num, _esum((e * d, at[d]["e2"]) for d, e in FP_ETA_FACTORS), prec)
-    den, ex = ((1 << prec, 0), 0), 0
-    for d, e in FP_ETA_FACTORS:  # every e is even
-        for _ in range(e // 2):
-            den, ex = _emul(den, at[d]["eta2"], prec), ex + at[d]["eta2_exp"]
-    f = _esum([(24 * pre.numerator, num)])
-    theta_f = _esum([(pre.numerator, theta), (-pre.numerator, drift)])
-    den = _esum([(24 * pre.denominator, den)])
-    parts = {"f": f, "theta_f": theta_f, "p": _esum([(-1, theta_f), (-1, _emul(f, g, prec))])}
-    return {key: _ediv(x, den, prec) for key, x in parts.items() if key in keys}, ex, at[1]
-
-
 def eval_form(z: mpc, cfg: PrecisionConfig) -> mpc:
     return _eval_bounded("F", z, cfg)[0]
 
@@ -811,30 +782,53 @@ def _guard(values: dict, cfg: PrecisionConfig) -> None:
             raise NearSingularity(f"|{name}| = {mpmath.nstr(size, 5)} below guard")
 
 
-# The parts of _form_and_theta and the keys of _tail that read them.
+# The keys of _tail that read F, thetaF and P.
 _READ_BY = {"f": ("f", "a", "b", "aprime"), "theta_f": ("a", "aprime"), "p": ("p",)}
 
 
 def _tail(form: QuadForm, table, cfg: PrecisionConfig, keys) -> dict:
     """The keys asked for of F, P, A, B, C, A' = A j (j - 1728), j and theta j
     ("f", "p", "a", "b", "c", "aprime", "j" and "theta_j") at the root alpha
-    of form (6 | a), as _Pairs at prec = eval_bits + _GUARD from table: F,
-    thetaF and P at s = -ex (_form_and_theta, read only for the keys that
-    use them; C, j and theta j alone read the basics at alpha, _at), the
-    basics at s = 0, eta^2 at its eta2_exp, and
+    of form (6 | a), as _Pairs at prec = eval_bits + _GUARD from table.
+
+    F of series.fp_series, thetaF and P = -thetaF - F g (_g) are formed only
+    for the keys that read them (_READ_BY), from the basics at d alpha (d =
+    1, 2, 3, 6 in this order: a class table's value at a form depends on
+    which of its mirror pair it computed first), the root of [a/d, b, dc]
+    (_at): F = f/den 2^-ex and thetaF = theta_f/den 2^-ex by the chain
+    rule, theta E2 = (E2^2 - E4)/12, theta log eta = E2/24, and den 2^ex is
+    the eta^2 product times 24/FP_PREFACTOR; they are _Pairs at s = -ex.
+    C, j and theta j alone read the basics at alpha, at s = 0, eta^2 at its
+    eta2_exp, and
         j = E4^3 / Delta,   theta j = -E4^2 E6 / Delta,   Delta = eta^24,
         A = -thetaF - F E2/6 + F E6 (7j - 6912)/(6 E4 (j - 1728)),
         B = F E6 j / E4,
         C = E4 E2*/(6 E6 j) - (7j - 6912)/(6 j (j - 1728)),
-    E2* = E2 - 6g (_g).  P = A + B C, and A' is regular at CM points.  j
-    reads only eta^2 and E4, so a table for F, P and j needs no E6.  Asked
-    for A, B, C or A', it refuses within 2^(-working_bits/4) of a zero of j,
-    j - 1728, E4 or E6, where they have poles (_guard)."""
+    E2* = E2 - 6g.  P = A + B C, and A' is regular at CM points.  j reads
+    only eta^2 and E4, so a table for F, P and j needs no E6.  Asked for A,
+    B, C or A', it refuses within 2^(-working_bits/4) of a zero of j, j -
+    1728, E4 or E6, where they have poles (_guard)."""
     bits, prec, asked = cfg.eval_bits, cfg.eval_bits + _GUARD, set(keys)
     parts = [part for part, readers in _READ_BY.items() if not asked.isdisjoint(readers)]
-    parts, ex, basics = (_form_and_theta(form, table, bits, parts) if parts
-                         else ({}, 0, _at(form, table, bits)))
-    out = {key: _Pair(x, -ex, prec) for key, x in parts.items()}
+    at = {d: _at(QuadForm(form.a // d, form.b, d * form.c), table, bits)
+          for d in ([d for d, _ in FP_ETA_FACTORS] if parts else [1])}
+    basics, out = at[1], {}
+    if parts:
+        pre = FP_PREFACTOR
+        num = _esum((c, at[d]["e2"]) for d, c in FP_E2_COMBINATION)
+        theta = _esum((2 * c * d, _esum([(1, _emul(at[d]["e2"], at[d]["e2"], prec)),
+                                         (-1, at[d]["e4"])])) for d, c in FP_E2_COMBINATION)
+        drift = _emul(num, _esum((e * d, at[d]["e2"]) for d, e in FP_ETA_FACTORS), prec)
+        den, ex = ((1 << prec, 0), 0), 0
+        for d, e in FP_ETA_FACTORS:  # every e is even
+            for _ in range(e // 2):
+                den, ex = _emul(den, at[d]["eta2"], prec), ex + at[d]["eta2_exp"]
+        f = _esum([(24 * pre.numerator, num)])
+        theta_f = _esum([(pre.numerator, theta), (-pre.numerator, drift)])
+        den = _esum([(24 * pre.denominator, den)])
+        values = {"f": f, "theta_f": theta_f,
+                  "p": _esum([(-1, theta_f), (-1, _emul(f, _g(form, prec), prec))])}
+        out = {part: _Pair(_ediv(values[part], den, prec), -ex, prec) for part in parts}
     if asked <= {"f", "p"}:
         return {key: out[key] for key in keys}
     e4 = _Pair(basics["e4"], 0, prec)

@@ -38,6 +38,21 @@ class TestBasicCommands:
         assert code == 0
         assert out.strip() == str(recognize.pentagonal_pn(300))
 
+    # SHA-256 over the stdout of pn --n k --json --no-cache for k = 1..30,
+    # in order: a change that moves one printed digit sets the new hash
+    # here and lists the move in CHANGES.md.
+    PN_1_30_SHA256 = "890202fb44a2d161c4590531c48f77bde744702030c56580804ca0642f2e88c5"
+
+    def test_pn_1_to_30_output_is_pinned(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv(cli.CACHE_ENV_VAR, str(tmp_path / "c.json"))
+        digest = hashlib.sha256()
+        for n in range(1, 31):
+            code, out, err = run_cli(capsys, "pn", "--n", str(n), "--json", "--no-cache")
+            assert (code, err) == (0, "")
+            digest.update(out.encode())
+        assert digest.hexdigest() == self.PN_1_30_SHA256
+        assert not (tmp_path / "c.json").exists()
+
     def test_pn_rejects_zero(self, capsys):
         code, _, err = run_cli(capsys, "pn", "--n", "0", "--no-cache")
         assert code == 4
@@ -631,6 +646,39 @@ class TestCache:
         assert (code, out) == (0, "1\n")
         assert err == f"cannot write cache {path}: {blocker} is not a directory\n"
 
+    def test_failed_write_below_missing_directories(self, capsys, tmp_path):
+        # the cause is found by walking up the directories not yet made
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        path = str(blocker / "sub" / "cache.json")
+        code, out, err = run_cli(capsys, "pn", "--n", "1", "--cache-path", path)
+        assert (code, out) == (0, "1\n")
+        assert err == f"cannot write cache {path}: {blocker} is not a directory\n"
+
+    def test_failed_replace_leaves_no_temp_file(self, capsys, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        path = tmp_path / "cache.json"
+        code, out, err = run_cli(capsys, "pn", "--n", "1", "--cache-path", str(path))
+        assert (code, out) == (0, "1\n")
+        assert err == f"cannot write cache {path}: Permission denied\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_each_n_served_from_its_own_entry(self, capsys, tmp_path):
+        # the stored p(n) are marked, so the output shows which entry served
+        path = tmp_path / "cache.json"
+        for n in ("1", "2"):
+            run_cli(capsys, "pn", "--n", n, "--cache-path", str(path))
+        cache = json.loads(path.read_text())
+        for entry in cache["entries"]:
+            entry["pn"] = f"{entry['n']}0{entry['n']}"
+        path.write_text(json.dumps(cache))
+        for n in ("1", "2"):
+            served = run_cli(capsys, "pn", "--n", n, "--cache-path", str(path))
+            assert served == (0, f"{n}0{n}\n", "")
+
     def test_stale_top_level_keys_dropped(self, capsys, tmp_path):
         path = tmp_path / "cache.json"
         path.write_text(json.dumps({"version": 1, "entries": [],
@@ -739,6 +787,18 @@ class TestReport:
         _, fresh, _ = run_cli(capsys, *tight, "--no-cache")
         assert run_cli(capsys, *tight, "--cache-path", str(path)) == (0, fresh, "")
         assert path.read_bytes() == before
+
+    def test_higher_precision_entry_not_read(self, capsys, tmp_path):
+        # unlike pn and orbit, report reads only entries at its own working
+        # bits: it recomputes n = 1 beside a 320-bit entry and stores its own
+        path = tmp_path / "c.json"
+        run_cli(capsys, "pn", "--n", "1", "--precision-bits", "320", "--cache-path", str(path))
+        code, out, err = run_cli(capsys, "report", "--n-max", "1", "--hypothesis-order", "20",
+                                 "--json", "--cache-path", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["per_n"][0]["working_bits"] == 256
+        entries = json.loads(path.read_text())["entries"]
+        assert [(e["n"], e["working_bits"]) for e in entries] == [(1, 256), (1, 320)]
 
     def test_cache_reuse_identical_output(self, capsys, tmp_path):
         path = str(tmp_path / "cache.json")

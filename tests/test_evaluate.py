@@ -11,8 +11,7 @@ from mpmath.libmp import to_rational
 from cmpartitions import evaluate, recognize
 from cmpartitions.errors import NearSingularity, NotUpperHalfPlane
 from cmpartitions.evaluate import (_GUARD, _ClassTable, _eprod, _esum, _eta_k,
-                                   _eval_bounded, _form, _form_and_theta,
-                                   _j_from_eta, _kernel_table, _nterms,
+                                   _eval_bounded, _form, _j_from_eta, _kernel_table, _nterms,
                                    _reduced_basics, _reducing, _rounded, _t, _tail, _to_mpc,
                                    _values, eval_A, eval_Aprime, eval_B,
                                    eval_C, eval_eisenstein, eval_eta, eval_form,
@@ -33,9 +32,8 @@ def random_points(seed, count, im_low=0.1, im_high=3.0):
 
 
 def eval_theta_form(z, cfg):
-    """theta F = q dF/dq at z, as eval_form gives F."""
-    parts, ex, _ = _form_and_theta(_form(z), _kernel_table(cfg.eval_bits), cfg.eval_bits)
-    return _rounded(parts["theta_f"], cfg.eval_bits + _GUARD + ex, cfg.eval_bits)[0]
+    """theta F = q dF/dq at z, from P = -theta F - F/(2 pi Im z)."""
+    return -eval_P(z, cfg) - eval_form(z, cfg) / (2 * mpmath.pi * z.imag)
 
 
 def apply_moebius(mat, z):
@@ -403,16 +401,15 @@ class TestPowerTable:
         products = []
         original = evaluate._cmul_within
 
-        def counting(a, b, prec, m):
-            products.append(m)
-            return original(a, b, prec, m)
+        def counting(a, b, prec):
+            products.append(prec)
+            return original(a, b, prec)
 
         monkeypatch.setattr(evaluate, "_cmul_within", counting)
         x = self.nome(prec, mpc(mpf("0.3"), mpf("0.866")))
         powers = evaluate._power_table(x, exponents, prec)
         assert sorted(powers) == exponents
         assert len(products) == (len(exponents) - 1) + squares == count < gap_table
-        assert set(products) == {-evaluate._TAPER}
 
     @pytest.mark.parametrize("bits", [3568, 13500])
     def test_tapered_powers_within_the_taper_budget(self, bits):

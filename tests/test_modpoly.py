@@ -8,7 +8,7 @@ import pytest
 from mpmath import mpc, mpf
 
 from cmpartitions import modpoly
-from cmpartitions.errors import (NoFixingClass, NotNearIntegral,
+from cmpartitions.errors import (NearSingularity, NoFixingClass, NotNearIntegral,
                                   PrecisionExhausted)
 from cmpartitions.evaluate import (_GUARD, _disc_exp, _form, _j_from_eta, _nome, _reducing,
                                    _to_mpc, eval_C, eval_j)
@@ -205,6 +205,13 @@ class TestBetaAndTaylor:
     def test_taylor_rejects_trivial(self, cfg256):
         with pytest.raises(ValueError):
             taylor_coeffs(QuadForm(1, 0, 1), hnf_classes(1), cfg256)
+
+    def test_taylor_refuses_at_rho(self, cfg256):
+        # rho = (-1 + i sqrt 3)/2 is fixed by (z + 2)/3, and j'(rho) = 0
+        form, classes = QuadForm(1, 1, 1), hnf_classes(3)
+        assert fixing_class(form, classes) == MatrixClass(1, 2, 3)
+        with pytest.raises(NearSingularity, match="j'"):
+            taylor_coeffs(form, classes, cfg256)
 
     def test_symmetry_imposed(self, cfg512):
         classes = hnf_classes(23)
